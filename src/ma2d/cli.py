@@ -350,22 +350,8 @@ def _run_verify_dual(cfg, out):
     ex = prof(problem.grid.nodes)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / np.abs(ex).max())
 
-    cells = ma_measure.subgradient_cells(report.function)
-    weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (
-        2.0 - 1.0 / (2.0 * cfg.alpha)
-    )
-    radii = np.hypot(report.grid.nodes[:, 0], report.grid.nodes[:, 1])
-    annuli = [(0.15, 0.35), (0.35, 0.55), (0.55, 0.75)]
-    id_rows = []
-    worst = 0.0
-    for lo_f, hi_f in annuli:
-        lo, hi = lo_f * cfg.radius, hi_f * cfg.radius
-        chosen = [c for c in cells if lo <= radii[c.site_index] <= hi]
-        weighted = ma_measure.site_weighted_mass(report.function, chosen, weight)
-        lebesgue = len(chosen) * cfg.h * cfg.h
-        dev = abs(weighted / lebesgue - 1.0)
-        worst = max(worst, dev)
-        id_rows.append((lo, hi, weighted, lebesgue, dev))
+    id_rows = ma_measure.dual_identity(report.function, cfg.alpha, cfg.radius, cfg.h)
+    worst = max(row[-1] for row in id_rows)
     _write_table(
         out, "dual_identity", ["r_lo", "r_hi", "weighted_mass", "area", "deviation"], id_rows
     )

@@ -4,6 +4,22 @@ A PL convex function is the lower convex envelope of lifted sites
 (x_i, height_i).  Its Monge-Ampere measure is atomic: the mass at an
 interior site is the area of the polygonal subdifferential there, which
 equals the convex hull of the gradients of the incident envelope faces.
+
+All cells are built in one array pass over the (hull-interior site,
+incident face) pairs.  Each site's gradients lose their bitwise duplicates
+(Qhull's ``Qt`` repeats a gradient across the triangles of a cocircular
+quad), are ordered by angle around their mean in gradient space, and are
+then certified: at least 3 vertices, the mean strictly left of every edge,
+and every cyclic turn e_k x e_{k+1} above 1e-12 |e_k| |e_{k+1}|.  A
+certified cell is the convex hull itself; it starts at its
+lexicographically smallest vertex, as ``geometry.convex_hull`` returns it,
+and its shoelace area is summed about that vertex.  Any other cell (empty,
+a point, a segment or a near-degenerate polygon) falls back to
+``convex_hull`` and ``polygon_area`` of the site's face gradients.
+
+This verifier shares no code with the solve loop: it imports nothing from
+``solver``, and its gradient-space order with a certificate is independent
+of the planar face order that ``solver._mass_pass`` sums.
 """
 from __future__ import annotations
 
@@ -12,11 +28,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import DegenerateInput
-from .geometry import convex_hull, polygon_area, polygon_quadrature
+from .errors import AlphaOutOfRange, DegenerateInput
+from .geometry import (
+    convex_hull,
+    cyclic_successor,
+    polygon_area,
+    polygons_quadrature,
+    triangle_rule,
+)
 
 
 @dataclass(frozen=True)
@@ -48,11 +69,11 @@ class PLConvexFunction:
 
     @cached_property
     def incident_faces(self) -> list:
-        inc = [[] for _ in range(len(self.sites))]
-        for f, tri in enumerate(self.triangulation):
-            for s in tri:
-                inc[s].append(f)
-        return inc
+        """Per site, the indices of the envelope faces that contain it, ascending."""
+        flat = self.triangulation.ravel()
+        faces = np.argsort(flat, kind="stable") // 3
+        counts = np.bincount(flat, minlength=len(self.sites))
+        return np.split(faces, np.cumsum(counts)[:-1])
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate the envelope as the max of its affine faces (exact inside the hull)."""
@@ -138,32 +159,96 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
     )
 
 
+@dataclass(frozen=True)
+class _CellArrays:
+    """Subgradient cells of all hull-interior sites, stored back to back."""
+
+    sites: np.ndarray     # (M,) hull-interior site indices, ascending
+    counts: np.ndarray    # (M,) vertices per cell
+    vertices: np.ndarray  # (counts.sum(), 2) ccw polygons, each from its lexicographic minimum
+    areas: np.ndarray     # (M,)
+
+
+def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
+    """Cells of all hull-interior sites from one pass over the (site, incident
+    face) pairs; the module docstring states the certificate and fallback."""
+    interior = f.hull_interior
+    sites = np.flatnonzero(interior)
+    m = len(sites)
+    cell_of_site = np.cumsum(interior) - 1
+    flat = f.triangulation.ravel()
+    keep = interior[flat]
+    cell = cell_of_site[flat[keep]]
+    g = f.gradients[np.flatnonzero(keep) // 3]
+
+    # group by cell in lexicographic order and drop bitwise-duplicate gradients
+    order = np.lexsort((g[:, 1], g[:, 0], cell))
+    cell, g = cell[order], g[order]
+    bits = g.view(np.int64)
+    dup = np.zeros(len(g), dtype=bool)
+    dup[1:] = (cell[1:] == cell[:-1]) & np.all(bits[1:] == bits[:-1], axis=1)
+    cell, g = cell[~dup], g[~dup]
+    counts = np.bincount(cell, minlength=m)
+    starts = np.cumsum(counts) - counts
+    first = starts[cell]  # the cell's lexicographic minimum
+    full = counts > 0
+
+    # order by angle around the mean, starting from the lexicographic minimum
+    mean = np.stack([np.bincount(cell, g[:, k], m) for k in range(2)], axis=1)
+    d = g - (mean / np.maximum(counts, 1)[:, None])[cell]
+    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), cell))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    shift = np.repeat(rank[starts[full]] - starts[full], counts[full])
+    size = np.repeat(counts, counts)
+    src = order[first + (np.arange(len(g)) - first + shift) % size]
+    g, d = g[src], d[src]
+
+    # certificate: strictly convex and star-shaped about the mean
+    nxt = cyclic_successor(counts)
+    e = g[nxt] - g
+    en = e[nxt]
+    turn = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
+    length = np.hypot(e[:, 0], e[:, 1])
+    around = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+    bad = ~((turn > 1e-12 * length * length[nxt]) & (around > 0.0))
+    certified = (counts >= 3) & (np.bincount(cell, bad, m) == 0)
+
+    # shoelace area about each cell's first vertex
+    q = g - g[first]
+    cross = q[:, 0] * q[nxt, 1] - q[:, 1] * q[nxt, 0]
+    areas = np.zeros(m)
+    areas[full] = 0.5 * np.add.reduceat(cross, starts[full])
+
+    if not certified.all():
+        polys = np.split(g, starts[1:])
+        for k in np.flatnonzero(~certified):
+            faces = f.incident_faces[sites[k]]
+            polys[k] = convex_hull(f.gradients[faces]) if len(faces) else np.empty((0, 2))
+            areas[k] = polygon_area(polys[k])
+            counts[k] = len(polys[k])
+        g = np.concatenate(polys)
+    return _CellArrays(sites=sites, counts=counts, vertices=g, areas=areas)
+
+
 def subgradient_cells(f: PLConvexFunction) -> list:
     """Subdifferential polygons of every hull-interior site.
 
     Boundary sites carry unbounded subdifferentials and are skipped; inactive
     interior sites get an empty cell of zero area.
     """
-    cells = []
-    interior = f.hull_interior
-    inc = f.incident_faces
-    for i in np.flatnonzero(interior):
-        faces = inc[i]
-        if not faces:
-            cells.append(SubgradientCell(site_index=int(i), polygon=np.empty((0, 2)), area=0.0))
-            continue
-        g = f.gradients[faces]
-        poly = convex_hull(g)
-        cells.append(
-            SubgradientCell(site_index=int(i), polygon=poly, area=polygon_area(poly))
-        )
-    return cells
+    c = _cell_arrays(f)
+    polys = np.split(c.vertices, np.cumsum(c.counts)[:-1])
+    return [
+        SubgradientCell(site_index=i, polygon=p, area=a)
+        for i, p, a in zip(c.sites.tolist(), polys, c.areas.tolist())
+    ]
 
 
 def ma_measure(f: PLConvexFunction) -> MAMeasure:
+    c = _cell_arrays(f)
     masses = np.zeros(len(f.sites))
-    for cell in subgradient_cells(f):
-        masses[cell.site_index] = cell.area
+    masses[c.sites] = c.areas
     return MAMeasure(masses=masses, total=float(masses.sum()))
 
 
@@ -180,11 +265,14 @@ def weighted_mass(cells, weight, order: int = 4) -> np.ndarray:
 
     The weight is a function of the gradient variable; integration uses a
     centroid triangle fan with a symmetric rule exact to the given degree.
+    All fans are evaluated with one call of the weight.
     """
     out = np.zeros(len(cells))
-    for k, cell in enumerate(cells):
-        if cell.area > 0.0 and len(cell.polygon) >= 3:
-            out[k] = polygon_quadrature(cell.polygon, weight, order=order)
+    full = [k for k, c in enumerate(cells) if c.area > 0.0 and len(c.polygon) >= 3]
+    if full:
+        polys = [np.asarray(cells[k].polygon, dtype=float) for k in full]
+        counts = [len(p) for p in polys]
+        out[full] = polygons_quadrature(np.concatenate(polys), counts, weight, order=order)
     return out
 
 
@@ -201,10 +289,38 @@ def gauss_map_mass(cells, order: int = 4) -> float:
 def site_weighted_mass(f: PLConvexFunction, cells, weight) -> float:
     """Sum of weight(site) * cell-area; the atomic-measure pairing for the
     dual-equation identity where the weight lives on the domain variable."""
-    total = 0.0
-    for cell in cells:
-        total += float(weight(f.sites[cell.site_index : cell.site_index + 1])[0]) * cell.area
-    return total
+    idx = np.array([c.site_index for c in cells], dtype=np.intp)
+    areas = np.array([c.area for c in cells], dtype=float)
+    return _site_pairing(f, idx, areas, weight)
+
+
+def _site_pairing(f: PLConvexFunction, sites, areas, weight) -> float:
+    return float(np.asarray(weight(f.sites[sites]), dtype=float) @ areas)
+
+
+DUAL_IDENTITY_ANNULI = ((0.15, 0.35), (0.35, 0.55), (0.55, 0.75))
+
+
+def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float) -> list:
+    """Dual-equation identity of a solution on the disk of the given radius.
+
+    On each annulus of ``DUAL_IDENTITY_ANNULI`` (fractions of the radius),
+    the hull-interior sites' pairing sum of (1 + |x|^2)^(2 - 1/(2 alpha))
+    times cell area should match the annulus' lattice area (site count times
+    h^2).  Returns one row (r_lo, r_hi, weighted_mass, area, deviation) per
+    annulus, with deviation = |weighted_mass / area - 1|.
+    """
+    weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (2.0 - 1.0 / (2.0 * alpha))
+    c = _cell_arrays(f)
+    radii = np.hypot(f.sites[c.sites, 0], f.sites[c.sites, 1])
+    rows = []
+    for lo_f, hi_f in DUAL_IDENTITY_ANNULI:
+        lo, hi = lo_f * radius, hi_f * radius
+        chosen = (lo <= radii) & (radii <= hi)
+        weighted = _site_pairing(f, c.sites[chosen], c.areas[chosen], weight)
+        lebesgue = int(chosen.sum()) * h * h
+        rows.append((lo, hi, weighted, lebesgue, abs(weighted / lebesgue - 1.0)))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -228,16 +344,12 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     mass = area).
     """
     if not 0.0 < float(alpha) <= 0.25:
-        from .errors import AlphaOutOfRange
-
         raise AlphaOutOfRange(f"alpha must lie in (0, 1/4], got {alpha!r}")
     subset = np.zeros(len(f.sites), dtype=bool)
     subset[np.asarray(list(site_subset), dtype=int)] = True
 
-    cells = subgradient_cells(f)
-    lhs = float(sum(c.area for c in cells if subset[c.site_index]))
-
-    from scipy.spatial import cKDTree
+    cells = _cell_arrays(f)
+    lhs = float(cells.areas[subset[cells.sites]].sum())
 
     tris = f.triangulation
     a, b, c = (f.sites[tris[:, k]] for k in range(3))
@@ -247,25 +359,19 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     )
     g2 = f.gradients[:, 0] ** 2 + f.gradients[:, 1] ** 2
     density = (1.0 + g2) ** (2.0 - 1.0 / (2.0 * alpha))
-    bary, wq = _TRI_RULE_DEG2
-    tree = cKDTree(f.sites)
+    bary, wq = triangle_rule(2)
+    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
+    _, owner = cKDTree(f.sites).query(pts.reshape(-1, 2))
+    inside = subset[owner].reshape(len(wq), len(tris))
     rhs = 0.0
     for k in range(len(wq)):
-        pts = bary[k, 0] * a + bary[k, 1] * b + bary[k, 2] * c
-        _, owner = tree.query(pts)
-        rhs += wq[k] * float(np.sum(density * areas * subset[owner]))
+        rhs += wq[k] * float(np.sum(density * areas * inside[k]))
 
     res = abs(lhs - rhs)
     rel = res / rhs if rhs > 0 else (0.0 if res == 0 else np.inf)
     return TranslatorIdentityReport(
         measure_side=lhs, integral_side=rhs, residual=res, relative_residual=rel
     )
-
-
-_TRI_RULE_DEG2 = (
-    np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-    np.array([1 / 3, 1 / 3, 1 / 3]),
-)
 
 
 def is_convex_grid(values_nodes, nodes=None, tol: float = 1e-9) -> bool:

@@ -20,8 +20,9 @@ Masses are evaluated two ways that agree to rounding away from degenerate
 states: globally through the lower convex hull (vectorized fan pass), and
 per site as the area of the half-plane intersection
 {p : p.(x_j - x_i) <= h_j - t} (height solves).  The ``residual`` verifier
-goes through ma_measure instead and never touches the solve loop's code
-path.
+goes through ma_measure instead, which orders each cell's gradients by angle
+in gradient space and certifies convexity, and never touches the solve
+loop's code path.
 """
 from __future__ import annotations
 

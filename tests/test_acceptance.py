@@ -91,16 +91,8 @@ def test_criterion_04_verify_dual(solved_dual_disk8, dual_profile_8):
     exact = dual_profile_8(problem.grid.nodes)
     sup_err = float(np.max(np.abs(rep.grid.values - exact)) / np.abs(exact).max())
 
-    alpha = 1 / 8
-    cells = ma_measure.subgradient_cells(rep.function)
-    weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (2.0 - 1.0 / (2 * alpha))
-    radii = np.hypot(problem.grid.nodes[:, 0], problem.grid.nodes[:, 1])
-    worst = 0.0
-    for lo, hi in ((1.2, 2.8), (2.8, 4.4), (4.4, 6.0)):
-        chosen = [c for c in cells if lo <= radii[c.site_index] <= hi]
-        weighted = ma_measure.site_weighted_mass(rep.function, chosen, weight)
-        lebesgue = len(chosen) * problem.h**2
-        worst = max(worst, abs(weighted / lebesgue - 1.0))
+    rows = ma_measure.dual_identity(rep.function, 1 / 8, 8.0, problem.h)
+    worst = max(row[-1] for row in rows)
     elapsed = time.perf_counter() - t0 + solve_seconds
     ok = sup_err < 0.02 and worst < 0.05 and elapsed < 600.0
     assert report(4, "dual-equation solve vs radial oracle", ok,

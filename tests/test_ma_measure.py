@@ -1,9 +1,14 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ma2d import grid, ma_measure as mm
+from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
-from ma2d.geometry import clip_convex, polygon_area
+from ma2d.geometry import clip_convex, convex_hull, polygon_area, polygon_quadrature
 
 from conftest import quadratic
 
@@ -222,3 +227,164 @@ def test_cells_csv_round_trip(tmp_path):
         assert a.site_index == b.site_index
         assert a.area == b.area
         assert np.array_equal(a.polygon, b.polygon)
+
+
+# ---------------------------------------------------------------------------
+# array core against the per-site monotone-chain reference
+# ---------------------------------------------------------------------------
+
+def reference_cells(f):
+    """The per-site loop: monotone chain and shoelace of each site's face gradients."""
+    inc = [[] for _ in range(len(f.sites))]
+    for k, tri in enumerate(f.triangulation):
+        for s in tri:
+            inc[s].append(k)
+    out = []
+    for i in np.flatnonzero(f.hull_interior):
+        poly = convex_hull(f.gradients[inc[i]]) if inc[i] else np.empty((0, 2))
+        out.append((int(i), poly, polygon_area(poly)))
+    return out
+
+
+def assert_matches_reference(f):
+    ref = reference_cells(f)
+    got = mm.subgradient_cells(f)
+    assert [c.site_index for c in got] == [i for i, _, _ in ref]
+    for cell, (_, poly, area) in zip(got, ref):
+        assert cell.polygon.shape == poly.shape and np.array_equal(cell.polygon, poly)
+        assert abs(cell.area - area) <= 1e-10 * area
+    return got
+
+
+def count_fallbacks(f, monkeypatch):
+    """Cells of ``f`` that the array core hands to the per-site fallback."""
+    calls = []
+
+    def counted(vertices):
+        calls.append(len(vertices))
+        return polygon_area(vertices)
+
+    with monkeypatch.context() as m:
+        m.setattr(mm, "polygon_area", counted)  # the fallback's area, once per cell
+        mm.subgradient_cells(f)
+    return len(calls)
+
+
+def _gauss_weight(y):
+    return (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (-1.5)
+
+
+def _lattice_quadratic():
+    sites = lattice(1.0, 0.1)
+    return mm.lower_envelope(sites, quadratic(sites))
+
+
+def _random_inactive():
+    rng = np.random.default_rng(11)
+    sites = rng.uniform(-1, 1, size=(200, 2))
+    f = mm.lower_envelope(sites, quadratic(sites) + 0.2 * rng.standard_normal(200))
+    assert not f.active[f.hull_interior].all()
+    return f
+
+
+def _primal_translator(primal_profile_8):
+    gf = grid.sample(primal_profile_8, grid.Domain2D.disk(1.0), 0.02)
+    return mm.lower_envelope(gf.nodes, gf.values)
+
+
+@pytest.mark.parametrize("case", ["dual_disk", "primal_translator", "quadratic_lattice",
+                                  "random_inactive"])
+def test_array_core_matches_reference(case, request, monkeypatch):
+    if case == "dual_disk":
+        f = request.getfixturevalue("solved_dual_disk8")[1].function
+    elif case == "primal_translator":
+        f = _primal_translator(request.getfixturevalue("primal_profile_8"))
+    elif case == "quadratic_lattice":
+        f = _lattice_quadratic()  # Qhull's Qt repeats gradients on cocircular quads
+    else:
+        f = _random_inactive()
+    cells = assert_matches_reference(f)
+    if case != "random_inactive":
+        assert count_fallbacks(f, monkeypatch) == 0
+    got = mm.weighted_mass(cells, _gauss_weight)
+    want = np.array([
+        polygon_quadrature(c.polygon, _gauss_weight) if c.area > 0.0 and len(c.polygon) >= 3
+        else 0.0
+        for c in cells
+    ])
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    masses = mm.ma_measure(f).masses
+    assert np.array_equal(masses[[c.site_index for c in cells]], [c.area for c in cells])
+
+
+@pytest.mark.parametrize("case", ["affine", "ridge", "flat_square"])
+def test_degenerate_cells_take_fallback(case, monkeypatch):
+    sites = lattice(1.0, 0.25)
+    if case == "affine":
+        f = mm.lower_envelope(sites, 0.3 * sites[:, 0] - 0.7 * sites[:, 1] + 0.1)
+    elif case == "ridge":
+        f = mm.lower_envelope(sites, np.abs(sites[:, 0]))  # two distinct gradients
+    else:
+        sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0.2, 0.1]])
+        f = mm.lower_envelope(sites, np.zeros(5))
+    cells = assert_matches_reference(f)
+    assert count_fallbacks(f, monkeypatch) == len(cells) > 0
+    assert all(c.area == 0.0 for c in cells)
+    assert np.array_equal(mm.weighted_mass(cells, _gauss_weight), np.zeros(len(cells)))
+
+
+def test_verifier_independent_of_solve_loop(monkeypatch):
+    tree = ast.parse(inspect.getsource(mm))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert not any(name and name.split(".")[-1] == "solver" for name in imported)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verifier reached solver._mass_pass")
+
+    monkeypatch.setattr(solver, "_mass_pass", forbidden)
+    dom = grid.Domain2D.square(1.0)
+    prob = solver.build_problem(dom, 0.1, grid.RhsField("constant"), quadratic)
+    pl = mm.lower_envelope(prob.grid.nodes, quadratic(prob.grid.nodes))
+    assert solver.residual(pl, prob) <= 1e-12
+    cells = mm.subgradient_cells(pl)
+    assert len(cells) == int(prob.interior.sum())
+    assert np.allclose([c.area for c in cells], 0.01, rtol=1e-12)
+
+
+@st.composite
+def lifted_clouds(draw):
+    """Sites on a 1/16 lattice (collinear and cocircular runs included) with
+    random heights, optionally on a paraboloid."""
+    n = draw(st.integers(5, 40))
+    ij = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
+                       min_size=n, max_size=n, unique=True))
+    sites = np.array(ij, dtype=float) / 16.0
+    bumps = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    curvature = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return sites, curvature * quadratic(sites) + bumps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cloud=lifted_clouds(),
+    tilt=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)),
+    shear=st.floats(-2, 2),
+)
+def test_array_core_property(cloud, tilt, shear):
+    sites, heights = cloud
+    try:
+        f = mm.lower_envelope(sites, heights)
+    except DegenerateInput:
+        assume(False)
+    assert_matches_reference(f)
+    base = mm.ma_measure(f).masses
+    scale = 1e-9 * max(1.0, base.max())
+    tilted = mm.lower_envelope(sites, heights + tilt[0] * sites[:, 0] + tilt[1] * sites[:, 1]
+                               + tilt[2])
+    assert_matches_reference(tilted)
+    assert np.allclose(mm.ma_measure(tilted).masses, base, rtol=1e-9, atol=scale)
+    sheared = mm.lower_envelope(sites @ np.array([[1.0, shear], [0.0, 1.0]]).T, heights)
+    assert_matches_reference(sheared)
+    assert np.allclose(mm.ma_measure(sheared).masses, base, rtol=1e-9, atol=scale)
