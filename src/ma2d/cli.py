@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ class ExperimentConfig:
     rmin: float = 16.0
     rmax: float = 256.0
     n_circles: int = 5
-    levels: list = field(default_factory=lambda: [float(2**k) for k in range(8)])
+    levels: list[float] = field(default_factory=lambda: [float(2**k) for k in range(8)])
     n_samples: int = 1000
     seed: int | None = None
     tol: float = 1e-8
@@ -95,6 +96,42 @@ class ExperimentConfig:
         return bad
 
 
+# JSON type of each annotation of ExperimentConfig: description, membership test
+_JSON_TYPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
+def _type_violations(values: dict) -> list:
+    """Fields whose JSON type does not match their ``ExperimentConfig`` annotation.
+
+    ``bool`` is no number, an integer field takes no float (not even 5.0),
+    and ``X | None`` also admits null.
+    """
+    hints = typing.get_type_hints(ExperimentConfig)
+    bad = []
+    for name, value in values.items():
+        hint = hints[name]
+        args = set(typing.get_args(hint))
+        if type(None) in args:
+            if value is None:
+                continue
+            (hint,) = args - {type(None)}
+        if typing.get_origin(hint) is list:
+            desc, ok = _JSON_TYPES[typing.get_args(hint)[0]]
+            if not isinstance(value, list):
+                bad.append(f"/{name}: must be an array")
+            else:
+                bad += [f"/{name}/{i}: must be {desc}" for i, v in enumerate(value) if not ok(v)]
+            continue
+        desc, ok = _JSON_TYPES[hint]
+        if not ok(value):
+            bad.append(f"/{name}: must be {desc}")
+    return bad
+
+
 def load_config(path, overrides=None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,6 +149,9 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
+    bad = _type_violations(merged)
+    if bad:
+        raise ConfigInvalid(bad)
     try:
         cfg = ExperimentConfig(**merged)
     except TypeError as exc:

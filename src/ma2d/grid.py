@@ -255,12 +255,17 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
 
 
 def _evaluate(field, nodes: np.ndarray) -> np.ndarray:
+    """Float values of ``field`` (a callable or a constant) at the (N, 2) nodes.
+
+    A callable that returns no (N,) array, or raises TypeError or ValueError
+    as a scalar-only field does, is called once per node; other errors propagate.
+    """
     if callable(field):
         try:
             out = np.asarray(field(nodes), dtype=float)
             if out.shape == (len(nodes),):
                 return out
-        except Exception:
+        except (TypeError, ValueError):
             pass
         return np.array([float(field(p)) for p in nodes])
     return np.full(len(nodes), float(field))

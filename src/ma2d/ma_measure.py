@@ -17,9 +17,12 @@ and its shoelace area is summed about that vertex.  Any other cell (empty,
 a point, a segment or a near-degenerate polygon) falls back to
 ``convex_hull`` and ``polygon_area`` of the site's face gradients.
 
-This verifier shares no code with the solve loop: it imports nothing from
-``solver``, and its gradient-space order with a certificate is independent
-of the planar face order that ``solver._mass_pass`` sums.
+The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
+package: ``lower_envelope`` and the solver's mass pass both build on it.
+The cells and their areas share no code with the solve loop: this module
+imports nothing from ``solver``, and its gradient-space order with a
+certificate is independent of the planar face order that
+``solver._mass_pass`` sums.
 """
 from __future__ import annotations
 
@@ -105,11 +108,28 @@ class MAMeasure:
     total: float
 
 
+def _lower_faces(sites: np.ndarray, heights: np.ndarray):
+    """(F, 3) site triples of the lower hull of the lifted points (x_i, heights_i)
+    and their (F, 4) unit plane equations (nx, ny, nz, off), nz < 0.
+
+    An apex far above the sites makes the lifted set full rank; Qhull's
+    ``Qt`` triangulation resolves cocircular degeneracies deterministically.
+    Inputs are not checked.
+    """
+    lifted = np.column_stack([sites, heights])
+    spread = float(np.ptp(heights)) + float(np.ptp(sites)) + 1.0
+    apex = np.array([[sites[:, 0].mean(), sites[:, 1].mean(), heights.max() + 10.0 * spread]])
+    hull = ConvexHull(np.vstack([lifted, apex]), qhull_options="Qt")
+    eq = hull.equations  # outward normals
+    keep = (eq[:, 2] < -1e-12) & ~np.any(hull.simplices == len(sites), axis=1)
+    return hull.simplices[keep], eq[keep]
+
+
 def lower_envelope(sites, heights) -> PLConvexFunction:
     """Lower convex hull of the lifted points (x_i, heights_i).
 
-    Sites strictly above the envelope are flagged inactive.  Qhull's
-    deterministic triangulated output resolves cocircular degeneracies.
+    Sites strictly above the envelope are flagged inactive.  The faces come
+    from ``_lower_faces``, oriented ccw here.
     """
     sites = np.asarray(sites, dtype=float)
     heights = np.asarray(heights, dtype=float)
@@ -120,19 +140,10 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
     if len(convex_hull(sites)) < 3:
         raise DegenerateInput("all sites are collinear")
 
-    lifted = np.column_stack([sites, heights])
-    spread = float(np.ptp(heights)) + float(np.ptp(sites)) + 1.0
-    apex = np.array([[sites[:, 0].mean(), sites[:, 1].mean(), heights.max() + 10.0 * spread]])
-    pts3 = np.vstack([lifted, apex])
     try:
-        hull = ConvexHull(pts3, qhull_options="Qt")
+        tris, n = _lower_faces(sites, heights)
     except QhullError as exc:  # pragma: no cover - apex makes inputs full rank
         raise DegenerateInput(str(exc)) from exc
-
-    apex_id = len(sites)
-    eq = hull.equations  # outward normals
-    keep = (eq[:, 2] < -1e-12) & ~np.any(hull.simplices == apex_id, axis=1)
-    tris = hull.simplices[keep]
 
     # orient each triangle ccw in the plane
     a, b, c = sites[tris[:, 0]], sites[tris[:, 1]], sites[tris[:, 2]]
@@ -144,7 +155,6 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
 
     # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
     # z = -(nx x + ny y + off) / nz
-    n = eq[keep]
     grads = -n[:, :2] / n[:, 2:3]
     offs = -n[:, 3] / n[:, 2]
     active = np.zeros(len(sites), dtype=bool)

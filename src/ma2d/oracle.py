@@ -152,14 +152,6 @@ class RadialProfile:
         return (self.eta + r2) ** (1.0 / (2.0 * self.alpha) - 2.0)
 
 
-def radial_primal_value(alpha: float, r) -> np.ndarray:
-    return RadialProfile(alpha=alpha, kind="primal_translator").value(r)
-
-
-def radial_dual_value(alpha: float, r, eta: float = 1.0) -> np.ndarray:
-    return RadialProfile(alpha=alpha, kind="dual_translator", eta=eta).value(r)
-
-
 @dataclass(frozen=True)
 class SeparableSolution:
     """Separable solution a |x1|^p + b x2^2 of det D2 u = |x1|^(1/alpha - 4).

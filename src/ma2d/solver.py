@@ -2,27 +2,21 @@
 
 The unknown is the vector of interior heights; the equation asks that the
 subgradient-cell area of every interior site equal the prescribed integral of
-f over its lattice cell.  Two methods share the machinery:
+f over its lattice cell.  The solve starts from a paraboloid matched to the
+median target mass and kept below the boundary data (every interior site is
+then a hull vertex with positive mass), and runs damped Newton on the mass
+map.  The Jacobian is the standard power-diagram stiffness,
+d(mass_i)/d(height_j) = L_ij / |x_j - x_i| for the cell edge generated by
+neighbor j, sparse and symmetric, with the diagonal carrying the boundary
+links.  When Newton stops short of the tolerance, the solve raises
+NoConvergence with the residual of the heights it reached; there is no
+second method to fall back on.
 
-* method="newton" (default): start from a paraboloid matched to the median
-  target mass and kept below the boundary data (every interior site is then
-  a hull vertex with positive mass), and run damped Newton on the mass map.
-  The Jacobian is the standard power-diagram stiffness,
-  d(mass_i)/d(height_j) = L_ij / |x_j - x_i| for the cell edge generated by
-  neighbor j, sparse and symmetric, with the diagonal carrying the boundary
-  links; per-site height solves repair any degenerate start or stall.
-* method="op": the classical monotone coordinate scheme - initialize with
-  the convex envelope of the boundary data (an upper solution with zero
-  interior mass) and sweep per-site height solves in descending-residual
-  order.  Orders of magnitude slower, kept for its ordering guarantees.
-
-Masses are evaluated two ways that agree to rounding away from degenerate
-states: globally through the lower convex hull (vectorized fan pass), and
-per site as the area of the half-plane intersection
-{p : p.(x_j - x_i) <= h_j - t} (height solves).  The ``residual`` verifier
-goes through ma_measure instead, which orders each cell's gradients by angle
-in gradient space and certifies convexity, and never touches the solve
-loop's code path.
+Masses come from one lifted lower hull per pass (``ma_measure._lower_faces``)
+and a vectorized fan sum in planar face order.  The ``residual`` verifier
+goes through ma_measure's cells instead, which orders each cell's gradients
+by angle in gradient space and certifies convexity, and never calls the
+solve loop's mass pass.
 """
 from __future__ import annotations
 
@@ -33,12 +27,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
-from scipy.spatial import ConvexHull
 
 from .errors import InfeasibleBoundary, NoConvergence
-from .geometry import clip_halfplane, polygon_area
-from .grid import Domain2D, GridFunction, RhsField, sample
-from .ma_measure import PLConvexFunction, lower_envelope, ma_measure
+from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
+from .ma_measure import PLConvexFunction, _lower_faces, lower_envelope, ma_measure
 
 
 @dataclass(frozen=True)
@@ -65,24 +57,13 @@ def build_problem(domain: Domain2D, h: float, rhs: RhsField, boundary) -> Dirich
     """Assemble the problem; ``boundary`` is a callable of the plane."""
     gf = sample(lambda p: np.zeros(len(p)), domain, h)
     interior = gf.interior_mask
-    bvals = np.asarray(
-        _call_field(boundary, gf.nodes[~interior]), dtype=float
-    )
+    bvals = _evaluate(boundary, gf.nodes[~interior])
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary values must be finite")
     targets = target_masses_on(gf, rhs)
     return DirichletProblem(
         domain=domain, h=h, rhs=rhs, grid=gf, boundary_values=bvals, targets=targets
     )
-
-
-def _call_field(field, pts):
-    if callable(field):
-        out = np.asarray(field(pts), dtype=float)
-        if out.shape == (len(pts),):
-            return out
-        return np.array([float(field(p)) for p in pts])
-    return np.full(len(pts), float(field))
 
 
 def target_masses_on(gf: GridFunction, rhs: RhsField) -> np.ndarray:
@@ -146,14 +127,7 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     with respect to interior heights (power-diagram stiffness).
     """
     n = len(sites)
-    lifted = np.column_stack([sites, heights])
-    spread = float(np.ptp(heights)) + float(np.ptp(sites)) + 1.0
-    apex = np.array([[sites[:, 0].mean(), sites[:, 1].mean(), heights.max() + 10.0 * spread]])
-    hull = ConvexHull(np.vstack([lifted, apex]), qhull_options="Qt")
-    eq = hull.equations
-    keep = (eq[:, 2] < -1e-12) & ~np.any(hull.simplices == n, axis=1)
-    tris = hull.simplices[keep]
-    normals = eq[keep]
+    tris, normals = _lower_faces(sites, heights)
     grads = -normals[:, :2] / normals[:, 2:3]
 
     f_ids = np.repeat(np.arange(len(tris)), 3)
@@ -211,74 +185,19 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     return areas, J
 
 
-def _cell_polygon(i: int, t: float, sites: np.ndarray, heights: np.ndarray,
-                  cand: np.ndarray) -> np.ndarray:
-    """Clip the subdifferential cell of site i at trial height t.
-
-    Constraints are visited by ascending slack (signed plane distance from
-    the origin of gradient space); once the slack exceeds the polygon radius
-    no later constraint can cut, so the loop stops early.
-    """
-    d = sites[cand] - sites[i]
-    c = heights[cand] - t
-    nrm = np.hypot(d[:, 0], d[:, 1])
-    ok = nrm > 0
-    d, c, nrm = d[ok], c[ok], nrm[ok]
-    slack = c / nrm
-    order = np.argsort(slack, kind="stable")
-
-    big = 1e9
-    poly = np.array([[-big, -big], [big, -big], [big, big], [-big, big]])
-    radius = big * np.sqrt(2.0)
-    for j in order:
-        if slack[j] > radius * (1.0 + 1e-12):
-            break
-        poly = clip_halfplane(poly, d[j], c[j])
-        if len(poly) == 0:
-            return poly
-        radius = float(np.hypot(poly[:, 0], poly[:, 1]).max())
-    return poly
-
-
-def _cell_mass(i, t, sites, heights, cand) -> float:
-    return polygon_area(_cell_polygon(i, t, sites, heights, cand))
-
-
-def _candidates(i: int, t_lo: float, sites: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """Constraint sites that can bound the cell of i for any trial t >= t_lo."""
-    d = sites - sites[i]
-    nrm = np.hypot(d[:, 0], d[:, 1])
-    nrm[i] = np.inf
-    c = heights - t_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = np.where(np.isfinite(nrm) & (nrm > 0), c / nrm, np.inf)
-    # outer bound from the 32 most binding constraints
-    order = np.argsort(slack, kind="stable")[:32]
-    order = order[np.isfinite(slack[order])]
-    big = 1e9
-    poly = np.array([[-big, -big], [big, -big], [big, big], [-big, big]])
-    for j in order:
-        poly = clip_halfplane(poly, d[j], c[j])
-        if len(poly) == 0:
-            return order
-    radius = float(np.hypot(poly[:, 0], poly[:, 1]).max())
-    keep = np.flatnonzero(slack <= radius * (1.0 + 1e-12))
-    return keep
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6,
-          method: str = "newton") -> SolveReport:
+def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) -> SolveReport:
     """Adjust interior heights until every cell mass matches its target.
 
-    ``method`` is "newton" (damped Newton from a matched paraboloid, the
-    default) or "op" (pure monotone coordinate descent with per-site height
-    solves).  Raises NoConvergence when tol is not positive or the update
-    budget is exhausted, and InfeasibleBoundary when the boundary data admits
-    no convex extension.
+    Damped Newton on the mass map from a paraboloid start (see the module
+    docstring).  ``max_iters`` bounds the site updates, charged as the number
+    of interior sites per accepted Newton step.  Raises NoConvergence when
+    tol is not positive, the update budget is exhausted or Newton stops short
+    of tol, with the residual of the heights it reached; raises
+    InfeasibleBoundary when the boundary data admits no convex extension.
     """
     gf = problem.grid
     heights, iterations, resid = solve_core(
@@ -288,7 +207,6 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6,
         targets=problem.targets,
         tol=tol,
         max_iters=max_iters,
-        method=method,
     )
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
     pl = lower_envelope(gf.nodes, heights)
@@ -302,8 +220,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6,
     )
 
 
-def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters,
-               method: str = "newton"):
+def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters):
     """Scheme core on an arbitrary site set; returns (heights, iterations, residual).
 
     ``targets`` is aligned with sites (zeros on boundary), ``boundary_values``
@@ -326,18 +243,10 @@ def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters,
         raise InfeasibleBoundary(
             "boundary data lies strictly above its own convex envelope"
         )
-    heights[interior] = boundary_env(sites[interior])
 
     state = _SolveState(sites, interior, targets, heights, max_iters)
-
-    if method == "newton":
-        _paraboloid_init(state, boundary_values)
-        _dezero(state)
-        done = _newton_phase(state, tol)
-        if not done:
-            _gauss_seidel_phase(state, tol)
-    else:
-        _gauss_seidel_phase(state, tol)
+    _paraboloid_init(state, boundary_values)
+    _newton_phase(state, tol)
     return state.heights, state.iterations, state.residual()
 
 
@@ -387,45 +296,36 @@ class _SolveState:
             raise NoConvergence("update budget exhausted", residual=self.residual())
 
 
-def _dezero(state, max_passes: int = 4):
-    """Give any zero-mass interior site its target mass by a direct height solve."""
-    for _ in range(max_passes):
-        masses = state.masses()
-        dead = state.int_ids[masses[state.int_ids] <= 0.0]
-        if len(dead) == 0:
-            return
-        for i in dead:
-            state.heights[i] = _solve_site(
-                int(i), state.sites, state.heights, state.targets[i], 0.25
-            )
-            state.charge(1)
-
-
-def _newton_phase(state, tol) -> bool:
-    """Damped Newton on the mass map; returns True when tol was reached.
+def _newton_phase(state, tol) -> None:
+    """Damped Newton on the mass map until the max relative residual is <= tol.
 
     Steps are halved until every interior mass stays positive and the l2
     residual drops (the usual guarded-Newton recipe for prescribed-cell-area
-    problems); the stopping test is the max relative residual.
+    problems).  Any other exit raises NoConvergence with the residual of the
+    heights left in place.
     """
     int_ids, tgt = state.int_ids, state.tgt
+
+    def stop(reason):
+        return NoConvergence(f"Newton {reason}, residual {resid:.3e}", residual=resid)
+
     for it in range(80):
         masses, J = state.masses(jacobian=True)
         F = masses[int_ids] - tgt
-        if state.residual(masses) <= tol:
-            return True
+        resid = state.residual(masses)
+        if resid <= tol:
+            return
         l2 = float(np.linalg.norm(F / tgt))
         if not np.isfinite(l2):
-            return False
+            raise stop(f"step {it}: residual is not finite")
         try:
             delta = spsolve(J.tocsc(), -F)
-        except Exception:
-            return False
+        except RuntimeError as exc:
+            raise stop(f"step {it}: sparse solve failed ({exc})") from exc
         if not np.all(np.isfinite(delta)):
-            return False
+            raise stop(f"step {it}: step is not finite")
         step = 1.0
         base = state.heights[int_ids].copy()
-        accepted = False
         for _ in range(24):
             state.heights[int_ids] = base + step * delta
             trial = state.masses()
@@ -435,48 +335,17 @@ def _newton_phase(state, tol) -> bool:
                 and np.isfinite(trial_l2)
                 and trial_l2 < l2 * (1.0 - 1e-4 * step)
             ):
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            state.heights[int_ids] = base
-            return False
-        state.charge(len(int_ids))
-    return state.residual() <= tol
-
-
-def _gauss_seidel_phase(state, tol):
-    """Descending-residual sweeps of exact per-site height solves."""
-    sites, heights = state.sites, state.heights
-    int_ids, tgt = state.int_ids, state.tgt
-    final_resid = np.inf
-    prev = np.inf
-    stall = 0
-    for sweep in range(2000):
-        masses = state.masses()
-        rel = np.abs(masses[int_ids] - tgt) / tgt
-        final_resid = float(rel.max())
-        if final_resid <= tol:
-            return
-        if final_resid >= prev * (1.0 - 1e-12):
-            stall += 1
-            if stall > 12:
-                raise NoConvergence(
-                    f"residual stalled at {final_resid:.3e}", residual=final_resid
-                )
         else:
-            stall = 0
-        prev = min(prev, final_resid)
-        order = np.argsort(-rel, kind="stable")
-        todo = order[rel[order] > 0.5 * tol]
-        for k in todo:
-            i = int(int_ids[k])
-            heights[i] = _solve_site(i, sites, heights, state.targets[i], 0.25 * tol)
-            state.charge(1)
-    raise NoConvergence(
-        f"no convergence after sweep budget, residual {final_resid:.3e}",
-        residual=final_resid,
-    )
+            # back to the step's start; its masses replace the last rejected trial's
+            state.heights[int_ids] = base
+            state._masses = masses
+            raise stop(f"step {it}: line search found no descent")
+        state.charge(len(int_ids))
+    resid = state.residual()
+    if resid > tol:
+        raise stop("did not converge in 80 steps")
 
 
 def _pitch(sites: np.ndarray) -> float:
@@ -485,74 +354,6 @@ def _pitch(sites: np.ndarray) -> float:
 
     d, _ = cKDTree(sites).query(sites, k=2)
     return float(np.median(d[:, 1]))
-
-
-def _solve_site(i, sites, heights, target, rel_tol) -> float:
-    """Height at which site i's cell mass equals target.
-
-    Monotone root solve (mass decreases in the height): bracket, then an
-    Illinois secant with bisection safeguard, at most 60 mass evaluations.
-    """
-    t0 = heights[i]
-    span = float(np.ptp(heights)) + 1.0
-    step = max(1e-3 * span, 1e-12)
-    # bracket below: expand until mass >= target
-    t_lo = t0
-    cand = _candidates(i, t_lo, sites, heights)
-    m_lo = _cell_mass(i, t_lo, sites, heights, cand)
-    guard = 0
-    while m_lo < target and guard < 80:
-        step *= 2.0
-        t_lo = t0 - step
-        guard += 1
-        cand = _candidates(i, t_lo, sites, heights)
-        m_lo = _cell_mass(i, t_lo, sites, heights, cand)
-    if m_lo < target:
-        return t_lo
-    # bracket above: raise towards zero mass when currently overshooting
-    t_hi = t0
-    m_hi = _cell_mass(i, t_hi, sites, heights, cand) if t_hi > t_lo else m_lo
-    if t_hi == t_lo or m_hi > target:
-        step = max(1e-3 * span, 1e-12)
-        guard = 0
-        t_hi = t0
-        m_hi = m_lo if t_hi == t_lo else m_hi
-        while m_hi > target and guard < 80:
-            t_hi = t_hi + step
-            step *= 2.0
-            m_hi = _cell_mass(i, t_hi, sites, heights, cand)
-            guard += 1
-    f_lo = m_lo - target  # >= 0
-    f_hi = m_hi - target  # <= 0
-    if f_lo <= 0:
-        return t_lo
-    if f_hi >= 0:
-        return t_hi
-    side = 0
-    t_new = 0.5 * (t_lo + t_hi)
-    for k in range(60):
-        if f_lo == f_hi:
-            break
-        t_new = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
-        if not t_lo < t_new < t_hi and not t_hi < t_new < t_lo:
-            t_new = 0.5 * (t_lo + t_hi)
-        if t_new == t_lo or t_new == t_hi:
-            break
-        m = _cell_mass(i, t_new, sites, heights, cand)
-        f = m - target
-        if abs(f) <= rel_tol * target:
-            return t_new
-        if f > 0:
-            t_lo, f_lo = t_new, f
-            if side == 1:
-                f_hi *= 0.5
-            side = 1
-        else:
-            t_hi, f_hi = t_new, f
-            if side == -1:
-                f_lo *= 0.5
-            side = -1
-    return t_new
 
 
 def residual(pl: PLConvexFunction, problem: DirichletProblem) -> float:

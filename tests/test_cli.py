@@ -91,6 +91,29 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["validate", good]) == 0
 
 
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"experiment": "growth", "alpha": "0.1"}, "/alpha"),
+        ({"experiment": "growth", "alpha": True}, "/alpha"),
+        ({"experiment": "cascade", "levels": "abc"}, "/levels"),
+        ({"experiment": "cascade", "levels": [1.0, "2", 4.0]}, "/levels/1"),
+        ({"experiment": "growth", "n_circles": 4.5}, "/n_circles"),
+        ({"experiment": "doubling", "rhs": "constant", "seed": 1.5}, "/seed"),
+        ({"experiment": 3}, "/experiment"),
+    ],
+)
+def test_config_wrong_json_type_exit_2(tmp_path, capsys, fields, path):
+    cfg = write_config(tmp_path, **fields)
+    assert cli.main(["validate", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(path + ":") and "Traceback" not in out
+    command = fields["experiment"] if isinstance(fields["experiment"], str) else "growth"
+    assert cli.main([command, "--config", cfg, "--outdir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(path + ":") and "Traceback" not in err
+
+
 def test_verdict_failure_exit_code(tmp_path):
     path = write_config(
         tmp_path, experiment="growth", alpha=0.125, source="oracle-dual",

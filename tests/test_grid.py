@@ -41,6 +41,24 @@ def test_sample_nonfinite_raises():
         grid.sample(field, grid.Domain2D.square(1.0), 0.5)
 
 
+def test_sample_field_evaluation():
+    dom = grid.Domain2D.square(1.0)
+
+    def scalar_only(p):
+        return 0.5 * (float(p[0]) ** 2 + float(p[1]) ** 2)  # TypeError on an (N, 2) array
+
+    assert np.array_equal(grid.sample(scalar_only, dom, 0.25).values,
+                          grid.sample(quadratic, dom, 0.25).values)
+
+    def broken(p):
+        if np.ndim(p) == 2:
+            raise ZeroDivisionError("fault in the vectorised branch")
+        return quadratic(p)[0]
+
+    with pytest.raises(ZeroDivisionError):
+        grid.sample(broken, dom, 0.25)
+
+
 def test_sample_empty_domain():
     tiny = grid.Domain2D.polygon([[10.1, 10.1], [10.4, 10.1], [10.3, 10.35]])
     with pytest.raises(EmptyDomain):

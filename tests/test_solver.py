@@ -76,13 +76,32 @@ def test_solve_infeasible_boundary():
         solver.solve(prob, tol=1e-6)
 
 
-def test_op_method_matches_newton_small():
-    # 1e-6 sits above the agreement floor of the two mass-evaluation paths
-    # in the near-degenerate lattice states the sweeps pass through
-    prob = unit_problem(1 / 3)
-    a = solver.solve(prob, tol=1e-6, method="newton")
-    b = solver.solve(prob, tol=1e-6, method="op")
-    assert np.max(np.abs(a.grid.values - b.grid.values)) < 1e-4
+def test_newton_failure_raises_with_its_residual():
+    # tol sits below what the degenerate problem's Newton iteration can reach,
+    # so the solve must stop and report the residual of the heights it left
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    with pytest.raises(NoConvergence) as info:
+        solver.solve(prob, tol=1e-20)
+    assert info.value.residual <= 1e-9
+    assert "Newton" in str(info.value)
+
+
+def test_build_problem_boundary_evaluation():
+    def scalar_only(p):
+        return 0.5 * (float(p[0]) ** 2 + float(p[1]) ** 2)  # TypeError on an (N, 2) array
+
+    prob = unit_problem(0.25, boundary=scalar_only)
+    ref = unit_problem(0.25)
+    assert np.array_equal(prob.boundary_values, ref.boundary_values)
+
+    def broken(p):
+        if np.ndim(p) == 2:
+            raise ZeroDivisionError("fault in the vectorised branch")
+        return quadratic(p)[0]
+
+    with pytest.raises(ZeroDivisionError):
+        unit_problem(0.25, boundary=broken)
 
 
 def test_comparison_principle():
