@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainTooSmall
 from .grid import check_alpha
@@ -41,6 +40,8 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
         raise DomainTooSmall("need at least 4 circles")
     fn = v
     if recenter:
+        from scipy import optimize
+
         res = optimize.minimize(
             lambda x: float(np.asarray(v(x[None, :]))[0]),
             np.zeros(2),

@@ -2,20 +2,24 @@
 doubling constants, and sub-level compactness.
 
 A section S is the sub-level polygon {v <= v(x0) + p.(x - x0) + t}.  For
-callable convex functions the boundary is traced along rays from the base
-point (root-finding to near machine accuracy); for grid samples it is the
-marching-squares contour with linear interpolation along lattice edges.
+callable convex functions the boundary is traced along n_dirs equally spaced
+rays from the base point, all rays at once: each step calls the function once
+on an (m, 2) array holding every ray still open.  Radii are bracketed by
+doubling from 1 and then bisected, keeping w(lo) <= 0 < w(hi) for the shifted
+function w, until hi - lo <= 1e-13 + 1e-14 hi on every ray; the vertex is the
+midpoint.  For grid samples the boundary is the marching-squares contour with
+linear interpolation along lattice edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DegeneratePolygon,
     DivideByZeroMass,
+    NonfiniteValue,
     SectionNotCompact,
 )
 from .grid import Domain2D, GridFunction
@@ -49,7 +53,12 @@ def extract_section(v, x0, p, t, n_dirs: int = 512, r_max: float = 1e9) -> Secti
     """Section polygon of v at height t above the supporting plane at x0.
 
     ``v`` may be a GridFunction (marching squares on lattice edges), a
-    PLConvexFunction, or any callable of (N, 2) arrays (polar boundary trace).
+    PLConvexFunction, or any callable of (N, 2) arrays.  A callable is traced
+    along ``n_dirs`` rays by batched bisection (see the module docstring):
+    about 50 calls of ``v``, each on the rays still open, for radii to
+    1e-13 + 1e-14 r.  Raises SectionNotCompact when a ray's radius passes
+    ``r_max`` (or after 80 doublings), naming the lowest-index such direction,
+    and NonfiniteValue when ``v`` is NaN or infinite at a traced point.
     """
     if t <= 0:
         raise ValueError("section height t must be positive")
@@ -61,31 +70,58 @@ def extract_section(v, x0, p, t, n_dirs: int = 512, r_max: float = 1e9) -> Secti
     return _section_from_callable(v, x0, p, t, n_dirs=n_dirs, r_max=r_max)
 
 
+_XTOL, _RTOL = 1e-13, 1e-14  # bisection stops at hi - lo <= _XTOL + _RTOL * hi
+
+
 def _section_from_callable(fn, x0, p, t, n_dirs: int, r_max: float) -> Section:
-    v0 = float(np.asarray(fn(x0[None, :]))[0])
-
-    def w_scalar(x):
-        return float(np.asarray(fn(x[None, :]))[0]) - v0 - float(p @ (x - x0)) - t
-
+    v0 = float(np.asarray(fn(x0[None, :]), dtype=float)[0])
+    if not np.isfinite(v0):
+        raise NonfiniteValue(f"function value {v0} at the base point is not finite")
     theta = 2 * np.pi * np.arange(n_dirs) / n_dirs
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    verts = np.empty((n_dirs, 2))
-    for k, u in enumerate(dirs):
-        lo, hi = 0.0, 1.0
-        # expand until the shifted function turns positive along the ray
-        guard = 0
-        while w_scalar(x0 + hi * u) <= 0.0:
-            lo = hi
-            hi *= 2.0
-            guard += 1
-            if hi > r_max or guard > 80:
-                raise SectionNotCompact(
-                    f"level set is unbounded along direction {theta[k]:.3f}"
-                )
-        root = optimize.brentq(
-            lambda s: w_scalar(x0 + s * u), lo, hi, xtol=1e-13, rtol=1e-14
-        )
-        verts[k] = x0 + root * u
+
+    def w(rays, s):
+        """Shifted function at radius s[i] along ray rays[i], one call of fn."""
+        d = s[:, None] * dirs[rays]
+        x = x0 + d
+        vals = np.asarray(fn(x), dtype=float)
+        out = vals - v0 - (d[:, 0] * p[0] + d[:, 1] * p[1]) - t
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            k = rays[bad[0]]
+            raise NonfiniteValue(
+                f"function value is not finite along direction {theta[k]:.3f}"
+                f" at radius {s[bad[0]]:.6g}"
+            )
+        return out
+
+    # bracket: double hi on the rays where the shifted function is still <= 0
+    lo = np.zeros(n_dirs)
+    hi = np.ones(n_dirs)
+    rays = np.arange(n_dirs)
+    guard = 0
+    while True:
+        rays = rays[w(rays, hi[rays]) <= 0.0]
+        if not rays.size:
+            break
+        lo[rays] = hi[rays]
+        hi[rays] *= 2.0
+        guard += 1
+        # every open ray has the same hi, so the guard trips for all at once
+        if hi[rays[0]] > r_max or guard > 80:
+            raise SectionNotCompact(
+                f"level set is unbounded along direction {theta[rays[0]]:.3f}"
+            )
+    # bisect the open rays, keeping w(lo) <= 0 < w(hi)
+    rays = np.flatnonzero(hi - lo > _XTOL + _RTOL * hi)
+    while rays.size:
+        mid = 0.5 * (lo[rays] + hi[rays])
+        pos = w(rays, mid) > 0.0
+        hi[rays[pos]] = mid[pos]
+        lo[rays[~pos]] = mid[~pos]
+        rays = rays[hi[rays] - lo[rays] > _XTOL + _RTOL * hi[rays]]
+    root = 0.5 * (lo + hi)
+    verts = x0 + root[:, None] * dirs
     return Section(base_point=x0, slope=p, height=float(t), polygon=verts)
 
 
@@ -163,6 +199,8 @@ def john_ellipsoid(polygon, tol: float = 1e-12) -> EllipsoidFit:
     constraints a_i . c + |B a_i| <= b_i (B symmetric positive definite via
     its Cholesky parameters); SLSQP with analytic gradients.
     """
+    from scipy import optimize
+
     poly = np.asarray(polygon, dtype=float)
     poly = poly[np.r_[True, np.any(np.diff(poly, axis=0) != 0, axis=1)]]
     if polygon_area(poly) < 1e-14:
@@ -337,7 +375,8 @@ def doubling_constant(f, region: Domain2D, n_samples: int, rng_seed: int) -> flo
 
 def _ellipse_inside(region: Domain2D, center, T) -> bool:
     if region.kind == "disk":
-        smax = float(np.linalg.norm(T, ord=2))
+        # T = rotation @ diag(s) has orthogonal columns: |T|_2 is the larger column norm
+        smax = float(np.hypot(T[0], T[1]).max())
         return bool(np.hypot(*center) + smax <= region.size)
     if region.kind == "square":
         # support of the ellipse in the axis directions: row norms of T

@@ -1,8 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import optimize
 
+import ma2d
 from ma2d import grid, oracle, sections
-from ma2d.errors import DegeneratePolygon, DivideByZeroMass, SectionNotCompact
+from ma2d.errors import (
+    DegeneratePolygon,
+    DivideByZeroMass,
+    NonfiniteValue,
+    SectionNotCompact,
+)
 from ma2d.geometry import point_in_convex, polygon_area
 
 from conftest import quadratic
@@ -36,6 +47,89 @@ def test_section_not_compact_grid():
     gf = grid.sample(quadratic, grid.Domain2D.square(1.0), 0.25)
     with pytest.raises(SectionNotCompact):
         sections.extract_section(gf, np.zeros(2), np.zeros(2), 10.0)
+
+
+def _brentq_section(fn, x0, p, t, n_dirs=512):
+    """Reference trace: brentq along each ray, one point per call of fn."""
+    v0 = float(np.asarray(fn(x0[None, :]))[0])
+
+    def w(x):
+        return float(np.asarray(fn(x[None, :]))[0]) - v0 - float(p @ (x - x0)) - t
+
+    theta = 2 * np.pi * np.arange(n_dirs) / n_dirs
+    verts = np.empty((n_dirs, 2))
+    for k, u in enumerate(np.stack([np.cos(theta), np.sin(theta)], axis=1)):
+        lo, hi = 0.0, 1.0
+        while w(x0 + hi * u) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+        root = optimize.brentq(lambda s: w(x0 + s * u), lo, hi, xtol=1e-13, rtol=1e-14)
+        verts[k] = x0 + root * u
+    return verts
+
+
+CALLABLES = {
+    "quadratic": quadratic,
+    "separable": oracle.SeparableSolution(alpha=1 / 8, a=1.0),
+    "radial_dual": oracle.RadialProfile(alpha=1 / 8, kind="dual_translator"),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, 128.0])
+@pytest.mark.parametrize("name", sorted(CALLABLES))
+def test_callable_section_matches_brentq_reference(name, t):
+    fn = CALLABLES[name]
+    zero = np.zeros(2)
+    sec = sections.extract_section(fn, zero, zero, t)
+    ref = _brentq_section(fn, zero, zero, t)
+    rel = np.hypot(*(sec.polygon - ref).T) / np.hypot(*ref.T)
+    assert rel.max() <= 1e-12
+
+
+def test_callable_section_matches_brentq_reference_tilted():
+    x0, p = np.array([0.3, -0.2]), np.array([0.3, -0.2])  # the gradient of quadratic at x0
+    sec = sections.extract_section(quadratic, x0, p, 2.0, n_dirs=64)
+    ref = _brentq_section(quadratic, x0, p, 2.0, n_dirs=64)
+    assert np.abs(sec.polygon - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", sorted(CALLABLES))
+def test_callable_section_batches_its_calls(name):
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return CALLABLES[name](pts)
+
+    sections.extract_section(counted, np.zeros(2), np.zeros(2), 128.0, n_dirs=512)
+    assert len(calls) <= 100
+    assert calls[1] == 512  # the first bracket step holds every ray
+
+
+def test_callable_section_nan_raises_nonfinite():
+    def nan_beyond_one(pts):
+        return np.where(np.hypot(pts[:, 0], pts[:, 1]) > 1.0, np.nan, quadratic(pts))
+
+    with pytest.raises(NonfiniteValue, match="direction 0.000"):
+        sections.extract_section(nan_beyond_one, np.zeros(2), np.zeros(2), 1.0)
+
+
+def test_callable_section_not_compact_names_direction():
+    def x1_squared(pts):
+        return pts[:, 0] ** 2
+
+    with pytest.raises(SectionNotCompact, match="direction 1.571"):
+        sections.extract_section(x1_squared, np.zeros(2), np.zeros(2), 1.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the child imports the same ma2d package as this test run
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(ma2d.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ma2d; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_john_square_is_unit_disk():
