@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import analysis, ma_measure, oracle, sections, solver
-from .errors import ConfigInvalid, ToolkitError
-from .grid import Domain2D, RhsField, save
+from .errors import ConfigInvalid, LatticeTooLarge, ToolkitError
+from .grid import Domain2D, RhsField, check_lattice_budget, save
 
 EXPERIMENTS = (
     "oracle",
@@ -76,6 +76,14 @@ class ExperimentConfig:
             bad.append("/radius: must be positive")
         if not self.h > 0:
             bad.append("/h: must be positive")
+        elif 0 < self.radius < np.inf and (
+            self.experiment in ("solve", "verify-dual", "verify-translator")
+            or (self.experiment == "sections" and self.source == "solve")
+        ):  # the experiments that sample the pitch-h lattice of their domain
+            try:
+                check_lattice_budget(_domain(self), self.h)
+            except LatticeTooLarge as exc:
+                bad.append(f"/h: {exc}")
         if not 0 < self.rmin < self.rmax:
             bad.append("/rmin: need 0 < rmin < rmax")
         if self.n_circles < 4:

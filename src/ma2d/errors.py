@@ -13,6 +13,10 @@ class EmptyDomain(ToolkitError):
     """No lattice node falls inside the requested domain."""
 
 
+class LatticeTooLarge(ToolkitError):
+    """A sampling lattice would exceed the node budget of ``grid.sample``."""
+
+
 class MalformedFile(ToolkitError):
     """A persisted file violates its format; message carries the line number."""
 

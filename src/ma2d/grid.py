@@ -14,11 +14,16 @@ import numpy as np
 from .errors import (
     AlphaOutOfRange,
     EmptyDomain,
+    LatticeTooLarge,
     MalformedFile,
     NonfiniteValue,
 )
 
 _SNAP = 1e-9  # relative slack when testing lattice membership at the boundary
+# Most lattice nodes ``sample`` lays out in a domain's bounding box, about
+# 1 GB of index and coordinate arrays; about 100x the 401 x 401 box of the
+# largest lattice the acceptance criteria sample.
+MAX_LATTICE_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -234,12 +239,10 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
     """
     if not np.isfinite(h) or h <= 0:
         raise ValueError("spacing h must be positive")
-    lo, hi = domain.bbox()
-    slack = _SNAP * max(1.0, float(np.abs([lo, hi]).max()))
-    k_lo = np.ceil((lo - slack) / h).astype(np.int64)
-    k_hi = np.floor((hi + slack) / h).astype(np.int64)
-    k1 = np.arange(k_lo[0], k_hi[0] + 1)
-    k2 = np.arange(k_lo[1], k_hi[1] + 1)
+    check_lattice_budget(domain, h)
+    slack, k_lo, k_hi = _lattice_box(domain, h)
+    k1 = np.arange(int(k_lo[0]), int(k_hi[0]) + 1)
+    k2 = np.arange(int(k_lo[1]), int(k_hi[1]) + 1)
     g1, g2 = np.meshgrid(k1, k2, indexing="xy")
     nodes = np.stack([g1.ravel() * h, g2.ravel() * h], axis=1)
     nodes = nodes[domain.contains(nodes, slack=slack)]
@@ -252,6 +255,28 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
         bad = nodes[~np.isfinite(values)][0]
         raise NonfiniteValue(f"field is not finite at node ({bad[0]}, {bad[1]})")
     return GridFunction(domain=domain, h=float(h), nodes=nodes, values=values)
+
+
+def _lattice_box(domain: Domain2D, h: float):
+    """Membership slack and the float lattice index range (k_lo, k_hi) of the
+    domain's bounding box."""
+    lo, hi = domain.bbox()
+    slack = _SNAP * max(1.0, float(np.abs([lo, hi]).max()))
+    with np.errstate(over="ignore"):  # a subnormal h gives infinite indices
+        return slack, np.ceil((lo - slack) / h), np.floor((hi + slack) / h)
+
+
+def check_lattice_budget(domain: Domain2D, h: float) -> None:
+    """Raise LatticeTooLarge when the pitch-h lattice box that ``sample`` lays
+    out for the domain has more than ``MAX_LATTICE_NODES`` nodes."""
+    _, k_lo, k_hi = _lattice_box(domain, h)
+    n1, n2 = (max(float(n), 0.0) for n in k_hi - k_lo + 1.0)
+    count = n1 * n2  # Python floats: inf, not an overflow warning, for tiny h
+    if not count <= MAX_LATTICE_NODES:
+        raise LatticeTooLarge(
+            f"pitch {h!r} lays out {count:.3g} lattice nodes, "
+            f"more than the budget of {MAX_LATTICE_NODES}"
+        )
 
 
 def _evaluate(field, nodes: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import convex_hull
 from .grid import Domain2D, GridFunction, sample
 
 
@@ -134,8 +133,15 @@ def legendre_transform(
 
 
 def _require_full_rank(u: GridFunction) -> None:
-    if len(u) < 3 or len(convex_hull(u.nodes)) < 3:
-        raise DegenerateInput("need at least 3 non-collinear primal nodes")
+    """Raise DegenerateInput unless some three nodes are not collinear: some
+    node must be off the line through the first node and one distinct from it."""
+    x = u.nodes
+    if len(x) >= 3:
+        d = x - x[0]
+        far = np.flatnonzero(np.any(d != 0.0, axis=1))
+        if len(far) and np.any(d[far[0], 0] * d[:, 1] - d[far[0], 1] * d[:, 0] != 0.0):
+            return
+    raise DegenerateInput("need at least 3 non-collinear primal nodes")
 
 
 def default_dual_halfwidth(u: GridFunction, h_dual: float) -> float:

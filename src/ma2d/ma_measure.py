@@ -18,11 +18,14 @@ a point, a segment or a near-degenerate polygon) falls back to
 ``convex_hull`` and ``polygon_area`` of the site's face gradients.
 
 The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
-package: ``lower_envelope`` and the solver's mass pass both build on it.
-The cells and their areas share no code with the solve loop: this module
-imports nothing from ``solver``, and its gradient-space order with a
-certificate is independent of the planar face order that
-``solver._mass_pass`` sums.
+package: ``lower_envelope`` and the solver's mass pass both build on it, and
+``_envelope`` turns its faces into a ``PLConvexFunction``.  The solver keeps
+the hull of its last accepted pass and hands it to ``_envelope`` instead of
+building it again, so a solved envelope equals ``lower_envelope`` of the
+solved heights field by field.  The cells and their areas share no code
+with the solve loop: this module imports nothing from ``solver``, and its
+gradient-space order with a certificate is independent of the planar face
+order that ``solver._mass_pass`` sums.
 """
 from __future__ import annotations
 
@@ -129,7 +132,7 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
     """Lower convex hull of the lifted points (x_i, heights_i).
 
     Sites strictly above the envelope are flagged inactive.  The faces come
-    from ``_lower_faces``, oriented ccw here.
+    from ``_lower_faces`` and are oriented ccw by ``_envelope``.
     """
     sites = np.asarray(sites, dtype=float)
     heights = np.asarray(heights, dtype=float)
@@ -144,14 +147,17 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
         tris, n = _lower_faces(sites, heights)
     except QhullError as exc:  # pragma: no cover - apex makes inputs full rank
         raise DegenerateInput(str(exc)) from exc
+    return _envelope(sites, heights, tris, n)
 
-    # orient each triangle ccw in the plane
+
+def _envelope(sites, heights, tris, n) -> PLConvexFunction:
+    """The envelope of ``_lower_faces(sites, heights) == (tris, n)``, its
+    triangles oriented ccw in the plane; neither input array is modified."""
     a, b, c = sites[tris[:, 0]], sites[tris[:, 1]], sites[tris[:, 2]]
     cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
-    flip = cross < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
+    tris = np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
 
     # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
     # z = -(nx x + ny y + off) / nz

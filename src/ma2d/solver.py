@@ -12,11 +12,14 @@ links.  When Newton stops short of the tolerance, the solve raises
 NoConvergence with the residual of the heights it reached; there is no
 second method to fall back on.
 
-Masses come from one lifted lower hull per pass (``ma_measure._lower_faces``)
-and a vectorized fan sum in planar face order.  The ``residual`` verifier
-goes through ma_measure's cells instead, which orders each cell's gradients
-by angle in gradient space and certifies convexity, and never calls the
-solve loop's mass pass.
+Masses come from one lifted lower hull per line-search trial
+(``ma_measure._lower_faces``) and a vectorized fan sum in planar face order.
+The accepted trial's hull is reused: it gives the next Newton step its
+Jacobian, and the last one gives the solved envelope, so no hull is built
+twice on the same heights.  The ``residual`` verifier goes through
+ma_measure's cells instead, which orders each cell's gradients by angle in
+gradient space and certifies convexity, and never calls the solve loop's
+mass pass.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import InfeasibleBoundary, NoConvergence
 from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
-from .ma_measure import PLConvexFunction, _lower_faces, lower_envelope, ma_measure
+from .ma_measure import PLConvexFunction, _envelope, _lower_faces, lower_envelope, ma_measure
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,9 @@ class SolveReport:
     grid: GridFunction
     h: float
     alpha: float | None
+    newton_steps: int  # accepted Newton steps
+    hull_builds: int   # lifted lower hulls built by the Newton loop
+    backtracks: int    # rejected line-search trials
 
     def to_json(self) -> str:
         return json.dumps(
@@ -117,14 +123,25 @@ class SolveReport:
 # mass evaluation
 # ---------------------------------------------------------------------------
 
-def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
-               jacobian: bool = False):
+@dataclass(frozen=True)
+class _HullPass:
+    """One lifted lower hull of the solve loop and the masses summed on it."""
+
+    tris: np.ndarray      # (F, 3) lower-face site triples, from _lower_faces
+    normals: np.ndarray   # (F, 4) their plane equations
+    s_sorted: np.ndarray  # (site, face) incidences sorted by site, then angle
+    f_sorted: np.ndarray
+    nxt: np.ndarray       # next incidence around the same site
+    grads: np.ndarray     # (len(s_sorted), 2) face gradients in that order
+    areas: np.ndarray     # (N,) cell areas, zero on boundary sites
+
+
+def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray) -> _HullPass:
     """Subgradient-cell areas of every interior site from one global hull.
 
     The cell polygon of a site is its incident lower-hull face gradients in
-    angular order; the shoelace sum is evaluated for all sites at once.  With
-    ``jacobian=True`` also returns the sparse derivative of interior masses
-    with respect to interior heights (power-diagram stiffness).
+    angular order; the shoelace sum is evaluated for all sites at once.  The
+    pass keeps its hull for ``_jacobian`` and the solved envelope.
     """
     n = len(sites)
     tris, normals = _lower_faces(sites, heights)
@@ -151,9 +168,17 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     areas = np.zeros(n)
     areas[s_sorted[starts]] = 0.5 * np.abs(sums)
     areas[~interior] = 0.0
-    if not jacobian:
-        return areas
+    return _HullPass(tris=tris, normals=normals, s_sorted=s_sorted, f_sorted=f_sorted,
+                     nxt=nxt, grads=g, areas=areas)
 
+
+def _jacobian(hp: _HullPass, sites: np.ndarray, interior: np.ndarray):
+    """Sparse derivative of interior masses with respect to interior heights
+    (power-diagram stiffness) on the hull of a pass."""
+    tris, s_sorted, f_sorted, nxt = hp.tris, hp.s_sorted, hp.f_sorted, hp.nxt
+    g = hp.grads
+    gn = g[nxt]
+    n = len(sites)
     # consecutive faces around a site share the lattice edge that generates
     # the cell edge between their gradients
     A = tris[f_sorted]
@@ -181,8 +206,7 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     ).tocsr()
     diag = np.zeros(m)
     np.add.at(diag, rows[keep_entry], -w[keep_entry])
-    J = J + sp.diags(diag)
-    return areas, J
+    return J + sp.diags(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +222,11 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     tol is not positive, the update budget is exhausted or Newton stops short
     of tol, with the residual of the heights it reached; raises
     InfeasibleBoundary when the boundary data admits no convex extension.
+    The returned envelope is built on the hull of the last accepted pass,
+    the one ``lower_envelope`` would build on the solved heights.
     """
     gf = problem.grid
-    heights, iterations, resid = solve_core(
+    state = _solve_state(
         sites=gf.nodes,
         is_interior=problem.interior,
         boundary_values=problem.boundary_values,
@@ -208,15 +234,19 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         tol=tol,
         max_iters=max_iters,
     )
+    heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
-    pl = lower_envelope(gf.nodes, heights)
+    pl = _envelope(gf.nodes, heights, state.last.tris, state.last.normals)
     return SolveReport(
-        iterations=iterations,
-        max_residual=resid,
+        iterations=state.iterations,
+        max_residual=state.residual(),
         function=pl,
         grid=out,
         h=gf.h,
         alpha=problem.alpha,
+        newton_steps=state.newton_steps,
+        hull_builds=state.hull_builds,
+        backtracks=state.backtracks,
     )
 
 
@@ -226,6 +256,12 @@ def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters):
     ``targets`` is aligned with sites (zeros on boundary), ``boundary_values``
     with the boundary subset in site order.
     """
+    state = _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters)
+    return state.heights, state.iterations, state.residual()
+
+
+def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters):
+    """Run the solve; returns its converged ``_SolveState``."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
     sites = np.asarray(sites, dtype=float)
@@ -247,7 +283,7 @@ def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters):
     state = _SolveState(sites, interior, targets, heights, max_iters)
     _paraboloid_init(state, boundary_values)
     _newton_phase(state, tol)
-    return state.heights, state.iterations, state.residual()
+    return state
 
 
 def _paraboloid_init(state, boundary_values):
@@ -276,18 +312,20 @@ class _SolveState:
         self.heights = heights
         self.max_iters = max_iters
         self.iterations = 0
+        self.newton_steps = 0
+        self.hull_builds = 0
+        self.backtracks = 0
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
-        self._masses = None
+        self.last = None  # _HullPass of the heights in place
 
-    def masses(self, jacobian=False):
-        out = _mass_pass(self.sites, self.heights, self.interior, jacobian=jacobian)
-        self._masses = out[0] if jacobian else out
-        return out
+    def mass_pass(self) -> _HullPass:
+        self.last = _mass_pass(self.sites, self.heights, self.interior)
+        self.hull_builds += 1
+        return self.last
 
-    def residual(self, masses=None) -> float:
-        if masses is None:
-            masses = self._masses if self._masses is not None else self.masses()
+    def residual(self) -> float:
+        masses = self.last.areas
         return float(np.max(np.abs(masses[self.int_ids] - self.tgt) / self.tgt))
 
     def charge(self, count):
@@ -301,23 +339,25 @@ def _newton_phase(state, tol) -> None:
 
     Steps are halved until every interior mass stays positive and the l2
     residual drops (the usual guarded-Newton recipe for prescribed-cell-area
-    problems).  Any other exit raises NoConvergence with the residual of the
-    heights left in place.
+    problems).  The accepted trial's pass gives the next step its masses and
+    Jacobian, so every step costs one hull per trial.  Any other exit raises
+    NoConvergence with the residual of the heights left in place.
     """
     int_ids, tgt = state.int_ids, state.tgt
 
     def stop(reason):
         return NoConvergence(f"Newton {reason}, residual {resid:.3e}", residual=resid)
 
+    current = state.mass_pass()
     for it in range(80):
-        masses, J = state.masses(jacobian=True)
-        F = masses[int_ids] - tgt
-        resid = state.residual(masses)
+        F = current.areas[int_ids] - tgt
+        resid = state.residual()
         if resid <= tol:
             return
         l2 = float(np.linalg.norm(F / tgt))
         if not np.isfinite(l2):
             raise stop(f"step {it}: residual is not finite")
+        J = _jacobian(current, state.sites, state.interior)
         try:
             delta = spsolve(J.tocsc(), -F)
         except RuntimeError as exc:
@@ -328,7 +368,7 @@ def _newton_phase(state, tol) -> None:
         base = state.heights[int_ids].copy()
         for _ in range(24):
             state.heights[int_ids] = base + step * delta
-            trial = state.masses()
+            trial = state.mass_pass().areas
             trial_l2 = float(np.linalg.norm((trial[int_ids] - tgt) / tgt))
             if (
                 np.all(trial[int_ids] > 0.0)
@@ -336,12 +376,15 @@ def _newton_phase(state, tol) -> None:
                 and trial_l2 < l2 * (1.0 - 1e-4 * step)
             ):
                 break
+            state.backtracks += 1
             step *= 0.5
         else:
-            # back to the step's start; its masses replace the last rejected trial's
+            # back to the step's start; its pass replaces the last rejected trial's
             state.heights[int_ids] = base
-            state._masses = masses
+            state.last = current
             raise stop(f"step {it}: line search found no descent")
+        current = state.last
+        state.newton_steps += 1
         state.charge(len(int_ids))
     resid = state.residual()
     if resid > tol:

@@ -33,6 +33,17 @@ def test_validate_unknown_field(tmp_path):
     assert any("bogus" in v for v in cli.validate_config(path))
 
 
+def test_validate_lattice_budget(tmp_path):
+    # checked on the config, so the run exits 2 before sampling anything
+    path = write_config(tmp_path, experiment="verify-dual", h=1e-9, radius=1.0)
+    assert any(v.startswith("/h") and "budget" in v for v in cli.validate_config(path))
+    rc = cli.main(["verify-dual", "--h", "1e-9", "--radius", "1", "--outdir", str(tmp_path)])
+    assert rc == 2
+    # experiments that sample no pitch-h lattice are not bound by it
+    path = write_config(tmp_path, experiment="doubling", rhs="constant", seed=1, h=1e-9)
+    assert cli.validate_config(path) == []
+
+
 def test_shipped_configs_valid():
     for name in os.listdir(CONFIGS):
         assert cli.validate_config(os.path.join(CONFIGS, name)) == []

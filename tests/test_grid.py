@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ma2d import grid
-from ma2d.errors import AlphaOutOfRange, EmptyDomain, MalformedFile, NonfiniteValue
+from ma2d.errors import (
+    AlphaOutOfRange,
+    EmptyDomain,
+    LatticeTooLarge,
+    MalformedFile,
+    NonfiniteValue,
+)
 
 from conftest import DATA, quadratic
 
@@ -17,6 +23,20 @@ def test_sample_quadratic_coarse():
     gf = grid.sample(quadratic, grid.Domain2D.square(1.0), 1.0)
     assert len(gf) == 9
     assert sorted(set(gf.values.tolist())) == [0.0, 0.5, 1.0]
+
+
+def test_sample_lattice_budget(monkeypatch):
+    # far above the largest lattice sampled anywhere: criterion 10's 401 x 401 box
+    assert grid.MAX_LATTICE_NODES >= 100 * 401**2
+    grid.check_lattice_budget(grid.Domain2D.disk(10.0), 0.05)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lattice was laid out before the budget check")
+
+    monkeypatch.setattr(grid.np, "meshgrid", forbidden)
+    for h in (1e-9, 1e-300):
+        with pytest.raises(LatticeTooLarge, match="budget"):
+            grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D.disk(1.0), h)
 
 
 def test_sample_node_order_lexicographic():

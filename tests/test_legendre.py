@@ -150,6 +150,42 @@ def test_collinear_nodes_rejected():
         legendre.legendre_transform(gf, grid.Domain2D.square(1.0), 0.5)
 
 
+def _nodes_gf(nodes):
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
+    return grid.GridFunction(
+        domain=grid.Domain2D.square(1.0), h=0.25, nodes=nodes, values=np.zeros(len(nodes))
+    )
+
+
+_ROW = np.stack([np.arange(-4, 5) * 0.25, np.full(9, 0.5)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        _ROW,                                      # single row
+        _ROW[:, ::-1],                             # single column
+        np.stack([np.arange(-4, 5) * 0.1] * 2, 1),  # lattice diagonal
+        np.tile([[0.25, -0.5]], (6, 1)),           # duplicates only
+        _ROW[:2],                                  # fewer than 3 nodes
+        _ROW[:0],
+    ],
+    ids=["row", "column", "diagonal", "duplicates", "two", "none"],
+)
+@pytest.mark.parametrize("method", ["fast", "brute"])
+def test_degenerate_node_sets_rejected(nodes, method):
+    with pytest.raises(DegenerateInput):
+        legendre.legendre_transform(_nodes_gf(nodes), grid.Domain2D.square(1.0), 0.5,
+                                    method=method)
+
+
+def test_one_node_off_the_row_is_full_rank():
+    u = _nodes_gf(np.concatenate([_ROW, [[0.0, 0.75]]]))  # lattice order by (x2, x1)
+    fast, brute = conj_pair(u, 1.0, 0.5)
+    assert np.array_equal(fast.dual.values, brute.dual.values)
+    assert np.array_equal(fast.argmax, brute.argmax)
+
+
 def test_default_dual_halfwidth_covers_slopes():
     u = grid.sample(quadratic, grid.Domain2D.square(1.0), 0.1)
     hw = legendre.default_dual_halfwidth(u, 0.1)

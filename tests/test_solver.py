@@ -159,3 +159,39 @@ def test_solve_report_json():
     payload = json.loads(rep.to_json())
     assert set(payload) == {"iterations", "max_residual", "h", "alpha"}
     assert payload["h"] == 0.25
+
+
+@pytest.mark.parametrize("case", ["bump", "degenerate"])
+def test_one_hull_per_trial(case, monkeypatch):
+    # the Newton loop builds one lifted hull for its start and one per
+    # line-search trial; Jacobians and the solved envelope reuse them
+    calls = {"_lower_faces": 0, "spsolve": 0}
+
+    def counted(name):
+        fn = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapped)
+
+    counted("_lower_faces")
+    counted("spsolve")
+    if case == "bump":
+        bump = lambda p: quadratic(p) + 0.05 * (1 + np.sin(3 * p[:, 0]) * np.cos(p[:, 1]))
+        prob, tol = unit_problem(0.1, boundary=bump), 1e-9
+    else:
+        rhs = grid.RhsField("degenerate", alpha=1 / 8)
+        prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+        tol = 1e-6
+    rep = solver.solve(prob, tol=tol)
+
+    trials = rep.newton_steps + rep.backtracks
+    assert calls["_lower_faces"] == rep.hull_builds == trials + 1
+    assert calls["spsolve"] == rep.newton_steps > 0
+    assert rep.iterations == rep.newton_steps * int(prob.interior.sum())
+    assert rep.backtracks > 0 or case == "bump"
+    ref = solver.lower_envelope(prob.grid.nodes, rep.grid.values)
+    for name in ("sites", "heights", "triangulation", "gradients", "offsets", "active"):
+        assert np.array_equal(getattr(rep.function, name), getattr(ref, name)), name
