@@ -78,7 +78,7 @@ class ExperimentConfig:
             bad.append("/h: must be positive")
         elif 0 < self.radius < np.inf and (
             self.experiment in ("solve", "verify-dual", "verify-translator")
-            or (self.experiment == "sections" and self.source == "solve")
+            or (self.experiment in ("sections", "cascade") and self.source == "solve")
         ):  # the experiments that sample the pitch-h lattice of their domain
             try:
                 check_lattice_budget(_domain(self), self.h)

@@ -36,23 +36,18 @@ def convex_hull(points) -> np.ndarray:
 
     Collinear points interior to hull edges are dropped.  Degenerate inputs
     (all points collinear) return the extreme segment, a 1- or 2-point array.
-    Large inputs are first thinned by Qhull: points strictly inside its hull
-    by a relative margin cannot be chain vertices and are discarded, and the
+    The input is first thinned by Qhull: points strictly inside its hull by
+    a relative margin cannot be chain vertices and are discarded, and the
     chain runs on the rest, so the result is the chain's on all points.
     Qhull's own vertices are not used, since it merges near-collinear
     vertices (turns of order 1e-17) that the chain keeps.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) > _PREFILTER_MIN:
-        pts = pts[~_strictly_inside(pts)]
-    pts = np.unique(pts, axis=0)
+    pts = np.unique(pts[~_strictly_inside(pts)], axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return _monotone_chain(pts[order])
-
-
-_PREFILTER_MIN = 256  # below this the chain alone is as fast as Qhull
 
 
 def _strictly_inside(pts: np.ndarray) -> np.ndarray:
@@ -66,15 +61,10 @@ def _strictly_inside(pts: np.ndarray) -> np.ndarray:
         return np.zeros(len(pts), dtype=bool)
     normal, off = hull.equations[:, :2], hull.equations[:, 2]  # n . p + off <= 0 inside
     margin = 1e-9 * float(np.abs(pts).max())
-    # a disk about the vertex mean, 2 margins inside every facet, settles most points
-    c = pts[hull.vertices].mean(axis=0)
-    r = float(np.min(-(normal @ c + off))) - 2.0 * margin
-    inside = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < r
-    rest = np.flatnonzero(~inside)
-    chunk = 4096
-    for s in range(0, len(rest), chunk):
-        k = rest[s : s + chunk]
-        inside[k] = np.max(pts[k] @ normal.T + off, axis=1) < -margin
+    inside = np.empty(len(pts), dtype=bool)
+    chunk = 4096  # bounds the (chunk, facets) distance block
+    for s in range(0, len(pts), chunk):
+        inside[s : s + chunk] = np.max(pts[s : s + chunk] @ normal.T + off, axis=1) < -margin
     return inside
 
 

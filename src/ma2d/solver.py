@@ -105,7 +105,6 @@ class SolveReport:
     alpha: float | None
     newton_steps: int  # accepted Newton steps
     hull_builds: int   # lifted lower hulls built by the Newton loop
-    backtracks: int    # rejected line-search trials
 
     def to_json(self) -> str:
         return json.dumps(
@@ -246,7 +245,6 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         alpha=problem.alpha,
         newton_steps=state.newton_steps,
         hull_builds=state.hull_builds,
-        backtracks=state.backtracks,
     )
 
 
@@ -314,7 +312,6 @@ class _SolveState:
         self.iterations = 0
         self.newton_steps = 0
         self.hull_builds = 0
-        self.backtracks = 0
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _HullPass of the heights in place
@@ -376,7 +373,6 @@ def _newton_phase(state, tol) -> None:
                 and trial_l2 < l2 * (1.0 - 1e-4 * step)
             ):
                 break
-            state.backtracks += 1
             step *= 0.5
         else:
             # back to the step's start; its pass replaces the last rejected trial's

@@ -39,6 +39,10 @@ def test_validate_lattice_budget(tmp_path):
     assert any(v.startswith("/h") and "budget" in v for v in cli.validate_config(path))
     rc = cli.main(["verify-dual", "--h", "1e-9", "--radius", "1", "--outdir", str(tmp_path)])
     assert rc == 2
+    # a solved-source cascade solves on the same lattice before tracing sections
+    rc = cli.main(["cascade", "--source", "solve", "--h", "1e-9", "--radius", "1",
+                   "--outdir", str(tmp_path)])
+    assert rc == 2
     # experiments that sample no pitch-h lattice are not bound by it
     path = write_config(tmp_path, experiment="doubling", rhs="constant", seed=1, h=1e-9)
     assert cli.validate_config(path) == []

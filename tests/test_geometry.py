@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +37,6 @@ def test_prefilter_matches_chain_on_lattices():
         (grid.Domain2D.polygon([[-1.0, -0.8], [1.0, -0.8], [0.0, 1.0]]), 0.01),
     ]:
         pts = lattice_nodes(domain, h)
-        assert len(pts) > geometry._PREFILTER_MIN
         assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
 
 
@@ -75,6 +72,4 @@ def point_sets(draw):
 @example(pts=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]))
 @example(pts=DISK2)
 def test_prefilter_equals_chain_property(pts):
-    # run the Qhull prefilter on every input size, small ones included
-    with mock.patch.object(geometry, "_PREFILTER_MIN", 0):
-        assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
+    assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
