@@ -2,9 +2,12 @@
 
 Every experiment writes ``report.json`` plus CSV and gnuplot-ready ``.dat``
 tables to the output directory.  Reports are byte-identical across runs with
-the same config and seed; the "work" block carries deterministic counters
-(iterations, evaluations), never wall-clock times.  Exit codes: 0 all
-verdicts pass, 1 verdict failure, 2 config error, 3 numerical failure.
+the same config and seed; the "work" block names the experiment and carries
+deterministic counters, never wall-clock times: an experiment that solves
+(``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
+``solve``) records the solve's ``site_updates``, ``newton_steps`` and
+``hull_builds``.  Exit codes: 0 all verdicts pass, 1 verdict failure,
+2 config error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -34,6 +37,10 @@ EXPERIMENTS = (
 )
 
 SOURCES = ("oracle-dual", "oracle-primal", "separable", "quadratic", "solve")
+
+RHS_KINDS = ("constant", "dual_translator", "degenerate")
+
+DOMAINS = ("disk", "square")
 
 
 @dataclass
@@ -66,12 +73,12 @@ class ExperimentConfig:
             bad.append("/alpha: alpha must be < 0.25 and > 0")
         if not 0.0 <= self.eta <= 1.0:
             bad.append("/eta: must lie in [0, 1]")
-        if self.rhs not in ("constant", "dual_translator", "degenerate"):
-            bad.append("/rhs: must be constant, dual_translator, or degenerate")
+        if self.rhs not in RHS_KINDS:
+            bad.append(f"/rhs: must be one of {', '.join(RHS_KINDS)}")
         if self.source not in SOURCES:
             bad.append(f"/source: must be one of {', '.join(SOURCES)}")
-        if self.domain not in ("disk", "square"):
-            bad.append("/domain: must be disk or square")
+        if self.domain not in DOMAINS:
+            bad.append(f"/domain: must be one of {', '.join(DOMAINS)}")
         if not self.radius > 0:
             bad.append("/radius: must be positive")
         if not self.h > 0:
@@ -219,7 +226,15 @@ def _domain(cfg: ExperimentConfig) -> Domain2D:
     return Domain2D.square(cfg.radius)
 
 
-def _run_oracle(cfg, out):
+def _count_solve(work: dict, report: solver.SolveReport) -> None:
+    work.update(
+        site_updates=report.iterations,
+        newton_steps=report.newton_steps,
+        hull_builds=report.hull_builds,
+    )
+
+
+def _run_oracle(cfg, out, work):
     prof = _source_function(cfg)
     if not isinstance(prof, oracle.RadialProfile):
         raise ConfigInvalid(["/source: oracle experiment needs oracle-dual or oracle-primal"])
@@ -229,7 +244,7 @@ def _run_oracle(cfg, out):
     return {"radii": [r[0] for r in rows]}, []
 
 
-def _run_growth(cfg, out):
+def _run_growth(cfg, out, work):
     fn = _source_function(cfg)
     theory = (
         1.0 / (2.0 * cfg.alpha)
@@ -257,7 +272,7 @@ def _run_growth(cfg, out):
     return outputs, verdicts
 
 
-def _run_solve(cfg, out):
+def _run_solve(cfg, out, work):
     dom = _domain(cfg)
     rhs = _rhs_field(cfg)
     if cfg.rhs == "constant":
@@ -273,6 +288,7 @@ def _run_solve(cfg, out):
         exact = prof
     problem = solver.build_problem(dom, cfg.h, rhs, boundary)
     report = solver.solve(problem, tol=cfg.tol)
+    _count_solve(work, report)
     save(report.grid, os.path.join(out, "solution.gfn"))
     check = solver.residual(report.function, problem)
     ex = np.asarray(exact(problem.grid.nodes), dtype=float)
@@ -292,18 +308,19 @@ def _run_solve(cfg, out):
     return outputs, verdicts
 
 
-def _solve_for_sections(cfg):
+def _solve_for_sections(cfg, work):
     prof = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
     dom = Domain2D.disk(cfg.radius)
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
     problem = solver.build_problem(dom, cfg.h, rhs, prof)
     report = solver.solve(problem, tol=max(cfg.tol, 1e-3))
+    _count_solve(work, report)
     return report.grid, rhs
 
 
-def _run_sections(cfg, out):
+def _run_sections(cfg, out, work):
     if cfg.source == "solve":
-        v, rhs = _solve_for_sections(cfg)
+        v, rhs = _solve_for_sections(cfg, work)
         density = rhs
         x0 = v.nodes[v.argmin_node()]
     else:
@@ -346,9 +363,9 @@ def _run_sections(cfg, out):
     return {"levels": list(map(float, cfg.levels)), "k0": k0s}, verdicts
 
 
-def _run_cascade(cfg, out):
+def _run_cascade(cfg, out, work):
     if cfg.source == "solve":
-        v, _ = _solve_for_sections(cfg)
+        v, _ = _solve_for_sections(cfg, work)
         x0 = v.nodes[v.argmin_node()]
     else:
         v = _source_function(cfg)
@@ -373,7 +390,7 @@ def _run_cascade(cfg, out):
     return outputs, verdicts
 
 
-def _run_doubling(cfg, out):
+def _run_doubling(cfg, out, work):
     f = _rhs_field(cfg)
     region = Domain2D.disk(cfg.radius)
     est = sections.doubling_constant(f, region, cfg.n_samples, rng_seed=cfg.seed)
@@ -388,12 +405,13 @@ def _run_doubling(cfg, out):
     return {"estimate": est, "seed": cfg.seed}, verdicts
 
 
-def _run_verify_dual(cfg, out):
+def _run_verify_dual(cfg, out, work):
     prof = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
     dom = Domain2D.disk(cfg.radius)
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
     problem = solver.build_problem(dom, cfg.h, rhs, prof)
     report = solver.solve(problem, tol=max(cfg.tol, 1e-6))
+    _count_solve(work, report)
     save(report.grid, os.path.join(out, "solution.gfn"))
     ex = prof(problem.grid.nodes)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / np.abs(ex).max())
@@ -418,7 +436,7 @@ def _run_verify_dual(cfg, out):
     return outputs, verdicts
 
 
-def _run_verify_translator(cfg, out):
+def _run_verify_translator(cfg, out, work):
     from .grid import sample
 
     prof = oracle.RadialProfile(alpha=cfg.alpha, kind="primal_translator")
@@ -469,13 +487,14 @@ def run(cfg: ExperimentConfig) -> dict:
     if bad:
         raise ConfigInvalid(bad)
     os.makedirs(cfg.outdir, exist_ok=True)
-    outputs, verdicts = _RUNNERS[cfg.experiment](cfg, cfg.outdir)
+    work = {"experiment": cfg.experiment}
+    outputs, verdicts = _RUNNERS[cfg.experiment](cfg, cfg.outdir, work)
     report = {
         "config": asdict(cfg),
         "outputs": outputs,
         "verdicts": verdicts,
         "pass": all(v["pass"] for v in verdicts),
-        "work": {"experiment": cfg.experiment},
+        "work": work,
     }
     _atomic_write(
         os.path.join(cfg.outdir, "report.json"),

@@ -1,8 +1,10 @@
 """Convex polygon primitives and quadrature rules used across the toolkit.
 
 Everything operates on plain float64 arrays: polygons are (k, 2) arrays of
-vertices in counterclockwise order, half-planes are given by unit-free
-normals ``d`` and offsets ``c`` meaning ``{p : p . d <= c}``.
+vertices in counterclockwise order.  Whether a point lies in a convex
+polygon, and how deep, is asked in one way throughout the package: by the
+edge cross products e_k x (p - a_k) of ``min_edge_cross``, which are
+positive inside.
 """
 from __future__ import annotations
 
@@ -36,36 +38,70 @@ def convex_hull(points) -> np.ndarray:
 
     Collinear points interior to hull edges are dropped.  Degenerate inputs
     (all points collinear) return the extreme segment, a 1- or 2-point array.
-    The input is first thinned by Qhull: points strictly inside its hull by
-    a relative margin cannot be chain vertices and are discarded, and the
-    chain runs on the rest, so the result is the chain's on all points.
-    Qhull's own vertices are not used, since it merges near-collinear
-    vertices (turns of order 1e-17) that the chain keeps.
+    The input is first thinned by ``strictly_inside_hull``: those points
+    cannot be chain vertices and are discarded, and the chain runs on the
+    rest, so the result is the chain's on all points.  Qhull's vertices are
+    not returned, since it merges near-collinear vertices (turns of order
+    1e-17) that the chain keeps.
     """
     pts = np.asarray(points, dtype=float)
-    pts = np.unique(pts[~_strictly_inside(pts)], axis=0)
+    pts = np.unique(pts[~strictly_inside_hull(pts)], axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return _monotone_chain(pts[order])
 
 
-def _strictly_inside(pts: np.ndarray) -> np.ndarray:
-    """Points inside Qhull's hull of ``pts`` by more than 1e-9 of the
-    coordinate scale; all False when Qhull rejects the input."""
+def polygon_edges(vertices):
+    """The directed edges ``(a_k, e_k)`` of a polygon: a_k is vertex k and
+    e_k runs from it to the next vertex."""
+    a = np.asarray(vertices, dtype=float)
+    return a, np.roll(a, -1, axis=0) - a
+
+
+def min_edge_cross(points, a, e, weight=None) -> np.ndarray:
+    """Per point p, the least edge cross product e_k x (p - a_k) over the
+    directed edges ``(a, e)`` of a polygon, each divided by ``weight[k]``
+    when given.
+
+    For a ccw convex polygon, e_k x (p - a_k) is |e_k| times the signed
+    distance of p from edge k's line, positive inside; so p is inside when
+    the result is positive, and with ``weight = |e_k|`` the result is the
+    distance to the boundary.  Points are taken in blocks of 4096, which
+    bounds the (edges, block) arrays.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ax, ay = a[:, 0, None], a[:, 1, None]
+    ex, ey = e[:, 0, None], e[:, 1, None]
+    if weight is not None:
+        weight = np.asarray(weight, dtype=float)[:, None]
+    out = np.empty(len(pts))
+    chunk = 4096
+    for s in range(0, len(pts), chunk):
+        x, y = pts[s : s + chunk].T
+        cross = (y - ay) * ex  # (edges, block)
+        cross -= (x - ax) * ey
+        if weight is not None:
+            cross /= weight
+        out[s : s + chunk] = cross.min(axis=0)
+    return out
+
+
+def strictly_inside_hull(points) -> np.ndarray:
+    """Points inside the convex hull of ``points`` with every edge cross
+    product above 1e-12 scale**2, scale = max|p| + 1; the edges are
+    Qhull's, ccw.  All False when Qhull rejects the input (collinear, too
+    few or non-finite points)."""
     from scipy.spatial import ConvexHull, QhullError
 
+    pts = np.asarray(points, dtype=float)
     try:
         hull = ConvexHull(pts)
-    except (QhullError, ValueError):  # collinear, too few or non-finite points
+    except (QhullError, ValueError):
         return np.zeros(len(pts), dtype=bool)
-    normal, off = hull.equations[:, :2], hull.equations[:, 2]  # n . p + off <= 0 inside
-    margin = 1e-9 * float(np.abs(pts).max())
-    inside = np.empty(len(pts), dtype=bool)
-    chunk = 4096  # bounds the (chunk, facets) distance block
-    for s in range(0, len(pts), chunk):
-        inside[s : s + chunk] = np.max(pts[s : s + chunk] @ normal.T + off, axis=1) < -margin
-    return inside
+    scale = float(np.abs(pts).max()) + 1.0
+    a, e = polygon_edges(pts[hull.vertices])  # ccw in 2D
+    return min_edge_cross(pts, a, e) > 1e-12 * scale**2
 
 
 def _monotone_chain(pts: np.ndarray) -> np.ndarray:
@@ -89,56 +125,6 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
     if len(hull) < 3:
         return np.array([pts[0], pts[-1]])
     return hull
-
-
-def clip_halfplane(poly: np.ndarray, d, c: float) -> np.ndarray:
-    """Clip a convex polygon against {p : p . d <= c} (Sutherland-Hodgman step)."""
-    if len(poly) == 0:
-        return poly
-    s = poly @ np.asarray(d, dtype=float)
-    inside = s <= c
-    if inside.all():
-        return poly
-    if not inside.any():
-        return poly[:0]
-    out = []
-    n = len(poly)
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i]:
-            out.append(poly[i])
-        if inside[i] != inside[j]:
-            t = (c - s[i]) / (s[j] - s[i])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out)
-
-
-def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Intersection of two convex ccw polygons."""
-    poly = np.asarray(subject, dtype=float)
-    cl = np.asarray(clipper, dtype=float)
-    n = len(cl)
-    for i in range(n):
-        a, b = cl[i], cl[(i + 1) % n]
-        edge = b - a
-        # inward normal for ccw clipper is (-edge_y, edge_x); keep left side
-        d = np.array([edge[1], -edge[0]])
-        poly = clip_halfplane(poly, d, float(d @ a))
-        if len(poly) == 0:
-            break
-    return poly
-
-
-def point_in_convex(poly: np.ndarray, points, tol: float = 1e-12) -> np.ndarray:
-    """Membership of points in a ccw convex polygon (boundary counts inside)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ok = np.ones(len(pts), dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        ok &= cross >= -tol
-    return ok
 
 
 # Symmetric Gauss rules on the reference triangle, (barycentric coords, weights).

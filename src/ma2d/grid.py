@@ -18,6 +18,7 @@ from .errors import (
     MalformedFile,
     NonfiniteValue,
 )
+from .geometry import min_edge_cross, polygon_edges
 
 _SNAP = 1e-9  # relative slack when testing lattice membership at the boundary
 # Most lattice nodes ``sample`` lays out in a domain's bounding box, about
@@ -72,13 +73,8 @@ class Domain2D:
             return np.abs(pts).max(axis=1) <= self.size + slack
         if self.kind == "disk":
             return np.hypot(pts[:, 0], pts[:, 1]) <= self.size + slack
-        ok = np.ones(len(pts), dtype=bool)
         v = self.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            ok &= cross >= -slack * max(1.0, np.abs(v).max())
-        return ok
+        return min_edge_cross(pts, *polygon_edges(v)) >= -slack * max(1.0, np.abs(v).max())
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance from points to the domain boundary (negative outside)."""
@@ -87,14 +83,8 @@ class Domain2D:
             return self.size - np.abs(pts).max(axis=1)
         if self.kind == "disk":
             return self.size - np.hypot(pts[:, 0], pts[:, 1])
-        v = self.vertices
-        dists = []
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            e = b - a
-            n = np.array([-e[1], e[0]]) / np.hypot(*e)  # inward for ccw
-            dists.append((pts - a) @ n)
-        return np.min(dists, axis=0)
+        a, e = polygon_edges(self.vertices)
+        return min_edge_cross(pts, a, e, weight=np.hypot(e[:, 0], e[:, 1]))
 
     def bbox(self):
         if self.kind == "square":

@@ -5,8 +5,11 @@ A PL convex function is the lower convex envelope of lifted sites
 interior site is the area of the polygonal subdifferential there, which
 equals the convex hull of the gradients of the incident envelope faces.
 
-All cells are built in one array pass over the (hull-interior site,
-incident face) pairs.  Each site's gradients lose their bitwise duplicates
+A site is hull-interior when ``geometry.strictly_inside_hull`` says so:
+every edge cross product against Qhull's hull of the sites exceeds
+1e-12 scale**2, the same test that thins ``convex_hull``'s input; no
+monotone chain is run for it.  All cells are built in one array pass over
+the (hull-interior site, incident face) pairs.  Each site's gradients lose their bitwise duplicates
 (Qhull's ``Qt`` repeats a gradient across the triangles of a cocircular
 quad), are ordered by angle around their mean in gradient space, and are
 then certified: at least 3 vertices, the mean strictly left of every edge,
@@ -42,6 +45,7 @@ from .geometry import (
     cyclic_successor,
     polygon_area,
     polygons_quadrature,
+    strictly_inside_hull,
     triangle_rule,
 )
 
@@ -60,18 +64,7 @@ class PLConvexFunction:
     @cached_property
     def hull_interior(self) -> np.ndarray:
         """True for sites strictly inside the convex hull of all sites."""
-        hull = convex_hull(self.sites)
-        if len(hull) < 3:
-            return np.zeros(len(self.sites), dtype=bool)
-        scale = float(np.abs(self.sites).max()) + 1.0
-        inside = np.ones(len(self.sites), dtype=bool)
-        for i in range(len(hull)):
-            a, b = hull[i], hull[(i + 1) % len(hull)]
-            cross = (b[0] - a[0]) * (self.sites[:, 1] - a[1]) - (b[1] - a[1]) * (
-                self.sites[:, 0] - a[0]
-            )
-            inside &= cross > 1e-12 * scale**2
-        return inside
+        return strictly_inside_hull(self.sites)
 
     @cached_property
     def incident_faces(self) -> list:

@@ -25,8 +25,10 @@ from .errors import (
 from .grid import Domain2D, GridFunction
 from .geometry import (
     disk_rule,
+    min_edge_cross,
     polygon_area,
     polygon_centroid,
+    polygon_edges,
     polygon_quadrature,
 )
 
@@ -382,16 +384,11 @@ def _ellipse_inside(region: Domain2D, center, T) -> bool:
         # support of the ellipse in the axis directions: row norms of T
         ext = np.array([np.hypot(T[0, 0], T[0, 1]), np.hypot(T[1, 0], T[1, 1])])
         return bool(np.all(np.abs(center) + ext <= region.size))
-    v = region.vertices
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        e = b - a
-        n = np.array([e[1], -e[0]])
-        n = n / np.hypot(*n)  # outward for ccw
-        support = float(n @ center) + float(np.hypot(*(T.T @ n)))
-        if support > float(n @ a):
-            return False
-    return True
+    # ccw polygon: the center's cross product with each edge e_k must cover
+    # the ellipse's support in the outward normal (e_k[1], -e_k[0])
+    a, e = polygon_edges(region.vertices)
+    support = np.hypot(*(T.T @ np.stack([e[:, 1], -e[:, 0]])))
+    return bool(min_edge_cross(center, a, e, weight=support)[0] >= 1.0)
 
 
 def sublevel_compactness(v: GridFunction, levels) -> list:

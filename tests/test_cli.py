@@ -1,13 +1,20 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
-from ma2d import cli
+from ma2d import cli, solver
 from ma2d.errors import ConfigInvalid
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SCHEMA = os.path.join(os.path.dirname(__file__), "..", "schemas", "experiment.schema.json")
+
+
+def load_schema():
+    with open(SCHEMA, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def write_config(tmp_path, **fields):
@@ -51,6 +58,67 @@ def test_validate_lattice_budget(tmp_path):
 def test_shipped_configs_valid():
     for name in os.listdir(CONFIGS):
         assert cli.validate_config(os.path.join(CONFIGS, name)) == []
+
+
+def test_schema_accepts_shipped_configs():
+    schema = load_schema()
+    for name in os.listdir(CONFIGS):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            jsonschema.validate(json.load(fh), schema)
+
+
+def test_schema_accepts_growth_report_config(tmp_path):
+    cfg = cli.ExperimentConfig(
+        experiment="growth", alpha=0.125, source="oracle-dual",
+        rmin=16.0, rmax=64.0, n_circles=5, outdir=str(tmp_path / "g"),
+    )
+    cli.run(cfg)
+    report = json.loads((tmp_path / "g" / "report.json").read_text())
+    assert report["config"]["seed"] is None
+    jsonschema.validate(report["config"], load_schema())
+
+
+def test_schema_matches_experiment_config():
+    props = load_schema()["properties"]
+    assert set(props) == set(cli.ExperimentConfig.__dataclass_fields__)
+    assert tuple(props["experiment"]["enum"]) == cli.EXPERIMENTS
+    assert tuple(props["source"]["enum"]) == cli.SOURCES
+    assert tuple(props["rhs"]["enum"]) == cli.RHS_KINDS
+    assert tuple(props["domain"]["enum"]) == cli.DOMAINS
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(experiment="solve", rhs="dual_translator", radius=2.0, h=0.25, tol=1e-6),
+        dict(experiment="verify-dual", alpha=0.125, radius=2.0, h=0.25, tol=1e-5),
+        dict(experiment="cascade", source="solve", alpha=0.125, radius=2.0, h=0.25,
+             tol=1e-3, levels=[0.25, 0.5, 1.0, 2.0]),
+    ],
+    ids=["solve", "verify-dual", "cascade-solve"],
+)
+def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
+    solves = []
+    solve = solver.solve
+
+    def recording_solve(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(solver, "solve", recording_solve)
+    texts = []
+    for _ in range(2):
+        cli.run(cli.ExperimentConfig(**fields, outdir=str(tmp_path / "w")))
+        texts.append((tmp_path / "w" / "report.json").read_bytes())
+    assert texts[0] == texts[1]
+    rep = solves[-1]
+    assert json.loads(texts[0])["work"] == {
+        "experiment": fields["experiment"],
+        "site_updates": rep.iterations,
+        "newton_steps": rep.newton_steps,
+        "hull_builds": rep.hull_builds,
+    }
+    assert rep.hull_builds >= rep.newton_steps + 1 >= 2
 
 
 def test_run_growth_report_deterministic(tmp_path):

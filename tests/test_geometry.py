@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ma2d import geometry, grid
+from ma2d import geometry, grid, ma_measure
 
 
 def plain_chain(points):
@@ -73,3 +73,45 @@ def point_sets(draw):
 @example(pts=DISK2)
 def test_prefilter_equals_chain_property(pts):
     assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
+
+
+def chain_hull_interior(points):
+    """``hull_interior`` as the chain and an edge loop computed it: strictly
+    inside every chain edge by a cross product above 1e-12 scale**2."""
+    pts = np.asarray(points, dtype=float)
+    hull = plain_chain(pts)
+    if len(hull) < 3:
+        return np.zeros(len(pts), dtype=bool)
+    scale = float(np.abs(pts).max()) + 1.0
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(len(hull)):
+        a, b = hull[i], hull[(i + 1) % len(hull)]
+        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+        inside &= cross > 1e-12 * scale**2
+    return inside
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pts=point_sets())
+@example(pts=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]))
+@example(pts=DISK2)
+def test_hull_interior_equals_chain_reference(pts):
+    n = len(pts)
+    f = ma_measure.PLConvexFunction(
+        sites=pts, heights=np.zeros(n), triangulation=np.empty((0, 3), dtype=int),
+        gradients=np.empty((0, 2)), offsets=np.empty(0), active=np.zeros(n, dtype=bool),
+    )
+    assert np.array_equal(f.hull_interior, chain_hull_interior(pts))
+
+
+def test_min_edge_cross_blocks_and_weights():
+    # unit square: the cross product is the distance to the nearest side,
+    # times the side length 1; blocks of 4096 points give the same values
+    a, e = geometry.polygon_edges([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    pts = np.random.default_rng(4).uniform(-0.5, 1.5, size=(10_000, 2))
+    inside_depth = np.minimum(np.minimum(pts[:, 0], 1 - pts[:, 0]),
+                              np.minimum(pts[:, 1], 1 - pts[:, 1]))
+    np.testing.assert_allclose(geometry.min_edge_cross(pts, a, e), inside_depth,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(geometry.min_edge_cross(pts, a, 2 * e, weight=np.full(4, 2.0)),
+                               inside_depth, rtol=0, atol=1e-15)

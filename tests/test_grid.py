@@ -206,3 +206,18 @@ def test_domain_boundary_distance():
     assert np.isclose(d.boundary_distance(np.array([[1.0, 0.0]]))[0], 1.0)
     s = grid.Domain2D.square(1.0)
     assert np.isclose(s.boundary_distance(np.array([[0.25, -0.5]]))[0], 0.5)
+
+
+def test_polygon_boundary_distance():
+    tri = grid.Domain2D.polygon([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    pts = np.array([[0.5, 0.5], [0.9, 0.9], [1.0, 0.25], [3.0, 3.0], [-1.0, 1.0]])
+    # distances to y = 0, x = 0 and x + y = 2, the least of them, signed
+    expected = [0.5, 0.2 / np.sqrt(2), 0.25, -4 / np.sqrt(2), -1.0]
+    np.testing.assert_allclose(tri.boundary_distance(pts), expected, rtol=0, atol=1e-15)
+    square = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    cloud = np.random.default_rng(5).uniform(-1.5, 1.5, size=(500, 2))
+    np.testing.assert_allclose(
+        square.boundary_distance(cloud),
+        grid.Domain2D.square(1.0).boundary_distance(cloud),
+        rtol=0, atol=1e-15,
+    )

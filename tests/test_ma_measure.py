@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
-from ma2d.geometry import clip_convex, convex_hull, polygon_area, polygon_quadrature
+from ma2d.geometry import convex_hull, polygon_area, polygon_quadrature
 
 from conftest import quadratic
 
@@ -65,6 +65,26 @@ def test_collinear_sites_rejected():
     sites = np.stack([np.linspace(0, 1, 5), np.linspace(0, 2, 5)], axis=1)
     with pytest.raises(DegenerateInput):
         mm.lower_envelope(sites, np.zeros(5))
+
+
+def clip_convex(subject, clipper):
+    """Intersection of two ccw convex polygons (Sutherland-Hodgman), a
+    reference independent of the package's geometry."""
+    poly = np.asarray(subject, dtype=float)
+    for a, b in zip(clipper, np.roll(clipper, -1, axis=0)):
+        if len(poly) == 0:
+            break
+        # keep the left side of the directed clipper edge a -> b
+        s = (b[0] - a[0]) * (poly[:, 1] - a[1]) - (b[1] - a[1]) * (poly[:, 0] - a[0])
+        out = []
+        for i in range(len(poly)):
+            j = (i + 1) % len(poly)
+            if s[i] >= 0:
+                out.append(poly[i])
+            if (s[i] >= 0) != (s[j] >= 0):
+                out.append(poly[i] + s[i] / (s[i] - s[j]) * (poly[j] - poly[i]))
+        poly = np.array(out).reshape(-1, 2)
+    return poly
 
 
 def test_cells_disjoint_interiors():

@@ -14,7 +14,7 @@ from ma2d.errors import (
     NonfiniteValue,
     SectionNotCompact,
 )
-from ma2d.geometry import point_in_convex, polygon_area
+from ma2d.geometry import min_edge_cross, polygon_area, polygon_edges
 
 from conftest import quadratic
 
@@ -179,7 +179,7 @@ def test_john_containment_two_sided():
         axis=1,
     )
     inside = fit.center + disk @ B
-    assert point_in_convex(poly, inside, tol=1e-7).all()
+    assert (min_edge_cross(inside, *polygon_edges(poly)) >= -1e-7).all()
     # John property: doubling the ellipse covers the polygon (edges included)
     lam = np.linspace(0.0, 1.0, 400)[:, None, None]
     edge_pts = (poly[None, :, :] * (1 - lam) + np.roll(poly, -1, axis=0)[None, :, :] * lam)
@@ -274,6 +274,16 @@ def test_doubling_deterministic_and_monotone():
     c = sections.doubling_constant(f, dom, 600, rng_seed=42)
     assert a == b
     assert c >= a
+
+
+def test_doubling_polygon_square_equals_square():
+    # the polygon branches of contains and _ellipse_inside accept the same
+    # centers and ellipses as the square's on the same region
+    f = grid.RhsField("degenerate", alpha=1 / 8)
+    square = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    est = sections.doubling_constant(f, square, 300, rng_seed=7)
+    assert est == sections.doubling_constant(f, grid.Domain2D.square(1.0), 300, rng_seed=7)
+    assert est > 4.0
 
 
 def test_doubling_degenerate_closed_form_ratio():
