@@ -52,6 +52,18 @@ def convex_hull(points) -> np.ndarray:
     return _monotone_chain(pts[order])
 
 
+def spans_plane(points) -> bool:
+    """Whether some three of the points are not collinear: some point lies
+    off the line through the first point and the first point distinct from
+    it, by an exact-zero test of one cross product per point; no hull."""
+    x = np.asarray(points, dtype=float)
+    if len(x) < 3:
+        return False
+    d = x - x[0]
+    far = np.flatnonzero(np.any(d != 0.0, axis=1))
+    return bool(len(far) and np.any(d[far[0], 0] * d[:, 1] - d[far[0], 1] * d[:, 0] != 0.0))
+
+
 def polygon_edges(vertices):
     """The directed edges ``(a_k, e_k)`` of a polygon: a_k is vertex k and
     e_k runs from it to the next vertex."""
@@ -62,7 +74,8 @@ def polygon_edges(vertices):
 def min_edge_cross(points, a, e, weight=None) -> np.ndarray:
     """Per point p, the least edge cross product e_k x (p - a_k) over the
     directed edges ``(a, e)`` of a polygon, each divided by ``weight[k]``
-    when given.
+    when given, or by ``weight[k, j]`` for point j when ``weight`` is an
+    (edges, points) array.
 
     For a ccw convex polygon, e_k x (p - a_k) is |e_k| times the signed
     distance of p from edge k's line, positive inside; so p is inside when
@@ -74,7 +87,9 @@ def min_edge_cross(points, a, e, weight=None) -> np.ndarray:
     ax, ay = a[:, 0, None], a[:, 1, None]
     ex, ey = e[:, 0, None], e[:, 1, None]
     if weight is not None:
-        weight = np.asarray(weight, dtype=float)[:, None]
+        weight = np.asarray(weight, dtype=float)
+        if weight.ndim == 1:
+            weight = weight[:, None]
     out = np.empty(len(pts))
     chunk = 4096
     for s in range(0, len(pts), chunk):
@@ -82,7 +97,7 @@ def min_edge_cross(points, a, e, weight=None) -> np.ndarray:
         cross = (y - ay) * ex  # (edges, block)
         cross -= (x - ax) * ey
         if weight is not None:
-            cross /= weight
+            cross /= weight if weight.shape[1] == 1 else weight[:, s : s + chunk]
         out[s : s + chunk] = cross.min(axis=0)
     return out
 

@@ -6,6 +6,7 @@ produce symmetric node sets, and nodes are ordered lexicographically by
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -390,26 +391,50 @@ def load(path) -> GridFunction:
         n = int(t[1])
     except ValueError:
         fail(4, "node count must be an integer")
-    nodes = np.empty((n, 2))
-    values = np.empty(n)
-    for i in range(n):
-        lineno = 5 + i
-        t = tokens(lineno)
-        if len(t) != 3:
-            fail(lineno, "expected 'x1 x2 value'")
-        try:
-            nodes[i] = (float(t[0]), float(t[1]))
-            values[i] = float(t[2])
-        except ValueError:
-            fail(lineno, "entries must be numbers")
-        if not np.isfinite(values[i]):
-            fail(lineno, "value is not finite")
-        k = nodes[i] / h
-        if np.max(np.abs(k - np.rint(k))) > 1e-9:
-            fail(lineno, "node is not on the pitch-h lattice")
+    if n < 0:
+        fail(4, "node count must not be negative")
+    # the first bad node line is reported, with the first check it fails:
+    # token count, then numbers, then a finite value, then the lattice
+    rows = raw[4 : 4 + n]
+    good = next((i for i, line in enumerate(rows) if len(line.split()) != 3), len(rows))
+    try:
+        data = _parse_numbers(rows[:good])
+    except ValueError:
+        good = next(i for i, line in enumerate(rows) if not _numbers(line))
+        data = _parse_numbers(rows[:good])
+    nodes, values = np.ascontiguousarray(data[:, :2]), data[:, 2].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = nodes / h
+        off = np.max(np.abs(k - np.rint(k)), axis=1) > 1e-9
+    bad = ~np.isfinite(values) | off
+    if bad.any():
+        i = int(np.argmax(bad))
+        fail(5 + i, "node is not on the pitch-h lattice" if np.isfinite(values[i])
+             else "value is not finite")
+    if good < len(rows):
+        fail(5 + good, "expected 'x1 x2 value'" if len(rows[good].split()) != 3
+             else "entries must be numbers")
+    if len(rows) < n:
+        fail(5 + len(rows), "unexpected end of file")
     extra = 5 + n
     while extra - 1 < len(raw):
         if raw[extra - 1].strip():
             fail(extra, "trailing data after declared node count")
         extra += 1
     return GridFunction(domain=domain, h=h, nodes=nodes, values=values)
+
+
+def _parse_numbers(lines) -> np.ndarray:
+    """The (len(lines), 3) floats of lines of three tokens, each parsed by
+    ``float``; raises ValueError when a token is not a number."""
+    flat = itertools.chain.from_iterable(map(str.split, lines))
+    return np.fromiter(map(float, flat), dtype=float, count=3 * len(lines)).reshape(-1, 3)
+
+
+def _numbers(line) -> bool:
+    try:
+        for tok in line.split():
+            float(tok)
+    except ValueError:
+        return False
+    return True

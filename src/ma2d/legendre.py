@@ -2,9 +2,18 @@
 
 The conjugate is taken over the finite node set itself, which makes the
 Fenchel-Young inequality exact.  The fast path factors the 2D supremum into
-one-dimensional sweeps along lattice rows (linear-time via the lower hull of
-each row), then re-evaluates the winning node with the same floating-point
-expression as the brute-force path so the two agree bitwise.
+one-dimensional sweeps: first along every primal lattice row for every dual
+slope y1, then along every dual column over the rows' partial maxima.  Each
+stage treats all its rows at once: the lower hulls of the rows are built in
+lockstep (``_lower_hulls``), and each (row, slope) query takes the first
+hull vertex where the supporting line stops rising, by one dense comparison
+per block (``_row_argmax``).  This finds the vertex the linear-time sweep of
+Lucet (Numer. Algorithms 1997) finds, first maximum on ties.  Every winning
+node is then re-evaluated with the same floating-point expression as the
+brute-force path.  When the two paths agree on the maximiser their values
+agree bit for bit.  They agree whenever no two nodes tie within rounding.
+They also agree when every product and sum is exact, as on dyadic lattices
+with dyadic values.
 """
 from __future__ import annotations
 
@@ -13,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
+from .geometry import spans_plane
 from .grid import Domain2D, GridFunction, sample
 
 
@@ -41,37 +51,78 @@ def legendre_transform_brute(u: GridFunction, dual_domain: Domain2D, h_dual: flo
     return ConjugateResult(dual=out, argmax=arg)
 
 
-def _row_conjugate(x: np.ndarray, u: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Indices (into x) of argmax_i slope * x_i - u_i for every sorted slope.
+_DENSE_BLOCK = 2**16  # elements of one (rows, slopes, hull vertices) comparison block
 
-    x must be strictly increasing, slopes non-decreasing.  On slope ties with
-    a hull edge, the left (smaller-x) vertex wins, matching first-argmax.
+
+def _lower_hulls(x: np.ndarray, u: np.ndarray, n: np.ndarray):
+    """Lower hulls of all rows at once.  Row r holds the points
+    (x[r, i], u[r, i]) for i < n[r], x strictly increasing along it; ``x``
+    may also be one row shared by all.
+
+    Andrew's monotone chain on every row in lockstep: one stack per row, all
+    pushed at the same step i; each pass of the pop loop drops, on every row
+    at once, a top vertex b that lies on or above the segment from the vertex
+    a below it to point i.  Returns ``(stack, top)``: row r's hull is
+    ``stack[r, :top[r]]``, as positions along the row.
     """
-    hull_idx = _lower_hull_indices(x, u)
-    hx, hu = x[hull_idx], u[hull_idx]
-    out = np.empty(len(slopes), dtype=np.int64)
-    k = 0
-    last = len(hull_idx) - 1
-    for m, s in enumerate(slopes):
-        # advance while the next hull vertex strictly improves
-        while k < last and s * (hx[k + 1] - hx[k]) > hu[k + 1] - hu[k]:
-            k += 1
-        out[m] = hull_idx[k]
-    return out
+    rows, width = u.shape
+    # longest rows first, so the rows still open at step i are a prefix
+    order = np.argsort(-n, kind="stable")
+    xs = np.broadcast_to(x, u.shape)[order].ravel()
+    us = u[order].ravel()
+    n_open = np.searchsorted(-n[order], -np.arange(width), side="left")
+    base = np.arange(rows) * width
+    stack = np.repeat(base, width)  # flat indices into xs, us; unused slots at 0
+    top = np.zeros(rows, dtype=np.intp)
+    for i in range(width):
+        m = n_open[i]
+        live = np.flatnonzero(top[:m] >= 2)
+        while live.size:
+            at = base[live] + top[live]
+            a, b, c = stack[at - 2], stack[at - 1], base[live] + i
+            xa, ua = xs[a], us[a]
+            drop = (us[b] - ua) * (xs[c] - xa) >= (us[c] - ua) * (xs[b] - xa)
+            live = live[drop]
+            top[live] -= 1
+            live = live[top[live] >= 2]
+        stack[base[:m] + top[:m]] = base[:m] + i
+        top[:m] += 1
+    back = np.empty_like(order)
+    back[order] = np.arange(rows)
+    stack = stack.reshape(rows, width) - base[:, None]
+    return stack[back], top[back]
 
 
-def _lower_hull_indices(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = []
-    for i in range(len(x)):
-        while len(idx) >= 2:
-            a, b = idx[-2], idx[-1]
-            # drop b when it lies on or above segment a-i
-            if (u[b] - u[a]) * (x[i] - x[a]) >= (u[i] - u[a]) * (x[b] - x[a]):
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    return np.asarray(idx, dtype=np.int64)
+def _row_argmax(x: np.ndarray, u: np.ndarray, n: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Per row r and slope s = slopes[r, j], the position i < n[r] along row r
+    that maximises s * x[r, i] - u[r, i], the first such i on ties; rows as
+    in ``_lower_hulls``, ``slopes`` of shape (rows, m) or (1, m).
+
+    Along row r's hull, with edges (dx_k, du_k) and dx_k > 0, the answer is
+    the first vertex k with not s * dx_k > du_k, or the last vertex when the
+    test holds on every edge.  A rounded product is monotone in s, so this is
+    the vertex where Lucet's linear-time sweep over sorted slopes stops (Numer.
+    Algorithms 1997); here one dense test per block of rows finds it.
+    """
+    stack, top = _lower_hulls(x, u, n)
+    hx = np.take_along_axis(np.broadcast_to(x, u.shape), stack, axis=1)
+    hu = np.take_along_axis(u, stack, axis=1)
+    # edge k joins hull vertices k and k + 1; at and past the last vertex the
+    # test fails (s * 0 > inf is false, also for infinite or NaN s)
+    rows, width = u.shape
+    edge = np.arange(width - 1) < top[:, None] - 1
+    dx = np.zeros(u.shape)
+    du = np.full(u.shape, np.inf)
+    dx[:, :-1][edge] = (hx[:, 1:] - hx[:, :-1])[edge]
+    du[:, :-1][edge] = (hu[:, 1:] - hu[:, :-1])[edge]
+    slopes = np.broadcast_to(slopes, (rows, slopes.shape[1]))
+    k = np.empty(slopes.shape, dtype=np.intp)
+    step = max(1, _DENSE_BLOCK // (slopes.shape[1] * width))
+    for r in range(0, rows, step):
+        w = int(top[r : r + step].max())  # edges past every hull's end all fail
+        rising = slopes[r : r + step, :, None] * dx[r : r + step, None, :w] > du[r : r + step, None, :w]
+        k[r : r + step] = np.argmin(rising, axis=2)  # the first False
+    return np.take_along_axis(stack, k, axis=1)
 
 
 def legendre_transform(
@@ -80,68 +131,55 @@ def legendre_transform(
     """Discrete conjugate u*(y) = max_i  y . x_i - u(x_i) on a dual lattice.
 
     ``method`` selects the separable row-sweep path ("fast") or the
-    brute-force reference ("brute"); both produce identical values.
+    brute-force reference ("brute").  Both take the first maximum; they
+    differ only where nodes tie within rounding (see the module docstring).
     """
     if method == "brute":
         return legendre_transform_brute(u, dual_domain, h_dual)
     _require_full_rank(u)
     dual = sample(lambda p: np.zeros(len(p)), dual_domain, h_dual)
 
-    k = u.lattice_indices
-    row_key = k[:, 1]
-    rows, row_start = np.unique(row_key, return_index=True)
-    # nodes are lexicographic by (x2, x1): rows are contiguous, x ascending
-    row_slices = np.append(row_start, len(k))
+    # nodes are lexicographic by (x2, x1): rows are contiguous, x1 ascending
+    _, row_start, row_len = np.unique(
+        u.lattice_indices[:, 1], return_index=True, return_counts=True
+    )
+    n_rows = len(row_start)
     row_y = u.nodes[row_start, 1]
+    row_of = np.repeat(np.arange(n_rows), row_len)
+    pos = np.arange(len(u)) - row_start[row_of]
+    x1 = np.zeros((n_rows, row_len.max()))
+    uu = np.zeros((n_rows, row_len.max()))
+    x1[row_of, pos] = u.nodes[:, 0]
+    uu[row_of, pos] = u.values
 
-    kd = dual.lattice_indices
     y1_vals, y1_inv = np.unique(dual.nodes[:, 0], return_inverse=True)
-
-    n_rows, n_y1 = len(rows), len(y1_vals)
+    n_y1 = len(y1_vals)
     # stage 1: per primal row, 1D conjugate in x1 for every dual slope y1
-    stage_val = np.empty((n_rows, n_y1))
-    stage_arg = np.empty((n_rows, n_y1), dtype=np.int64)
-    for r in range(n_rows):
-        sl = slice(row_slices[r], row_slices[r + 1])
-        x1 = u.nodes[sl, 0]
-        uu = u.values[sl]
-        loc = _row_conjugate(x1, uu, y1_vals)
-        stage_arg[r] = loc + row_slices[r]
-        stage_val[r] = y1_vals * x1[loc] - uu[loc]
+    loc = _row_argmax(x1, uu, row_len, y1_vals[None, :])
+    stage_arg = loc + row_start[:, None]
+    stage_val = (
+        y1_vals * np.take_along_axis(x1, loc, axis=1) - np.take_along_axis(uu, loc, axis=1)
+    )
 
-    # stage 2: per dual x1-column, 1D conjugate in x2 over the rows
-    vals = np.empty(len(dual))
+    # stage 2: per dual x1-column, 1D conjugate in x2 over the rows for the
+    # column's slopes y2, from one split of the dual nodes by column
+    order = np.argsort(y1_inv, kind="stable")
+    col = y1_inv[order]
+    j = np.arange(len(order)) - np.searchsorted(col, col)  # place in the column
+    y2 = np.zeros((n_y1, j.max() + 1))
+    y2[col, j] = dual.nodes[order, 1]
+    rloc = _row_argmax(row_y, -stage_val.T, np.full(n_y1, n_rows), y2)
     arg = np.empty(len(dual), dtype=np.int64)
-    order = np.lexsort((dual.nodes[:, 1], y1_inv))
-    start = 0
-    while start < len(order):
-        col = y1_inv[order[start]]
-        end = start
-        while end < len(order) and y1_inv[order[end]] == col:
-            end += 1
-        sel = order[start:end]
-        y2 = dual.nodes[sel, 1]  # ascending within the column
-        g = stage_val[:, col]
-        rloc = _row_conjugate(row_y, -g, y2)
-        arg[sel] = stage_arg[rloc, col]
-        start = end
+    arg[order] = stage_arg[rloc[col, j], col]
     # canonical re-evaluation: identical fp expression to the brute path
-    for j in range(len(dual)):
-        vals[j] = _conjugate_values(dual.nodes[j], u.nodes[arg[j] : arg[j] + 1], u.values[arg[j] : arg[j] + 1])[0]
+    vals = _conjugate_values(dual.nodes.T, u.nodes[arg], u.values[arg])
     out = GridFunction(domain=dual.domain, h=dual.h, nodes=dual.nodes, values=vals)
     return ConjugateResult(dual=out, argmax=arg)
 
 
 def _require_full_rank(u: GridFunction) -> None:
-    """Raise DegenerateInput unless some three nodes are not collinear: some
-    node must be off the line through the first node and one distinct from it."""
-    x = u.nodes
-    if len(x) >= 3:
-        d = x - x[0]
-        far = np.flatnonzero(np.any(d != 0.0, axis=1))
-        if len(far) and np.any(d[far[0], 0] * d[:, 1] - d[far[0], 1] * d[:, 0] != 0.0):
-            return
-    raise DegenerateInput("need at least 3 non-collinear primal nodes")
+    if not spans_plane(u.nodes):
+        raise DegenerateInput("need at least 3 non-collinear primal nodes")
 
 
 def default_dual_halfwidth(u: GridFunction, h_dual: float) -> float:

@@ -45,6 +45,7 @@ from .geometry import (
     cyclic_successor,
     polygon_area,
     polygons_quadrature,
+    spans_plane,
     strictly_inside_hull,
     triangle_rule,
 )
@@ -133,7 +134,7 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
         raise ValueError("sites must be an (N, 2) array")
     if len(sites) != len(heights):
         raise ValueError("sites and heights must have equal length")
-    if len(convex_hull(sites)) < 3:
+    if not spans_plane(sites):
         raise DegenerateInput("all sites are collinear")
 
     try:

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ma2d import geometry, grid, ma_measure
+from ma2d import geometry, grid, legendre, ma_measure
+from ma2d.errors import DegenerateInput
 
 
 def plain_chain(points):
@@ -115,3 +117,38 @@ def test_min_edge_cross_blocks_and_weights():
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(geometry.min_edge_cross(pts, a, 2 * e, weight=np.full(4, 2.0)),
                                inside_depth, rtol=0, atol=1e-15)
+
+
+_LINE = np.stack([np.arange(-4, 3) * 0.25, np.arange(-4, 3) * 0.125 + 0.25], axis=1)  # y = x/2 + 1/4
+
+
+def _conjugate(sites):
+    gf = grid.GridFunction(domain=grid.Domain2D.square(1.0), h=0.25, nodes=sites,
+                           values=np.zeros(len(sites)))
+    return legendre.legendre_transform(gf, grid.Domain2D.square(1.0), 0.5)
+
+
+def _envelope(sites):
+    return ma_measure.lower_envelope(sites, np.zeros(len(sites)))
+
+
+@pytest.mark.parametrize("caller, message", [(_conjugate, "non-collinear"),
+                                             (_envelope, "collinear")],
+                         ids=["legendre", "lower_envelope"])
+@pytest.mark.parametrize(
+    "sites",
+    [_LINE, np.tile([[0.3, -0.2]], (5, 1)), np.concatenate([_LINE[:2]] * 3), _LINE[:2],
+     _LINE[:1]],
+    ids=["collinear", "one-site-repeated", "two-sites-repeated", "two", "one"],
+)
+def test_spans_plane_callers_reject_degenerate_sites(caller, message, sites):
+    assert not geometry.spans_plane(sites)
+    with pytest.raises(DegenerateInput, match=message):
+        caller(sites)
+
+
+@pytest.mark.parametrize("caller", [_conjugate, _envelope], ids=["legendre", "lower_envelope"])
+def test_spans_plane_callers_accept_one_site_off_the_line(caller):
+    sites = np.concatenate([_LINE, [[0.0, 0.75]]])
+    assert geometry.spans_plane(sites)
+    caller(sites)

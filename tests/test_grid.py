@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ma2d import grid
 from ma2d.errors import (
@@ -187,6 +189,80 @@ def test_load_trailing_data(tmp_path):
     path.write_text(path.read_text() + "0 0 0\n")
     with pytest.raises(MalformedFile):
         grid.load(path)
+
+
+def _edited_gfn(tmp_path, edits, name="bad.gfn"):
+    """A saved 5 x 5 lattice file with the given {line number: text} edits."""
+    gf = grid.sample(quadratic, grid.Domain2D.square(1.0), 0.5)
+    path = tmp_path / name
+    grid.save(gf, path)
+    lines = path.read_text().splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({7: "0.0 zero 1.0"}, "line 7: entries must be numbers"),
+        ({8: "0.5 0.5 inf"}, "line 8: value is not finite"),
+        ({9: "0.5 0.5 nan"}, "line 9: value is not finite"),
+        ({10: "0.25 0.5 1.0"}, "line 10: node is not on the pitch-h lattice"),
+        ({11: "0.5 0.5"}, "line 11: expected 'x1 x2 value'"),
+        ({4: "n -2"}, "line 4: node count must not be negative"),
+        # the first bad line is named, whatever check a later line fails
+        ({12: "0.5 0.5 nan", 20: "0.0 x 1.0"}, "line 12: value is not finite"),
+        ({12: "0.5 0.5 1 2", 20: "0.25 0.5 1.0"}, "line 12: expected 'x1 x2 value'"),
+        ({12: "0.25 0.5 inf", 20: "0.5"}, "line 12: value is not finite"),
+        ({12: "0.25 0.5 1.0", 13: "a b c"}, "line 12: node is not on the pitch-h lattice"),
+    ],
+    ids=["number", "inf", "nan", "lattice", "count", "negative-n", "nan-then-number",
+         "count-then-lattice", "value-before-lattice", "lattice-then-number"],
+)
+def test_load_names_first_bad_line(tmp_path, edits, message):
+    path = _edited_gfn(tmp_path, edits)
+    with pytest.raises(MalformedFile, match=message):
+        grid.load(path)
+
+
+def test_load_short_file_after_good_lines(tmp_path):
+    path = _edited_gfn(tmp_path, {})
+    path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+    with pytest.raises(MalformedFile, match="line 21: unexpected end of file"):
+        grid.load(path)
+
+
+@st.composite
+def gfn_cases(draw):
+    kind = draw(st.sampled_from(["square", "disk", "polygon"]))
+    size = draw(st.floats(0.3, 1.5))
+    if kind == "polygon":
+        k = draw(st.integers(3, 7))
+        turn = draw(st.floats(0.0, 1.0))
+        ang = 2 * np.pi * (np.arange(k) + turn) / k
+        dom = grid.Domain2D.polygon(size * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    else:
+        dom = grid.Domain2D(kind, size=size)
+    h = draw(st.floats(0.15, 0.6))
+    n = len(grid.sample(0.0, dom, h))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=n, max_size=n))
+    return grid.sample(lambda p: np.array(values), dom, h)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gf=gfn_cases())
+def test_save_load_round_trip_property(tmp_path_factory, gf):
+    path = tmp_path_factory.mktemp("gfn") / "case.gfn"
+    grid.save(gf, path)
+    back = grid.load(path)
+    assert back.domain.kind == gf.domain.kind
+    assert np.array_equal(back.domain._params(), gf.domain._params())
+    assert back.h == gf.h
+    assert np.array_equal(back.nodes, gf.nodes)
+    assert np.array_equal(back.values, gf.values)
 
 
 def test_interior_mask_square():

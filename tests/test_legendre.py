@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ma2d import grid, legendre, ma_measure
 from ma2d.errors import DegenerateInput
@@ -190,3 +192,149 @@ def test_default_dual_halfwidth_covers_slopes():
     u = grid.sample(quadratic, grid.Domain2D.square(1.0), 0.1)
     hw = legendre.default_dual_halfwidth(u, 0.1)
     assert hw >= 1.0  # max slope of the quadratic on the unit square
+
+
+# --- the row-by-row fast path, kept as the reference for the batched one ---
+
+def ref_lower_hull_indices(x, u):
+    idx = []
+    for i in range(len(x)):
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            # drop b when it lies on or above segment a-i
+            if (u[b] - u[a]) * (x[i] - x[a]) >= (u[i] - u[a]) * (x[b] - x[a]):
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return np.asarray(idx, dtype=np.int64)
+
+
+def ref_row_conjugate(x, u, slopes):
+    """Linear-time sweep: indices into x of argmax_i s * x_i - u_i for sorted slopes."""
+    hull_idx = ref_lower_hull_indices(x, u)
+    hx, hu = x[hull_idx], u[hull_idx]
+    out = np.empty(len(slopes), dtype=np.int64)
+    k = 0
+    last = len(hull_idx) - 1
+    for m, s in enumerate(slopes):
+        while k < last and s * (hx[k + 1] - hx[k]) > hu[k + 1] - hu[k]:
+            k += 1
+        out[m] = hull_idx[k]
+    return out
+
+
+def ref_fast_transform(u, dual_domain, h_dual):
+    """The fast path one row and one dual column at a time."""
+    dual = grid.sample(lambda p: np.zeros(len(p)), dual_domain, h_dual)
+    rows, row_start = np.unique(u.lattice_indices[:, 1], return_index=True)
+    row_slices = np.append(row_start, len(u))
+    row_y = u.nodes[row_start, 1]
+    y1_vals, y1_inv = np.unique(dual.nodes[:, 0], return_inverse=True)
+    stage_val = np.empty((len(rows), len(y1_vals)))
+    stage_arg = np.empty((len(rows), len(y1_vals)), dtype=np.int64)
+    for r in range(len(rows)):
+        sl = slice(row_slices[r], row_slices[r + 1])
+        x1, uu = u.nodes[sl, 0], u.values[sl]
+        loc = ref_row_conjugate(x1, uu, y1_vals)
+        stage_arg[r] = loc + row_slices[r]
+        stage_val[r] = y1_vals * x1[loc] - uu[loc]
+    arg = np.empty(len(dual), dtype=np.int64)
+    for col in range(len(y1_vals)):
+        sel = np.flatnonzero(y1_inv == col)
+        sel = sel[np.argsort(dual.nodes[sel, 1], kind="stable")]
+        rloc = ref_row_conjugate(row_y, -stage_val[:, col], dual.nodes[sel, 1])
+        arg[sel] = stage_arg[rloc, col]
+    vals = np.array([legendre._conjugate_values(dual.nodes[j], u.nodes[i : i + 1],
+                                                u.values[i : i + 1])[0]
+                     for j, i in enumerate(arg)])
+    return arg, vals
+
+
+def tied_field(kind, h, rng):
+    """Random lattice values with many exact ties: a few levels, a convex
+    quadratic floored to quarters plus 0 or 1/2, or constant rows.  All are
+    dyadic when h is."""
+
+    def field(p):
+        if kind == "levels":
+            return 0.25 * rng.integers(-2, 3, len(p))
+        if kind == "convex":
+            return np.floor(4 * quadratic(p)) / 4 + 0.5 * rng.integers(0, 2, len(p))
+        return 0.5 * rng.integers(-2, 3, 64)[np.rint(p[:, 1] / h).astype(int) % 64]
+
+    return field
+
+
+@st.composite
+def lattice_fields(draw):
+    """A random field on a square or disk lattice and a dual square lattice:
+    normal noise at any pitch, or tied values (``tied_field``) at dyadic
+    pitches, where every product and sum the fast path and the brute path
+    form is exact."""
+    kind = draw(st.sampled_from(["noise", "levels", "convex", "constant_rows"]))
+    pitches = [0.1, 0.125, 0.2, 0.25] if kind == "noise" else [0.125, 0.25]
+    h = draw(st.sampled_from(pitches))
+    size = draw(st.floats(0.45, 1.1))
+    dom = draw(st.sampled_from([grid.Domain2D.square, grid.Domain2D.disk]))(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "noise":
+        u = grid.sample(lambda p: rng.standard_normal(len(p)), dom, h)
+    else:
+        u = grid.sample(tied_field(kind, h, rng), dom, h)
+    hw = draw(st.floats(0.3, 2.5))
+    h_dual = draw(st.sampled_from([0.15, 0.25, 0.5] if kind == "noise" else [0.125, 0.25, 0.5]))
+    return u, grid.Domain2D.square(hw), h_dual
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=lattice_fields())
+def test_fast_equals_row_sweep_and_brute_property(case):
+    u, dom, h_dual = case
+    fast = legendre.legendre_transform(u, dom, h_dual, method="fast")
+    brute = legendre.legendre_transform(u, dom, h_dual, method="brute")
+    ref_arg, ref_vals = ref_fast_transform(u, dom, h_dual)
+    assert np.array_equal(fast.argmax, ref_arg)
+    assert np.array_equal(fast.dual.values, ref_vals)
+    assert np.array_equal(fast.argmax, brute.argmax)
+    assert np.array_equal(fast.dual.values, brute.dual.values)
+
+
+@pytest.mark.parametrize("kind", ["levels", "convex", "constant_rows"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fast_equals_row_sweep_on_inexact_ties(kind, seed):
+    # at pitch 0.1 the two paths round tied values differently, so only the
+    # row sweep is the reference here (see the xfail below)
+    u = grid.sample(tied_field(kind, 0.1, np.random.default_rng(seed)),
+                    grid.Domain2D.square(1.0), 0.1)
+    fast = legendre.legendre_transform(u, grid.Domain2D.square(1.5), 0.1)
+    ref_arg, ref_vals = ref_fast_transform(u, grid.Domain2D.square(1.5), 0.1)
+    assert np.array_equal(fast.argmax, ref_arg)
+    assert np.array_equal(fast.dual.values, ref_vals)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: on tied values at a non-dyadic "
+                   "pitch the fast path's maximiser differs from brute's by rounding")
+def test_fast_equals_brute_on_inexact_ties():
+    u = grid.sample(tied_field("levels", 0.1, np.random.default_rng(0)),
+                    grid.Domain2D.square(1.0), 0.1)
+    fast, brute = conj_pair(u, 1.5, 0.1)
+    assert np.array_equal(fast.dual.values, brute.dual.values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_hulls_equal_row_hulls(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 30, 12)
+    x = np.sort(rng.uniform(-1, 1, (12, 30)), axis=1)
+    u = np.where(rng.random((12, 30)) < 0.5, rng.integers(-2, 3, (12, 30)) * 0.5,
+                 rng.standard_normal((12, 30)))
+    stack, top = legendre._lower_hulls(x, u, n)
+    for r in range(12):
+        ref = ref_lower_hull_indices(x[r, : n[r]], u[r, : n[r]])
+        assert np.array_equal(stack[r, : top[r]], ref)
+    slopes = np.sort(rng.uniform(-4, 4, (12, 9)), axis=1)
+    slopes[:, 4] = slopes[:, 3]  # a repeated slope
+    got = legendre._row_argmax(x, u, n, slopes)
+    for r in range(12):
+        assert np.array_equal(got[r], ref_row_conjugate(x[r, : n[r]], u[r, : n[r]], slopes[r]))

@@ -11,10 +11,11 @@ from ma2d import grid, oracle, sections
 from ma2d.errors import (
     DegeneratePolygon,
     DivideByZeroMass,
+    DomainTooSmall,
     NonfiniteValue,
     SectionNotCompact,
 )
-from ma2d.geometry import min_edge_cross, polygon_area, polygon_edges
+from ma2d.geometry import disk_rule, min_edge_cross, polygon_area, polygon_edges
 
 from conftest import quadratic
 
@@ -277,13 +278,107 @@ def test_doubling_deterministic_and_monotone():
 
 
 def test_doubling_polygon_square_equals_square():
-    # the polygon branches of contains and _ellipse_inside accept the same
+    # the polygon branches of contains and _ellipses_inside accept the same
     # centers and ellipses as the square's on the same region
     f = grid.RhsField("degenerate", alpha=1 / 8)
     square = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     est = sections.doubling_constant(f, square, 300, rng_seed=7)
     assert est == sections.doubling_constant(f, grid.Domain2D.square(1.0), 300, rng_seed=7)
     assert est > 4.0
+
+
+def ref_doubling_constant(f, region, n_samples, rng_seed):
+    """The sampler one proposal at a time, as three generator calls, one
+    containment test and two 24-point evaluations of f per ellipse."""
+    rng = np.random.default_rng(rng_seed)
+    lo, hi = region.bbox()
+    diam = region.diameter
+    pts, wts = disk_rule()
+    best = 0.0
+    accepted = 0
+    guard = 0
+    while accepted < n_samples:
+        guard += 1
+        if guard > 200 * n_samples:
+            raise RuntimeError("ellipse sampler rejection rate too high")
+        center = lo + rng.random(2) * (hi - lo)
+        if not region.contains(center[None, :])[0]:
+            continue
+        s = np.exp(rng.uniform(np.log(1e-2), np.log(diam / 4.0), size=2))
+        phi = rng.uniform(0.0, np.pi)
+        cph, sph = np.cos(phi), np.sin(phi)
+        T = np.array([[cph * s[0], -sph * s[1]], [sph * s[0], cph * s[1]]])
+        if not ref_ellipse_inside(region, center, T):
+            continue
+        accepted += 1
+        x_full = center + pts @ T.T
+        x_half = center + 0.5 * (pts @ T.T)
+        mu_full = float(wts @ np.asarray(f(x_full), dtype=float))
+        mu_half = 0.25 * float(wts @ np.asarray(f(x_half), dtype=float))
+        if mu_half > 0:
+            best = max(best, mu_full / mu_half)
+    return 4.0 if best == 0.0 else best
+
+
+def ref_ellipse_inside(region, center, T) -> bool:
+    if region.kind == "disk":
+        smax = float(np.hypot(T[0], T[1]).max())
+        return bool(np.hypot(*center) + smax <= region.size)
+    if region.kind == "square":
+        ext = np.array([np.hypot(T[0, 0], T[0, 1]), np.hypot(T[1, 0], T[1, 1])])
+        return bool(np.all(np.abs(center) + ext <= region.size))
+    a, e = polygon_edges(region.vertices)
+    support = np.hypot(*(T.T @ np.stack([e[:, 1], -e[:, 0]])))
+    return bool(min_edge_cross(center, a, e, weight=support)[0] >= 1.0)
+
+
+_POLY_SQUARE = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "region, f",
+    [
+        (grid.Domain2D.disk(10.0), grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)),
+        (grid.Domain2D.square(1.0), grid.RhsField("degenerate", alpha=1 / 8)),
+        (_POLY_SQUARE, grid.RhsField("degenerate", alpha=1 / 8)),
+    ],
+    ids=["disk10", "square1", "polygon_square"],
+)
+def test_doubling_blocks_equal_per_sample_reference(region, f, seed):
+    est = sections.doubling_constant(f, region, 2000, rng_seed=seed)
+    assert est == ref_doubling_constant(f, region, 2000, rng_seed=seed)
+
+
+def test_doubling_pinned_estimate():
+    f = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
+    est = sections.doubling_constant(f, grid.Domain2D.disk(1000.0), 10_000, rng_seed=1)
+    assert est == 59.87768719457595
+
+
+def _thin_rectangle(w):
+    return grid.Domain2D.polygon([[-1.0, -w], [1.0, -w], [1.0, w], [-1.0, w]])
+
+
+def test_doubling_rejection_guard_is_typed():
+    # half-width 0.012: about 1 ellipse in 1,800 fits, far below 1/200
+    with pytest.raises(DomainTooSmall, match="rejection rate too high"):
+        sections.doubling_constant(ones, _thin_rectangle(0.012), 100, rng_seed=1)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_doubling_guard_trips_with_the_reference(seed):
+    # half-width 0.0155: the 100th ellipse comes near the 20,000-proposal
+    # budget, after it at seed 1 and before it at seed 4
+    region = _thin_rectangle(0.0155)
+    try:
+        ref = ref_doubling_constant(ones, region, 100, rng_seed=seed)
+    except RuntimeError:
+        with pytest.raises(DomainTooSmall):
+            sections.doubling_constant(ones, region, 100, rng_seed=seed)
+        assert seed == 1
+    else:
+        assert sections.doubling_constant(ones, region, 100, rng_seed=seed) == ref
 
 
 def test_doubling_degenerate_closed_form_ratio():
