@@ -333,8 +333,8 @@ def save(gf: GridFunction, path) -> None:
     )
     lines.append("h " + repr(float(gf.h)))
     lines.append("n " + str(len(gf)))
-    for (x1, x2), v in zip(gf.nodes, gf.values):
-        lines.append(f"{float(x1)!r} {float(x2)!r} {float(v)!r}")
+    x1, x2 = gf.nodes.reshape(-1, 2).T.tolist()  # Python floats: repr(x) == repr(float(x))
+    lines.extend(map("{!r} {!r} {!r}".format, x1, x2, gf.values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -394,7 +394,8 @@ def load(path) -> GridFunction:
     if n < 0:
         fail(4, "node count must not be negative")
     # the first bad node line is reported, with the first check it fails:
-    # token count, then numbers, then a finite value, then the lattice
+    # token count, then numbers, then a finite value, then finite
+    # coordinates, then the lattice
     rows = raw[4 : 4 + n]
     good = next((i for i, line in enumerate(rows) if len(line.split()) != 3), len(rows))
     try:
@@ -406,11 +407,14 @@ def load(path) -> GridFunction:
     with np.errstate(over="ignore", invalid="ignore"):
         k = nodes / h
         off = np.max(np.abs(k - np.rint(k)), axis=1) > 1e-9
-    bad = ~np.isfinite(values) | off
+    finite_xy = np.isfinite(nodes).all(axis=1)
+    bad = ~np.isfinite(values) | ~finite_xy | off
     if bad.any():
         i = int(np.argmax(bad))
-        fail(5 + i, "node is not on the pitch-h lattice" if np.isfinite(values[i])
-             else "value is not finite")
+        if not np.isfinite(values[i]):
+            fail(5 + i, "value is not finite")
+        fail(5 + i, "coordinate is not finite" if not finite_xy[i]
+             else "node is not on the pitch-h lattice")
     if good < len(rows):
         fail(5 + good, "expected 'x1 x2 value'" if len(rows[good].split()) != 3
              else "entries must be numbers")

@@ -22,11 +22,11 @@ a point, a segment or a near-degenerate polygon) falls back to
 
 The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
 package: ``lower_envelope`` and the solver's mass pass both build on it, and
-``_envelope`` turns its faces into a ``PLConvexFunction``.  The solver keeps
-the hull of its last accepted pass and hands it to ``_envelope`` instead of
-building it again, so a solved envelope equals ``lower_envelope`` of the
-solved heights field by field.  The cells and their areas share no code
-with the solve loop: this module imports nothing from ``solver``, and its
+``_envelope`` turns its faces into a ``PLConvexFunction``.  When Qhull built
+the hull of the solver's last accepted pass, the solver hands it to
+``_envelope`` instead of building it again; either way a solved envelope
+equals ``lower_envelope`` of the solved heights field by field.  The cells
+and their areas share no code with the solve loop: this module imports nothing from ``solver``, and its
 gradient-space order with a certificate is independent of the planar face
 order that ``solver._mass_pass`` sums.
 """
@@ -144,14 +144,19 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
     return _envelope(sites, heights, tris, n)
 
 
-def _envelope(sites, heights, tris, n) -> PLConvexFunction:
-    """The envelope of ``_lower_faces(sites, heights) == (tris, n)``, its
-    triangles oriented ccw in the plane; neither input array is modified."""
+def _ccw(sites, tris) -> np.ndarray:
+    """``tris`` with each clockwise triangle's last two vertices swapped."""
     a, b, c = sites[tris[:, 0]], sites[tris[:, 1]], sites[tris[:, 2]]
     cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         c[:, 0] - a[:, 0]
     )
-    tris = np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
+    return np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
+
+
+def _envelope(sites, heights, tris, n) -> PLConvexFunction:
+    """The envelope of ``_lower_faces(sites, heights) == (tris, n)``, its
+    triangles oriented ccw in the plane; neither input array is modified."""
+    tris = _ccw(sites, tris)
 
     # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
     # z = -(nx x + ny y + off) / nz

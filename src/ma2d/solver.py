@@ -12,11 +12,19 @@ links.  When Newton stops short of the tolerance, the solve raises
 NoConvergence with the residual of the heights it reached; there is no
 second method to fall back on.
 
-Masses come from one lifted lower hull per line-search trial
-(``ma_measure._lower_faces``) and a vectorized fan sum in planar face order.
-The accepted trial's hull is reused: it gives the next Newton step its
-Jacobian, and the last one gives the solved envelope, so no hull is built
-twice on the same heights.  The ``residual`` verifier goes through
+Masses are a vectorized fan sum in planar face order over the lifted lower
+triangulation.  A mass pass (the start and each line-search trial) first
+asks whether the latest pass's triangulation is still the lower hull of the
+new heights.  It is when every site is a vertex and the lift is locally
+convex across every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
+the face gradients then come from vertex cross products, with no hull.
+Otherwise Qhull builds the hull (``ma_measure._lower_faces``) and a new
+topology, which holds all that depends on the triangulation alone: the
+angular incidence order and, built on first use, the interior edges of the
+test and the Jacobian's links.  The solved envelope reuses the last pass's Qhull hull,
+or is built once on the solved heights when that pass was certified.  The
+Newton system is symmetric positive definite and is factored by a
+symmetric-mode sparse LU.  The ``residual`` verifier goes through
 ma_measure's cells instead, which orders each cell's gradients by angle in
 gradient space and certifies convexity, and never calls the solve loop's
 mass pass.
@@ -29,11 +37,18 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleBoundary, NoConvergence
 from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
-from .ma_measure import PLConvexFunction, _envelope, _lower_faces, lower_envelope, ma_measure
+from .ma_measure import (
+    PLConvexFunction,
+    _ccw,
+    _envelope,
+    _lower_faces,
+    lower_envelope,
+    ma_measure,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,8 @@ class SolveReport:
     h: float
     alpha: float | None
     newton_steps: int  # accepted Newton steps
-    hull_builds: int   # lifted lower hulls built by the Newton loop
+    mass_passes: int   # the start pass and one per line-search trial
+    hull_builds: int   # Qhull lower hulls built, the solved envelope's included
 
     def to_json(self) -> str:
         return json.dumps(
@@ -123,29 +139,66 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _HullPass:
-    """One lifted lower hull of the solve loop and the masses summed on it."""
+class _Topology:
+    """The part of a mass pass that depends on the triangulation alone.
 
+    The interior edges (for the certificate) and the Jacobian's links are
+    built on first use, since most passes of a hard solve need neither.
+    """
+
+    sites: np.ndarray
+    interior: np.ndarray
     tris: np.ndarray      # (F, 3) lower-face site triples, from _lower_faces
-    normals: np.ndarray   # (F, 4) their plane equations
     s_sorted: np.ndarray  # (site, face) incidences sorted by site, then angle
     f_sorted: np.ndarray
     nxt: np.ndarray       # next incidence around the same site
-    grads: np.ndarray     # (len(s_sorted), 2) face gradients in that order
-    areas: np.ndarray     # (N,) cell areas, zero on boundary sites
+    starts: np.ndarray    # first incidence of each vertex site
+
+    @property
+    def covers(self) -> bool:
+        """Every site is a vertex of the triangulation."""
+        return len(self.starts) == len(self.sites)
+
+    @cached_property
+    def edges(self):
+        """(ccw faces, face, opposite vertex): the faces oriented ccw in the
+        plane and, per interior edge, a face on one side of it and the
+        vertex opposite it on the other."""
+        ccw = _ccw(self.sites, self.tris)
+        # edge k of a face is the side opposite its vertex k; an interior
+        # edge is the side of two faces
+        lo = np.minimum(ccw[:, [1, 2, 0]], ccw[:, [2, 0, 1]]).ravel()
+        hi = np.maximum(ccw[:, [1, 2, 0]], ccw[:, [2, 0, 1]]).ravel()
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        twin = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+        return ccw, order[twin] // 3, ccw.ravel()[order[twin + 1]]
+
+    @cached_property
+    def links(self):
+        """(incidences, rows, cols, lengths) of the Jacobian: per incidence of
+        an interior site whose cell edge links it to a lattice neighbour, the
+        interior indices of the site and the neighbour (-1 on the boundary)
+        and the planar length of the link."""
+        sites, s_sorted, f_sorted, nxt = self.sites, self.s_sorted, self.f_sorted, self.nxt
+        # consecutive faces around a site share the lattice edge that
+        # generates the cell edge between their gradients
+        A = self.tris[f_sorted]
+        B = self.tris[f_sorted[nxt]]
+        match = (B[:, :, None] == A[:, None, :]).any(axis=2) & (B != s_sorted[:, None])
+        j_shared = B[np.arange(len(B)), np.argmax(match, axis=1)]
+        dist = np.hypot(
+            sites[j_shared, 0] - sites[s_sorted, 0],
+            sites[j_shared, 1] - sites[s_sorted, 1],
+        )
+        link = np.flatnonzero(match.any(axis=1) & (dist > 0) & self.interior[s_sorted])
+        idx_of = -np.ones(len(sites), dtype=np.int64)
+        idx_of[self.interior] = np.arange(int(self.interior.sum()))
+        return link, idx_of[s_sorted[link]], idx_of[j_shared[link]], dist[link]
 
 
-def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray) -> _HullPass:
-    """Subgradient-cell areas of every interior site from one global hull.
-
-    The cell polygon of a site is its incident lower-hull face gradients in
-    angular order; the shoelace sum is evaluated for all sites at once.  The
-    pass keeps its hull for ``_jacobian`` and the solved envelope.
-    """
-    n = len(sites)
-    tris, normals = _lower_faces(sites, heights)
-    grads = -normals[:, :2] / normals[:, 2:3]
-
+def _topology(sites: np.ndarray, tris: np.ndarray, interior: np.ndarray) -> _Topology:
+    """The (site, face) incidences of ``tris`` in angular order about each site."""
     f_ids = np.repeat(np.arange(len(tris)), 3)
     s_ids = tris.ravel()
     centroids = sites[tris].mean(axis=1)
@@ -153,58 +206,91 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray) -> 
     ang = np.arctan2(vec[:, 1], vec[:, 0])
     order = np.lexsort((ang, s_ids))
     s_sorted = s_ids[order]
-    f_sorted = f_ids[order]
-    g = grads[f_sorted]
-
     starts = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
     ends = np.r_[starts[1:], len(s_sorted)]
     nxt = np.arange(len(s_sorted)) + 1
     nxt[ends - 1] = starts
-    gn = g[nxt]
+    return _Topology(sites=sites, interior=interior, tris=tris, s_sorted=s_sorted,
+                     f_sorted=f_ids[order], nxt=nxt, starts=starts)
+
+
+def _certified_gradients(topo: _Topology, sites: np.ndarray, heights: np.ndarray):
+    """Face gradients of ``topo`` when it is the lower hull of the heights, else None.
+
+    It is when every site is a vertex and the lifted triangulation is
+    locally convex: across every interior edge the opposite vertex lies on
+    or above the plane of the face, n . (P[v] - P[a]) >= 0 with the upward
+    normal n of the ccw face (a, b, c) (Edelsbrunner & Shah, Algorithmica
+    1996).  A test that rounds negative, or is not finite, certifies nothing;
+    so does a face of zero planar area (n_z = 0), which Qhull's ``Qt`` can
+    emit and whose gradient is undefined.
+    """
+    if not topo.covers:
+        return None
+    tris, f, opp = topo.edges
+    lifted = np.column_stack([sites, heights])
+    a = lifted[tris[:, 0]]
+    u = lifted[tris[:, 1]] - a
+    v = lifted[tris[:, 2]] - a
+    normal = np.column_stack([
+        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
+    ])
+    lift = np.einsum("ij,ij->i", normal[f], lifted[opp] - a[f])
+    if not (np.all(lift >= 0.0) and np.all(normal[:, 2] > 0.0)):
+        return None
+    return -normal[:, :2] / normal[:, 2:3]
+
+
+@dataclass(frozen=True)
+class _MassPass:
+    """The masses of one heights vector, summed on its lower-hull topology."""
+
+    topo: _Topology
+    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None if certified
+    grads: np.ndarray           # (len(s_sorted), 2) face gradients in incidence order
+    areas: np.ndarray           # (N,) cell areas, zero on boundary sites
+
+
+def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
+               topo: _Topology | None = None) -> _MassPass:
+    """Subgradient-cell areas of every interior site.
+
+    ``topo`` (that of an earlier pass) is reused when it certifies itself on
+    the heights; otherwise Qhull builds the lower hull and a new topology.
+    The cell polygon of a site is its incident face gradients in angular
+    order; the shoelace sum is evaluated for all sites at once.
+    """
+    grads = None if topo is None else _certified_gradients(topo, sites, heights)
+    normals = None
+    if grads is None:
+        tris, normals = _lower_faces(sites, heights)
+        topo = _topology(sites, tris, interior)
+        grads = -normals[:, :2] / normals[:, 2:3]
+    g = grads[topo.f_sorted]
+    gn = g[topo.nxt]
     cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
-    sums = np.add.reduceat(cross, starts)
+    sums = np.add.reduceat(cross, topo.starts)
 
-    areas = np.zeros(n)
-    areas[s_sorted[starts]] = 0.5 * np.abs(sums)
+    areas = np.zeros(len(sites))
+    areas[topo.s_sorted[topo.starts]] = 0.5 * np.abs(sums)
     areas[~interior] = 0.0
-    return _HullPass(tris=tris, normals=normals, s_sorted=s_sorted, f_sorted=f_sorted,
-                     nxt=nxt, grads=g, areas=areas)
+    return _MassPass(topo=topo, normals=normals, grads=g, areas=areas)
 
 
-def _jacobian(hp: _HullPass, sites: np.ndarray, interior: np.ndarray):
-    """Sparse derivative of interior masses with respect to interior heights
-    (power-diagram stiffness) on the hull of a pass."""
-    tris, s_sorted, f_sorted, nxt = hp.tris, hp.s_sorted, hp.f_sorted, hp.nxt
-    g = hp.grads
-    gn = g[nxt]
-    n = len(sites)
-    # consecutive faces around a site share the lattice edge that generates
-    # the cell edge between their gradients
-    A = tris[f_sorted]
-    B = tris[f_sorted[nxt]]
-    match = (B[:, :, None] == A[:, None, :]).any(axis=2) & (B != s_sorted[:, None])
-    has = match.any(axis=1)
-    j_shared = B[np.arange(len(B)), np.argmax(match, axis=1)]
-    L = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1])
-    dist = np.hypot(
-        sites[j_shared, 0] - sites[s_sorted, 0],
-        sites[j_shared, 1] - sites[s_sorted, 1],
-    )
-    w = np.where(has & (dist > 0) & interior[s_sorted], L / np.where(dist > 0, dist, 1.0), 0.0)
-
-    idx_of = -np.ones(n, dtype=np.int64)
-    int_ids = np.flatnonzero(interior)
-    idx_of[int_ids] = np.arange(len(int_ids))
-    rows = idx_of[s_sorted]
-    cols = idx_of[j_shared]
-    keep_entry = (w > 0) & (rows >= 0)
-    off = keep_entry & (cols >= 0)
-    m = len(int_ids)
-    J = sp.coo_matrix(
-        (w[off], (rows[off], cols[off])), shape=(m, m)
-    ).tocsr()
+def _jacobian(hp: _MassPass, m: int):
+    """Sparse derivative of the m interior masses with respect to interior
+    heights (power-diagram stiffness) on the topology of a pass."""
+    link, rows, cols, dist = hp.topo.links
+    g = hp.grads[link]
+    gn = hp.grads[hp.topo.nxt[link]]
+    w = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1]) / dist
+    keep = w > 0
+    off = keep & (cols >= 0)
+    J = sp.coo_matrix((w[off], (rows[off], cols[off])), shape=(m, m)).tocsr()
     diag = np.zeros(m)
-    np.add.at(diag, rows[keep_entry], -w[keep_entry])
+    np.add.at(diag, rows[keep], -w[keep])
     return J + sp.diags(diag)
 
 
@@ -221,8 +307,8 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     tol is not positive, the update budget is exhausted or Newton stops short
     of tol, with the residual of the heights it reached; raises
     InfeasibleBoundary when the boundary data admits no convex extension.
-    The returned envelope is built on the hull of the last accepted pass,
-    the one ``lower_envelope`` would build on the solved heights.
+    The returned envelope is the one ``lower_envelope`` builds on the solved
+    heights, made from the last accepted pass's hull when Qhull built it.
     """
     gf = problem.grid
     state = _solve_state(
@@ -235,7 +321,12 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
-    pl = _envelope(gf.nodes, heights, state.last.tris, state.last.normals)
+    if state.last.normals is None:  # a certified pass has no hull to hand over
+        tris, normals = _lower_faces(gf.nodes, heights)
+        state.hull_builds += 1
+    else:
+        tris, normals = state.last.topo.tris, state.last.normals
+    pl = _envelope(gf.nodes, heights, tris, normals)
     return SolveReport(
         iterations=state.iterations,
         max_residual=state.residual(),
@@ -244,6 +335,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         h=gf.h,
         alpha=problem.alpha,
         newton_steps=state.newton_steps,
+        mass_passes=state.mass_passes,
         hull_builds=state.hull_builds,
     )
 
@@ -311,14 +403,19 @@ class _SolveState:
         self.max_iters = max_iters
         self.iterations = 0
         self.newton_steps = 0
+        self.mass_passes = 0
         self.hull_builds = 0
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
-        self.last = None  # _HullPass of the heights in place
+        self.last = None  # _MassPass of the heights in place
 
-    def mass_pass(self) -> _HullPass:
-        self.last = _mass_pass(self.sites, self.heights, self.interior)
-        self.hull_builds += 1
+    def mass_pass(self) -> _MassPass:
+        """Masses of the heights in place, on the topology of the latest pass
+        when it certifies itself, else on a new Qhull hull."""
+        topo = None if self.last is None else self.last.topo
+        self.last = _mass_pass(self.sites, self.heights, self.interior, topo)
+        self.mass_passes += 1
+        self.hull_builds += self.last.normals is not None
         return self.last
 
     def residual(self) -> float:
@@ -337,8 +434,10 @@ def _newton_phase(state, tol) -> None:
     Steps are halved until every interior mass stays positive and the l2
     residual drops (the usual guarded-Newton recipe for prescribed-cell-area
     problems).  The accepted trial's pass gives the next step its masses and
-    Jacobian, so every step costs one hull per trial.  Any other exit raises
-    NoConvergence with the residual of the heights left in place.
+    Jacobian.  Each trial costs one mass pass, and a Qhull build only when
+    the latest pass's triangulation fails its certificate on the trial
+    heights.  Any other exit raises NoConvergence with the residual of the
+    heights left in place.
     """
     int_ids, tgt = state.int_ids, state.tgt
 
@@ -354,9 +453,12 @@ def _newton_phase(state, tol) -> None:
         l2 = float(np.linalg.norm(F / tgt))
         if not np.isfinite(l2):
             raise stop(f"step {it}: residual is not finite")
-        J = _jacobian(current, state.sites, state.interior)
+        J = _jacobian(current, len(int_ids))
         try:
-            delta = spsolve(J.tocsc(), -F)
+            # -J is a symmetric, irreducibly diagonally dominant M-matrix, so
+            # positive definite: diagonal pivots on a symmetric ordering are stable
+            delta = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve(-F)
         except RuntimeError as exc:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
         if not np.all(np.isfinite(delta)):

@@ -116,9 +116,11 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "experiment": fields["experiment"],
         "site_updates": rep.iterations,
         "newton_steps": rep.newton_steps,
+        "mass_passes": rep.mass_passes,
         "hull_builds": rep.hull_builds,
     }
-    assert rep.hull_builds >= rep.newton_steps + 1 >= 2
+    assert rep.mass_passes >= rep.newton_steps + 1 >= 2
+    assert 1 <= rep.hull_builds <= rep.mass_passes + 1
 
 
 def test_run_growth_report_deterministic(tmp_path):

@@ -217,9 +217,17 @@ def _edited_gfn(tmp_path, edits, name="bad.gfn"):
         ({12: "0.5 0.5 1 2", 20: "0.25 0.5 1.0"}, "line 12: expected 'x1 x2 value'"),
         ({12: "0.25 0.5 inf", 20: "0.5"}, "line 12: value is not finite"),
         ({12: "0.25 0.5 1.0", 13: "a b c"}, "line 12: node is not on the pitch-h lattice"),
+        ({7: "nan 0.5 1.0"}, "line 7: coordinate is not finite"),
+        ({8: "inf 0.5 1.0"}, "line 8: coordinate is not finite"),
+        ({9: "0.5 nan 1.0"}, "line 9: coordinate is not finite"),
+        ({10: "0.5 -inf 1.0"}, "line 10: coordinate is not finite"),
+        ({12: "nan 0.5 inf"}, "line 12: value is not finite"),
+        ({12: "0.5 inf 1.0", 13: "0.25 0.5 1.0"}, "line 12: coordinate is not finite"),
     ],
     ids=["number", "inf", "nan", "lattice", "count", "negative-n", "nan-then-number",
-         "count-then-lattice", "value-before-lattice", "lattice-then-number"],
+         "count-then-lattice", "value-before-lattice", "lattice-then-number",
+         "nan-x1", "inf-x1", "nan-x2", "inf-x2", "value-before-coordinate",
+         "coordinate-then-lattice"],
 )
 def test_load_names_first_bad_line(tmp_path, edits, message):
     path = _edited_gfn(tmp_path, edits)
@@ -250,6 +258,36 @@ def gfn_cases(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(finite, min_size=n, max_size=n))
     return grid.sample(lambda p: np.array(values), dom, h)
+
+
+def ref_node_lines(gf):
+    """The node rows of a .gfn file, formatted one node at a time."""
+    return [f"{float(x1)!r} {float(x2)!r} {float(v)!r}" for (x1, x2), v in zip(gf.nodes, gf.values)]
+
+
+def test_save_equals_per_node_formatter_on_dual_solution(tmp_path, solved_dual_disk8):
+    _, report, _ = solved_dual_disk8
+    path = tmp_path / "dual.gfn"
+    grid.save(report.grid, path)
+    rows = path.read_bytes().decode("utf-8").split("\n")
+    assert rows[4:] == ref_node_lines(report.grid) + [""]
+
+
+awkward = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.lists(st.tuples(awkward, awkward, awkward), min_size=1, max_size=20))
+def test_save_equals_per_node_formatter_property(tmp_path_factory, data):
+    arr = np.array(data, dtype=float)
+    gf = grid.GridFunction(domain=grid.Domain2D.square(1.0), h=0.5, nodes=arr[:, :2],
+                           values=arr[:, 2])
+    path = tmp_path_factory.mktemp("gfn") / "rows.gfn"
+    grid.save(gf, path)
+    rows = path.read_text(encoding="utf-8").split("\n")
+    assert rows[4:] == ref_node_lines(gf) + [""]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ma2d import grid, oracle, solver
 from ma2d.errors import InfeasibleBoundary, NoConvergence
@@ -163,9 +165,11 @@ def test_solve_report_json():
 
 @pytest.mark.parametrize("case", ["bump", "degenerate"])
 def test_one_hull_per_trial(case, monkeypatch):
-    # the Newton loop builds one lifted hull for its start and one per
-    # line-search trial; Jacobians and the solved envelope reuse them
-    calls = {"_lower_faces": 0, "spsolve": 0}
+    # the Newton loop makes one mass pass for its start and one per
+    # line-search trial; Qhull runs for a pass whose latest triangulation
+    # fails its certificate, and once more for the envelope after a
+    # certified last pass; Jacobians reuse the accepted pass
+    calls = {"_lower_faces": 0, "splu": 0}
 
     def counted(name):
         fn = getattr(solver, name)
@@ -177,7 +181,7 @@ def test_one_hull_per_trial(case, monkeypatch):
         monkeypatch.setattr(solver, name, wrapped)
 
     counted("_lower_faces")
-    counted("spsolve")
+    counted("splu")
     if case == "bump":
         bump = lambda p: quadratic(p) + 0.05 * (1 + np.sin(3 * p[:, 0]) * np.cos(p[:, 1]))
         prob, tol = unit_problem(0.1, boundary=bump), 1e-9
@@ -187,13 +191,103 @@ def test_one_hull_per_trial(case, monkeypatch):
         tol = 1e-6
     rep = solver.solve(prob, tol=tol)
 
-    assert calls["_lower_faces"] == rep.hull_builds
-    assert calls["spsolve"] == rep.newton_steps > 0
+    assert calls["_lower_faces"] == rep.hull_builds >= 1
+    assert calls["splu"] == rep.newton_steps > 0
     assert rep.iterations == rep.newton_steps * int(prob.interior.sum())
-    if case == "bump":  # full steps only: the start's hull and one per step
-        assert rep.hull_builds == rep.newton_steps + 1
+    if case == "bump":  # full steps only: the start's pass and one per step
+        assert rep.mass_passes == rep.newton_steps + 1
     else:  # some steps were halved, each halving one more trial
-        assert rep.hull_builds > rep.newton_steps + 1
+        assert rep.mass_passes > rep.newton_steps + 1
+    assert rep.hull_builds <= rep.mass_passes + 1
     ref = solver.lower_envelope(prob.grid.nodes, rep.grid.values)
     for name in ("sites", "heights", "triangulation", "gradients", "offsets", "active"):
         assert np.array_equal(getattr(rep.function, name), getattr(ref, name)), name
+
+
+# ---------------------------------------------------------------------------
+# the local-convexity certificate of a carried triangulation
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def solved_disk2(dual_profile_8):
+    rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
+    prob = solver.build_problem(grid.Domain2D.disk(2.0), 0.25, rhs, dual_profile_8)
+    rep = solver.solve(prob, tol=1e-8)
+    sites, interior = prob.grid.nodes, prob.interior
+    return sites, interior, rep, solver._mass_pass(sites, rep.grid.values, interior)
+
+
+def test_certified_passes_skip_qhull(solved_disk2):
+    _, _, rep, hull = solved_disk2
+    assert hull.normals is not None and hull.topo.covers
+    assert rep.hull_builds < rep.mass_passes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    center=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    amp=st.floats(0.0, 0.1),
+    power=st.floats(0.5, 2.0),
+    tilt=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+@example(center=(0.0, 0.0), amp=0.0, power=1.0, tilt=(0.5, -1.0, 0.25))
+@example(center=(0.3, -0.2), amp=0.1, power=0.5, tilt=(0.0, 0.0, 0.0))
+def test_certified_pass_equals_qhull_pass(solved_disk2, center, amp, power, tilt):
+    # a small convex perturbation amp |x - center|^(2 power) + affine of the
+    # solved heights; when the solved triangulation certifies itself on
+    # them, its masses are Qhull's
+    sites, interior, rep, hull = solved_disk2
+    r2 = np.sum((sites - np.array(center)) ** 2, axis=1)
+    heights = rep.grid.values + amp * r2**power + tilt[0] + sites @ np.array(tilt[1:])
+    carried = solver._mass_pass(sites, heights, interior, hull.topo)
+    fresh = solver._mass_pass(sites, heights, interior)
+    assert fresh.normals is not None
+    if amp == 0.0:  # an affine change keeps the triangulation
+        assert carried.normals is None
+    if carried.normals is None:
+        assert carried.topo is hull.topo
+        rel = np.abs(carried.areas[interior] - fresh.areas[interior]) / fresh.areas[interior]
+        assert rel.max() <= 1e-12
+    else:
+        assert np.array_equal(carried.areas, fresh.areas)
+
+
+def test_certificate_rejects_a_dropped_vertex(solved_disk2):
+    sites, interior, rep, hull = solved_disk2
+    i = int(np.flatnonzero(interior)[len(np.flatnonzero(interior)) // 2])
+    heights = rep.grid.values.copy()
+    heights[i] += 1.0  # far above its neighbours: no longer a hull vertex
+    assert solver._certified_gradients(hull.topo, sites, heights) is None
+    lifted = solver._mass_pass(sites, heights, interior, hull.topo)
+    assert lifted.normals is not None and not lifted.topo.covers
+    assert lifted.areas[i] == 0.0
+    # and a triangulation that misses a site certifies nothing
+    assert solver._certified_gradients(lifted.topo, sites, rep.grid.values) is None
+
+
+def test_certificate_rejects_a_concave_edge(solved_disk2):
+    sites, interior, rep, hull = solved_disk2
+    heights = rep.grid.values
+    tris, face, opp = hull.topo.edges
+    lifted = np.column_stack([sites, heights])
+    a, b, c = (lifted[tris[:, k]] for k in range(3))
+    normal = np.cross(b - a, c - a)
+    # height of each opposite vertex above the plane of its edge's face
+    above = np.einsum("ij,ij->i", normal[face], lifted[opp] - a[face]) / normal[face, 2]
+    inner = interior[opp]
+    e = int(np.flatnonzero(inner)[np.argmin(above[inner])])
+    dented = heights.copy()
+    dented[opp[e]] -= 2.0 * above[e] + 1e-9  # a local dent below the face's plane
+    assert solver._certified_gradients(hull.topo, sites, dented) is None
+    fresh = solver._mass_pass(sites, dented, interior, hull.topo)
+    assert fresh.normals is not None and fresh.topo.covers
+
+
+def test_factorisation_failure_raises_no_convergence(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "splu", singular)
+    with pytest.raises(NoConvergence, match="step 0: sparse solve failed") as info:
+        solver.solve(unit_problem(0.25, rhs=grid.RhsField("degenerate", alpha=1 / 8)), tol=1e-8)
+    assert info.value.residual > 1e-8
