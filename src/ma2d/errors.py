@@ -30,11 +30,20 @@ class AlphaOutOfRange(ToolkitError):
 
 
 class NoConvergence(ToolkitError):
-    """The iterative solver did not meet its tolerance."""
+    """The iterative solver did not meet its tolerance.
 
-    def __init__(self, message, residual=None):
+    Besides the residual of the heights it reached, it carries the solve's
+    work counters up to the failure, as ``SolveReport`` names them.
+    """
+
+    def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
+                 hull_builds=0, backtracks=0):
         super().__init__(message)
         self.residual = residual
+        self.newton_steps = newton_steps
+        self.mass_passes = mass_passes
+        self.hull_builds = hull_builds
+        self.backtracks = backtracks
 
 
 class InfeasibleBoundary(ToolkitError):

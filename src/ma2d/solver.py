@@ -28,6 +28,19 @@ symmetric-mode sparse LU.  The ``residual`` verifier goes through
 ma_measure's cells instead, which orders each cell's gradients by angle in
 gradient space and certifies convexity, and never calls the solve loop's
 mass pass.
+
+Before its mass pass, a line-search trial is put to the chord test.  When an
+interior site i and its two opposite lattice neighbours a = x_i + h d and
+b = x_i - h d, for d one of e1, e2, e1 + e2 and e1 - e2, have
+2 h_i >= h_a + h_b, the lifted point of i lies on or above the chord between
+those of a and b.  Every plane supporting the lift at i then supports it at
+a and b too, so the subgradient cell of i lies in a line and has no area,
+and the trial would fail the rule "every mass > 0" anyway.  It is halved
+with no mass pass and no hull.  The argument is exact when x_i is the
+midpoint of x_a and x_b.  Lattice nodes are rounded k h, so in floating
+point that can fail by an ulp, and the equality of the solves with and
+without the test is checked on the tests and a stress set, not proved.
+``solve_core`` takes arbitrary sites and runs no chord test.
 """
 from __future__ import annotations
 
@@ -119,8 +132,9 @@ class SolveReport:
     h: float
     alpha: float | None
     newton_steps: int  # accepted Newton steps
-    mass_passes: int   # the start pass and one per line-search trial
+    mass_passes: int   # the start pass and one per line-search trial that ran one
     hull_builds: int   # Qhull lower hulls built, the solved envelope's included
+    backtracks: int    # halved line-search trials, by the chord test or by their pass
 
     def to_json(self) -> str:
         return json.dumps(
@@ -318,6 +332,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         targets=problem.targets,
         tol=tol,
         max_iters=max_iters,
+        chords=_chords(gf),
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
@@ -337,6 +352,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         newton_steps=state.newton_steps,
         mass_passes=state.mass_passes,
         hull_builds=state.hull_builds,
+        backtracks=state.backtracks,
     )
 
 
@@ -344,13 +360,32 @@ def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters):
     """Scheme core on an arbitrary site set; returns (heights, iterations, residual).
 
     ``targets`` is aligned with sites (zeros on boundary), ``boundary_values``
-    with the boundary subset in site order.
+    with the boundary subset in site order.  The sites need not form a
+    lattice, so no trial is rejected by the chord test.
     """
-    state = _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters)
+    state = _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters,
+                         chords=_NO_CHORDS)
     return state.heights, state.iterations, state.residual()
 
 
-def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters):
+_NO_CHORDS = (np.zeros(0, dtype=np.int64),) * 3
+
+
+def _chords(gf: GridFunction):
+    """(centre, a, b) node indices of the chord test: per interior node x
+    and lattice direction d with both x + h d and x - h d on the lattice,
+    x and those two neighbours."""
+    interior = gf.interior_mask
+    triples = []
+    for d in ((1, 0), (0, 1), (1, 1), (1, -1)):  # e1, e2, e1 + e2, e1 - e2
+        a = gf.neighbor_ids(d)
+        b = gf.neighbor_ids((-d[0], -d[1]))
+        centre = np.flatnonzero(interior & (a >= 0) & (b >= 0))
+        triples.append((centre, a[centre], b[centre]))
+    return tuple(np.concatenate(part) for part in zip(*triples))
+
+
+def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords):
     """Run the solve; returns its converged ``_SolveState``."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
@@ -370,7 +405,7 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters):
             "boundary data lies strictly above its own convex envelope"
         )
 
-    state = _SolveState(sites, interior, targets, heights, max_iters)
+    state = _SolveState(sites, interior, targets, heights, max_iters, chords)
     _paraboloid_init(state, boundary_values)
     _newton_phase(state, tol)
     return state
@@ -395,28 +430,42 @@ def _paraboloid_init(state, boundary_values):
 
 
 class _SolveState:
-    def __init__(self, sites, interior, targets, heights, max_iters):
+    def __init__(self, sites, interior, targets, heights, max_iters, chords):
         self.sites = sites
         self.interior = interior
         self.targets = targets
         self.heights = heights
         self.max_iters = max_iters
+        self.chords = chords  # (centre, a, b) of the chord test
         self.iterations = 0
         self.newton_steps = 0
         self.mass_passes = 0
         self.hull_builds = 0
+        self.backtracks = 0
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
 
-    def mass_pass(self) -> _MassPass:
+    def mass_pass(self, carry=True) -> _MassPass:
         """Masses of the heights in place, on the topology of the latest pass
-        when it certifies itself, else on a new Qhull hull."""
-        topo = None if self.last is None else self.last.topo
+        when ``carry`` is set and it certifies itself, else on a new Qhull hull."""
+        topo = None if self.last is None or not carry else self.last.topo
         self.last = _mass_pass(self.sites, self.heights, self.interior, topo)
         self.mass_passes += 1
         self.hull_builds += self.last.normals is not None
         return self.last
+
+    def above_a_chord(self) -> bool:
+        """Some interior site lies on or above the chord of two opposite
+        lattice neighbours, 2 h_i >= h_a + h_b, so its cell has no area."""
+        centre, a, b = self.chords
+        h = self.heights
+        return bool(np.any(2.0 * h[centre] >= h[a] + h[b]))
+
+    def no_convergence(self, message, residual) -> NoConvergence:
+        return NoConvergence(message, residual=residual, newton_steps=self.newton_steps,
+                             mass_passes=self.mass_passes, hull_builds=self.hull_builds,
+                             backtracks=self.backtracks)
 
     def residual(self) -> float:
         masses = self.last.areas
@@ -425,24 +474,28 @@ class _SolveState:
     def charge(self, count):
         self.iterations += int(count)
         if self.iterations > self.max_iters:
-            raise NoConvergence("update budget exhausted", residual=self.residual())
+            raise self.no_convergence("update budget exhausted", self.residual())
 
 
 def _newton_phase(state, tol) -> None:
     """Damped Newton on the mass map until the max relative residual is <= tol.
 
-    Steps are halved until every interior mass stays positive and the l2
-    residual drops (the usual guarded-Newton recipe for prescribed-cell-area
-    problems).  The accepted trial's pass gives the next step its masses and
-    Jacobian.  Each trial costs one mass pass, and a Qhull build only when
-    the latest pass's triangulation fails its certificate on the trial
-    heights.  Any other exit raises NoConvergence with the residual of the
-    heights left in place.
+    Steps are halved, at most 24 times, until every interior mass stays
+    positive and the l2 residual drops (the usual guarded-Newton recipe for
+    prescribed-cell-area problems).  The accepted trial's pass gives the next
+    step its masses and Jacobian.  A trial that fails the chord test (module
+    docstring) is halved at once.  Any other trial costs one mass pass, with
+    a Qhull build when the latest pass's triangulation fails its certificate
+    on the trial heights or when the trial before failed the chord test.  The
+    skipped pass would have built a hull without the lifted site, which
+    certifies nothing, so building afresh keeps the results those of a solve
+    without the test.  Any other exit raises NoConvergence with the residual
+    of the heights left in place and the work counters so far.
     """
     int_ids, tgt = state.int_ids, state.tgt
 
     def stop(reason):
-        return NoConvergence(f"Newton {reason}, residual {resid:.3e}", residual=resid)
+        return state.no_convergence(f"Newton {reason}, residual {resid:.3e}", resid)
 
     current = state.mass_pass()
     for it in range(80):
@@ -465,17 +518,23 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: step is not finite")
         step = 1.0
         base = state.heights[int_ids].copy()
+        carry = True  # False after a chord rejection; see the docstring
         for _ in range(24):
             state.heights[int_ids] = base + step * delta
-            trial = state.mass_pass().areas
-            trial_l2 = float(np.linalg.norm((trial[int_ids] - tgt) / tgt))
-            if (
-                np.all(trial[int_ids] > 0.0)
-                and np.isfinite(trial_l2)
-                and trial_l2 < l2 * (1.0 - 1e-4 * step)
-            ):
-                break
+            if state.above_a_chord():
+                carry = False
+            else:
+                trial = state.mass_pass(carry).areas
+                carry = True
+                trial_l2 = float(np.linalg.norm((trial[int_ids] - tgt) / tgt))
+                if (
+                    np.all(trial[int_ids] > 0.0)
+                    and np.isfinite(trial_l2)
+                    and trial_l2 < l2 * (1.0 - 1e-4 * step)
+                ):
+                    break
             step *= 0.5
+            state.backtracks += 1
         else:
             # back to the step's start; its pass replaces the last rejected trial's
             state.heights[int_ids] = base

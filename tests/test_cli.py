@@ -118,8 +118,10 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "newton_steps": rep.newton_steps,
         "mass_passes": rep.mass_passes,
         "hull_builds": rep.hull_builds,
+        "backtracks": rep.backtracks,
     }
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
+    assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
     assert 1 <= rep.hull_builds <= rep.mass_passes + 1
 
 

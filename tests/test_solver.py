@@ -87,6 +87,22 @@ def test_newton_failure_raises_with_its_residual():
         solver.solve(prob, tol=1e-20)
     assert info.value.residual <= 1e-9
     assert "Newton" in str(info.value)
+    # the work counters up to the failure; the last line search halved 24 times
+    err = info.value
+    assert "line search found no descent" in str(err)
+    assert err.newton_steps > 0 and err.backtracks >= 24
+    assert err.newton_steps + 1 <= err.mass_passes <= err.newton_steps + 1 + err.backtracks
+    assert 1 <= err.hull_builds <= err.mass_passes
+
+
+def test_budget_exhaustion_carries_the_work_counters():
+    bump = lambda p: quadratic(p) + 0.05 * (1 + np.sin(3 * p[:, 0]) * np.cos(p[:, 1]))
+    with pytest.raises(NoConvergence, match="update budget exhausted") as info:
+        solver.solve(unit_problem(0.25, boundary=bump), tol=1e-12, max_iters=1)
+    err = info.value  # the first step is charged, and its full step accepted
+    assert (err.newton_steps, err.mass_passes, err.backtracks) == (1, 2, 0)
+    assert 1 <= err.hull_builds <= err.mass_passes
+    assert err.residual > 1e-12
 
 
 def test_build_problem_boundary_evaluation():
@@ -196,8 +212,10 @@ def test_one_hull_per_trial(case, monkeypatch):
     assert rep.iterations == rep.newton_steps * int(prob.interior.sum())
     if case == "bump":  # full steps only: the start's pass and one per step
         assert rep.mass_passes == rep.newton_steps + 1
-    else:  # some steps were halved, each halving one more trial
-        assert rep.mass_passes > rep.newton_steps + 1
+        assert rep.backtracks == 0
+    else:  # some steps were halved, and the chord test spared some passes
+        assert rep.backtracks > 0
+        assert rep.mass_passes < rep.newton_steps + 1 + rep.backtracks
     assert rep.hull_builds <= rep.mass_passes + 1
     ref = solver.lower_envelope(prob.grid.nodes, rep.grid.values)
     for name in ("sites", "heights", "triangulation", "gradients", "offsets", "active"):
@@ -291,3 +309,97 @@ def test_factorisation_failure_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="step 0: sparse solve failed") as info:
         solver.solve(unit_problem(0.25, rhs=grid.RhsField("degenerate", alpha=1 / 8)), tol=1e-8)
     assert info.value.residual > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the chord test, which rejects a trial before its mass pass
+# ---------------------------------------------------------------------------
+
+def _lattice(disk, h):
+    dom = grid.Domain2D.disk(1.0) if disk else grid.Domain2D.square(1.0)
+    return grid.sample(lambda p: np.zeros(len(p)), dom, h)
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_chords_are_opposite_lattice_neighbours(disk):
+    gf = _lattice(disk, 0.25)
+    centre, a, b = solver._chords(gf)
+    k = gf.lattice_indices
+    assert gf.interior_mask[centre].all()
+    assert np.array_equal(k[a] - k[centre], k[centre] - k[b])
+    steps = {tuple(d) for d in k[a] - k[centre]}
+    assert steps == {(1, 0), (0, 1), (1, 1), (1, -1)}
+    # every interior node and direction whose two neighbours exist, once
+    expected = sum(
+        int(np.sum(gf.interior_mask & (gf.neighbor_ids(d) >= 0)
+                   & (gf.neighbor_ids((-d[0], -d[1])) >= 0)))
+        for d in steps
+    )
+    assert len(centre) == len(set(zip(centre.tolist(), a.tolist()))) == expected
+    if not disk:  # every interior node of the square has all 8 neighbours
+        assert expected == 4 * int(gf.interior_mask.sum())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    disk=st.booleans(),
+    h=st.sampled_from([0.25, 0.2, 0.125, 0.1]),
+    curvature=st.floats(0.1, 3.0),
+    tilt=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    noise=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+    ties=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(disk=False, h=0.1, curvature=1.0, tilt=(0.0, 0.0, 0.0), noise=0.0, ties=1, seed=0)
+@example(disk=True, h=0.2, curvature=0.5, tilt=(0.3, -1.0, 0.5), noise=0.0, ties=0, seed=1)
+def test_chord_test_fires_only_on_a_cell_without_area(disk, h, curvature, tilt, noise, ties,
+                                                      seed):
+    # a convex quadratic plus noise at the scale of its second differences,
+    # with exact ties 2 h_i == h_a + h_b on some chords; whenever the test
+    # fires, a fresh Qhull pass finds an interior cell without area
+    gf = _lattice(disk, h)
+    sites, interior = gf.nodes, gf.interior_mask
+    chords = solver._chords(gf)
+    centre, a, b = chords
+    rng = np.random.default_rng(seed)
+    heights = 0.5 * curvature * np.sum(sites**2, axis=1) + tilt[0] + sites @ np.array(tilt[1:])
+    heights += noise * curvature * h * h * rng.standard_normal(len(sites))
+    for j in rng.choice(len(centre), size=ties, replace=False):
+        heights[centre[j]] = 0.5 * (heights[a[j]] + heights[b[j]])
+    state = solver._SolveState(sites, interior, np.zeros(len(sites)), heights, 0, chords)
+    fired = state.above_a_chord()
+    if ties:  # the last tie set still holds
+        assert fired
+    elif noise == 0.0:  # strictly convex: every site lies below every chord
+        assert not fired
+    if fired:
+        areas = solver._mass_pass(sites, heights, interior).areas
+        assert np.any(areas[interior] <= 0.0)
+
+
+def test_chord_test_spares_only_rejected_passes(monkeypatch):
+    # the degenerate solve, once with a shadow pass on every trial the chord
+    # test rejects, and once with the test off: same steps, same heights
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    above_a_chord = solver._SolveState.above_a_chord
+    least = []
+
+    def shadowed(state):
+        fired = above_a_chord(state)
+        if fired:
+            areas = solver._mass_pass(state.sites, state.heights, state.interior).areas
+            least.append(areas[state.int_ids].min())
+        return fired
+
+    monkeypatch.setattr(solver._SolveState, "above_a_chord", shadowed)
+    rep = solver.solve(prob, tol=1e-6)
+    assert least and max(least) <= 0.0
+    # each halving was a chord rejection or a pass that ran and failed
+    assert len(least) + rep.mass_passes == rep.newton_steps + 1 + rep.backtracks
+
+    monkeypatch.setattr(solver._SolveState, "above_a_chord", lambda state: False)
+    ref = solver.solve(prob, tol=1e-6)
+    assert np.array_equal(rep.grid.values, ref.grid.values)
+    assert (rep.newton_steps, rep.backtracks) == (ref.newton_steps, ref.backtracks)
+    assert ref.mass_passes == ref.newton_steps + 1 + ref.backtracks > rep.mass_passes
