@@ -25,14 +25,14 @@ class GrowthFit:
 
 
 def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
-                    slope_theory: float | None = None, n_angles: int = 256,
-                    drop_first: bool = True, recenter: bool = False) -> GrowthFit:
+                    slope_theory: float | None = None, recenter: bool = False) -> GrowthFit:
     """Fit the polynomial growth rate of an evaluable convex function.
 
-    Values are sampled on geometric circles with n_angles points each; the
-    smallest circle is dropped from the fit (additive-constant contamination
-    is largest there).  ``recenter`` shifts to the argmin and subtracts the
-    minimum first, making the fit exactly invariant under added affine terms.
+    Values are sampled on geometric circles with 256 points each; beyond four
+    circles the smallest is dropped from the fit (additive-constant
+    contamination is largest there).  ``recenter`` shifts to the argmin and
+    subtracts the minimum first, making the fit exactly invariant under added
+    affine terms.
     """
     if not (np.isfinite(r_min) and np.isfinite(r_max)) or r_min <= 0 or r_max <= r_min:
         raise DomainTooSmall("need 0 < r_min < r_max")
@@ -53,7 +53,7 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
         fn = lambda pts: np.asarray(v(pts + x_star)) - v_star
 
     radii = np.geomspace(r_min, r_max, n_circles)
-    theta = 2 * np.pi * np.arange(n_angles) / n_angles
+    theta = 2 * np.pi * np.arange(256) / 256
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     mins = np.empty(n_circles)
     maxs = np.empty(n_circles)
@@ -64,13 +64,12 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
             raise DomainTooSmall(f"nonpositive values on circle r={r}")
         mins[i], maxs[i] = vals.min(), vals.max()
         logs.append(np.log(vals))
-    use = slice(1, None) if drop_first and n_circles > 4 else slice(None)
-    x = np.repeat(np.log(radii[use]), n_angles)
+    use = slice(1, None) if n_circles > 4 else slice(None)
+    x = np.repeat(np.log(radii[use]), len(theta))
     y = np.concatenate(logs[use])
     slope, intercept = np.polyfit(x, y, 1)
 
     theory = slope_theory if slope_theory is not None else float(slope)
-    top = radii[-3:]
     scaled = []
     for r, lo, hi in zip(radii[-3:], mins[-3:], maxs[-3:]):
         scaled.extend([lo * r ** (-theory), hi * r ** (-theory)])
@@ -122,7 +121,7 @@ class CascadeSeries:
     slope: float
 
 
-def eccentricity_cascade(v, x0, p, levels, **section_kwargs) -> CascadeSeries:
+def eccentricity_cascade(v, x0, p, levels) -> CascadeSeries:
     """Per-level section -> John fit -> |A|, plus the slope of log|A| vs log t."""
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0) or np.any(np.diff(levels) <= 0):
@@ -130,7 +129,7 @@ def eccentricity_cascade(v, x0, p, levels, **section_kwargs) -> CascadeSeries:
     fits = []
     norms = np.empty(len(levels))
     for i, t in enumerate(levels):
-        sec = extract_section(v, x0, p, float(t), **section_kwargs)
+        sec = extract_section(v, x0, p, float(t))
         fit = john_ellipsoid(sec.polygon)
         fits.append(fit)
         norms[i] = eccentricity(fit)

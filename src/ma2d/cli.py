@@ -42,6 +42,8 @@ RHS_KINDS = ("constant", "dual_translator", "degenerate")
 
 DOMAINS = ("disk", "square")
 
+MAX_CIRCLES = 4096  # growth samples 256 points on each circle, 2^20 in all
+
 
 @dataclass
 class ExperimentConfig:
@@ -93,8 +95,8 @@ class ExperimentConfig:
                 bad.append(f"/h: {exc}")
         if not 0 < self.rmin < self.rmax:
             bad.append("/rmin: need 0 < rmin < rmax")
-        if self.n_circles < 4:
-            bad.append("/n_circles: need at least 4")
+        if not 4 <= self.n_circles <= MAX_CIRCLES:
+            bad.append(f"/n_circles: need at least 4 and at most {MAX_CIRCLES}")
         if len(self.levels) < 2 or any(t <= 0 for t in self.levels) or any(
             b <= a for a, b in zip(self.levels, self.levels[1:])
         ):
@@ -542,22 +544,18 @@ def _atomic_write(path, text):
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
+    """``--config`` and one flag per config field but ``experiment``:
+    ``--n-circles`` sets ``n_circles``, and a list field takes one or more
+    values."""
     p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--rhs", default=None)
-    p.add_argument("--source", default=None)
-    p.add_argument("--domain", default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--rmin", type=float, default=None)
-    p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--n-circles", type=int, default=None, dest="n_circles")
-    p.add_argument("--levels", type=float, nargs="+", default=None)
-    p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--outdir", default=None)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        if name == "experiment":
+            continue
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        kind = args[0] if args else hint  # X | None and list[X] take X
+        nargs = "+" if typing.get_origin(hint) is list else None
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, nargs=nargs,
+                       default=None)
 
 
 def main(argv=None) -> int:

@@ -291,14 +291,14 @@ def weighted_mass(cells, weight, order: int = 4) -> np.ndarray:
     return out
 
 
-def gauss_map_mass(cells, order: int = 4) -> float:
+def gauss_map_mass(cells) -> float:
     """Spherical area of the Gauss image over the cells' sites.
 
     The lower-hemisphere pullback of surface measure along y -> (y, -1)/sqrt(1+|y|^2)
     has Jacobian (1 + |y|^2)^(-3/2).
     """
     w = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (-1.5)
-    return float(weighted_mass(cells, w, order=order).sum())
+    return float(weighted_mass(cells, w).sum())
 
 
 def site_weighted_mass(f: PLConvexFunction, cells, weight) -> float:
@@ -389,21 +389,12 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     )
 
 
-def is_convex_grid(values_nodes, nodes=None, tol: float = 1e-9) -> bool:
-    """Whether grid samples coincide with their own lower convex envelope.
-
-    Accepts either a GridFunction or (values, nodes) arrays.
-    """
-    if nodes is None:
-        gf = values_nodes
-        nodes, values = gf.nodes, gf.values
-    else:
-        values = np.asarray(values_nodes, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
-    env = lower_envelope(nodes, values)
-    gap = values - env(nodes)
-    scale = max(1.0, float(np.abs(values).max()))
-    return bool(np.max(np.abs(gap)) <= tol * scale)
+def is_convex_grid(gf) -> bool:
+    """Whether a GridFunction coincides with its own lower convex envelope,
+    to 1e-9 relative to its largest value (or absolute below 1)."""
+    gap = gf.values - lower_envelope(gf.nodes, gf.values)(gf.nodes)
+    scale = max(1.0, float(np.abs(gf.values).max()))
+    return bool(np.max(np.abs(gap)) <= 1e-9 * scale)
 
 
 def cells_to_csv(cells, path) -> None:

@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DomainTooSmall
 from .grid import check_alpha
 
 _TABLE_RMIN = 1e-6
@@ -127,12 +128,15 @@ class RadialProfile:
         return half * np.add.accumulate(vals, axis=0, out=vals)[-1]
 
     def value(self, r) -> np.ndarray:
-        """v(r) = integral of the slope from 0, vectorized over radii."""
+        """v(r) = integral of the slope from 0, vectorized over radii; raises
+        DomainTooSmall beyond r = 4000, where the table ends."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
         if np.any(r > _TABLE_RMAX):
-            raise ValueError(f"radius beyond table range {_TABLE_RMAX}")
+            raise DomainTooSmall(
+                f"radius {r.max():.6g} beyond the oracle's table range {_TABLE_RMAX:g}"
+            )
         knots, cum = self._table
         idx = np.searchsorted(knots, r, side="right") - 1
         return cum[idx] + self._panel_integrals(knots[idx], r)

@@ -47,12 +47,12 @@ class Section:
     def area(self) -> float:
         return polygon_area(self.polygon)
 
-    def mass(self, density, order: int = 4) -> float:
+    def mass(self, density) -> float:
         """Integral of a density over the section polygon."""
-        return polygon_quadrature(self.polygon, density, order=order)
+        return polygon_quadrature(self.polygon, density, order=4)
 
 
-def extract_section(v, x0, p, t, n_dirs: int = 512, r_max: float = 1e9) -> Section:
+def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:
     """Section polygon of v at height t above the supporting plane at x0.
 
     ``v`` may be a GridFunction (marching squares on lattice edges), a
@@ -60,8 +60,8 @@ def extract_section(v, x0, p, t, n_dirs: int = 512, r_max: float = 1e9) -> Secti
     along ``n_dirs`` rays by batched bisection (see the module docstring):
     about 50 calls of ``v``, each on the rays still open, for radii to
     1e-13 + 1e-14 r.  Raises SectionNotCompact when a ray's radius passes
-    ``r_max`` (or after 80 doublings), naming the lowest-index such direction,
-    and NonfiniteValue when ``v`` is NaN or infinite at a traced point.
+    1e9, naming the lowest-index such direction, and NonfiniteValue when
+    ``v`` is NaN or infinite at a traced point.
     """
     if t <= 0:
         raise ValueError("section height t must be positive")
@@ -70,13 +70,14 @@ def extract_section(v, x0, p, t, n_dirs: int = 512, r_max: float = 1e9) -> Secti
     if isinstance(v, GridFunction):
         return _section_from_grid(v, x0, p, t)
     # PLConvexFunction instances evaluate as max-affine callables
-    return _section_from_callable(v, x0, p, t, n_dirs=n_dirs, r_max=r_max)
+    return _section_from_callable(v, x0, p, t, n_dirs=n_dirs)
 
 
 _XTOL, _RTOL = 1e-13, 1e-14  # bisection stops at hi - lo <= _XTOL + _RTOL * hi
+_R_MAX = 1e9  # a ray whose bracket passes this radius is unbounded
 
 
-def _section_from_callable(fn, x0, p, t, n_dirs: int, r_max: float) -> Section:
+def _section_from_callable(fn, x0, p, t, n_dirs: int) -> Section:
     v0 = float(np.asarray(fn(x0[None, :]), dtype=float)[0])
     if not np.isfinite(v0):
         raise NonfiniteValue(f"function value {v0} at the base point is not finite")
@@ -102,16 +103,14 @@ def _section_from_callable(fn, x0, p, t, n_dirs: int, r_max: float) -> Section:
     lo = np.zeros(n_dirs)
     hi = np.ones(n_dirs)
     rays = np.arange(n_dirs)
-    guard = 0
     while True:
         rays = rays[w(rays, hi[rays]) <= 0.0]
         if not rays.size:
             break
         lo[rays] = hi[rays]
         hi[rays] *= 2.0
-        guard += 1
-        # every open ray has the same hi, so the guard trips for all at once
-        if hi[rays[0]] > r_max or guard > 80:
+        # every open ray has the same hi, so the bound trips for all at once
+        if hi[rays[0]] > _R_MAX:
             raise SectionNotCompact(
                 f"level set is unbounded along direction {theta[rays[0]]:.3f}"
             )
@@ -195,7 +194,7 @@ class EllipsoidFit:
     k0: float = float("nan")  # measured balance constant
 
 
-def john_ellipsoid(polygon, tol: float = 1e-12) -> EllipsoidFit:
+def john_ellipsoid(polygon) -> EllipsoidFit:
     """Maximum-volume inscribed ellipse of a convex polygon.
 
     Solves max log det B over ellipses c + B(unit disk) subject to the edge
@@ -270,7 +269,7 @@ def john_ellipsoid(polygon, tol: float = 1e-12) -> EllipsoidFit:
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_j}],
         bounds=[(None, None), (None, None), (1e-12, None), (None, None), (1e-12, None)],
-        options={"maxiter": 400, "ftol": tol},
+        options={"maxiter": 400, "ftol": 1e-12},
     )
     z = res.x
     c, L = unpack(z)
@@ -322,14 +321,14 @@ def balance_check(section: Section, fit: EllipsoidFit, r: float) -> float:
     return max(outer, inner)
 
 
-def section_balance(v, density, x0, p, t, order: int = 4, **kwargs):
+def section_balance(v, density, x0, p, t):
     """Convenience pipeline: section -> John fit -> balance constant.
 
     Returns (section, fit) with the fit's ``r`` and ``k0`` fields filled.
     """
-    sec = extract_section(v, x0, p, t, **kwargs)
+    sec = extract_section(v, x0, p, t)
     fit = john_ellipsoid(sec.polygon)
-    mass = sec.mass(density, order=order)
+    mass = sec.mass(density)
     r = caffarelli_radius(t, mass)
     k0 = balance_check(sec, fit, r)
     return sec, replace(fit, r=r, k0=k0)

@@ -40,7 +40,6 @@ with no mass pass and no hull.  The argument is exact when x_i is the
 midpoint of x_a and x_b.  Lattice nodes are rounded k h, so in floating
 point that can fail by an ulp, and the equality of the solves with and
 without the test is checked on the tests and a stress set, not proved.
-``solve_core`` takes arbitrary sites and runs no chord test.
 """
 from __future__ import annotations
 
@@ -343,7 +342,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         tris, normals = state.last.topo.tris, state.last.normals
     pl = _envelope(gf.nodes, heights, tris, normals)
     return SolveReport(
-        iterations=state.iterations,
+        iterations=state.newton_steps * len(state.int_ids),  # site updates
         max_residual=state.residual(),
         function=pl,
         grid=out,
@@ -354,21 +353,6 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         hull_builds=state.hull_builds,
         backtracks=state.backtracks,
     )
-
-
-def solve_core(sites, is_interior, boundary_values, targets, tol, max_iters):
-    """Scheme core on an arbitrary site set; returns (heights, iterations, residual).
-
-    ``targets`` is aligned with sites (zeros on boundary), ``boundary_values``
-    with the boundary subset in site order.  The sites need not form a
-    lattice, so no trial is rejected by the chord test.
-    """
-    state = _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters,
-                         chords=_NO_CHORDS)
-    return state.heights, state.iterations, state.residual()
-
-
-_NO_CHORDS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 def _chords(gf: GridFunction):
@@ -386,7 +370,8 @@ def _chords(gf: GridFunction):
 
 
 def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords):
-    """Run the solve; returns its converged ``_SolveState``."""
+    """Run the solve; returns its converged ``_SolveState``.  ``targets`` is
+    aligned with the sites, ``boundary_values`` with the boundary sites."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
     sites = np.asarray(sites, dtype=float)
@@ -437,7 +422,6 @@ class _SolveState:
         self.heights = heights
         self.max_iters = max_iters
         self.chords = chords  # (centre, a, b) of the chord test
-        self.iterations = 0
         self.newton_steps = 0
         self.mass_passes = 0
         self.hull_builds = 0
@@ -470,11 +454,6 @@ class _SolveState:
     def residual(self) -> float:
         masses = self.last.areas
         return float(np.max(np.abs(masses[self.int_ids] - self.tgt) / self.tgt))
-
-    def charge(self, count):
-        self.iterations += int(count)
-        if self.iterations > self.max_iters:
-            raise self.no_convergence("update budget exhausted", self.residual())
 
 
 def _newton_phase(state, tol) -> None:
@@ -542,7 +521,8 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: line search found no descent")
         current = state.last
         state.newton_steps += 1
-        state.charge(len(int_ids))
+        if state.newton_steps * len(int_ids) > state.max_iters:
+            raise state.no_convergence("update budget exhausted", state.residual())
     resid = state.residual()
     if resid > tol:
         raise stop("did not converge in 80 steps")

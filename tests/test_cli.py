@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -199,6 +200,38 @@ def test_config_wrong_json_type_exit_2(tmp_path, capsys, fields, path):
     assert cli.main([command, "--config", cfg, "--outdir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(path + ":") and "Traceback" not in err
+
+
+def test_n_circles_bounded(tmp_path):
+    # checked on the config, so the run exits 2 before allocating any circle
+    path = write_config(tmp_path, experiment="growth", n_circles=10**9)
+    assert any(v.startswith("/n_circles") for v in cli.validate_config(path))
+    assert cli.main(["growth", "--n-circles", str(10**9), "--outdir", str(tmp_path)]) == 2
+    path = write_config(tmp_path, experiment="growth", n_circles=cli.MAX_CIRCLES)
+    assert cli.validate_config(path) == []
+    assert load_schema()["properties"]["n_circles"]["maximum"] == cli.MAX_CIRCLES
+
+
+def test_every_config_field_has_a_flag(tmp_path):
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    fields = set(cli.ExperimentConfig.__dataclass_fields__) - {"experiment"}
+    assert set(vars(parser.parse_args([]))) == fields | {"config"}
+    args = parser.parse_args(["--n-circles", "7", "--levels", "1", "2", "--seed", "3"])
+    assert (args.n_circles, args.levels, args.seed) == (7, [1.0, 2.0], 3)
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--identity-tolerance", "0.5", "--outdir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["identity_tolerance"] == 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    "growth --rmax 5000", "oracle --rmax 5000", "sections --source oracle-dual --levels 1e20 2e20",
+])
+def test_beyond_the_oracle_table_exits_3(tmp_path, capsys, argv):
+    assert cli.main(argv.split() + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DomainTooSmall:") and "Traceback" not in err
 
 
 def test_verdict_failure_exit_code(tmp_path):

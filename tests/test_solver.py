@@ -145,17 +145,12 @@ def test_affine_covariance():
     prob = unit_problem(0.25)
     rep = solver.solve(prob, tol=1e-10)
     A = np.array([[1.0, 0.6], [0.0, 1.0]])
-    sheared_sites = prob.grid.nodes @ A.T
-    heights, _, resid = solver.solve_core(
-        sites=sheared_sites,
-        is_interior=prob.interior,
-        boundary_values=prob.boundary_values,
-        targets=prob.targets,
-        tol=1e-10,
-        max_iters=10**6,
-    )
-    assert resid <= 1e-10
-    assert np.max(np.abs(heights - rep.grid.values)) < 1e-6
+    sheared = prob.grid.nodes @ A.T
+    # a linear map keeps each chord's centre at the midpoint of its ends
+    state = solver._solve_state(sheared, prob.interior, prob.boundary_values, prob.targets,
+                                1e-10, 10**6, solver._chords(prob.grid))
+    assert state.residual() <= 1e-10
+    assert np.max(np.abs(state.heights - rep.grid.values)) < 1e-6
 
 
 def test_refinement_radial_oracle(dual_profile_8):
