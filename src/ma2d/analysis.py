@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooSmall
+from .errors import DomainTooSmall, NonfiniteValue
 from .grid import check_alpha
 from .sections import eccentricity, extract_section, john_ellipsoid
 
@@ -59,7 +59,10 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
     maxs = np.empty(n_circles)
     logs = []
     for i, r in enumerate(radii):
-        vals = np.asarray(fn(r * unit), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            vals = np.asarray(fn(r * unit), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NonfiniteValue(f"non-finite values on circle r={r}")
         if np.any(vals <= 0):
             raise DomainTooSmall(f"nonpositive values on circle r={r}")
         mins[i], maxs[i] = vals.min(), vals.max()

@@ -37,13 +37,14 @@ class NoConvergence(ToolkitError):
     """
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, backtracks=0):
+                 hull_builds=0, backtracks=0, edge_flips=0):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
         self.mass_passes = mass_passes
         self.hull_builds = hull_builds
         self.backtracks = backtracks
+        self.edge_flips = edge_flips
 
 
 class InfeasibleBoundary(ToolkitError):

@@ -12,22 +12,38 @@ links.  When Newton stops short of the tolerance, the solve raises
 NoConvergence with the residual of the heights it reached; there is no
 second method to fall back on.
 
-Masses are a vectorized fan sum in planar face order over the lifted lower
-triangulation.  A mass pass (the start and each line-search trial) first
-asks whether the latest pass's triangulation is still the lower hull of the
-new heights.  It is when every site is a vertex and the lift is locally
-convex across every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
-the face gradients then come from vertex cross products, with no hull.
-Otherwise Qhull builds the hull (``ma_measure._lower_faces``) and a new
-topology, which holds all that depends on the triangulation alone: the
-angular incidence order and, built on first use, the interior edges of the
-test and the Jacobian's links.  The solved envelope reuses the last pass's Qhull hull,
-or is built once on the solved heights when that pass was certified.  The
-Newton system is symmetric positive definite and is factored by a
-symmetric-mode sparse LU.  The ``residual`` verifier goes through
-ma_measure's cells instead, which orders each cell's gradients by angle in
-gradient space and certifies convexity, and never calls the solve loop's
-mass pass.
+Masses are a vectorized fan sum over the lifted lower triangulation, held
+as a topology: its faces, ccw in the plane, and their edge pairing, from
+which the fans about each site and the Jacobian's links follow.  A mass pass
+(the start and each line-search trial) finds the lower hull of its heights
+in three ways, cheapest first:
+
+- certified as carried: the accepted pass's triangulation is still the lower
+  hull when every site is a vertex and the lift is locally convex across
+  every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
+- flipped: when it still covers every site but some edges are not locally
+  convex, rounds of Lawson flips repair it, each round flipping an
+  independent set of those edges, until every edge passes.  The predicate
+  that ends the loop is the certificate's, so a flipped triangulation
+  certifies itself.  The rounds stop at sqrt(F) for F faces: a flip can make
+  its neighbours fail in the next round, sqrt(F) rounds let such a cascade
+  cross the triangulation once, at about the cost of a Qhull build, and in
+  floating point a tied edge can flip back and forth;
+- built: when a site has left the hull (every failed edge is then blocked,
+  since a 2-2 flip keeps every vertex), when the rounds run out, and for the
+  start pass, Qhull builds the hull (``ma_measure._lower_faces``).
+
+The first two take their face gradients from vertex cross products, a built
+pass from Qhull's plane equations.  The predicate is the float test
+n . (P[v] - P[a]) >= 0; a lift that rounds negative fails it, so on exact
+ties the pass may flip, or build, where exact arithmetic would certify.
+The solved envelope reuses the last pass's Qhull hull, or is built once on
+the solved heights when that pass was certified or flipped, so it equals
+``lower_envelope`` of the solved heights.  The Newton system is symmetric
+positive definite and is factored by a symmetric-mode sparse LU.  The
+``residual`` verifier goes through ma_measure's cells instead, which builds
+its own Qhull hull, orders each cell's gradients by angle in gradient space
+and certifies convexity, and never calls the solve loop's mass pass.
 
 Before its mass pass, a line-search trial is put to the chord test.  When an
 interior site i and its two opposite lattice neighbours a = x_i + h d and
@@ -44,6 +60,7 @@ without the test is checked on the tests and a stress set, not proved.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,6 +151,7 @@ class SolveReport:
     mass_passes: int   # the start pass and one per line-search trial that ran one
     hull_builds: int   # Qhull lower hulls built, the solved envelope's included
     backtracks: int    # halved line-search trials, by the chord test or by their pass
+    edge_flips: int    # Lawson flips made, those of a repair that gave up included
 
     def to_json(self) -> str:
         return json.dumps(
@@ -153,78 +171,96 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Topology:
-    """The part of a mass pass that depends on the triangulation alone.
+    """A triangulation of the sites: its faces, ccw in the plane, and their
+    edge pairing.
 
-    The interior edges (for the certificate) and the Jacobian's links are
-    built on first use, since most passes of a hard solve need neither.
+    Side k of face f is the side opposite its vertex k, the half-edge
+    3 f + k; ``twin`` holds the half-edge 3 g + j when that side is side j of
+    face g, and -1 on the hull boundary.  The fans (for the masses) and the
+    Jacobian's links are built from the two on first use.
     """
 
     sites: np.ndarray
     interior: np.ndarray
-    tris: np.ndarray      # (F, 3) lower-face site triples, from _lower_faces
-    s_sorted: np.ndarray  # (site, face) incidences sorted by site, then angle
-    f_sorted: np.ndarray
-    nxt: np.ndarray       # next incidence around the same site
-    starts: np.ndarray    # first incidence of each vertex site
-
-    @property
-    def covers(self) -> bool:
-        """Every site is a vertex of the triangulation."""
-        return len(self.starts) == len(self.sites)
+    tris: np.ndarray  # (F, 3) faces, ccw in the plane
+    twin: np.ndarray  # (F, 3) half-edge across each side, or -1
 
     @cached_property
-    def edges(self):
-        """(ccw faces, face, opposite vertex): the faces oriented ccw in the
-        plane and, per interior edge, a face on one side of it and the
-        vertex opposite it on the other."""
-        ccw = _ccw(self.sites, self.tris)
-        # edge k of a face is the side opposite its vertex k; an interior
-        # edge is the side of two faces
-        lo = np.minimum(ccw[:, [1, 2, 0]], ccw[:, [2, 0, 1]]).ravel()
-        hi = np.maximum(ccw[:, [1, 2, 0]], ccw[:, [2, 0, 1]]).ravel()
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        twin = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
-        return ccw, order[twin] // 3, ccw.ravel()[order[twin + 1]]
+    def covers(self) -> bool:
+        """Every site is a vertex of the triangulation."""
+        return bool(np.all(np.bincount(self.tris.ravel(), minlength=len(self.sites))))
+
+    @cached_property
+    def fans(self):
+        """(site, face, next face, neighbour) per corner of a face at an
+        interior site v: for the face (v, p, q), the face across its side
+        (v, q), which follows it ccw about v, and q.  The corners of v close
+        its fan, and the cell edge between the gradients of the two faces is
+        dual to the lattice edge (v, q)."""
+        tris = self.tris
+        corner = np.flatnonzero(self.interior[tris.ravel()])
+        f, k = np.divmod(corner, 3)
+        across = self.twin[f, (k + 1) % 3]
+        keep = across >= 0
+        f, k = f[keep], k[keep]
+        return tris[f, k], f, across[keep] // 3, tris[f, (k + 2) % 3]
 
     @cached_property
     def links(self):
-        """(incidences, rows, cols, lengths) of the Jacobian: per incidence of
-        an interior site whose cell edge links it to a lattice neighbour, the
-        interior indices of the site and the neighbour (-1 on the boundary)
-        and the planar length of the link."""
-        sites, s_sorted, f_sorted, nxt = self.sites, self.s_sorted, self.f_sorted, self.nxt
-        # consecutive faces around a site share the lattice edge that
-        # generates the cell edge between their gradients
-        A = self.tris[f_sorted]
-        B = self.tris[f_sorted[nxt]]
-        match = (B[:, :, None] == A[:, None, :]).any(axis=2) & (B != s_sorted[:, None])
-        j_shared = B[np.arange(len(B)), np.argmax(match, axis=1)]
-        dist = np.hypot(
-            sites[j_shared, 0] - sites[s_sorted, 0],
-            sites[j_shared, 1] - sites[s_sorted, 1],
-        )
-        link = np.flatnonzero(match.any(axis=1) & (dist > 0) & self.interior[s_sorted])
-        idx_of = -np.ones(len(sites), dtype=np.int64)
+        """(rows, cols, lengths) of the Jacobian per fan corner: the interior
+        indices of the site and of the neighbour (-1 on the boundary) and the
+        planar length of the lattice edge between them."""
+        site, _, _, nbr = self.fans
+        idx_of = -np.ones(len(self.sites), dtype=np.int64)
         idx_of[self.interior] = np.arange(int(self.interior.sum()))
-        return link, idx_of[s_sorted[link]], idx_of[j_shared[link]], dist[link]
+        d = self.sites[nbr] - self.sites[site]
+        return idx_of[site], idx_of[nbr], np.hypot(d[:, 0], d[:, 1])
 
 
 def _topology(sites: np.ndarray, tris: np.ndarray, interior: np.ndarray) -> _Topology:
-    """The (site, face) incidences of ``tris`` in angular order about each site."""
-    f_ids = np.repeat(np.arange(len(tris)), 3)
-    s_ids = tris.ravel()
-    centroids = sites[tris].mean(axis=1)
-    vec = centroids[f_ids] - sites[s_ids]
-    ang = np.arctan2(vec[:, 1], vec[:, 0])
-    order = np.lexsort((ang, s_ids))
-    s_sorted = s_ids[order]
-    starts = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
-    ends = np.r_[starts[1:], len(s_sorted)]
-    nxt = np.arange(len(s_sorted)) + 1
-    nxt[ends - 1] = starts
-    return _Topology(sites=sites, interior=interior, tris=tris, s_sorted=s_sorted,
-                     f_sorted=f_ids[order], nxt=nxt, starts=starts)
+    """The topology of ``tris``: its faces turned ccw, and their edge pairing."""
+    tris = _ccw(sites, tris)
+    lo = np.minimum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
+    hi = np.maximum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
+    order = np.argsort(lo * len(sites) + hi, kind="stable")
+    lo, hi = lo[order], hi[order]
+    pair = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    twin = np.full(3 * len(tris), -1)
+    twin[order[pair]] = order[pair + 1]
+    twin[order[pair + 1]] = order[pair]
+    return _Topology(sites=sites, interior=interior, tris=tris, twin=twin.reshape(-1, 3))
+
+
+def _interior_half_edges(twin: np.ndarray) -> np.ndarray:
+    """Each interior edge once, as its lower half-edge, in ascending order."""
+    return np.flatnonzero(twin > np.arange(len(twin)))
+
+
+def _normals(lifted: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a) per lifted face (a, b, c); n_z > 0 when it is ccw in the plane."""
+    a = lifted[tris[:, 0]]
+    u = lifted[tris[:, 1]] - a
+    v = lifted[tris[:, 2]] - a
+    return np.column_stack([
+        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
+    ])
+
+
+def _edge_lifts(lifted, tris, normal, half, twin) -> np.ndarray:
+    """n . (P[v] - P[a]) per half-edge of ``half``: with the normal n of its
+    face (a, b, c) and the vertex v opposite it on the other side, the height
+    of v above the plane of the face, times twice the face's planar area."""
+    f = half // 3
+    d = lifted[tris.ravel()[twin[half]]] - lifted[tris[f, 0]]
+    n = normal[f]
+    return n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1] + n[:, 2] * d[:, 2]
+
+
+def _gradients(normal: np.ndarray) -> np.ndarray:
+    """Face gradients from face normals that point up (n_z > 0) or down."""
+    return -normal[:, :2] / normal[:, 2:3]
 
 
 def _certified_gradients(topo: _Topology, sites: np.ndarray, heights: np.ndarray):
@@ -236,24 +272,95 @@ def _certified_gradients(topo: _Topology, sites: np.ndarray, heights: np.ndarray
     normal n of the ccw face (a, b, c) (Edelsbrunner & Shah, Algorithmica
     1996).  A test that rounds negative, or is not finite, certifies nothing;
     so does a face of zero planar area (n_z = 0), which Qhull's ``Qt`` can
-    emit and whose gradient is undefined.
+    emit and whose gradient is undefined.  This is ``_flip_to_lower_hull``
+    with no round of flips.
     """
     if not topo.covers:
         return None
-    tris, f, opp = topo.edges
+    return _flip_to_lower_hull(topo, sites, heights, rounds=0)[1]
+
+
+def _flip_to_lower_hull(topo: _Topology, sites: np.ndarray, heights: np.ndarray, rounds: int):
+    """Certify ``topo``, which covers every site, as the lower hull of the
+    heights, or else repair it by at most ``rounds`` rounds of Lawson flips;
+    returns (topology, gradients, flips), with (None, None, flips) when the
+    repair gives up.  A topology that certifies as it is comes back itself.
+
+    The predicate is n . (P[v] - P[a]) >= 0 per interior edge, as the
+    certificate states it; an edge whose lift rounds negative, or is not
+    finite, fails it.  A round takes the failed edges and flips an
+    independent set of them (no two share a face): the edge (a, b) between
+    the ccw faces (a, b, c) and (b, a, d) becomes (c, d), and the faces
+    (c, a, d) and (d, b, c) take the two slots.  An edge whose new faces are
+    not both strictly ccw in the plane is blocked.  Only the edges of
+    rewritten faces and the failed edges left over are tested again, so when
+    a round finds no failed edge, every interior edge passed the predicate on
+    the faces it has now: the result certifies itself, with gradients from
+    the vertex cross products.  The repair gives up when every failed edge
+    is blocked (a site has left the lower hull, which a 2-2 flip cannot
+    mend) or when the rounds run out.
+    """
+    tris, twin = topo.tris, topo.twin
     lifted = np.column_stack([sites, heights])
-    a = lifted[tris[:, 0]]
-    u = lifted[tris[:, 1]] - a
-    v = lifted[tris[:, 2]] - a
-    normal = np.column_stack([
-        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
-        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
-        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
-    ])
-    lift = np.einsum("ij,ij->i", normal[f], lifted[opp] - a[f])
-    if not (np.all(lift >= 0.0) and np.all(normal[:, 2] > 0.0)):
-        return None
-    return -normal[:, :2] / normal[:, 2:3]
+    normal = _normals(lifted, tris)
+    if not np.all(normal[:, 2] > 0.0):  # a zero-area face from Qhull's Qt
+        return None, None, 0
+    n_faces = len(tris)
+    test = _interior_half_edges(twin.ravel())
+    flips = 0
+    for done in range(rounds + 1):
+        lift = _edge_lifts(lifted, tris, normal, test, twin.ravel())
+        failed = test[~(lift >= 0.0)]
+        if len(failed) == 0:
+            if flips:
+                topo = _Topology(sites=sites, interior=topo.interior, tris=tris, twin=twin)
+            return topo, _gradients(normal), flips
+        if done == rounds:
+            break
+        if not flips:  # the first flip: work on copies
+            tris, twin = tris.copy(), twin.copy()
+        twin_flat = twin.ravel()  # a view
+        f, k = np.divmod(failed, 3)
+        g, j = np.divmod(twin_flat[failed], 3)
+        c, a, b = tris[f, k], tris[f, (k + 1) % 3], tris[f, (k + 2) % 3]
+        d = tris[g, j]
+        new = np.concatenate([np.column_stack([c, a, d]), np.column_stack([d, b, c])])
+        n_new = _normals(lifted, new)
+        open_ = (n_new[:len(failed), 2] > 0.0) & (n_new[len(failed):, 2] > 0.0)
+        if not open_.any():
+            break
+        # an independent set: each face goes to the first open edge that has it
+        rank = np.where(open_, np.arange(len(failed)), len(failed))
+        owner = np.full(n_faces, len(failed))
+        np.minimum.at(owner, f, rank)
+        np.minimum.at(owner, g, rank)
+        sel = open_ & (owner[f] == rank) & (owner[g] == rank)
+        both = np.concatenate([sel, sel])
+        f, k, g, j = f[sel], k[sel], g[sel], j[sel]
+        # the four outer sides of each quad, and the half-edges they move to
+        outer = np.column_stack([3 * g + (j + 1) % 3, 3 * f + (k + 2) % 3,
+                                 3 * f + (k + 1) % 3, 3 * g + (j + 2) % 3])  # ad, ca, bc, db
+        moved = np.column_stack([3 * f, 3 * f + 2, 3 * g, 3 * g + 2])
+        across = twin_flat[outer]
+        new_of = np.arange(len(twin_flat))
+        new_of[outer] = moved
+        across = np.where(across >= 0, new_of[across], -1)
+        fg = np.concatenate([f, g])
+        tris[fg] = new[both]
+        normal[fg] = n_new[both]
+        twin[f] = np.column_stack([across[:, 0], 3 * g + 1, across[:, 1]])
+        twin[g] = np.column_stack([across[:, 2], 3 * f + 1, across[:, 3]])
+        inner = across >= 0
+        twin_flat[across[inner]] = moved[inner]
+        flips += len(f)
+        # the rewritten faces' edges, and the failed edges of untouched faces
+        touched = np.zeros(n_faces, dtype=bool)
+        touched[fg] = True
+        half = np.concatenate([(3 * fg[:, None] + np.arange(3)).ravel(),
+                               failed[~touched[failed // 3]]])
+        half = half[twin_flat[half] >= 0]
+        test = np.unique(np.minimum(half, twin_flat[half]))
+    return None, None, flips
 
 
 @dataclass(frozen=True)
@@ -261,9 +368,10 @@ class _MassPass:
     """The masses of one heights vector, summed on its lower-hull topology."""
 
     topo: _Topology
-    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None if certified
-    grads: np.ndarray           # (len(s_sorted), 2) face gradients in incidence order
+    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None if certified or flipped
+    grads: np.ndarray           # (F, 2) face gradients
     areas: np.ndarray           # (N,) cell areas, zero on boundary sites
+    flips: int                  # Lawson flips made, also by a repair that gave up
 
 
 def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
@@ -271,40 +379,41 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     """Subgradient-cell areas of every interior site.
 
     ``topo`` (that of an earlier pass) is reused when it certifies itself on
-    the heights; otherwise Qhull builds the lower hull and a new topology.
-    The cell polygon of a site is its incident face gradients in angular
-    order; the shoelace sum is evaluated for all sites at once.
+    the heights, or else repaired by Lawson flips when it covers every site;
+    when neither gives the lower hull, Qhull builds it and a new topology.
+    The cell polygon of a site is its incident face gradients in fan order;
+    the shoelace sum is evaluated for all sites at once.
     """
-    grads = None if topo is None else _certified_gradients(topo, sites, heights)
-    normals = None
+    grads, flips, normals = None, 0, None
+    if topo is not None and topo.covers:
+        rounds = math.isqrt(len(topo.tris))  # the round cap of the module docstring
+        topo, grads, flips = _flip_to_lower_hull(topo, sites, heights, rounds)
     if grads is None:
         tris, normals = _lower_faces(sites, heights)
         topo = _topology(sites, tris, interior)
-        grads = -normals[:, :2] / normals[:, 2:3]
-    g = grads[topo.f_sorted]
-    gn = g[topo.nxt]
+        grads = _gradients(normals)
+    site, face, nxt, _ = topo.fans
+    g, gn = grads[face], grads[nxt]
     cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
-    sums = np.add.reduceat(cross, topo.starts)
-
-    areas = np.zeros(len(sites))
-    areas[topo.s_sorted[topo.starts]] = 0.5 * np.abs(sums)
-    areas[~interior] = 0.0
-    return _MassPass(topo=topo, normals=normals, grads=g, areas=areas)
+    areas = 0.5 * np.abs(np.bincount(site, weights=cross, minlength=len(sites)))
+    return _MassPass(topo=topo, normals=normals, grads=grads, areas=areas, flips=flips)
 
 
 def _jacobian(hp: _MassPass, m: int):
     """Sparse derivative of the m interior masses with respect to interior
-    heights (power-diagram stiffness) on the topology of a pass."""
-    link, rows, cols, dist = hp.topo.links
-    g = hp.grads[link]
-    gn = hp.grads[hp.topo.nxt[link]]
+    heights (power-diagram stiffness) on the topology of a pass, in CSC."""
+    _, face, nxt, _ = hp.topo.fans
+    rows, cols, dist = hp.topo.links
+    g, gn = hp.grads[face], hp.grads[nxt]
     w = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1]) / dist
     keep = w > 0
     off = keep & (cols >= 0)
-    J = sp.coo_matrix((w[off], (rows[off], cols[off])), shape=(m, m)).tocsr()
-    diag = np.zeros(m)
-    np.add.at(diag, rows[keep], -w[keep])
-    return J + sp.diags(diag)
+    diag = np.bincount(rows[keep], weights=-w[keep], minlength=m)
+    # a lattice edge links a site to a neighbour once, so no (row, col) repeats
+    ii = np.arange(m)
+    return sp.csc_matrix((np.concatenate([w[off], diag]),
+                          (np.concatenate([rows[off], ii]), np.concatenate([cols[off], ii]))),
+                         shape=(m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +430,8 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     of tol, with the residual of the heights it reached; raises
     InfeasibleBoundary when the boundary data admits no convex extension.
     The returned envelope is the one ``lower_envelope`` builds on the solved
-    heights, made from the last accepted pass's hull when Qhull built it.
+    heights, made from the last accepted pass's hull when Qhull built it and
+    built afresh when that pass was certified or flipped.
     """
     gf = problem.grid
     state = _solve_state(
@@ -352,6 +462,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         mass_passes=state.mass_passes,
         hull_builds=state.hull_builds,
         backtracks=state.backtracks,
+        edge_flips=state.edge_flips,
     )
 
 
@@ -426,17 +537,18 @@ class _SolveState:
         self.mass_passes = 0
         self.hull_builds = 0
         self.backtracks = 0
+        self.edge_flips = 0
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
 
-    def mass_pass(self, carry=True) -> _MassPass:
-        """Masses of the heights in place, on the topology of the latest pass
-        when ``carry`` is set and it certifies itself, else on a new Qhull hull."""
-        topo = None if self.last is None or not carry else self.last.topo
+    def mass_pass(self, topo=None) -> _MassPass:
+        """Masses of the heights in place, on ``topo`` when it certifies itself
+        or flips to the lower hull, else on a new Qhull hull."""
         self.last = _mass_pass(self.sites, self.heights, self.interior, topo)
         self.mass_passes += 1
         self.hull_builds += self.last.normals is not None
+        self.edge_flips += self.last.flips
         return self.last
 
     def above_a_chord(self) -> bool:
@@ -449,7 +561,7 @@ class _SolveState:
     def no_convergence(self, message, residual) -> NoConvergence:
         return NoConvergence(message, residual=residual, newton_steps=self.newton_steps,
                              mass_passes=self.mass_passes, hull_builds=self.hull_builds,
-                             backtracks=self.backtracks)
+                             backtracks=self.backtracks, edge_flips=self.edge_flips)
 
     def residual(self) -> float:
         masses = self.last.areas
@@ -463,13 +575,12 @@ def _newton_phase(state, tol) -> None:
     positive and the l2 residual drops (the usual guarded-Newton recipe for
     prescribed-cell-area problems).  The accepted trial's pass gives the next
     step its masses and Jacobian.  A trial that fails the chord test (module
-    docstring) is halved at once.  Any other trial costs one mass pass, with
-    a Qhull build when the latest pass's triangulation fails its certificate
-    on the trial heights or when the trial before failed the chord test.  The
-    skipped pass would have built a hull without the lifted site, which
-    certifies nothing, so building afresh keeps the results those of a solve
-    without the test.  Any other exit raises NoConvergence with the residual
-    of the heights left in place and the work counters so far.
+    docstring) is halved at once.  Any other trial costs one mass pass, which
+    starts from the accepted pass's triangulation: certified as carried,
+    flipped, or built by Qhull (module docstring).  That start is the same
+    whether or not the trials before it ran a pass, so a pass the chord test
+    skips changes no later pass.  Any other exit raises NoConvergence with the
+    residual of the heights left in place and the work counters so far.
     """
     int_ids, tgt = state.int_ids, state.tgt
 
@@ -489,7 +600,7 @@ def _newton_phase(state, tol) -> None:
         try:
             # -J is a symmetric, irreducibly diagonally dominant M-matrix, so
             # positive definite: diagonal pivots on a symmetric ordering are stable
-            delta = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            delta = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True}).solve(-F)
         except RuntimeError as exc:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
@@ -497,14 +608,10 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: step is not finite")
         step = 1.0
         base = state.heights[int_ids].copy()
-        carry = True  # False after a chord rejection; see the docstring
         for _ in range(24):
             state.heights[int_ids] = base + step * delta
-            if state.above_a_chord():
-                carry = False
-            else:
-                trial = state.mass_pass(carry).areas
-                carry = True
+            if not state.above_a_chord():
+                trial = state.mass_pass(current.topo).areas
                 trial_l2 = float(np.linalg.norm((trial[int_ids] - tgt) / tgt))
                 if (
                     np.all(trial[int_ids] > 0.0)

@@ -120,6 +120,7 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "mass_passes": rep.mass_passes,
         "hull_builds": rep.hull_builds,
         "backtracks": rep.backtracks,
+        "edge_flips": rep.edge_flips,
     }
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
     assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
@@ -232,6 +233,15 @@ def test_beyond_the_oracle_table_exits_3(tmp_path, capsys, argv):
     assert cli.main(argv.split() + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("DomainTooSmall:") and "Traceback" not in err
+
+
+def test_growth_overflow_exits_3(tmp_path, capsys):
+    # 0.5 r^2 overflows at r = 1e200; the fit must not turn it into a NaN slope
+    argv = ["growth", "--source", "quadratic", "--rmax", "1e200", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("NonfiniteValue:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verdict_failure_exit_code(tmp_path):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from ma2d import grid, oracle, solver
 from ma2d.errors import InfeasibleBoundary, NoConvergence
@@ -257,11 +261,12 @@ def test_certified_pass_equals_qhull_pass(solved_disk2, center, amp, power, tilt
     assert fresh.normals is not None
     if amp == 0.0:  # an affine change keeps the triangulation
         assert carried.normals is None
-    if carried.normals is None:
-        assert carried.topo is hull.topo
+    if carried.normals is None:  # certified as carried, or flipped: no hull
+        if carried.flips == 0:
+            assert carried.topo is hull.topo
         rel = np.abs(carried.areas[interior] - fresh.areas[interior]) / fresh.areas[interior]
         assert rel.max() <= 1e-12
-    else:
+    else:  # the repair gave up and Qhull built the pass
         assert np.array_equal(carried.areas, fresh.areas)
 
 
@@ -281,7 +286,9 @@ def test_certificate_rejects_a_dropped_vertex(solved_disk2):
 def test_certificate_rejects_a_concave_edge(solved_disk2):
     sites, interior, rep, hull = solved_disk2
     heights = rep.grid.values
-    tris, face, opp = hull.topo.edges
+    tris, twin = hull.topo.tris, hull.topo.twin.ravel()
+    half = np.flatnonzero(twin > np.arange(len(twin)))  # each interior edge once
+    face, opp = half // 3, tris.ravel()[twin[half]]
     lifted = np.column_stack([sites, heights])
     a, b, c = (lifted[tris[:, k]] for k in range(3))
     normal = np.cross(b - a, c - a)
@@ -292,8 +299,116 @@ def test_certificate_rejects_a_concave_edge(solved_disk2):
     dented = heights.copy()
     dented[opp[e]] -= 2.0 * above[e] + 1e-9  # a local dent below the face's plane
     assert solver._certified_gradients(hull.topo, sites, dented) is None
-    fresh = solver._mass_pass(sites, dented, interior, hull.topo)
-    assert fresh.normals is not None and fresh.topo.covers
+    # the pass flips the dent away, with no hull
+    repaired = solver._mass_pass(sites, dented, interior, hull.topo)
+    assert repaired.normals is None and repaired.flips >= 1
+    assert repaired.topo.covers
+    assert solver._certified_gradients(repaired.topo, sites, dented) is not None
+    fresh = solver._mass_pass(sites, dented, interior)
+    rel = np.abs(repaired.areas[interior] - fresh.areas[interior]) / fresh.areas[interior]
+    assert rel.max() <= 1e-12
+
+
+def test_flips_give_up_on_a_dropped_vertex(solved_disk2):
+    # a 2-2 flip keeps every vertex, so the edges about a site lifted off the
+    # hull end blocked: the repair gives up with rounds to spare
+    sites, interior, rep, hull = solved_disk2
+    i = int(np.flatnonzero(interior)[len(np.flatnonzero(interior)) // 2])
+    heights = rep.grid.values.copy()
+    heights[i] += 1.0
+    found, grads, flips = solver._flip_to_lower_hull(hull.topo, sites, heights,
+                                                     rounds=len(hull.topo.tris))
+    assert found is None and grads is None and flips < len(hull.topo.tris)
+
+
+def test_certificate_rejects_a_nonfinite_height(solved_disk2):
+    sites, interior, rep, hull = solved_disk2
+    heights = rep.grid.values.copy()
+    assert solver._certified_gradients(hull.topo, sites, heights) is not None
+    heights[int(np.flatnonzero(interior)[0])] = np.nan
+    assert solver._certified_gradients(hull.topo, sites, heights) is None
+
+
+def test_flips_replace_the_trial_hulls():
+    # the degenerate solve, whose every step the parent paid a hull for: only
+    # the start pass and the solved envelope build one
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    rep = solver.solve(prob, tol=1e-6)
+    assert rep.hull_builds == 2 and rep.edge_flips > 0
+    assert rep.mass_passes > rep.newton_steps > 20
+    with pytest.raises(NoConvergence, match="update budget exhausted") as info:
+        solver.solve(prob, tol=1e-6, max_iters=10 * int(prob.interior.sum()))
+    assert info.value.hull_builds == 1 and info.value.edge_flips > 0
+
+
+def test_flips_give_up_at_the_round_cap(solved_disk2, monkeypatch):
+    # with every edge failing, each round flips some and none ends the repair
+    sites, interior, rep, hull = solved_disk2
+    monkeypatch.setattr(solver, "_edge_lifts", lambda *args: -np.ones(len(args[3])))
+    capped = solver._mass_pass(sites, rep.grid.values, interior, hull.topo)
+    assert capped.normals is not None and capped.topo.covers
+    assert capped.flips >= math.isqrt(len(hull.topo.tris))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    disk=st.booleans(),
+    h=st.sampled_from([0.25, 0.125]),
+    curvature=st.sampled_from([0.5, 1.0, 3.0]),
+    tilt=st.tuples(st.sampled_from([0.0, 0.25, -1.5]), st.sampled_from([0.0, 0.5, -0.125])),
+    noise=st.sampled_from([0.0, 0.01, 0.1]),
+    share=st.sampled_from([0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(disk=False, h=0.125, curvature=1.0, tilt=(0.0, 0.0), noise=0.0, share=1.0, seed=0)
+@example(disk=True, h=0.25, curvature=3.0, tilt=(0.25, 0.5), noise=0.1, share=0.5, seed=1)
+def test_flipped_triangulation_is_the_lower_hull(disk, h, curvature, tilt, noise, share, seed):
+    # from Qhull's triangulation of an anisotropic quadratic, flip to a convex
+    # quadratic with noise on a share of the sites; at dyadic pitches and
+    # heights the lattice squares without noise are exactly cocircular, so
+    # their two diagonals tie exactly
+    gf = _lattice(disk, h)
+    sites, interior = gf.nodes, gf.interior_mask
+    start = solver._mass_pass(sites, sites[:, 0] ** 2 + 0.25 * sites[:, 1] ** 2, interior)
+    assert start.topo.covers
+    rng = np.random.default_rng(seed)
+    heights = 0.5 * curvature * np.sum(sites**2, axis=1) + sites @ np.array(tilt)
+    noisy = rng.random(len(sites)) < share
+    heights[noisy] += noise * curvature * h * h * rng.standard_normal(int(noisy.sum()))
+    repaired = solver._mass_pass(sites, heights, interior, start.topo)
+    assume(repaired.normals is None)  # a repair returned a triangulation
+    assert repaired.topo.covers
+    assert solver._certified_gradients(repaired.topo, sites, heights) is not None
+    fresh = solver._mass_pass(sites, heights, interior)
+    if solver._certified_gradients(fresh.topo, sites, heights) is not None:
+        rel = np.abs(repaired.areas[interior] - fresh.areas[interior]) / fresh.areas[interior]
+        assert rel.max() <= 1e-12
+
+
+def test_jacobian_is_the_coo_assembly(solved_disk2):
+    # one CSC build from the links and the diagonal is the matrix that COO,
+    # then CSR plus the diagonal, then CSC gave, and factors to the same bits
+    sites, interior, rep, hull = solved_disk2
+    m = int(interior.sum())
+    J = solver._jacobian(hull, m)
+    _, face, nxt, _ = hull.topo.fans
+    rows, cols, dist = hull.topo.links
+    g, gn = hull.grads[face], hull.grads[nxt]
+    w = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1]) / dist
+    keep = w > 0
+    off = keep & (cols >= 0)
+    diag = np.zeros(m)
+    np.add.at(diag, rows[keep], -w[keep])
+    ref = (sp.coo_matrix((w[off], (rows[off], cols[off])), shape=(m, m)).tocsr()
+           + sp.diags(diag)).tocsc()
+    assert J.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(J, name), getattr(ref, name)), name
+    b = hull.areas[interior] - solver.target_masses_on(rep.grid, grid.RhsField("constant"))[interior]
+    options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    assert np.array_equal(splu(J, **options).solve(b), splu(ref, **options).solve(b))
 
 
 def test_factorisation_failure_raises_no_convergence(monkeypatch):
