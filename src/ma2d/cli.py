@@ -237,6 +237,7 @@ def _count_solve(work: dict, report: solver.SolveReport) -> None:
         hull_builds=report.hull_builds,
         backtracks=report.backtracks,
         edge_flips=report.edge_flips,
+        residuals=list(report.residuals),
     )
 
 

@@ -33,11 +33,12 @@ class NoConvergence(ToolkitError):
     """The iterative solver did not meet its tolerance.
 
     Besides the residual of the heights it reached, it carries the solve's
-    work counters up to the failure, as ``SolveReport`` names them.
+    work counters and per-step residuals up to the failure, as
+    ``SolveReport`` names them.
     """
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, backtracks=0, edge_flips=0):
+                 hull_builds=0, backtracks=0, edge_flips=0, residuals=()):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
@@ -45,6 +46,7 @@ class NoConvergence(ToolkitError):
         self.hull_builds = hull_builds
         self.backtracks = backtracks
         self.edge_flips = edge_flips
+        self.residuals = residuals
 
 
 class InfeasibleBoundary(ToolkitError):

@@ -121,7 +121,10 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "hull_builds": rep.hull_builds,
         "backtracks": rep.backtracks,
         "edge_flips": rep.edge_flips,
+        "residuals": list(rep.residuals),
     }
+    assert len(rep.residuals) == rep.newton_steps + 1
+    assert rep.residuals[-1] == rep.max_residual
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
     assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
     assert 1 <= rep.hull_builds <= rep.mass_passes + 1

@@ -95,6 +95,7 @@ def test_newton_failure_raises_with_its_residual():
     err = info.value
     assert "line search found no descent" in str(err)
     assert err.newton_steps > 0 and err.backtracks >= 24
+    assert len(err.residuals) == err.newton_steps + 1 and err.residuals[-1] == err.residual
     assert err.newton_steps + 1 <= err.mass_passes <= err.newton_steps + 1 + err.backtracks
     assert 1 <= err.hull_builds <= err.mass_passes
 
@@ -105,6 +106,7 @@ def test_budget_exhaustion_carries_the_work_counters():
         solver.solve(unit_problem(0.25, boundary=bump), tol=1e-12, max_iters=1)
     err = info.value  # the first step is charged, and its full step accepted
     assert (err.newton_steps, err.mass_passes, err.backtracks) == (1, 2, 0)
+    assert len(err.residuals) == 2 and err.residuals[-1] == err.residual
     assert 1 <= err.hull_builds <= err.mass_passes
     assert err.residual > 1e-12
 
@@ -142,6 +144,32 @@ def test_mass_conservation():
     measured = solver.ma_measure(rep.function).masses[prob.interior]
     targets = prob.targets[prob.interior]
     assert abs(measured.sum() - targets.sum()) <= len(targets) * 1e-9 * targets.max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    disk=st.booleans(),
+    h=st.sampled_from([0.25, 0.2]),
+    dual=st.booleans(),
+    eigen=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+    angle=st.floats(0.0, math.pi),
+    tilt=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+@example(disk=True, h=0.2, dual=True, eigen=(0.25, 4.0), angle=0.5, tilt=(1.0, -1.0, 1.0))
+def test_random_convex_data_converges_and_conserves_mass(disk, h, dual, eigen, angle, tilt):
+    # boundary data: an SPD quadratic x.Ax/2 plus an affine tilt
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    A = rot @ np.diag(eigen) @ rot.T
+    boundary = lambda p: 0.5 * np.einsum("ij,jk,ik->i", p, A, p) + tilt[0] + p @ np.array(tilt[1:])
+    dom = grid.Domain2D.disk(1.0) if disk else grid.Domain2D.square(1.0)
+    rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0) if dual else None
+    prob = solver.build_problem(dom, h, rhs or grid.RhsField("constant"), boundary)
+    rep = solver.solve(prob, tol=1e-8)
+    assert rep.max_residual <= 1e-8
+    assert solver.residual(rep.function, prob) <= 1e-8
+    measured = solver.ma_measure(rep.function).masses[prob.interior]
+    targets = prob.targets[prob.interior]
+    assert abs(measured.sum() - targets.sum()) <= 1e-8 * targets.sum()
 
 
 def test_affine_covariance():
@@ -197,6 +225,14 @@ def test_one_hull_per_trial(case, monkeypatch):
 
     counted("_lower_faces")
     counted("splu")
+    chord = solver._SolveState.above_a_chord
+    rejected = []
+
+    def counted_chord(state):
+        rejected.append(chord(state))
+        return rejected[-1]
+
+    monkeypatch.setattr(solver._SolveState, "above_a_chord", counted_chord)
     if case == "bump":
         bump = lambda p: quadratic(p) + 0.05 * (1 + np.sin(3 * p[:, 0]) * np.cos(p[:, 1]))
         prob, tol = unit_problem(0.1, boundary=bump), 1e-9
@@ -209,9 +245,9 @@ def test_one_hull_per_trial(case, monkeypatch):
     assert calls["_lower_faces"] == rep.hull_builds >= 1
     assert calls["splu"] == rep.newton_steps > 0
     assert rep.iterations == rep.newton_steps * int(prob.interior.sum())
-    if case == "bump":  # full steps only: the start's pass and one per step
+    if case == "bump":  # every trial that ran a pass was accepted: the chord test halved the rest
         assert rep.mass_passes == rep.newton_steps + 1
-        assert rep.backtracks == 0
+        assert sum(rejected) == rep.backtracks
     else:  # some steps were halved, and the chord test spared some passes
         assert rep.backtracks > 0
         assert rep.mass_passes < rep.newton_steps + 1 + rep.backtracks
@@ -419,6 +455,32 @@ def test_factorisation_failure_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="step 0: sparse solve failed") as info:
         solver.solve(unit_problem(0.25, rhs=grid.RhsField("degenerate", alpha=1 / 8)), tol=1e-8)
     assert info.value.residual > 1e-8
+
+
+def test_newton_rhs_is_one_sided():
+    # m - t for a cell that is not too big, 2 sqrt(m) (sqrt(m) - sqrt(t)) for one that is
+    t = np.array([4.0, 4.0, 4.0, 1.0, 1e-10])
+    m = np.array([0.0, 1.0, 4.0, 9.0, 4e-10])
+    assert np.array_equal(solver._newton_rhs(m, t)[:3], m[:3] - t[:3])
+    assert solver._newton_rhs(m, t)[3] == 2.0 * 3.0 * (3.0 - 1.0)
+    assert solver._newton_rhs(m, t)[4] == pytest.approx(2.0 * 2e-5 * 1e-5, rel=1e-12)
+    # continuous at m = t, with slope 1 on both sides
+    t = np.array([1e-10, 1.0, 3.0])
+    for eps in (1e-6, -1e-6):
+        r = solver._newton_rhs(t * (1.0 + eps), t)
+        assert np.allclose(r / (t * eps), 1.0, rtol=0.0, atol=1e-6)
+    assert np.array_equal(solver._newton_rhs(t, t), np.zeros(3))
+
+
+def test_dual_disk8_newton_steps(dual_profile_8):
+    # the cells of the paraboloid start are up to 1,000 times too big; Newton
+    # on m - t throughout took 9 steps, shrinking them about 4 times per step
+    rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
+    prob = solver.build_problem(grid.Domain2D.disk(8.0), 0.25, rhs, dual_profile_8)
+    rep = solver.solve(prob, tol=1e-8)
+    assert rep.newton_steps == 5
+    assert rep.residuals[0] > 100.0
+    assert rep.max_residual <= 1e-8 and solver.residual(rep.function, prob) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
