@@ -6,9 +6,9 @@ the same config and seed; the "work" block names the experiment and carries
 deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
 ``solve``) records the solve's ``site_updates``, ``newton_steps``,
-``mass_passes``, ``hull_builds``, ``backtracks`` and ``edge_flips``.  Exit
-codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
-failure.
+``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks`` and
+``edge_flips``.  Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config
+error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -235,6 +235,7 @@ def _count_solve(work: dict, report: solver.SolveReport) -> None:
         newton_steps=report.newton_steps,
         mass_passes=report.mass_passes,
         hull_builds=report.hull_builds,
+        hull_sites=report.hull_sites,
         backtracks=report.backtracks,
         edge_flips=report.edge_flips,
         residuals=list(report.residuals),

@@ -38,12 +38,13 @@ class NoConvergence(ToolkitError):
     """
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, backtracks=0, edge_flips=0, residuals=()):
+                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0, residuals=()):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
         self.mass_passes = mass_passes
         self.hull_builds = hull_builds
+        self.hull_sites = hull_sites
         self.backtracks = backtracks
         self.edge_flips = edge_flips
         self.residuals = residuals

@@ -253,10 +253,10 @@ def subgradient_cells(f: PLConvexFunction) -> list:
     interior sites get an empty cell of zero area.
     """
     c = _cell_arrays(f)
-    polys = np.split(c.vertices, np.cumsum(c.counts)[:-1])
+    ends = np.cumsum(c.counts).tolist()
     return [
-        SubgradientCell(site_index=i, polygon=p, area=a)
-        for i, p, a in zip(c.sites.tolist(), polys, c.areas.tolist())
+        SubgradientCell(site_index=i, polygon=c.vertices[start:end], area=a)
+        for i, start, end, a in zip(c.sites.tolist(), [0] + ends[:-1], ends, c.areas.tolist())
     ]
 
 

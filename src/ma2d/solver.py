@@ -19,8 +19,19 @@ Masses are a vectorized fan sum over the lifted lower triangulation, held
 as a topology: its faces, ccw in the plane, and their edge pairing, from
 which the fans about each site and the Jacobian's links follow.  A mass pass
 (the start and each line-search trial) finds the lower hull of its heights
-in three ways, cheapest first:
+in one of four ways:
 
+- from the lattice, for the start pass: the paraboloid start's heights are
+  q(x) = a |x - x0|^2 / 2 + c on the interior sites, and the boundary data
+  lies on or above q (``_paraboloid_init`` takes c as the least gap).  The
+  four corners of a lattice square lie on a circle with no other lattice site
+  on or inside it, and q exceeds the plane through their lifts by
+  a (|x - m|^2 - r^2) / 2 for the circle's centre m and radius r, which is
+  positive off the circle.  So every square whose corners are interior sites
+  is a face of the lower hull, and Qhull builds the hull of the band only:
+  the sites that are not corners of four such squares, 860 of verify-dual's
+  12,853 (``_square_hull``).  A merge that fails its check falls back to a
+  whole Qhull build;
 - certified as carried: the accepted pass's triangulation is still the lower
   hull when every site is a vertex and the lift is locally convex across
   every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
@@ -33,15 +44,17 @@ in three ways, cheapest first:
   cross the triangulation once, at about the cost of a Qhull build, and in
   floating point a tied edge can flip back and forth;
 - built: when a site has left the hull (every failed edge is then blocked,
-  since a 2-2 flip keeps every vertex), when the rounds run out, and for the
-  start pass, Qhull builds the hull (``ma_measure._lower_faces``).
+  since a 2-2 flip keeps every vertex), when the rounds run out, and for a
+  start pass with no squares, Qhull builds the hull (``ma_measure._lower_faces``).
 
-The first two take their face gradients from vertex cross products, a built
-pass from Qhull's plane equations.  The predicate is the float test
+A certified or flipped pass takes its face gradients from vertex cross
+products, a built pass from Qhull's plane equations, and a pass from the
+lattice both: Qhull's on the band's faces, and on each square one cross
+product, which its two triangles share.  The predicate is the float test
 n . (P[v] - P[a]) >= 0; a lift that rounds negative fails it, so on exact
 ties the pass may flip, or build, where exact arithmetic would certify.
 The solved envelope reuses the last pass's Qhull hull, or is built once on
-the solved heights when that pass was certified or flipped, so it equals
+the solved heights when Qhull did not build that pass whole, so it equals
 ``lower_envelope`` of the solved heights.  The Newton system is symmetric
 positive definite and is factored by a symmetric-mode sparse LU.  The
 ``residual`` verifier goes through ma_measure's cells instead, which builds
@@ -153,6 +166,7 @@ class SolveReport:
     newton_steps: int  # accepted Newton steps
     mass_passes: int   # the start pass and one per line-search trial that ran one
     hull_builds: int   # Qhull lower hulls built, the solved envelope's included
+    hull_sites: int    # sites handed to Qhull, summed over those hulls
     backtracks: int    # halved line-search trials, by the chord test or by their pass
     edge_flips: int    # Lawson flips made, those of a repair that gave up included
     residuals: tuple[float, ...]  # max relative residual: the start pass, then each accepted step
@@ -372,35 +386,106 @@ class _MassPass:
     """The masses of one heights vector, summed on its lower-hull topology."""
 
     topo: _Topology
-    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None if certified or flipped
+    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None unless Qhull built it all
     grads: np.ndarray           # (F, 2) face gradients
     areas: np.ndarray           # (N,) cell areas, zero on boundary sites
     flips: int                  # Lawson flips made, also by a repair that gave up
+    hulls: tuple[int, ...]      # sites handed to Qhull, per hull the pass built
 
 
 def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
-               topo: _Topology | None = None) -> _MassPass:
+               topo: _Topology | None = None, squares=()) -> _MassPass:
     """Subgradient-cell areas of every interior site.
 
     ``topo`` (that of an earlier pass) is reused when it certifies itself on
-    the heights, or else repaired by Lawson flips when it covers every site;
-    when neither gives the lower hull, Qhull builds it and a new topology.
+    the heights, or else repaired by Lawson flips when it covers every site.
+    With no ``topo``, ``squares`` (of a paraboloid start, ``_square_hull``)
+    give the lower hull with Qhull only on the band.  When none of these
+    gives the lower hull, Qhull builds it and a new topology.
     The cell polygon of a site is its incident face gradients in fan order;
     the shoelace sum is evaluated for all sites at once.
     """
-    grads, flips, normals = None, 0, None
+    grads, flips, normals, hulls = None, 0, None, ()
     if topo is not None and topo.covers:
         rounds = math.isqrt(len(topo.tris))  # the round cap of the module docstring
         topo, grads, flips = _flip_to_lower_hull(topo, sites, heights, rounds)
+    elif topo is None and len(squares):
+        topo, grads, band = _square_hull(sites, heights, interior, squares)
+        hulls = (band,)
     if grads is None:
         tris, normals = _lower_faces(sites, heights)
         topo = _topology(sites, tris, interior)
         grads = _gradients(normals)
+        hulls += (len(sites),)
     site, face, nxt, _ = topo.fans
     g, gn = grads[face], grads[nxt]
     cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
     areas = 0.5 * np.abs(np.bincount(site, weights=cross, minlength=len(sites)))
-    return _MassPass(topo=topo, normals=normals, grads=grads, areas=areas, flips=flips)
+    return _MassPass(topo=topo, normals=normals, grads=grads, areas=areas, flips=flips,
+                     hulls=hulls)
+
+
+def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
+                 squares: np.ndarray):
+    """The lower hull of a paraboloid start from its lattice squares:
+    (topology, gradients, band size), with no topology and no gradients
+    when the merged faces fail their check.
+
+    Every square of ``squares`` is a face (module docstring), so Qhull builds
+    the lower hull of the band only: the sites that are not corners of four
+    squares.  A band face is dropped when the lattice cell that holds its
+    centroid, floor(centroid / h), has four square corners, and two triangles
+    per square take the dropped faces' place.  On the squares of ``_squares``
+    such a cell is a square; a list that misses one leaves a hole there,
+    which the check rejects.  The face's vertices would not do: a band face
+    that spans the squares' region need not touch the square it covers.  The
+    two triangles of a square share the gradient of the first one's vertex
+    cross product, since separate cross products of these coplanar triangles
+    differ by an ulp and would give the Jacobian links of rounding size.
+    Band faces keep Qhull's plane equations.  The merge is checked by
+    ``_tiles_a_disk``.
+    """
+    band = np.flatnonzero(np.bincount(squares.ravel(), minlength=len(sites)) < 4)
+    tris, normals = _lower_faces(sites[band], heights[band])
+    tris = band[tris]
+    h = sites[squares[0, 1], 0] - sites[squares[0, 0], 0]
+    k = np.rint(sites[squares.ravel()] / h).astype(np.int64)
+    lo = k.min(axis=0)
+    corner = np.zeros(k.max(axis=0) - lo + 1, dtype=bool)
+    corner[k[:, 0] - lo[0], k[:, 1] - lo[1]] = True
+    cell = np.floor(sites[tris].mean(axis=1) / h).astype(np.int64) - lo
+    i, j = cell[:, 0], cell[:, 1]
+    inside = (i >= 0) & (j >= 0) & (i < corner.shape[0] - 1) & (j < corner.shape[1] - 1)
+    i, j = i[inside], j[inside]
+    inside[inside] = corner[i, j] & corner[i + 1, j] & corner[i, j + 1] & corner[i + 1, j + 1]
+    square_grads = _gradients(_normals(np.column_stack([sites, heights]), squares[:, :3]))
+    merged = np.concatenate([tris[~inside], squares[:, [0, 1, 2]], squares[:, [0, 2, 3]]])
+    topo = _topology(sites, merged, interior)
+    if not _tiles_a_disk(topo):
+        return None, None, len(band)
+    grads = np.concatenate([_gradients(normals[~inside]), square_grads, square_grads])
+    return topo, grads, len(band)
+
+
+def _tiles_a_disk(topo: _Topology) -> bool:
+    """Whether the faces of ``topo`` triangulate a disk, by integer counts:
+    every face is strictly ccw in the plane, the edge pairing is an
+    involution between opposite half-edges (so an edge is on at most two
+    faces, on opposite sides), and the Euler characteristic V - E + F is 1.
+    A hole makes it 0."""
+    tris, twin = topo.tris, topo.twin.ravel()
+    a, b, c = (topo.sites[tris[:, k]] for k in range(3))
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    if not np.all(cross > 0.0):
+        return False
+    half = np.flatnonzero(twin >= 0)
+    other = twin[half]
+    tail, head = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()  # side k: k+1 -> k+2
+    if not (np.array_equal(twin[other], half) and np.array_equal(tail[other], head[half])):
+        return False
+    vertices = np.count_nonzero(np.bincount(tris.ravel(), minlength=len(topo.sites)))
+    edges = len(half) // 2 + (len(twin) - len(half))
+    return vertices - edges + len(tris) == 1
 
 
 def _jacobian(hp: _MassPass, m: int):
@@ -434,8 +519,9 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     of tol, with the residual of the heights it reached; raises
     InfeasibleBoundary when the boundary data admits no convex extension.
     The returned envelope is the one ``lower_envelope`` builds on the solved
-    heights, made from the last accepted pass's hull when Qhull built it and
-    built afresh when that pass was certified or flipped.
+    heights, made from the last accepted pass's hull when Qhull built it
+    whole, and built afresh when that pass was certified, flipped or made
+    from the lattice squares; so a solve of no Newton step builds it afresh.
     """
     gf = problem.grid
     state = _solve_state(
@@ -446,12 +532,14 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         tol=tol,
         max_iters=max_iters,
         chords=_chords(gf),
+        squares=_squares(gf),
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
-    if state.last.normals is None:  # a certified pass has no hull to hand over
+    if state.last.normals is None:  # only a pass Qhull built whole has a hull to hand over
         tris, normals = _lower_faces(gf.nodes, heights)
         state.hull_builds += 1
+        state.hull_sites += len(gf.nodes)
     else:
         tris, normals = state.last.topo.tris, state.last.normals
     pl = _envelope(gf.nodes, heights, tris, normals)
@@ -465,6 +553,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         newton_steps=state.newton_steps,
         mass_passes=state.mass_passes,
         hull_builds=state.hull_builds,
+        hull_sites=state.hull_sites,
         backtracks=state.backtracks,
         edge_flips=state.edge_flips,
         residuals=tuple(state.residuals),
@@ -485,9 +574,20 @@ def _chords(gf: GridFunction):
     return tuple(np.concatenate(part) for part in zip(*triples))
 
 
-def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords):
+def _squares(gf: GridFunction) -> np.ndarray:
+    """(S, 4) node indices of every lattice square whose four corners are
+    interior nodes, ccw from the corner x of least coordinates: x, x + h e1,
+    x + h (e1 + e2) and x + h e2."""
+    corners = np.column_stack([np.arange(len(gf))]
+                              + [gf.neighbor_ids(d) for d in ((1, 0), (1, 1), (0, 1))])
+    corners = corners[np.all(corners >= 0, axis=1)]
+    return corners[np.all(gf.interior_mask[corners], axis=1)]
+
+
+def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords, squares):
     """Run the solve; returns its converged ``_SolveState``.  ``targets`` is
-    aligned with the sites, ``boundary_values`` with the boundary sites."""
+    aligned with the sites, ``boundary_values`` with the boundary sites.
+    ``squares`` (``_squares``, or none) give the start pass its lower hull."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
     sites = np.asarray(sites, dtype=float)
@@ -507,18 +607,22 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, c
         )
 
     state = _SolveState(sites, interior, targets, heights, max_iters, chords)
-    _paraboloid_init(state, boundary_values)
+    _paraboloid_init(state, boundary_values, squares)
     _newton_phase(state, tol)
     return state
 
 
-def _paraboloid_init(state, boundary_values):
+def _paraboloid_init(state, boundary_values, squares):
     """Replace the interior envelope start by a paraboloid matched to the
-    median target mass and kept below every boundary sample.
+    median target mass and kept below every boundary sample, and make the
+    start pass.
 
     All paraboloid samples are vertices of the lifted lower hull, so every
     interior site starts with strictly positive mass and a nonsingular
-    Newton system.
+    Newton system.  Every lattice square of ``squares`` is a face of that
+    hull (module docstring), so the start pass takes them as faces and
+    builds a Qhull hull of the band only; with no squares, or when the
+    merged faces fail their check, Qhull builds the whole hull.
     """
     sites, interior = state.sites, state.interior
     pitch = _pitch(sites)
@@ -528,6 +632,7 @@ def _paraboloid_init(state, boundary_values):
     r2 = np.sum((sites - center) ** 2, axis=1)
     c = float(np.min(boundary_values - 0.5 * a * r2[~interior]))
     state.heights[interior] = 0.5 * a * r2[interior] + c
+    state.mass_pass(squares=squares)
 
 
 class _SolveState:
@@ -541,6 +646,7 @@ class _SolveState:
         self.newton_steps = 0
         self.mass_passes = 0
         self.hull_builds = 0
+        self.hull_sites = 0
         self.backtracks = 0
         self.edge_flips = 0
         self.residuals = []  # max relative residual of the start and of each accepted step
@@ -548,12 +654,13 @@ class _SolveState:
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
 
-    def mass_pass(self, topo=None) -> _MassPass:
+    def mass_pass(self, topo=None, squares=()) -> _MassPass:
         """Masses of the heights in place, on ``topo`` when it certifies itself
-        or flips to the lower hull, else on a new Qhull hull."""
-        self.last = _mass_pass(self.sites, self.heights, self.interior, topo)
+        or flips to the lower hull, else on a new hull (``_mass_pass``)."""
+        self.last = _mass_pass(self.sites, self.heights, self.interior, topo, squares)
         self.mass_passes += 1
-        self.hull_builds += self.last.normals is not None
+        self.hull_builds += len(self.last.hulls)
+        self.hull_sites += sum(self.last.hulls)
         self.edge_flips += self.last.flips
         return self.last
 
@@ -567,8 +674,8 @@ class _SolveState:
     def no_convergence(self, message, residual) -> NoConvergence:
         return NoConvergence(message, residual=residual, newton_steps=self.newton_steps,
                              mass_passes=self.mass_passes, hull_builds=self.hull_builds,
-                             backtracks=self.backtracks, edge_flips=self.edge_flips,
-                             residuals=tuple(self.residuals))
+                             hull_sites=self.hull_sites, backtracks=self.backtracks,
+                             edge_flips=self.edge_flips, residuals=tuple(self.residuals))
 
     def residual(self) -> float:
         masses = self.last.areas
@@ -614,7 +721,7 @@ def _newton_phase(state, tol) -> None:
     def stop(reason):
         return state.no_convergence(f"Newton {reason}, residual {resid:.3e}", resid)
 
-    current = state.mass_pass()
+    current = state.last  # the start pass
     for it in range(81):  # the start and 80 steps
         masses = current.areas[int_ids]
         resid = state.residual()

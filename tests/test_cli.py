@@ -119,6 +119,7 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "newton_steps": rep.newton_steps,
         "mass_passes": rep.mass_passes,
         "hull_builds": rep.hull_builds,
+        "hull_sites": rep.hull_sites,
         "backtracks": rep.backtracks,
         "edge_flips": rep.edge_flips,
         "residuals": list(rep.residuals),
@@ -128,6 +129,9 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
     assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
     assert 1 <= rep.hull_builds <= rep.mass_passes + 1
+    # the start pass hands Qhull its band only, the envelope every site
+    n = len(rep.grid.nodes)
+    assert rep.hull_builds * n > rep.hull_sites > n
 
 
 def test_run_growth_report_deterministic(tmp_path):

@@ -178,9 +178,10 @@ def test_affine_covariance():
     rep = solver.solve(prob, tol=1e-10)
     A = np.array([[1.0, 0.6], [0.0, 1.0]])
     sheared = prob.grid.nodes @ A.T
-    # a linear map keeps each chord's centre at the midpoint of its ends
+    # a linear map keeps each chord's centre at the midpoint of its ends; it
+    # does not keep a lattice square's corners cocircular, so no squares
     state = solver._solve_state(sheared, prob.interior, prob.boundary_values, prob.targets,
-                                1e-10, 10**6, solver._chords(prob.grid))
+                                1e-10, 10**6, solver._chords(prob.grid), np.empty((0, 4), int))
     assert state.residual() <= 1e-10
     assert np.max(np.abs(state.heights - rep.grid.values)) < 1e-6
 
@@ -376,6 +377,10 @@ def test_flips_replace_the_trial_hulls():
     with pytest.raises(NoConvergence, match="update budget exhausted") as info:
         solver.solve(prob, tol=1e-6, max_iters=10 * int(prob.interior.sum()))
     assert info.value.hull_builds == 1 and info.value.edge_flips > 0
+    # the start pass's hull is the band's, the envelope's has every site
+    n = len(prob.grid.nodes)
+    assert 0 < info.value.hull_sites < n
+    assert rep.hull_sites == info.value.hull_sites + n
 
 
 def test_flips_give_up_at_the_round_cap(solved_disk2, monkeypatch):
@@ -481,6 +486,132 @@ def test_dual_disk8_newton_steps(dual_profile_8):
     assert rep.newton_steps == 5
     assert rep.residuals[0] > 100.0
     assert rep.max_residual <= 1e-8 and solver.residual(rep.function, prob) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the start pass from the lattice squares
+# ---------------------------------------------------------------------------
+
+NO_SQUARES = np.empty((0, 4), dtype=np.int64)
+POLYGON = np.array([(-1.0, -0.8), (0.9, -1.0), (1.1, 0.3), (0.2, 1.0), (-0.9, 0.6)])
+
+
+def _paraboloid_start(gf, boundary_values, targets, squares):
+    """The solve's state after its start: paraboloid heights and their pass."""
+    interior = gf.interior_mask
+    heights = np.zeros(len(gf))
+    heights[~interior] = boundary_values
+    state = solver._SolveState(gf.nodes, interior, targets, heights, 0, solver._chords(gf))
+    solver._paraboloid_init(state, boundary_values, squares)
+    return state
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(["square", "disk", "polygon"]),
+    scale=st.sampled_from([1.0, 0.3]),
+    h=st.sampled_from([0.25, 0.125, 0.1]),
+    dual=st.booleans(),
+    eigen=st.tuples(st.floats(0.25, 4.0), st.floats(0.25, 4.0)),
+    angle=st.floats(0.0, math.pi),
+    tilt=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    on_paraboloid=st.booleans(),
+)
+@example(shape="disk", scale=1.0, h=0.1, dual=False, eigen=(1.0, 1.0), angle=0.0,
+         tilt=(0.0, 0.0, 0.0), on_paraboloid=True)
+@example(shape="polygon", scale=0.3, h=0.25, dual=True, eigen=(0.5, 2.0), angle=1.0,
+         tilt=(0.5, -1.0, 0.25), on_paraboloid=False)
+def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, tilt,
+                                         on_paraboloid):
+    # the start pass from the lattice squares against the one Qhull builds
+    # on every site; boundary data on the start paraboloid itself ties the
+    # band's boundary cells as the squares are tied
+    dom = {"square": grid.Domain2D.square(scale), "disk": grid.Domain2D.disk(scale),
+           "polygon": grid.Domain2D.polygon(scale * POLYGON)}[shape]
+    gf = grid.sample(lambda p: np.zeros(len(p)), dom, h)
+    sites, interior = gf.nodes, gf.interior_mask
+    rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0) if dual else None
+    targets = solver.target_masses_on(gf, rhs or grid.RhsField("constant"))
+    if on_paraboloid:  # the paraboloid of _paraboloid_init, so its offset is 0
+        a = math.sqrt(float(np.median(targets[interior]))) / solver._pitch(sites)
+        r2 = np.sum((sites - sites.mean(axis=0)) ** 2, axis=1)
+        bv = 0.5 * a * r2[~interior]
+    else:  # an SPD quadratic x.Ax/2 plus an affine tilt
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        A = rot @ np.diag(eigen) @ rot.T
+        p = sites[~interior]
+        bv = 0.5 * np.einsum("ij,jk,ik->i", p, A, p) + tilt[0] + p @ np.array(tilt[1:])
+    squares = solver._squares(gf)
+    k = gf.lattice_indices
+    assert np.array_equal(k[squares] - k[squares[:, :1]],
+                          np.broadcast_to([(0, 0), (1, 0), (1, 1), (0, 1)], (len(squares), 4, 2)))
+    assert interior[squares].all()
+    lattice = _paraboloid_start(gf, bv, targets, squares)
+    qhull = _paraboloid_start(gf, bv, targets, NO_SQUARES)
+    assert np.array_equal(lattice.heights, qhull.heights)
+    start, ref = lattice.last, qhull.last
+    assert ref.normals is not None and ref.hulls == (len(sites),)
+    if len(squares) == 0:  # today's start, bit for bit
+        assert start.normals is not None and start.hulls == ref.hulls
+        for name in ("normals", "grads", "areas"):
+            assert np.array_equal(getattr(start, name), getattr(ref, name)), name
+        assert np.array_equal(start.topo.tris, ref.topo.tris)
+        assert np.array_equal(start.topo.twin, ref.topo.twin)
+        return
+    # the merge held: one hull, on the band
+    band = int(np.sum(np.bincount(squares.ravel(), minlength=len(sites)) < 4))
+    assert start.normals is None and start.hulls == (band,)
+    assert start.topo.covers == ref.topo.covers
+    m, t = start.areas[interior], ref.areas[interior]
+    assert np.all(np.abs(m - t) <= 1e-12 * t)
+    # a valid pairing: each paired half-edge's twin is paired back and joins
+    # the same two sites the other way, and every face is strictly ccw
+    tris, twin = start.topo.tris, start.topo.twin.ravel()
+    half = np.flatnonzero(twin >= 0)
+    assert np.array_equal(twin[twin[half]], half)
+    tail, head = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+    assert np.array_equal(tail[twin[half]], head[half])
+    assert np.array_equal(head[twin[half]], tail[half])
+    u, v = sites[tris[:, 1]] - sites[tris[:, 0]], sites[tris[:, 2]] - sites[tris[:, 0]]
+    assert np.all(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > 0.0)
+
+
+def test_a_square_missing_from_the_list_falls_back_to_qhull(monkeypatch):
+    # one square short, the merge leaves a hole where that square was: the
+    # check rejects it, and the start is the one Qhull builds on every site
+    gf = _lattice(False, 0.125)
+    sites, interior = gf.nodes, gf.interior_mask
+    targets = solver.target_masses_on(gf, grid.RhsField("constant"))
+    bv = quadratic(sites[~interior])
+    squares = solver._squares(gf)
+    corners = np.bincount(squares.ravel(), minlength=len(gf))
+    deep = np.flatnonzero(np.all(corners[squares] == 4, axis=1))
+    short = np.delete(squares, deep[len(deep) // 2], axis=0)
+
+    tiles = solver._tiles_a_disk
+    checked = []
+
+    def recorded(topo):
+        checked.append((topo, tiles(topo)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(solver, "_tiles_a_disk", recorded)
+    assert _paraboloid_start(gf, bv, targets, squares).hull_builds == 1
+    assert checked[-1][1]
+    fallback = _paraboloid_start(gf, bv, targets, short)
+    topo, verdict = checked[-1]
+    assert not verdict
+    undirected = np.sort(np.stack([topo.tris, np.roll(topo.tris, 1, axis=1)], axis=2), axis=2)
+    edges = len(np.unique(undirected.reshape(-1, 2), axis=0))
+    assert len(np.unique(topo.tris)) - edges + len(topo.tris) == 0  # an annulus
+    band = int(np.sum(np.bincount(short.ravel(), minlength=len(gf)) < 4))
+    assert (fallback.hull_builds, fallback.hull_sites) == (2, band + len(gf))
+    ref = _paraboloid_start(gf, bv, targets, NO_SQUARES).last
+    start = fallback.last
+    for name in ("normals", "grads", "areas"):
+        assert np.array_equal(getattr(start, name), getattr(ref, name)), name
+    assert np.array_equal(start.topo.tris, ref.topo.tris)
+    assert np.array_equal(start.topo.twin, ref.topo.twin)
 
 
 # ---------------------------------------------------------------------------
