@@ -7,8 +7,9 @@ deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
 ``solve``) records the solve's ``site_updates``, ``newton_steps``,
 ``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks`` and
-``edge_flips``.  Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config
-error, 3 numerical failure.
+``edge_flips``, and per step its ``residuals`` and ``step_lengths``.  Exit
+codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -239,6 +240,7 @@ def _count_solve(work: dict, report: solver.SolveReport) -> None:
         backtracks=report.backtracks,
         edge_flips=report.edge_flips,
         residuals=list(report.residuals),
+        step_lengths=list(report.step_lengths),
     )
 
 

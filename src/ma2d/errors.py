@@ -33,12 +33,13 @@ class NoConvergence(ToolkitError):
     """The iterative solver did not meet its tolerance.
 
     Besides the residual of the heights it reached, it carries the solve's
-    work counters and per-step residuals up to the failure, as
+    work counters, per-step residuals and step lengths up to the failure, as
     ``SolveReport`` names them.
     """
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0, residuals=()):
+                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0, residuals=(),
+                 step_lengths=()):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
@@ -48,6 +49,7 @@ class NoConvergence(ToolkitError):
         self.backtracks = backtracks
         self.edge_flips = edge_flips
         self.residuals = residuals
+        self.step_lengths = step_lengths
 
 
 class InfeasibleBoundary(ToolkitError):

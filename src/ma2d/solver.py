@@ -61,17 +61,22 @@ positive definite and is factored by a symmetric-mode sparse LU.  The
 its own Qhull hull, orders each cell's gradients by angle in gradient space
 and certifies convexity, and never calls the solve loop's mass pass.
 
-Before its mass pass, a line-search trial is put to the chord test.  When an
-interior site i and its two opposite lattice neighbours a = x_i + h d and
+Each line search starts at the chord test's step bound.  When an interior
+site i and its two opposite lattice neighbours a = x_i + h d and
 b = x_i - h d, for d one of e1, e2, e1 + e2 and e1 - e2, have
 2 h_i >= h_a + h_b, the lifted point of i lies on or above the chord between
 those of a and b.  Every plane supporting the lift at i then supports it at
 a and b too, so the subgradient cell of i lies in a line and has no area,
-and the trial would fail the rule "every mass > 0" anyway.  It is halved
-with no mass pass and no hull.  The argument is exact when x_i is the
-midpoint of x_a and x_b.  Lattice nodes are rounded k h, so in floating
-point that can fail by an ulp, and the equality of the solves with and
-without the test is checked on the tests and a stress set, not proved.
+and a trial there would fail the rule "every mass > 0" anyway.  The slack
+h_a + h_b - 2 h_i is affine in the step length, so the least step at which
+some slack reaches 0 is computed exactly (``_SolveState.step_bound``), and
+the line search starts just below it, or at the full step when that is
+shorter.  The test stays as a guard before every pass, since the bound is
+computed in floats: a trial that fails it is halved with no mass pass and
+no hull.  The argument is exact when x_i is the midpoint of x_a and x_b.
+Lattice nodes are rounded k h, so in floating point that can fail by an
+ulp, and the equality of the solves with and without the guard is checked
+on the tests and a stress set, not proved.
 """
 from __future__ import annotations
 
@@ -94,6 +99,13 @@ from .ma_measure import (
     lower_envelope,
     ma_measure,
 )
+
+# A line search starts at this fraction of the chord test's step bound
+# (``_SolveState.step_bound``), which keeps the first trial off the chords
+# with a margin that rounding cannot use up.  On the untilted degenerate
+# problems at h = 0.1 and 0.0625, 0.9 took 2 more steps each and 0.98 began
+# to need backtracks.
+_BOUND_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -170,6 +182,7 @@ class SolveReport:
     backtracks: int    # halved line-search trials, by the chord test or by their pass
     edge_flips: int    # Lawson flips made, those of a repair that gave up included
     residuals: tuple[float, ...]  # max relative residual: the start pass, then each accepted step
+    step_lengths: tuple[float, ...]  # the step taken by each accepted Newton step
 
     def to_json(self) -> str:
         return json.dumps(
@@ -533,6 +546,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         max_iters=max_iters,
         chords=_chords(gf),
         squares=_squares(gf),
+        pitch=gf.h,
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
@@ -557,6 +571,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         backtracks=state.backtracks,
         edge_flips=state.edge_flips,
         residuals=tuple(state.residuals),
+        step_lengths=tuple(state.step_lengths),
     )
 
 
@@ -584,10 +599,12 @@ def _squares(gf: GridFunction) -> np.ndarray:
     return corners[np.all(gf.interior_mask[corners], axis=1)]
 
 
-def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords, squares):
+def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords, squares,
+                 pitch):
     """Run the solve; returns its converged ``_SolveState``.  ``targets`` is
     aligned with the sites, ``boundary_values`` with the boundary sites.
-    ``squares`` (``_squares``, or none) give the start pass its lower hull."""
+    ``squares`` (``_squares``, or none) give the start pass its lower hull,
+    and ``pitch`` is the lattice spacing h."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
     sites = np.asarray(sites, dtype=float)
@@ -607,15 +624,15 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, c
         )
 
     state = _SolveState(sites, interior, targets, heights, max_iters, chords)
-    _paraboloid_init(state, boundary_values, squares)
+    _paraboloid_init(state, boundary_values, squares, pitch)
     _newton_phase(state, tol)
     return state
 
 
-def _paraboloid_init(state, boundary_values, squares):
+def _paraboloid_init(state, boundary_values, squares, pitch):
     """Replace the interior envelope start by a paraboloid matched to the
-    median target mass and kept below every boundary sample, and make the
-    start pass.
+    median target mass at the lattice pitch and kept below every boundary
+    sample, and make the start pass.
 
     All paraboloid samples are vertices of the lifted lower hull, so every
     interior site starts with strictly positive mass and a nonsingular
@@ -625,7 +642,6 @@ def _paraboloid_init(state, boundary_values, squares):
     merged faces fail their check, Qhull builds the whole hull.
     """
     sites, interior = state.sites, state.interior
-    pitch = _pitch(sites)
     med = float(np.median(state.tgt))
     a = np.sqrt(med) / pitch
     center = sites.mean(axis=0)
@@ -650,6 +666,7 @@ class _SolveState:
         self.backtracks = 0
         self.edge_flips = 0
         self.residuals = []  # max relative residual of the start and of each accepted step
+        self.step_lengths = []  # the step of each accepted step
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
@@ -671,11 +688,32 @@ class _SolveState:
         h = self.heights
         return bool(np.any(2.0 * h[centre] >= h[a] + h[b]))
 
+    def step_bound(self, delta) -> float:
+        """The chord test's step bound for the interior step ``delta``: the
+        least t > 0 at which the heights in place, moved by t delta, put
+        some site on a chord; inf when no chord's slack falls.
+
+        Per chord (centre, a, b) the slack s = h_a + h_b - 2 h_centre is
+        affine in t, with rate r = d_a + d_b - 2 d_centre for the step d,
+        which is 0 on boundary sites.  So t* = min over r < 0 of s / (-r):
+        when the heights in place pass the test, every t < t* keeps every
+        slack positive, and every t >= t* fails the test in exact arithmetic.
+        """
+        centre, a, b = self.chords
+        h = self.heights
+        d = np.zeros(len(h))
+        d[self.int_ids] = delta
+        slack = h[a] + h[b] - 2.0 * h[centre]
+        rate = d[a] + d[b] - 2.0 * d[centre]
+        falls = rate < 0.0
+        return float(np.min(slack[falls] / -rate[falls], initial=np.inf))
+
     def no_convergence(self, message, residual) -> NoConvergence:
         return NoConvergence(message, residual=residual, newton_steps=self.newton_steps,
                              mass_passes=self.mass_passes, hull_builds=self.hull_builds,
                              hull_sites=self.hull_sites, backtracks=self.backtracks,
-                             edge_flips=self.edge_flips, residuals=tuple(self.residuals))
+                             edge_flips=self.edge_flips, residuals=tuple(self.residuals),
+                             step_lengths=tuple(self.step_lengths))
 
     def residual(self) -> float:
         masses = self.last.areas
@@ -705,16 +743,23 @@ def _newton_phase(state, tol) -> None:
     line search on the l2 norm of r / t instead of the mass residual took
     the same steps as this one on verify-dual and on those seeds 1-12.
 
-    Steps are halved, at most 24 times, until every interior mass stays
-    positive and the l2 residual drops (the usual guarded-Newton recipe for
-    prescribed-cell-area problems).  The accepted trial's pass gives the next
-    step its masses and Jacobian.  A trial that fails the chord test (module
-    docstring) is halved at once.  Any other trial costs one mass pass, which
-    starts from the accepted pass's triangulation: certified as carried,
-    flipped, or built by Qhull (module docstring).  That start is the same
-    whether or not the trials before it ran a pass, so a pass the chord test
-    skips changes no later pass.  Any other exit raises NoConvergence with the
-    residual of the heights left in place and the work counters so far.
+    Each line search starts at min(1, 0.95 t*) for the chord test's step
+    bound t* (module docstring).  A search that started at 1 and halved into
+    the bound stopped at the first power of 2 below it: on the degenerate
+    problems most steps made five rejected trials and then took 1/32 of the
+    Newton step, as little as half of what the bound allowed.  From its
+    start, a step is halved, at most 24 times, until every interior mass
+    stays positive and the l2 residual drops (the usual guarded-Newton recipe
+    for prescribed-cell-area problems).  The accepted trial's pass gives the
+    next step its masses and Jacobian, and its step goes to
+    ``step_lengths``.  A trial that fails the chord test, which only rounding
+    can make a trial below the bound do, is halved at once.  Any other trial costs one
+    mass pass, which starts from the accepted pass's triangulation: certified
+    as carried, flipped, or built by Qhull (module docstring).  That start is
+    the same whether or not the trials before it ran a pass, so a pass the
+    chord test skips changes no later pass.  Any other exit raises
+    NoConvergence with the residual of the heights left in place and the work
+    counters so far.
     """
     int_ids, tgt = state.int_ids, state.tgt
 
@@ -745,7 +790,7 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
         if not np.all(np.isfinite(delta)):
             raise stop(f"step {it}: step is not finite")
-        step = 1.0
+        step = min(1.0, _BOUND_FRACTION * state.step_bound(delta))
         base = state.heights[int_ids].copy()
         for _ in range(24):
             state.heights[int_ids] = base + step * delta
@@ -767,6 +812,7 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: line search found no descent")
         current = state.last
         state.newton_steps += 1
+        state.step_lengths.append(step)
 
 
 def _newton_rhs(masses: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -775,14 +821,6 @@ def _newton_rhs(masses: np.ndarray, targets: np.ndarray) -> np.ndarray:
     for a cell that is too big.  Both pieces are 0 with slope 1 at m = t."""
     root = np.sqrt(masses)
     return np.where(masses > targets, 2.0 * root * (root - np.sqrt(targets)), masses - targets)
-
-
-def _pitch(sites: np.ndarray) -> float:
-    """Characteristic site spacing: median nearest-neighbor distance."""
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(sites).query(sites, k=2)
-    return float(np.median(d[:, 1]))
 
 
 def residual(pl: PLConvexFunction, problem: DirichletProblem) -> float:

@@ -123,8 +123,11 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "backtracks": rep.backtracks,
         "edge_flips": rep.edge_flips,
         "residuals": list(rep.residuals),
+        "step_lengths": list(rep.step_lengths),
     }
     assert len(rep.residuals) == rep.newton_steps + 1
+    assert len(rep.step_lengths) == rep.newton_steps
+    assert all(0.0 < step <= 1.0 for step in rep.step_lengths)
     assert rep.residuals[-1] == rep.max_residual
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
     assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
