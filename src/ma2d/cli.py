@@ -7,7 +7,8 @@ deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
 ``solve``) records the solve's ``site_updates``, ``newton_steps``,
 ``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks`` and
-``edge_flips``, and per step its ``residuals`` and ``step_lengths``.  Exit
+``edge_flips``, per step its ``residuals`` and ``step_lengths``, and the
+``verifier_residual`` that ``solver.residual`` reads on the solved envelope.  Exit
 codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
 failure.
 """
@@ -230,7 +231,11 @@ def _domain(cfg: ExperimentConfig) -> Domain2D:
     return Domain2D.square(cfg.radius)
 
 
-def _count_solve(work: dict, report: solver.SolveReport) -> None:
+def _count_solve(work: dict, report: solver.SolveReport, problem) -> float:
+    """Record the solve's counters in ``work``, with the residual that the
+    independent ``ma_measure`` verifier reads on its envelope; returns that
+    residual."""
+    verified = solver.residual(report.function, problem)
     work.update(
         site_updates=report.iterations,
         newton_steps=report.newton_steps,
@@ -241,7 +246,9 @@ def _count_solve(work: dict, report: solver.SolveReport) -> None:
         edge_flips=report.edge_flips,
         residuals=list(report.residuals),
         step_lengths=list(report.step_lengths),
+        verifier_residual=verified,
     )
+    return verified
 
 
 def _run_oracle(cfg, out, work):
@@ -298,9 +305,8 @@ def _run_solve(cfg, out, work):
         exact = prof
     problem = solver.build_problem(dom, cfg.h, rhs, boundary)
     report = solver.solve(problem, tol=cfg.tol)
-    _count_solve(work, report)
+    check = _count_solve(work, report, problem)
     save(report.grid, os.path.join(out, "solution.gfn"))
-    check = solver.residual(report.function, problem)
     ex = np.asarray(exact(problem.grid.nodes), dtype=float)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / max(np.abs(ex).max(), 1e-30))
     verdicts = [
@@ -324,7 +330,7 @@ def _solve_for_sections(cfg, work):
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
     problem = solver.build_problem(dom, cfg.h, rhs, prof)
     report = solver.solve(problem, tol=max(cfg.tol, 1e-3))
-    _count_solve(work, report)
+    _count_solve(work, report, problem)
     return report.grid, rhs
 
 
@@ -421,7 +427,7 @@ def _run_verify_dual(cfg, out, work):
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
     problem = solver.build_problem(dom, cfg.h, rhs, prof)
     report = solver.solve(problem, tol=max(cfg.tol, 1e-6))
-    _count_solve(work, report)
+    _count_solve(work, report, problem)
     save(report.grid, os.path.join(out, "solution.gfn"))
     ex = prof(problem.grid.nodes)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / np.abs(ex).max())

@@ -22,13 +22,13 @@ a point, a segment or a near-degenerate polygon) falls back to
 
 The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
 package: ``lower_envelope`` and the solver's mass pass both build on it, and
-``_envelope`` turns its faces into a ``PLConvexFunction``.  When Qhull built
-the hull of the solver's last accepted pass, the solver hands it to
-``_envelope`` instead of building it again; either way a solved envelope
-equals ``lower_envelope`` of the solved heights field by field.  The cells
-and their areas share no code with the solve loop: this module imports nothing from ``solver``, and its
-gradient-space order with a certificate is independent of the planar face
-order that ``solver._mass_pass`` sums.
+``_envelope`` turns faces with their gradients and offsets into a
+``PLConvexFunction``.  ``lower_envelope`` takes them from Qhull's plane
+equations; the solver takes only Qhull's faces, and its envelope is its
+last accepted pass.  The cells and their areas share no code with the solve
+loop: this module imports nothing from ``solver``, and its gradient-space
+order with a certificate is independent of the planar face order that
+``solver._mass_pass`` sums.
 """
 from __future__ import annotations
 
@@ -141,7 +141,9 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
         tris, n = _lower_faces(sites, heights)
     except QhullError as exc:  # pragma: no cover - apex makes inputs full rank
         raise DegenerateInput(str(exc)) from exc
-    return _envelope(sites, heights, tris, n)
+    # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
+    # z = -(nx x + ny y + off) / nz
+    return _envelope(sites, heights, tris, -n[:, :2] / n[:, 2:3], -n[:, 3] / n[:, 2])
 
 
 def _ccw(sites, tris) -> np.ndarray:
@@ -153,15 +155,10 @@ def _ccw(sites, tris) -> np.ndarray:
     return np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
 
 
-def _envelope(sites, heights, tris, n) -> PLConvexFunction:
-    """The envelope of ``_lower_faces(sites, heights) == (tris, n)``, its
-    triangles oriented ccw in the plane; neither input array is modified."""
+def _envelope(sites, heights, tris, grads, offs) -> PLConvexFunction:
+    """The envelope whose lower-hull faces ``tris`` carry z = grads . x + offs,
+    its triangles oriented ccw in the plane; ``tris`` is not modified."""
     tris = _ccw(sites, tris)
-
-    # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
-    # z = -(nx x + ny y + off) / nz
-    grads = -n[:, :2] / n[:, 2:3]
-    offs = -n[:, 3] / n[:, 2]
     active = np.zeros(len(sites), dtype=bool)
     active[np.unique(tris)] = True
     return PLConvexFunction(

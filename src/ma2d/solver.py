@@ -47,19 +47,22 @@ in one of four ways:
   since a 2-2 flip keeps every vertex), when the rounds run out, and for a
   start pass with no squares, Qhull builds the hull (``ma_measure._lower_faces``).
 
-A certified or flipped pass takes its face gradients from vertex cross
-products, a built pass from Qhull's plane equations, and a pass from the
-lattice both: Qhull's on the band's faces, and on each square one cross
-product, which its two triangles share.  The predicate is the float test
-n . (P[v] - P[a]) >= 0; a lift that rounds negative fails it, so on exact
-ties the pass may flip, or build, where exact arithmetic would certify.
-The solved envelope reuses the last pass's Qhull hull, or is built once on
-the solved heights when Qhull did not build that pass whole, so it equals
-``lower_envelope`` of the solved heights.  The Newton system is symmetric
-positive definite and is factored by a symmetric-mode sparse LU.  The
-``residual`` verifier goes through ma_measure's cells instead, which builds
-its own Qhull hull, orders each cell's gradients by angle in gradient space
-and certifies convexity, and never calls the solve loop's mass pass.
+Qhull is a triangulator only: every pass takes its face gradients from the
+vertex cross products of its lifted faces, and on the lattice's squares the
+two triangles of a square share one.  Qhull's ``Qt`` can emit a face of
+zero planar area, whose cross-product gradient is not finite; at an
+interior site it makes the pass's masses non-finite, which the line search
+rejects.  The predicate is the float test n . (P[v] - P[a]) >= 0; a lift
+that rounds negative fails it, so on exact ties the pass may flip, or
+build, where exact arithmetic would certify.
+The solved envelope is the last accepted pass, its faces and gradients, so
+no hull is built after the Newton loop; it equals ``lower_envelope`` of the
+solved heights as a function, not array for array.  The Newton system is
+symmetric positive definite and is factored by a symmetric-mode sparse LU.
+The ``residual`` verifier goes through ma_measure's cells instead: on the
+returned envelope's faces and gradients it orders each cell's gradients by
+angle in gradient space and certifies convexity, and it never calls the
+solve loop's mass pass.
 
 Each line search starts at the chord test's step bound.  When an interior
 site i and its two opposite lattice neighbours a = x_i + h d and
@@ -177,7 +180,7 @@ class SolveReport:
     alpha: float | None
     newton_steps: int  # accepted Newton steps
     mass_passes: int   # the start pass and one per line-search trial that ran one
-    hull_builds: int   # Qhull lower hulls built, the solved envelope's included
+    hull_builds: int   # Qhull lower hulls built, all of them by mass passes
     hull_sites: int    # sites handed to Qhull, summed over those hulls
     backtracks: int    # halved line-search trials, by the chord test or by their pass
     edge_flips: int    # Lawson flips made, those of a repair that gave up included
@@ -294,23 +297,6 @@ def _gradients(normal: np.ndarray) -> np.ndarray:
     return -normal[:, :2] / normal[:, 2:3]
 
 
-def _certified_gradients(topo: _Topology, sites: np.ndarray, heights: np.ndarray):
-    """Face gradients of ``topo`` when it is the lower hull of the heights, else None.
-
-    It is when every site is a vertex and the lifted triangulation is
-    locally convex: across every interior edge the opposite vertex lies on
-    or above the plane of the face, n . (P[v] - P[a]) >= 0 with the upward
-    normal n of the ccw face (a, b, c) (Edelsbrunner & Shah, Algorithmica
-    1996).  A test that rounds negative, or is not finite, certifies nothing;
-    so does a face of zero planar area (n_z = 0), which Qhull's ``Qt`` can
-    emit and whose gradient is undefined.  This is ``_flip_to_lower_hull``
-    with no round of flips.
-    """
-    if not topo.covers:
-        return None
-    return _flip_to_lower_hull(topo, sites, heights, rounds=0)[1]
-
-
 def _flip_to_lower_hull(topo: _Topology, sites: np.ndarray, heights: np.ndarray, rounds: int):
     """Certify ``topo``, which covers every site, as the lower hull of the
     heights, or else repair it by at most ``rounds`` rounds of Lawson flips;
@@ -399,11 +385,10 @@ class _MassPass:
     """The masses of one heights vector, summed on its lower-hull topology."""
 
     topo: _Topology
-    normals: np.ndarray | None  # (F, 4) Qhull's plane equations; None unless Qhull built it all
-    grads: np.ndarray           # (F, 2) face gradients
-    areas: np.ndarray           # (N,) cell areas, zero on boundary sites
-    flips: int                  # Lawson flips made, also by a repair that gave up
-    hulls: tuple[int, ...]      # sites handed to Qhull, per hull the pass built
+    grads: np.ndarray       # (F, 2) face gradients, from the vertex cross products
+    areas: np.ndarray       # (N,) cell areas, zero on boundary sites
+    flips: int              # Lawson flips made, also by a repair that gave up
+    hulls: tuple[int, ...]  # sites handed to Qhull, per hull the pass built
 
 
 def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
@@ -418,7 +403,7 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     The cell polygon of a site is its incident face gradients in fan order;
     the shoelace sum is evaluated for all sites at once.
     """
-    grads, flips, normals, hulls = None, 0, None, ()
+    grads, flips, hulls = None, 0, ()
     if topo is not None and topo.covers:
         rounds = math.isqrt(len(topo.tris))  # the round cap of the module docstring
         topo, grads, flips = _flip_to_lower_hull(topo, sites, heights, rounds)
@@ -426,16 +411,14 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
         topo, grads, band = _square_hull(sites, heights, interior, squares)
         hulls = (band,)
     if grads is None:
-        tris, normals = _lower_faces(sites, heights)
-        topo = _topology(sites, tris, interior)
-        grads = _gradients(normals)
+        topo = _topology(sites, _lower_faces(sites, heights)[0], interior)
+        grads = _gradients(_normals(np.column_stack([sites, heights]), topo.tris))
         hulls += (len(sites),)
     site, face, nxt, _ = topo.fans
     g, gn = grads[face], grads[nxt]
     cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
     areas = 0.5 * np.abs(np.bincount(site, weights=cross, minlength=len(sites)))
-    return _MassPass(topo=topo, normals=normals, grads=grads, areas=areas, flips=flips,
-                     hulls=hulls)
+    return _MassPass(topo=topo, grads=grads, areas=areas, flips=flips, hulls=hulls)
 
 
 def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
@@ -452,15 +435,14 @@ def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     such a cell is a square; a list that misses one leaves a hole there,
     which the check rejects.  The face's vertices would not do: a band face
     that spans the squares' region need not touch the square it covers.  The
-    two triangles of a square share the gradient of the first one's vertex
-    cross product, since separate cross products of these coplanar triangles
-    differ by an ulp and would give the Jacobian links of rounding size.
-    Band faces keep Qhull's plane equations.  The merge is checked by
+    faces take their gradients from vertex cross products, as every pass's
+    do, but the two triangles of a square share the first one's, since
+    separate cross products of these coplanar triangles differ by an ulp and
+    would give the Jacobian links of rounding size.  The merge is checked by
     ``_tiles_a_disk``.
     """
     band = np.flatnonzero(np.bincount(squares.ravel(), minlength=len(sites)) < 4)
-    tris, normals = _lower_faces(sites[band], heights[band])
-    tris = band[tris]
+    tris = band[_lower_faces(sites[band], heights[band])[0]]
     h = sites[squares[0, 1], 0] - sites[squares[0, 0], 0]
     k = np.rint(sites[squares.ravel()] / h).astype(np.int64)
     lo = k.min(axis=0)
@@ -471,13 +453,15 @@ def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     inside = (i >= 0) & (j >= 0) & (i < corner.shape[0] - 1) & (j < corner.shape[1] - 1)
     i, j = i[inside], j[inside]
     inside[inside] = corner[i, j] & corner[i + 1, j] & corner[i, j + 1] & corner[i + 1, j + 1]
-    square_grads = _gradients(_normals(np.column_stack([sites, heights]), squares[:, :3]))
-    merged = np.concatenate([tris[~inside], squares[:, [0, 1, 2]], squares[:, [0, 2, 3]]])
-    topo = _topology(sites, merged, interior)
+    kept = tris[~inside]
+    topo = _topology(sites, np.concatenate([kept, squares[:, [0, 1, 2]], squares[:, [0, 2, 3]]]),
+                     interior)
     if not _tiles_a_disk(topo):
         return None, None, len(band)
-    grads = np.concatenate([_gradients(normals[~inside]), square_grads, square_grads])
-    return topo, grads, len(band)
+    # a square's second triangle takes the first one's gradient
+    grads = _gradients(_normals(np.column_stack([sites, heights]),
+                                topo.tris[:len(kept) + len(squares)]))
+    return topo, np.concatenate([grads, grads[len(kept):]]), len(band)
 
 
 def _tiles_a_disk(topo: _Topology) -> bool:
@@ -531,10 +515,9 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     tol is not positive, the update budget is exhausted or Newton stops short
     of tol, with the residual of the heights it reached; raises
     InfeasibleBoundary when the boundary data admits no convex extension.
-    The returned envelope is the one ``lower_envelope`` builds on the solved
-    heights, made from the last accepted pass's hull when Qhull built it
-    whole, and built afresh when that pass was certified, flipped or made
-    from the lattice squares; so a solve of no Newton step builds it afresh.
+    The returned envelope is the last accepted pass: its triangulation, its
+    face gradients and offsets taken at each face's first vertex.  It equals
+    ``lower_envelope`` of the solved heights as a function, not as arrays.
     """
     gf = problem.grid
     state = _solve_state(
@@ -550,13 +533,9 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
-    if state.last.normals is None:  # only a pass Qhull built whole has a hull to hand over
-        tris, normals = _lower_faces(gf.nodes, heights)
-        state.hull_builds += 1
-        state.hull_sites += len(gf.nodes)
-    else:
-        tris, normals = state.last.topo.tris, state.last.normals
-    pl = _envelope(gf.nodes, heights, tris, normals)
+    tris, grads = state.last.topo.tris, state.last.grads
+    offsets = heights[tris[:, 0]] - np.einsum("ij,ij->i", gf.nodes[tris[:, 0]], grads)
+    pl = _envelope(gf.nodes, heights, tris, grads, offsets)
     return SolveReport(
         iterations=state.newton_steps * len(state.int_ids),  # site updates
         max_residual=state.residuals[-1],

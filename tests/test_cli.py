@@ -99,11 +99,12 @@ def test_schema_matches_experiment_config():
     ids=["solve", "verify-dual", "cascade-solve"],
 )
 def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
-    solves = []
+    solves, problems = [], []
     solve = solver.solve
 
-    def recording_solve(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
+    def recording_solve(problem, **kwargs):
+        problems.append(problem)
+        solves.append(solve(problem, **kwargs))
         return solves[-1]
 
     monkeypatch.setattr(solver, "solve", recording_solve)
@@ -124,6 +125,7 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "edge_flips": rep.edge_flips,
         "residuals": list(rep.residuals),
         "step_lengths": list(rep.step_lengths),
+        "verifier_residual": solver.residual(rep.function, problems[-1]),
     }
     assert len(rep.residuals) == rep.newton_steps + 1
     assert len(rep.step_lengths) == rep.newton_steps
@@ -132,9 +134,15 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2
     assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
     assert 1 <= rep.hull_builds <= rep.mass_passes + 1
-    # the start pass hands Qhull its band only, the envelope every site
+    # the start pass hands Qhull its band only, and no hull is built for the
+    # envelope, so the hulls hold fewer sites than one per pass would
     n = len(rep.grid.nodes)
-    assert rep.hull_builds * n > rep.hull_sites > n
+    assert rep.hull_builds * n > rep.hull_sites > 0
+    # the verifier confirms the solve: within a factor of 2 of the solver's
+    # residual, or both below the rounding floor
+    verified = json.loads(texts[0])["work"]["verifier_residual"]
+    assert verified <= 2.0 * rep.max_residual + 1e-12
+    assert rep.max_residual <= 2.0 * verified + 1e-12
 
 
 def test_run_growth_report_deterministic(tmp_path):

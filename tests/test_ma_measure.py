@@ -363,7 +363,7 @@ def test_verifier_independent_of_solve_loop(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the verifier reached the solve loop's mass pass")
 
-    for name in ("_mass_pass", "_topology", "_certified_gradients"):
+    for name in ("_mass_pass", "_topology", "_flip_to_lower_hull"):
         monkeypatch.setattr(solver, name, forbidden)
     dom = grid.Domain2D.square(1.0)
     prob = solver.build_problem(dom, 0.1, grid.RhsField("constant"), quadratic)
