@@ -6,9 +6,10 @@ the same config and seed; the "work" block names the experiment and carries
 deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
 ``solve``) records the solve's ``site_updates``, ``newton_steps``,
-``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks`` and
-``edge_flips``, per step its ``residuals`` and ``step_lengths``, and the
-``verifier_residual`` that ``solver.residual`` reads on the solved envelope.  Exit
+``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks``,
+``edge_flips`` and ``start_boundary_sites``, per step its ``residuals`` and
+``step_lengths``, and the ``verifier_residual`` that ``solver.residual`` reads
+on the solved envelope.  Exit
 codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
 failure.
 """
@@ -231,11 +232,11 @@ def _domain(cfg: ExperimentConfig) -> Domain2D:
     return Domain2D.square(cfg.radius)
 
 
-def _count_solve(work: dict, report: solver.SolveReport, problem) -> float:
+def _count_solve(work: dict, report: solver.SolveReport, problem) -> ma_measure.MAMeasure:
     """Record the solve's counters in ``work``, with the residual that the
-    independent ``ma_measure`` verifier reads on its envelope; returns that
-    residual."""
-    verified = solver.residual(report.function, problem)
+    independent ``ma_measure`` verifier reads on its envelope; returns the
+    verifier's measure of the envelope."""
+    measure = ma_measure.ma_measure(report.function)
     work.update(
         site_updates=report.iterations,
         newton_steps=report.newton_steps,
@@ -244,11 +245,12 @@ def _count_solve(work: dict, report: solver.SolveReport, problem) -> float:
         hull_sites=report.hull_sites,
         backtracks=report.backtracks,
         edge_flips=report.edge_flips,
+        start_boundary_sites=report.start_boundary_sites,
         residuals=list(report.residuals),
         step_lengths=list(report.step_lengths),
-        verifier_residual=verified,
+        verifier_residual=solver.residual(report.function, problem, measure),
     )
-    return verified
+    return measure
 
 
 def _run_oracle(cfg, out, work):
@@ -305,7 +307,8 @@ def _run_solve(cfg, out, work):
         exact = prof
     problem = solver.build_problem(dom, cfg.h, rhs, boundary)
     report = solver.solve(problem, tol=cfg.tol)
-    check = _count_solve(work, report, problem)
+    _count_solve(work, report, problem)
+    check = work["verifier_residual"]
     save(report.grid, os.path.join(out, "solution.gfn"))
     ex = np.asarray(exact(problem.grid.nodes), dtype=float)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / max(np.abs(ex).max(), 1e-30))
@@ -427,12 +430,12 @@ def _run_verify_dual(cfg, out, work):
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
     problem = solver.build_problem(dom, cfg.h, rhs, prof)
     report = solver.solve(problem, tol=max(cfg.tol, 1e-6))
-    _count_solve(work, report, problem)
+    measure = _count_solve(work, report, problem)
     save(report.grid, os.path.join(out, "solution.gfn"))
     ex = prof(problem.grid.nodes)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / np.abs(ex).max())
 
-    id_rows = ma_measure.dual_identity(report.function, cfg.alpha, cfg.radius, cfg.h)
+    id_rows = ma_measure.dual_identity(report.function, cfg.alpha, cfg.radius, cfg.h, measure)
     worst = max(row[-1] for row in id_rows)
     _write_table(
         out, "dual_identity", ["r_lo", "r_hi", "weighted_mass", "area", "deviation"], id_rows

@@ -38,8 +38,8 @@ class NoConvergence(ToolkitError):
     """
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0, residuals=(),
-                 step_lengths=()):
+                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0,
+                 start_boundary_sites=0, residuals=(), step_lengths=()):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
@@ -48,6 +48,7 @@ class NoConvergence(ToolkitError):
         self.hull_sites = hull_sites
         self.backtracks = backtracks
         self.edge_flips = edge_flips
+        self.start_boundary_sites = start_boundary_sites
         self.residuals = residuals
         self.step_lengths = step_lengths
 

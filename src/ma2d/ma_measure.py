@@ -313,24 +313,27 @@ def _site_pairing(f: PLConvexFunction, sites, areas, weight) -> float:
 DUAL_IDENTITY_ANNULI = ((0.15, 0.35), (0.35, 0.55), (0.55, 0.75))
 
 
-def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float) -> list:
+def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float,
+                  measure: MAMeasure | None = None) -> list:
     """Dual-equation identity of a solution on the disk of the given radius.
 
     On each annulus of ``DUAL_IDENTITY_ANNULI`` (fractions of the radius),
     the hull-interior sites' pairing sum of (1 + |x|^2)^(2 - 1/(2 alpha))
     times cell area should match the annulus' lattice area (site count times
     h^2).  Returns one row (r_lo, r_hi, weighted_mass, area, deviation) per
-    annulus, with deviation = |weighted_mass / area - 1|.
+    annulus, with deviation = |weighted_mass / area - 1|.  ``measure`` is
+    ``ma_measure(f)`` when the caller has it already.
     """
     weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (2.0 - 1.0 / (2.0 * alpha))
-    c = _cell_arrays(f)
-    radii = np.hypot(f.sites[c.sites, 0], f.sites[c.sites, 1])
+    masses = (ma_measure(f) if measure is None else measure).masses
+    sites = np.flatnonzero(f.hull_interior)
+    radii = np.hypot(f.sites[sites, 0], f.sites[sites, 1])
     rows = []
     for lo_f, hi_f in DUAL_IDENTITY_ANNULI:
         lo, hi = lo_f * radius, hi_f * radius
-        chosen = (lo <= radii) & (radii <= hi)
-        weighted = _site_pairing(f, c.sites[chosen], c.areas[chosen], weight)
-        lebesgue = int(chosen.sum()) * h * h
+        chosen = sites[(lo <= radii) & (radii <= hi)]
+        weighted = _site_pairing(f, chosen, masses[chosen], weight)
+        lebesgue = len(chosen) * h * h
         rows.append((lo, hi, weighted, lebesgue, abs(weighted / lebesgue - 1.0)))
     return rows
 

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ma2d import cli, solver
+from ma2d import cli, ma_measure, solver
 from ma2d.errors import ConfigInvalid
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -123,6 +123,7 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "hull_sites": rep.hull_sites,
         "backtracks": rep.backtracks,
         "edge_flips": rep.edge_flips,
+        "start_boundary_sites": rep.start_boundary_sites,
         "residuals": list(rep.residuals),
         "step_lengths": list(rep.step_lengths),
         "verifier_residual": solver.residual(rep.function, problems[-1]),
@@ -303,17 +304,27 @@ def test_run_cascade_separable(tmp_path):
     assert rep["pass"]
 
 
-def test_run_verify_dual_small(tmp_path):
+def test_run_verify_dual_small(tmp_path, monkeypatch):
     cfg = cli.ExperimentConfig(
         experiment="verify-dual", alpha=0.125, radius=2.0, h=0.25, tol=1e-5,
         outdir=str(tmp_path / "vd"),
     )
+    # the verifier's residual and the dual identity share one build of the cells
+    cell_arrays, built, solves = ma_measure._cell_arrays, [], []
+    solve = solver.solve
+    monkeypatch.setattr(ma_measure, "_cell_arrays",
+                        lambda f: built.append(f) or cell_arrays(f))
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
     rep = cli.run(cfg)
+    assert len(built) == 1 and built[0] is solves[0].function
     assert rep["pass"]
     assert (tmp_path / "vd" / "solution.gfn").exists()
     header, rows = cli.read_table(str(tmp_path / "vd" / "dual_identity.csv"))
     assert header == ["r_lo", "r_hi", "weighted_mass", "area", "deviation"]
     assert all(r[4] < 0.05 for r in rows)
+    # the rows of a separate build, bit for bit
+    ref = ma_measure.dual_identity(solves[0].function, 0.125, 2.0, 0.25)
+    assert rows == ref
 
 
 def test_run_verify_translator_small(tmp_path):
