@@ -67,14 +67,6 @@ class PLConvexFunction:
         """True for sites strictly inside the convex hull of all sites."""
         return strictly_inside_hull(self.sites)
 
-    @cached_property
-    def incident_faces(self) -> list:
-        """Per site, the indices of the envelope faces that contain it, ascending."""
-        flat = self.triangulation.ravel()
-        faces = np.argsort(flat, kind="stable") // 3
-        counts = np.bincount(flat, minlength=len(self.sites))
-        return np.split(faces, np.cumsum(counts)[:-1])
-
     def __call__(self, points) -> np.ndarray:
         """Evaluate the envelope as the max of its affine faces (exact inside the hull)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -233,13 +225,22 @@ def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
     areas[full] = 0.5 * np.add.reduceat(cross, starts[full])
 
     if not certified.all():
-        polys = np.split(g, starts[1:])
-        for k in np.flatnonzero(~certified):
-            faces = f.incident_faces[sites[k]]
-            polys[k] = convex_hull(f.gradients[faces]) if len(faces) else np.empty((0, 2))
-            areas[k] = polygon_area(polys[k])
-            counts[k] = len(polys[k])
-        g = np.concatenate(polys)
+        # the incident faces of the fallback sites only, ascending per site,
+        # and their polygons spliced between the slices of the other cells
+        bad = np.flatnonzero(~certified)
+        fallback = np.zeros(len(f.sites), dtype=bool)
+        fallback[sites[bad]] = True
+        corner = np.flatnonzero(fallback[flat])
+        corner = corner[np.argsort(flat[corner], kind="stable")]
+        per_site = np.bincount(cell_of_site[flat[corner]], minlength=m)[bad]
+        pieces, at = [], 0
+        for k, faces in zip(bad, np.split(corner // 3, np.cumsum(per_site)[:-1])):
+            poly = convex_hull(f.gradients[faces]) if len(faces) else np.empty((0, 2))
+            pieces += [g[at:starts[k]], poly]
+            at = starts[k] + counts[k]
+            areas[k] = polygon_area(poly)
+            counts[k] = len(poly)
+        g = np.concatenate(pieces + [g[at:]])
     return _CellArrays(sites=sites, counts=counts, vertices=g, areas=areas)
 
 

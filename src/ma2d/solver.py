@@ -3,13 +3,17 @@
 The unknown is the vector of interior heights; the equation asks that the
 subgradient-cell area of every interior site equal the prescribed integral of
 f over its lattice cell.  The solve starts from max(q, E + a (|x - x0|^2 -
-R^2) / 2): q(x) = a |x - x0|^2 / 2 + c is a paraboloid matched to the median
-target mass and kept below the boundary data, E is the lower convex envelope
-of the boundary data and R^2 the largest |x - x0|^2 over the boundary sites
-(``_paraboloid_init``).  Both branches are strictly convex and lie on or
-below the data at the boundary, so every interior site is a hull vertex with
-positive mass; E's branch lifts the start where the data rise faster than q,
-as |x1|^6 does near x1 = +-1.  The solve then runs damped Newton on the mass
+R^2) / 2): q(x) = a |x - x0|^2 / 2 + l(x) + c is a paraboloid matched to the
+median target mass, tilted by the least-squares affine fit l of the boundary
+gap g - a |x - x0|^2 / 2 and kept below the boundary data, E is the lower
+convex envelope of the boundary data and R^2 the largest |x - x0|^2 over the
+boundary sites (``_paraboloid_init``).  The fit is linear in the data, so
+boundary data tilted by an affine l0 tilt the start by l0, and the solve
+takes the steps of the untilted problem, as the equation and the masses
+ignore the tilt.  Both branches are strictly convex and lie on or below the
+data at the boundary, so every interior site is a hull vertex with positive
+mass; E's branch lifts the start where the data rise faster than q, as
+|x1|^6 does near x1 = +-1.  The solve then runs damped Newton on the mass
 map.  The Jacobian is the standard power-diagram stiffness,
 d(mass_i)/d(height_j) = L_ij / |x_j - x_i| for the cell edge generated by
 neighbor j, sparse and symmetric, with the diagonal carrying the boundary
@@ -30,11 +34,13 @@ in one of four ways:
   above q.  The four corners of a lattice square lie on a circle with no
   other lattice site on or inside it, and q exceeds the plane through their
   lifts by a (|x - m|^2 - r^2) / 2 for the circle's centre m and radius r,
-  which is positive off the circle.  So every square whose corners are
-  interior sites at height q is a face of the lower hull, and Qhull builds
-  the hull of the band only: the sites that are not corners of four such
-  squares, 860 of verify-dual's 12,853 (``_square_hull``).  A merge that
-  fails its check falls back to a whole Qhull build;
+  which is positive off the circle; the affine l + c cancels in that
+  difference, as an affine term changes no face of a lower hull.  So every
+  square whose corners are interior sites at height q is a face of the
+  lower hull, and Qhull builds the hull of the band only: the sites that are
+  not corners of four such squares, 860 of verify-dual's 12,853
+  (``_square_hull``).  A merge that fails its check falls back to a whole
+  Qhull build;
 - certified as carried: the accepted pass's triangulation is still the lower
   hull when every site is a vertex and the lift is locally convex across
   every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
@@ -514,12 +520,14 @@ def _jacobian(hp: _MassPass, m: int):
 def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) -> SolveReport:
     """Adjust interior heights until every cell mass matches its target.
 
-    Damped Newton on the mass map, from the max of a paraboloid and the
-    boundary data's lower convex envelope (see the module docstring).  ``max_iters`` bounds the site updates, charged as the number
-    of interior sites per accepted Newton step.  Raises NoConvergence when
-    tol is not positive, the update budget is exhausted or Newton stops short
-    of tol, with the residual of the heights it reached; raises
-    InfeasibleBoundary when the boundary data admits no convex extension.
+    Damped Newton on the mass map, from the max of a paraboloid, tilted by
+    an affine fit to the boundary data, and the data's lower convex envelope
+    (see the module docstring).  ``max_iters`` bounds the site updates,
+    charged as the number of interior sites per accepted Newton step.
+    Raises NoConvergence when tol is not positive, the update budget is
+    exhausted or Newton stops short of tol, with the residual of the heights
+    it reached; raises InfeasibleBoundary when the boundary data admits no
+    convex extension.
     The returned envelope is the last accepted pass: its triangulation, its
     face gradients and offsets taken at each face's first vertex.  It equals
     ``lower_envelope`` of the solved heights as a function, not as arrays.
@@ -645,44 +653,55 @@ def _paraboloid_init(state, boundary_values, envelope, squares, pitch):
     """Start from max(q, E + a (|x - x0|^2 - R^2) / 2) on the interior sites,
     and make the start pass.
 
-    q(x) = a |x - x0|^2 / 2 + c is a paraboloid matched to the median target
-    mass at the lattice pitch, about the sites' mean x0, with c the least gap
-    to the boundary data.  E is the boundary data's lower convex envelope
-    (``envelope``, from ``_boundary_envelope``) and R^2 the largest
-    |x - x0|^2 over the boundary sites.  Both branches are strictly convex
-    and lie on or below the data at the boundary sites, so the max of the two
-    is strictly convex: the tangent plane of the winning branch at an
+    q(x) = a |x - x0|^2 / 2 + l(x) + c is a paraboloid matched to the median
+    target mass at the lattice pitch, about the sites' mean x0.  l is the
+    least-squares affine fit, over the boundary sites, of the gap
+    g - a |x - x0|^2 / 2 to the boundary data g, and c the least of
+    g - a |x - x0|^2 / 2 - l there.  The fit is linear in g, so data tilted
+    by an affine l0 move l by l0 and leave c, E - l and the start's lower
+    hull as they were: the start moves by l0 (to rounding), and so does every
+    Newton iterate after it.  Without l, a tilt put q far below the data on
+    one side: 36 constant-square solves tilted by up to 0.5 took 285 Newton
+    steps, where the untilted one takes 0.  E is the boundary data's lower
+    convex envelope (``envelope``, from ``_boundary_envelope``) and R^2 the
+    largest |x - x0|^2 over the boundary sites.  Both branches are strictly
+    convex and lie on or below the data at the boundary sites, so the max of
+    the two is strictly convex: the tangent plane of the winning branch at an
     interior site supports the lift there and no other, and every interior
     site is a hull vertex with positive mass.
 
-    The r^2 terms cancel, so E's branch wins exactly where E > c + a R^2 / 2.
-    An interior site whose two axis neighbours are interior is their
-    midpoint, so along each lattice line E, convex, takes its greatest value
-    on the interior sites at an end: a rim site, whose axis neighbour on that
-    side is a boundary site.  E is evaluated on the rim first (the centres of
-    the chords with a boundary end, which include every rim site); when no
-    rim site takes E's branch, the start is q as it is, and E is never
-    evaluated on the other sites.  On verify-dual E stays 22.7 below the
-    level on its rim.  E is evaluated by ``_face_max``, not by a matrix
-    product.
+    The r^2 terms cancel, so E's branch wins exactly where
+    E - l > c + a R^2 / 2.  An interior site whose two axis neighbours are
+    interior is their midpoint, so along each lattice line E - l, convex,
+    takes its greatest value on the interior sites at an end: a rim site,
+    whose axis neighbour on that side is a boundary site.  E - l is
+    evaluated on the rim first (the centres of the chords with a boundary
+    end, which include every rim site); when no rim site takes E's branch,
+    the start is q as it is, and E is never evaluated on the other sites.  On
+    verify-dual E - l stays 22.7 below the level on its rim.  E is evaluated
+    by ``_face_max``, not by a matrix product.
 
     A lattice square of ``squares`` whose four corners take q's branch is a
     face of the start's lower hull (module docstring), since every other lift
-    lies on or above q.  The start pass takes those squares as faces and
-    builds a Qhull hull of the band only; with no such squares, or when the
-    merged faces fail their check, Qhull builds the whole hull.
+    lies on or above q and the affine l + c changes no face of a lower hull.
+    The start pass takes those squares as faces and builds a Qhull hull of
+    the band only; with no such squares, or when the merged faces fail their
+    check, Qhull builds the whole hull.
     """
     sites, interior, ids = state.sites, state.interior, state.int_ids
     med = float(np.median(state.tgt))
     a = np.sqrt(med) / pitch
-    center = sites.mean(axis=0)
-    r2 = np.sum((sites - center) ** 2, axis=1)
-    c = float(np.min(boundary_values - 0.5 * a * r2[~interior]))
-    state.heights[interior] = 0.5 * a * r2[interior] + c
+    d = sites - sites.mean(axis=0)
+    r2 = np.sum(d**2, axis=1)
+    gap = boundary_values - 0.5 * a * r2[~interior]
+    fit = np.linalg.lstsq(np.column_stack([np.ones(len(gap)), d[~interior]]), gap, rcond=None)[0]
+    ell = fit[0] + d[:, 0] * fit[1] + d[:, 1] * fit[2]
+    c = float(np.min(gap - ell[~interior]))
+    state.heights[interior] = 0.5 * a * r2[interior] + ell[interior] + c
     big_r2 = float(np.max(r2[~interior]))
     centre, a_end, b_end = state.chords
     rim = np.unique(centre[~(interior[a_end] & interior[b_end])])
-    if np.any(_face_max(*envelope, sites[rim]) > c + 0.5 * a * big_r2):
+    if np.any(_face_max(*envelope, sites[rim]) - ell[rim] > c + 0.5 * a * big_r2):
         q = state.heights[ids]
         e = _face_max(*envelope, sites[ids]) + 0.5 * a * (r2[ids] - big_r2)
         wins = e > q

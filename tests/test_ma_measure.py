@@ -337,6 +337,41 @@ def test_array_core_matches_reference(case, request, monkeypatch):
     assert np.array_equal(masses[[c.site_index for c in cells]], [c.area for c in cells])
 
 
+def test_fallback_cells_spliced_into_a_solved_envelope(monkeypatch):
+    # the solved envelope of a tilted quadratic on the square: the two
+    # triangles of a lattice square carry cross-product gradients an ulp
+    # apart, so some cells take the fallback.  Its polygons go back between
+    # the other cells', which the per-site reference must find unchanged
+    tilted = lambda p: quadratic(p) + 0.3 - 0.4 * p[:, 0] + 0.25 * p[:, 1]
+    prob = solver.build_problem(grid.Domain2D.square(1.0), 0.05, grid.RhsField("constant"),
+                                tilted)
+    f = solver.solve(prob, tol=1e-6).function
+    seen = []
+
+    def recorded(vertices):
+        seen.append(vertices)
+        return polygon_area(vertices)
+
+    with monkeypatch.context() as m:
+        m.setattr(mm, "polygon_area", recorded)
+        cells = mm._cell_arrays(f)
+    ref = reference_cells(f)
+    assert len(seen) > 0
+    assert np.array_equal(cells.sites, [i for i, _, _ in ref])
+    assert np.array_equal(cells.counts, [len(poly) for _, poly, _ in ref])
+    assert np.array_equal(cells.vertices, np.concatenate([poly for _, poly, _ in ref]))
+    # the fallback runs over its cells in ascending order: their areas are
+    # the reference's bit for bit, the array core's agree to rounding
+    fallback = []
+    for k, (_, poly, _) in enumerate(ref):
+        if len(fallback) < len(seen) and np.array_equal(seen[len(fallback)], poly):
+            fallback.append(k)
+    assert len(fallback) == len(seen)
+    areas = np.array([area for _, _, area in ref])
+    assert np.array_equal(cells.areas[fallback], areas[fallback])
+    assert np.all(np.abs(cells.areas - areas) <= 1e-10 * areas)
+
+
 @pytest.mark.parametrize("case", ["affine", "ridge", "flat_square"])
 def test_degenerate_cells_take_fallback(case, monkeypatch):
     sites = lattice(1.0, 0.25)

@@ -218,6 +218,9 @@ def test_affine_covariance(disk, h, dual, eigen, angle, ell):
     nodes = prob.grid.nodes
     lift = ell[0] + nodes @ np.array(ell[1:])
     assert np.max(np.abs(tilted.grid.values - (rep.grid.values + lift))) < 1e-6
+    # the start is covariant too, so the tilt costs no step and no hull
+    assert tilted.newton_steps == rep.newton_steps
+    assert tilted.hull_builds == rep.hull_builds
     # shear the sites by a unimodular matrix: same targets, mapped solution.
     # A linear map keeps each chord's centre at the midpoint of its ends; it
     # does not keep a lattice square's corners cocircular, so no squares; the
@@ -609,15 +612,21 @@ def _paraboloid_start(gf, boundary_values, targets, squares):
 
 
 def _start_branches(gf, boundary_values, targets):
-    """The two branches of the start on every site: the paraboloid q and
-    E + a (|x - x0|^2 - R^2) / 2 for the boundary data's envelope E."""
+    """The two branches of the start on every site, the paraboloid
+    q = a |x - x0|^2 / 2 + l + c and E + a (|x - x0|^2 - R^2) / 2 for the
+    boundary data's envelope E, and E - l.  l is the least-squares affine fit
+    of the gap g - a |x - x0|^2 / 2 over the boundary sites."""
     sites, interior = gf.nodes, gf.interior_mask
     a = math.sqrt(float(np.median(targets[interior]))) / gf.h
-    r2 = np.sum((sites - sites.mean(axis=0)) ** 2, axis=1)
-    c = float(np.min(boundary_values - 0.5 * a * r2[~interior]))
+    d = sites - sites.mean(axis=0)
+    r2 = np.sum(d**2, axis=1)
+    gap = boundary_values - 0.5 * a * r2[~interior]
+    fit = np.linalg.lstsq(np.column_stack([np.ones(len(gap)), d[~interior]]), gap, rcond=None)[0]
+    ell = fit[0] + d[:, 0] * fit[1] + d[:, 1] * fit[2]
+    c = float(np.min(gap - ell[~interior]))
     envelope = solver._boundary_envelope(sites[~interior], boundary_values)
     e = solver._face_max(*envelope, sites)
-    return 0.5 * a * r2 + c, e + 0.5 * a * (r2 - r2[~interior].max()), e
+    return 0.5 * a * r2 + ell + c, e + 0.5 * a * (r2 - r2[~interior].max()), e - ell
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -670,7 +679,7 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
     # interior site a vertex, no site on a chord, every mass positive.  A
     # boundary site inside the hull of the others, as on a disk lattice, may
     # lie above the envelope, so the passes need not cover every site
-    q, from_e, e = _start_branches(gf, bv, targets)
+    q, from_e, e_less_l = _start_branches(gf, bv, targets)
     scale_z = 1.0 + np.abs(lattice.heights).max()
     assert np.all(lattice.heights[interior] >= q[interior])
     assert np.allclose(lattice.heights[interior], np.maximum(q, from_e)[interior],
@@ -682,11 +691,16 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
         assert np.all(np.bincount(hull.topo.tris.ravel(), minlength=len(sites))[interior])
     assert not lattice.above_a_chord()
     assert np.all(start.areas[interior] > 0.0)
-    # E is convex and every site off the rim is the midpoint of two interior
-    # axis neighbours, so E's greatest interior value is taken on the rim
+    # E - l is convex and every site off the rim is the midpoint of two
+    # interior axis neighbours, so its greatest interior value is taken on the rim
     axis = ((1, 0), (-1, 0), (0, 1), (0, -1))
     rim = interior & ~np.all([interior[gf.neighbor_ids(d)] for d in axis], axis=0)
-    assert e[interior].max() == e[rim].max()
+    assert e_less_l[interior].max() == e_less_l[rim].max()
+    # the start is affine-covariant: data tilted by l0 move it by l0
+    l0 = lambda p: tilt[0] + p @ np.array(tilt[1:])
+    shifted = _paraboloid_start(gf, bv + l0(sites[~interior]), targets, squares)
+    assert np.allclose(shifted.heights - lattice.heights, l0(sites),
+                       rtol=0.0, atol=1e-12 * scale_z)
     if (shape, scale, h, data, tilt) == ("square", 1.0, 0.1, "separable", (0.0, 0.0, 0.0)):
         assert lattice.start_boundary_sites > 0  # the data rise above q near x1 = +-1
     # the squares whose corners all take q's branch stay faces
@@ -718,8 +732,8 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
 
 
 def test_verify_dual_start_is_the_paraboloid(dual_profile_8):
-    # configs/verify_dual.json: E stays below c + a R^2 / 2 on the rim, so no
-    # site takes its branch and the start is the paraboloid q bit for bit
+    # configs/verify_dual.json: E - l stays below c + a R^2 / 2 on the rim, so
+    # no site takes E's branch and the start is the paraboloid q bit for bit
     rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     prob = solver.build_problem(grid.Domain2D.disk(8.0), 0.125, rhs, dual_profile_8)
     gf, interior = prob.grid, prob.interior
@@ -911,10 +925,12 @@ def test_step_bound_is_the_chord_tests_bound(disk, h, eigen, angle, tilt, noise,
 
 
 def test_small_solve_members_newton_steps(dual_profile_8):
-    # the five untilted members of the small-solves benchmark mix at its tol
-    # 1e-6: a step count shows a regression of the step rule that a noisy
-    # timer misses.  Halving into the chord bound took 0, 4, 5, 25 and 46,
-    # and the paraboloid start without the boundary envelope 0, 4, 5, 20 and 36
+    # the five members of the small-solves benchmark mix at its tol 1e-6,
+    # untilted and tilted by one affine function: a step count shows a
+    # regression of the step rule that a noisy timer misses.  Halving into
+    # the chord bound took 0, 4, 5, 25 and 46, and the paraboloid start
+    # without the boundary envelope 0, 4, 5, 20 and 36.  The start is
+    # affine-covariant, so the tilted members take the same steps
     square = grid.Domain2D.square(1.0)
     dual = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     degenerate = grid.RhsField("degenerate", alpha=1 / 8)
@@ -926,11 +942,13 @@ def test_small_solve_members_newton_steps(dual_profile_8):
         (square, 0.1, degenerate, sep),
         (square, 0.0625, degenerate, sep),
     ]
-    steps = []
-    for dom, h, rhs, boundary in members:
-        prob = solver.build_problem(dom, h, rhs, boundary)
-        rep = solver.solve(prob, tol=1e-6)
-        assert rep.max_residual <= 1e-6 and solver.residual(rep.function, prob) <= 1e-6
-        assert len(rep.step_lengths) == rep.newton_steps
-        steps.append(rep.newton_steps)
-    assert steps == [0, 4, 5, 12, 18]
+    for tilt in ((0.0, 0.0, 0.0), (0.3, -0.4, 0.25)):
+        steps = []
+        for dom, h, rhs, boundary in members:
+            tilted = lambda p: boundary(p) + tilt[0] + p @ np.array(tilt[1:])
+            prob = solver.build_problem(dom, h, rhs, tilted)
+            rep = solver.solve(prob, tol=1e-6)
+            assert rep.max_residual <= 1e-6 and solver.residual(rep.function, prob) <= 1e-6
+            assert len(rep.step_lengths) == rep.newton_steps
+            steps.append(rep.newton_steps)
+        assert steps == [0, 4, 5, 12, 18], tilt
