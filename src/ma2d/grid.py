@@ -201,6 +201,18 @@ class GridFunction:
         return out
 
     @cached_property
+    def lattice_edges(self) -> np.ndarray:
+        """(E, 2) node index pairs of the lattice edges: (x, x + h e1) for
+        every edge along x1, then (x, x + h e2) for every edge along x2, each
+        block in node order."""
+        pairs = []
+        for off in ((1, 0), (0, 1)):
+            nb = self.neighbor_ids(off)
+            ok = np.flatnonzero(nb >= 0)
+            pairs.append(np.stack([ok, nb[ok]], axis=1))
+        return np.concatenate(pairs)
+
+    @cached_property
     def interior_mask(self) -> np.ndarray:
         """True where all four axis neighbors exist on the lattice."""
         ok = np.ones(len(self), dtype=bool)

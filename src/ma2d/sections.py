@@ -5,10 +5,14 @@ A section S is the sub-level polygon {v <= v(x0) + p.(x - x0) + t}.  For
 callable convex functions the boundary is traced along n_dirs equally spaced
 rays from the base point, all rays at once: each step calls the function once
 on an (m, 2) array holding every ray still open.  Radii are bracketed by
-doubling from 1 and then bisected, keeping w(lo) <= 0 < w(hi) for the shifted
-function w, until hi - lo <= 1e-13 + 1e-14 hi on every ray; the vertex is the
-midpoint.  For grid samples the boundary is the marching-squares contour with
-linear interpolation along lattice edges.
+doubling from 1, with w(lo) <= 0 < w(hi) for the shifted function w, and the
+root is then found by Chandrupatla's method on every ray, until the bracket
+is no wider than 1e-13 + 1e-14 r or w is exactly 0; the vertex is the bracket
+end of least |w|.  For grid samples the boundary is the marching-squares
+contour with linear interpolation along lattice edges, all edges at once.
+
+The John ellipse is fitted on an active set of the polygon's edges, since a
+maximum-volume inscribed ellipse touches at most five of them.
 """
 from __future__ import annotations
 
@@ -57,11 +61,12 @@ def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:
 
     ``v`` may be a GridFunction (marching squares on lattice edges), a
     PLConvexFunction, or any callable of (N, 2) arrays.  A callable is traced
-    along ``n_dirs`` rays by batched bisection (see the module docstring):
-    about 50 calls of ``v``, each on the rays still open, for radii to
-    1e-13 + 1e-14 r.  Raises SectionNotCompact when a ray's radius passes
-    1e9, naming the lowest-index such direction, and NonfiniteValue when
-    ``v`` is NaN or infinite at a traced point.
+    along ``n_dirs`` rays by a batched bracket and root search (see the module
+    docstring): 9 to 18 calls of ``v`` for the oracles at t = 1 and 128, each
+    on the rays still open, for radii to 1e-13 + 1e-14 r.  Raises
+    SectionNotCompact when a ray's radius passes 1e9, naming the lowest-index
+    such direction, and NonfiniteValue when ``v`` is NaN or infinite at a
+    traced point.
     """
     if t <= 0:
         raise ValueError("section height t must be positive")
@@ -73,7 +78,7 @@ def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:
     return _section_from_callable(v, x0, p, t, n_dirs=n_dirs)
 
 
-_XTOL, _RTOL = 1e-13, 1e-14  # bisection stops at hi - lo <= _XTOL + _RTOL * hi
+_XTOL, _RTOL = 1e-13, 1e-14  # a ray's bracket [x1, x2] closes at width _XTOL + _RTOL * max(x1, x2)
 _R_MAX = 1e9  # a ray whose bracket passes this radius is unbounded
 
 
@@ -99,32 +104,80 @@ def _section_from_callable(fn, x0, p, t, n_dirs: int) -> Section:
             )
         return out
 
-    # bracket: double hi on the rays where the shifted function is still <= 0
+    # bracket: double hi on the rays where the shifted function is still <= 0,
+    # keeping the values at both ends; w(0) = -t
     lo = np.zeros(n_dirs)
     hi = np.ones(n_dirs)
+    wlo = np.full(n_dirs, -float(t))
+    whi = np.empty(n_dirs)
     rays = np.arange(n_dirs)
     while True:
-        rays = rays[w(rays, hi[rays]) <= 0.0]
+        vals = w(rays, hi[rays])
+        up = vals <= 0.0
+        whi[rays[~up]] = vals[~up]
+        rays = rays[up]
         if not rays.size:
             break
-        lo[rays] = hi[rays]
+        lo[rays], wlo[rays] = hi[rays], vals[up]
         hi[rays] *= 2.0
         # every open ray has the same hi, so the bound trips for all at once
         if hi[rays[0]] > _R_MAX:
             raise SectionNotCompact(
                 f"level set is unbounded along direction {theta[rays[0]]:.3f}"
             )
-    # bisect the open rays, keeping w(lo) <= 0 < w(hi)
-    rays = np.flatnonzero(hi - lo > _XTOL + _RTOL * hi)
-    while rays.size:
-        mid = 0.5 * (lo[rays] + hi[rays])
-        pos = w(rays, mid) > 0.0
-        hi[rays[pos]] = mid[pos]
-        lo[rays[~pos]] = mid[~pos]
-        rays = rays[hi[rays] - lo[rays] > _XTOL + _RTOL * hi[rays]]
-    root = 0.5 * (lo + hi)
+    root = _chandrupatla(w, lo, wlo, hi, whi)
     verts = x0 + root[:, None] * dirs
     return Section(base_point=x0, slope=p, height=float(t), polygon=verts)
+
+
+def _chandrupatla(w, a, fa, b, fb) -> np.ndarray:
+    """Root of w on every ray from its bracket [a, b], fa = w(a) <= 0 < w(b) = fb.
+
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Softw. 28, 1997), run on all rays at once: each step calls
+    ``w(rays, s)`` once on the rays still open.  Per ray, x1 is the latest
+    point, x2 the bracket's other end and x3 the point last dropped from the
+    bracket; the next point is x1 + t (x2 - x1), with t from the quadratic
+    through the three points where it is monotone in the bracket and 1/2
+    otherwise, kept tol/2 clear of both ends.  A ray stops when its bracket
+    is no wider than tol = _XTOL + _RTOL * max(x1, x2), or when w is exactly
+    0 at x1.  Its root is the bracket end of least |w|: the zero where one
+    was found, and within tol of the root in any case.
+    """
+    x1, f1, x2, f2 = a.copy(), fa.copy(), b.copy(), fb.copy()
+    x3, f3 = np.empty_like(x1), np.empty_like(x1)
+    t = np.full(len(x1), 0.5)
+    rays = np.arange(len(x1))
+    while True:
+        dx = np.abs(x2[rays] - x1[rays])
+        tol = _XTOL + _RTOL * np.maximum(x1[rays], x2[rays])
+        open_ = (dx > tol) & (f1[rays] != 0.0)
+        rays, dx, tol = rays[open_], dx[open_], tol[open_]
+        if not rays.size:
+            break
+        tl = 0.5 * tol / dx
+        s = x1[rays] + np.clip(t[rays], tl, 1.0 - tl) * (x2[rays] - x1[rays])
+        fs = w(rays, s)
+        # the bracket keeps x2 where w(s) has w(x1)'s sign, else it keeps x1
+        flip = np.sign(fs) != np.sign(f1[rays])
+        keep, swap = rays[~flip], rays[flip]
+        x3[keep], f3[keep] = x1[keep], f1[keep]
+        x3[swap], f3[swap] = x2[swap], f2[swap]
+        x2[swap], f2[swap] = x1[swap], f1[swap]
+        x1[rays], f1[rays] = s, fs
+        r1, r2, r3 = x1[rays], x2[rays], x3[rays]
+        g1, g2, g3 = f1[rays], f2[rays], f3[rays]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = (r1 - r2) / (r3 - r2)
+            phi = (g1 - g2) / (g3 - g2)
+            quad = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t[rays] = np.where(
+                quad,
+                g1 / (g2 - g1) * g3 / (g2 - g3)
+                + (r3 - r1) / (r2 - r1) * g1 / (g3 - g1) * g2 / (g3 - g2),
+                0.5,
+            )
+    return np.where(np.abs(f1) <= np.abs(f2), x1, x2)
 
 
 def _section_from_grid(gf: GridFunction, x0, p, t) -> Section:
@@ -135,19 +188,14 @@ def _section_from_grid(gf: GridFunction, x0, p, t) -> Section:
         raise SectionNotCompact("section height below the function minimum")
     if np.any(inside & gf.boundary_mask):
         raise SectionNotCompact("level set touches the computational boundary")
-    crossings = []
-    for off in ((1, 0), (0, 1)):
-        nb = gf.neighbor_ids(off)
-        ok = nb >= 0
-        i = np.flatnonzero(ok)
-        j = nb[ok]
-        sign = inside[i] != inside[j]
-        for a, b in zip(i[sign], j[sign]):
-            lam = w[a] / (w[a] - w[b])
-            crossings.append(gf.nodes[a] + lam * (gf.nodes[b] - gf.nodes[a]))
-    if len(crossings) < 3:
+    a, b = gf.lattice_edges.T
+    cut = inside[a] != inside[b]
+    a, b = a[cut], b[cut]
+    if len(a) < 3:
         raise SectionNotCompact("level set too small for the lattice resolution")
-    pts = np.unique(np.round(np.asarray(crossings), 12), axis=0)
+    lam = w[a] / (w[a] - w[b])
+    crossings = gf.nodes[a] + lam[:, None] * (gf.nodes[b] - gf.nodes[a])
+    pts = np.unique(np.round(crossings, 12), axis=0)
     center = pts.mean(axis=0)
     ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
     poly = pts[np.argsort(ang, kind="stable")]
@@ -200,6 +248,15 @@ def john_ellipsoid(polygon) -> EllipsoidFit:
     Solves max log det B over ellipses c + B(unit disk) subject to the edge
     constraints a_i . c + |B a_i| <= b_i (B symmetric positive definite via
     its Cholesky parameters); SLSQP with analytic gradients.
+
+    The optimum touches at most five edges (John, 1948), so SLSQP runs on an
+    active set of edges: every (m // 32)-th of the m edges and the 8 nearest
+    the centroid, which is every edge when m < 64.  After each solve the
+    slack of all m edges is evaluated; the edges violated by more than
+    1e-12 max |b_i| join the set and the problem is solved again from the last
+    optimum.  Each subset problem is a relaxation of the full one, so an
+    optimum that satisfies every edge is the full problem's optimum, and the
+    loop ends since the set grows on every round but the last.
     """
     from scipy import optimize
 
@@ -215,7 +272,8 @@ def john_ellipsoid(polygon) -> EllipsoidFit:
     b = np.sum(normals * poly[ok], axis=1)
 
     c0 = polygon_centroid(poly)
-    rad0 = float(np.min(b - normals @ c0))
+    dist = b - normals @ c0
+    rad0 = float(np.min(dist))
     if rad0 <= 0:
         raise DegeneratePolygon("polygon is not star-shaped around its centroid")
     x0 = np.array([c0[0], c0[1], 0.5 * rad0, 0.0, 0.5 * rad0])
@@ -234,12 +292,12 @@ def john_ellipsoid(polygon) -> EllipsoidFit:
         g[4] = -1.0 / z[4]
         return g
 
-    def cons_f(z):
+    def cons_f(z, normals, b):
         c, L = unpack(z)
         Ba = (L @ L.T) @ normals.T
         return b - normals @ c - np.hypot(Ba[0], Ba[1])
 
-    def cons_j(z):
+    def cons_j(z, normals, b):
         c, L = unpack(z)
         B = L @ L.T
         Ba = (B @ normals.T).T  # (m, 2)
@@ -262,16 +320,26 @@ def john_ellipsoid(polygon) -> EllipsoidFit:
         J[:, 4] = -np.sum(u * d22, axis=1)
         return J
 
-    res = optimize.minimize(
-        fun,
-        x0,
-        jac=jac,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_j}],
-        bounds=[(None, None), (None, None), (1e-12, None), (None, None), (1e-12, None)],
-        options={"maxiter": 400, "ftol": 1e-12},
-    )
-    z = res.x
+    active = np.zeros(len(b), dtype=bool)
+    active[:: max(1, len(b) // 32)] = True
+    active[np.argsort(dist, kind="stable")[:8]] = True
+    z = x0
+    while True:
+        res = optimize.minimize(
+            fun,
+            z,
+            jac=jac,
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_j,
+                          "args": (normals[active], b[active])}],
+            bounds=[(None, None), (None, None), (1e-12, None), (None, None), (1e-12, None)],
+            options={"maxiter": 400, "ftol": 1e-12},
+        )
+        z = res.x
+        added = ~active & (cons_f(z, normals, b) < -1e-12 * np.abs(b).max())
+        if not added.any():
+            break
+        active |= added
     c, L = unpack(z)
     B = L @ L.T
     S = B @ B.T  # ellipse covariance: x = c + B u, so (x-c)^T (B B^T)^-1 (x-c) <= 1

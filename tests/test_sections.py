@@ -15,7 +15,14 @@ from ma2d.errors import (
     NonfiniteValue,
     SectionNotCompact,
 )
-from ma2d.geometry import disk_rule, min_edge_cross, polygon_area, polygon_edges
+from ma2d.geometry import (
+    convex_hull,
+    disk_rule,
+    min_edge_cross,
+    polygon_area,
+    polygon_centroid,
+    polygon_edges,
+)
 
 from conftest import quadratic
 
@@ -42,6 +49,37 @@ def test_section_separable_semi_axes():
     sec = sections.extract_section(sep, np.zeros(2), np.zeros(2), 1.0)
     assert np.isclose(np.abs(sec.polygon[:, 0]).max(), 1.0, rtol=1e-9)
     assert np.isclose(np.abs(sec.polygon[:, 1]).max(), np.sqrt(60.0), rtol=1e-9)
+
+
+def _loop_grid_polygon(gf, x0, p, t):
+    """Reference marching squares: one lattice edge at a time."""
+    v0 = sections._grid_value_at(gf, x0)
+    w = gf.values - v0 - (gf.nodes - x0) @ p - t
+    inside = w <= 0.0
+    crossings = []
+    for off in ((1, 0), (0, 1)):
+        nb = gf.neighbor_ids(off)
+        for a in np.flatnonzero(nb >= 0):
+            b = nb[a]
+            if inside[a] != inside[b]:
+                lam = w[a] / (w[a] - w[b])
+                crossings.append(gf.nodes[a] + lam * (gf.nodes[b] - gf.nodes[a]))
+    pts = np.unique(np.round(np.asarray(crossings), 12), axis=0)
+    center = pts.mean(axis=0)
+    ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+    return pts[np.argsort(ang, kind="stable")]
+
+
+@pytest.mark.parametrize("case", ["quadratic", "solved_dual_disk8"])
+def test_grid_section_equals_loop_reference(case, request):
+    if case == "quadratic":
+        gf = grid.sample(quadratic, grid.Domain2D.disk(20.0), 0.5)
+    else:
+        gf = request.getfixturevalue(case)[1].grid
+    x0, zero = gf.nodes[gf.argmin_node()], np.zeros(2)
+    for t in 2.0 ** np.arange(8):
+        sec = sections.extract_section(gf, x0, zero, t)
+        assert np.array_equal(sec.polygon, _loop_grid_polygon(gf, x0, zero, t))
 
 
 def test_section_not_compact_grid():
@@ -102,7 +140,7 @@ def test_callable_section_batches_its_calls(name):
         return CALLABLES[name](pts)
 
     sections.extract_section(counted, np.zeros(2), np.zeros(2), 128.0, n_dirs=512)
-    assert len(calls) <= 100
+    assert len(calls) <= 30
     assert calls[1] == 512  # the first bracket step holds every ray
 
 
@@ -112,6 +150,24 @@ def test_callable_section_nan_raises_nonfinite():
 
     with pytest.raises(NonfiniteValue, match="direction 0.000"):
         sections.extract_section(nan_beyond_one, np.zeros(2), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("t, radius", [(0.5, 1.0), (2.0, 2.0)])
+def test_callable_section_root_at_bracket_end(t, radius):
+    # the doubling bracket ends at s = radius, where w is 0 up to the
+    # rounding of cos^2 + sin^2 (exactly 0 on 401 of the 512 rays)
+    sec = sections.extract_section(quadratic, np.zeros(2), np.zeros(2), t)
+    assert np.abs(np.hypot(*sec.polygon.T) - radius).max() <= 1e-15
+
+
+def test_callable_section_nan_in_root_phase_raises_nonfinite():
+    # the bracket [1, 2] misses the NaN band, and the root sqrt(2) lies in it
+    def nan_band(pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        return np.where((r > 1.40) & (r < 1.45), np.nan, quadratic(pts))
+
+    with pytest.raises(NonfiniteValue, match=r"direction \d\.\d{3} at radius 1\.4"):
+        sections.extract_section(nan_band, np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_callable_section_not_compact_names_direction():
@@ -186,6 +242,91 @@ def test_john_containment_two_sided():
     edge_pts = (poly[None, :, :] * (1 - lam) + np.roll(poly, -1, axis=0)[None, :, :] * lam)
     w = (edge_pts.reshape(-1, 2) - fit.center) @ np.linalg.inv(B)
     assert np.all(np.hypot(w[:, 0], w[:, 1]) <= 2.0 + 1e-7)
+
+
+_DB = [np.array(e, dtype=float) for e in ([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]])]
+
+
+def _edge_lines(poly):
+    """Unit outward normals n_i and offsets b_i of a ccw polygon's edges."""
+    e = np.roll(poly, -1, axis=0) - poly
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    return nrm, np.sum(nrm * poly, axis=1)
+
+
+def _full_john(poly):
+    """Reference fit: john_ellipsoid's SLSQP problem over every edge at once,
+    from the centroid's inscribed disk.  Returns B of the ellipse
+    c + B(unit disk)."""
+    nrm, b = _edge_lines(poly)
+    c0 = polygon_centroid(poly)
+    r0 = float(np.min(b - nrm @ c0))
+
+    def chol(z):
+        return np.array([[z[2], 0.0], [z[3], z[4]]])
+
+    def slack(z):
+        L = chol(z)
+        return b - nrm @ z[:2] - np.hypot(*((L @ L.T) @ nrm.T))
+
+    def slack_jac(z):
+        L = chol(z)
+        Ba = (L @ L.T) @ nrm.T
+        u = Ba / np.hypot(*Ba)
+        J = np.empty((len(b), 5))
+        J[:, :2] = -nrm
+        for k, dL in enumerate(_DB):  # dB = dL L^T + L dL^T
+            J[:, 2 + k] = -np.sum(u * ((dL @ L.T + L @ dL.T) @ nrm.T), axis=0)
+        return J
+
+    res = optimize.minimize(
+        lambda z: -(np.log(z[2]) + np.log(z[4])),
+        np.array([c0[0], c0[1], 0.5 * r0, 0.0, 0.5 * r0]),
+        jac=lambda z: np.array([0.0, 0.0, -1.0 / z[2], 0.0, -1.0 / z[4]]),
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
+        bounds=[(None, None), (None, None), (1e-12, None), (None, None), (1e-12, None)],
+        options={"maxiter": 400, "ftol": 1e-12},
+    )
+    L = chol(res.x)
+    return L @ L.T
+
+
+def _cloud_hull(seed):
+    """Hull of 200-1,000 seeded points near an ellipse: 110-126 vertices for
+    seeds 0-5."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 1001))
+    ang, rad = rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.99, 1.0, n)
+    T = rng.standard_normal((2, 2))
+    return convex_hull(np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1) @ T.T
+                       + rng.standard_normal(2))
+
+
+def _active_set_cases():
+    z = np.zeros(2)
+    sep = oracle.SeparableSolution(alpha=1 / 8, a=1.0)
+    dual = oracle.RadialProfile(alpha=1 / 8, kind="dual_translator")
+    for t in 2.0 ** np.arange(8):
+        yield sections.extract_section(sep, z, z, t).polygon
+        yield sections.extract_section(dual, z, z, t).polygon
+    for seed in range(6):
+        yield _cloud_hull(seed)
+
+
+def test_john_active_set_equals_full_problem():
+    for poly in _active_set_cases():
+        assert len(poly) >= 64  # the active set starts from a subset of the edges
+        fit = sections.john_ellipsoid(poly)
+        B = _full_john(poly)
+        ref = B / np.sqrt(np.linalg.det(B))
+        assert np.abs(fit.normalized - ref).max() <= 1e-8
+        ecc = np.linalg.eigvalsh(ref).max()
+        assert abs(sections.eccentricity(fit) - ecc) <= 1e-9 * ecc
+        # the fit is inscribed in the whole polygon, not only in its active edges
+        nrm, b = _edge_lines(poly)
+        slack = b - nrm @ fit.center - np.hypot(*((fit.scale * fit.normalized) @ nrm.T))
+        assert slack.min() >= -1e-10 * fit.scale
 
 
 def test_eccentricity_known_axes():
