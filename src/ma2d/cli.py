@@ -248,6 +248,7 @@ def _count_solve(work: dict, report: solver.SolveReport, problem) -> ma_measure.
         start_boundary_sites=report.start_boundary_sites,
         residuals=list(report.residuals),
         step_lengths=list(report.step_lengths),
+        cg_iterations=list(report.cg_iterations),
         verifier_residual=solver.residual(report.function, problem, measure),
     )
     return measure

@@ -39,7 +39,7 @@ class NoConvergence(ToolkitError):
 
     def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
                  hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0,
-                 start_boundary_sites=0, residuals=(), step_lengths=()):
+                 start_boundary_sites=0, residuals=(), step_lengths=(), cg_iterations=()):
         super().__init__(message)
         self.residual = residual
         self.newton_steps = newton_steps
@@ -51,6 +51,7 @@ class NoConvergence(ToolkitError):
         self.start_boundary_sites = start_boundary_sites
         self.residuals = residuals
         self.step_lengths = step_lengths
+        self.cg_iterations = cg_iterations
 
 
 class InfeasibleBoundary(ToolkitError):

@@ -67,7 +67,10 @@ build, where exact arithmetic would certify.
 The solved envelope is the last accepted pass, its faces and gradients, so
 no hull is built after the Newton loop; it equals ``lower_envelope`` of the
 solved heights as a function, not array for array.  The Newton system is
-symmetric positive definite and is factored by a symmetric-mode sparse LU.
+symmetric positive definite; it is solved by conjugate gradients with a
+two-level preconditioner, whose coarse system is factored by a
+symmetric-mode sparse LU, and a system of at most ``_DIRECT_MAX`` unknowns is
+its own coarse system (``_newton_solve``).
 The ``residual`` verifier goes through ma_measure's cells instead: on the
 returned envelope's faces and gradients it orders each cell's gradients by
 angle in gradient space and certifies convexity, and it never calls the
@@ -119,6 +122,26 @@ from .ma_measure import (
 # problems at h = 0.1 and 0.0625, 0.9 took 2 more steps each and 0.98 began
 # to need backtracks.
 _BOUND_FRACTION = 0.95
+
+# A Newton system of at most this many unknowns is its own coarse system.
+# Best of 5 solves at tol 1e-6, the linear solves of the untilted degenerate
+# problems took 8.5 ms (361 unknowns, 12 steps) and 33 ms (961, 18 steps)
+# direct, and 14 and 40 ms by two levels; dual disk(8), of 3,029 unknowns,
+# took 34 ms direct and 22 ms by two levels.
+_DIRECT_MAX = 2048
+# Conjugate gradients stop at an l2 residual of _CG_RTOL times that of the
+# right-hand side, or fail after _CG_MAXITER iterations.
+_CG_RTOL = 1e-6
+_CG_MAXITER = 200
+# The damped-Jacobi weight of the two-level cycle's sweeps, and the ratio of
+# axis link strengths above which a 2 x 2 aggregate splits into two pairs.
+_JACOBI_WEIGHT = 0.6
+_SPLIT_RATIO = 4.0
+# -J is a symmetric, irreducibly diagonally dominant M-matrix, so positive
+# definite, and so is every Galerkin coarse matrix of it: diagonal pivots on
+# a symmetric ordering are stable.
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -197,6 +220,7 @@ class SolveReport:
     start_boundary_sites: int  # interior sites where the start took the boundary envelope's branch
     residuals: tuple[float, ...]  # max relative residual: the start pass, then each accepted step
     step_lengths: tuple[float, ...]  # the step taken by each accepted Newton step
+    cg_iterations: tuple[int, ...]  # CG iterations per Newton step, 0 for a direct system
 
     def to_json(self) -> str:
         return json.dumps(
@@ -543,6 +567,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         chords=_chords(gf),
         squares=_squares(gf),
         pitch=gf.h,
+        lattice=gf.lattice_indices,
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
@@ -564,6 +589,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
         start_boundary_sites=state.start_boundary_sites,
         residuals=tuple(state.residuals),
         step_lengths=tuple(state.step_lengths),
+        cg_iterations=tuple(state.cg_iterations),
     )
 
 
@@ -592,11 +618,13 @@ def _squares(gf: GridFunction) -> np.ndarray:
 
 
 def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, chords, squares,
-                 pitch):
+                 pitch, lattice):
     """Run the solve; returns its converged ``_SolveState``.  ``targets`` is
     aligned with the sites, ``boundary_values`` with the boundary sites.
     ``squares`` (``_squares``, or none) give the start pass its lower hull,
-    and ``pitch`` is the lattice spacing h."""
+    ``pitch`` is the lattice spacing h and ``lattice`` the sites' integer
+    lattice coordinates, which group them into the Newton solve's
+    aggregates."""
     if not tol > 0:
         raise NoConvergence("tolerance must be positive", residual=np.inf)
     sites = np.asarray(sites, dtype=float)
@@ -616,7 +644,7 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, c
 
     state = _SolveState(sites, interior, targets, heights, max_iters, chords)
     _paraboloid_init(state, boundary_values, envelope, squares, pitch)
-    _newton_phase(state, tol)
+    _newton_phase(state, tol, np.asarray(lattice)[interior])
     return state
 
 
@@ -730,6 +758,7 @@ class _SolveState:
         self.start_boundary_sites = 0  # interior sites where the start took E's branch
         self.residuals = []  # max relative residual of the start and of each accepted step
         self.step_lengths = []  # the step of each accepted step
+        self.cg_iterations = []  # CG iterations of each Newton system solved
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
@@ -778,19 +807,24 @@ class _SolveState:
                              edge_flips=self.edge_flips,
                              start_boundary_sites=self.start_boundary_sites,
                              residuals=tuple(self.residuals),
-                             step_lengths=tuple(self.step_lengths))
+                             step_lengths=tuple(self.step_lengths),
+                             cg_iterations=tuple(self.cg_iterations))
 
     def residual(self) -> float:
         masses = self.last.areas
         return float(np.max(np.abs(masses[self.int_ids] - self.tgt) / self.tgt))
 
 
-def _newton_phase(state, tol) -> None:
+def _newton_phase(state, tol, lattice) -> None:
     """Damped Newton on the mass map until the max relative residual is <= tol.
 
     The Newton system is J delta = -r with the mass Jacobian J and the
     one-sided residual r of ``_newton_rhs``: m - t where a cell's mass m is at
-    most its target t, 2 sqrt(m) (sqrt(m) - sqrt(t)) where it is bigger.  A
+    most its target t, 2 sqrt(m) (sqrt(m) - sqrt(t)) where it is bigger.
+    ``_newton_solve`` solves it by CG, with the interior sites' lattice
+    coordinates ``lattice`` for its aggregates; each solve's CG iterations
+    go to ``cg_iterations``, and a CG that misses its tolerance raises
+    NoConvergence, as a failed factorisation does.  A
     cell's area is close to a quadratic in its site's height, since its edges
     move parallel to themselves at linear speed.  Newton on a convex quadratic
     from above only halves the gap per step, so a paraboloid start whose
@@ -847,12 +881,12 @@ def _newton_phase(state, tol) -> None:
             raise stop(f"step {it}: residual is not finite")
         J = _jacobian(current, len(int_ids))
         try:
-            # -J is a symmetric, irreducibly diagonally dominant M-matrix, so
-            # positive definite: diagonal pivots on a symmetric ordering are stable
-            delta = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).solve(-_newton_rhs(masses, tgt))
+            delta, cg, reached = _newton_solve(J, -_newton_rhs(masses, tgt), lattice)
         except RuntimeError as exc:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
+        state.cg_iterations.append(cg)
+        if not reached:
+            raise stop(f"step {it}: CG did not reach its tolerance in {cg} iterations")
         if not np.all(np.isfinite(delta)):
             raise stop(f"step {it}: step is not finite")
         step = min(1.0, _BOUND_FRACTION * state.step_bound(delta))
@@ -886,6 +920,102 @@ def _newton_rhs(masses: np.ndarray, targets: np.ndarray) -> np.ndarray:
     for a cell that is too big.  Both pieces are 0 with slope 1 at m = t."""
     root = np.sqrt(masses)
     return np.where(masses > targets, 2.0 * root * (root - np.sqrt(targets)), masses - targets)
+
+
+def _newton_solve(J, rhs, lattice):
+    """Solve J delta = rhs by preconditioned conjugate gradients on the
+    symmetric positive definite -J; returns (delta, CG iterations, whether
+    the l2 residual reached _CG_RTOL times that of rhs).
+
+    CG starts from x0 = M^-1 b for b = -rhs and the preconditioner M^-1 of
+    ``_preconditioner``, and stops at the tolerance or after _CG_MAXITER
+    iterations.  A system of at most _DIRECT_MAX unknowns is its own coarse
+    system, so x0 is the direct solution, splu's on J bit for bit, and CG
+    takes no iteration when its residual meets the tolerance.  The
+    inner products and norms are numpy sums of elementwise products, not
+    BLAS dot products, whose blocking can follow the thread count: with
+    ``@`` the verify-dual heights changed between 1 and 2 OpenBLAS threads.
+    """
+    A = -J
+    b = -rhs
+    precondition = _preconditioner(A, lattice)
+    x = precondition(b)
+    r = b - A @ x
+    limit = _CG_RTOL * math.sqrt(np.sum(b * b))
+    rz = p = None
+    for its in range(_CG_MAXITER):
+        if math.sqrt(np.sum(r * r)) <= limit:
+            return x, its, True
+        z = precondition(r)
+        rz, rz_last = np.sum(r * z), rz
+        p = z if p is None else z + (rz / rz_last) * p
+        q = A @ p
+        alpha = rz / np.sum(p * q)
+        x = x + alpha * p
+        r = r - alpha * q
+    return x, _CG_MAXITER, math.sqrt(np.sum(r * r)) <= limit
+
+
+def _preconditioner(A, lattice):
+    """M^-1 for the symmetric positive definite A = -J, as a function of the
+    residual.
+
+    For at most _DIRECT_MAX unknowns it is the exact factor of A.  Else it
+    is a two-level cycle on the aggregates of ``_aggregates``, with their
+    0/1 prolongation P: one damped-Jacobi sweep, weight _JACOBI_WEIGHT, the
+    coarse correction P (P^T A P)^-1 P^T on its residual, and one more sweep
+    (Notay, *An aggregation-based algebraic multigrid method*, ETNA 2010).
+    The sweeps before and after are the same symmetric one, so M^-1 is
+    symmetric; the weight keeps it positive, since the eigenvalues of
+    D^-1 A for the diagonal D of a diagonally dominant A are at most 2.
+    """
+    if A.shape[0] <= _DIRECT_MAX:
+        return splu(A, **_SPLU_OPTIONS).solve
+    coo = A.tocoo()
+    agg = _aggregates(coo, lattice)
+    n_agg = int(agg.max()) + 1
+    # one COO -> CSC conversion sums the entries that share an aggregate pair
+    coarse = splu(sp.csc_matrix((coo.data, (agg[coo.row], agg[coo.col])), shape=(n_agg, n_agg)),
+                  **_SPLU_OPTIONS)
+    sweep = _JACOBI_WEIGHT / A.diagonal()
+
+    def precondition(r):
+        x = sweep * r
+        x = x + coarse.solve(np.bincount(agg, weights=r - A @ x, minlength=n_agg))[agg]
+        return x + sweep * (r - A @ x)
+
+    return precondition
+
+
+def _aggregates(A, lattice) -> np.ndarray:
+    """The aggregate of each unknown, numbered from 0: the 2 x 2 block
+    floor(k / 2) of its lattice coordinates k, or one of two pairs of it.
+
+    A block whose links along one axis, the sums of -A_ij over the pairs i, j
+    in it that are lattice neighbours along that axis, are more than
+    _SPLIT_RATIO times as strong as its links along the other axis splits
+    into the two pairs linked along the strong axis.  That follows Notay's
+    choice of strongly linked pairs where the data are anisotropic, as the
+    degenerate density is, without a graph search.
+    """
+    A = A.tocoo()
+    k0, k1 = lattice[:, 0], lattice[:, 1]
+    b0, b1 = k0 // 2, k1 // 2
+    block = (b0 - b0.min()) * (int(b1.max() - b1.min()) + 1) + (b1 - b1.min())
+    n_blocks = int(block.max()) + 1
+    inside = block[A.row] == block[A.col]
+    i, j, w = A.row[inside], A.col[inside], -A.data[inside]
+    # inside a block, a link along axis 0 has d0 = +-1 and d1 = 0
+    d0, d1 = k0[j] - k0[i], k1[j] - k1[i]
+    s0 = np.bincount(block[i], weights=w * ((d1 == 0) & (d0 != 0)), minlength=n_blocks)
+    s1 = np.bincount(block[i], weights=w * ((d0 == 0) & (d1 != 0)), minlength=n_blocks)
+    along_0 = (s0 > _SPLIT_RATIO * s1)[block]
+    along_1 = (s1 > _SPLIT_RATIO * s0)[block]
+    # the pairs linked along axis 0 differ in the parity of k1, and vice versa
+    key = 2 * block + np.where(along_0, k1 % 2, np.where(along_1, k0 % 2, 0))
+    used = np.zeros(2 * n_blocks, dtype=bool)
+    used[key] = True
+    return (np.cumsum(used) - 1)[key]
 
 
 def residual(pl: PLConvexFunction, problem: DirichletProblem,

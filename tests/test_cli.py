@@ -126,10 +126,12 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "start_boundary_sites": rep.start_boundary_sites,
         "residuals": list(rep.residuals),
         "step_lengths": list(rep.step_lengths),
+        "cg_iterations": list(rep.cg_iterations),
         "verifier_residual": solver.residual(rep.function, problems[-1]),
     }
     assert len(rep.residuals) == rep.newton_steps + 1
     assert len(rep.step_lengths) == rep.newton_steps
+    assert len(rep.cg_iterations) == rep.newton_steps
     assert all(0.0 < step <= 1.0 for step in rep.step_lengths)
     assert rep.residuals[-1] == rep.max_residual
     assert rep.mass_passes >= rep.newton_steps + 1 >= 2

@@ -98,6 +98,8 @@ def test_newton_failure_raises_with_its_residual():
     assert err.newton_steps > 0 and err.backtracks >= 24
     assert len(err.residuals) == err.newton_steps + 1 and err.residuals[-1] == err.residual
     assert len(err.step_lengths) == err.newton_steps and 0.0 < min(err.step_lengths) <= 1.0
+    # the failed step solved its Newton system before its line search
+    assert err.cg_iterations == (0,) * (err.newton_steps + 1)
     assert err.newton_steps + 1 <= err.mass_passes <= err.newton_steps + 1 + err.backtracks
     assert 1 <= err.hull_builds <= err.mass_passes
 
@@ -110,6 +112,7 @@ def test_budget_exhaustion_carries_the_work_counters():
     assert (err.newton_steps, err.mass_passes, err.backtracks) == (1, 2, 0)
     assert len(err.residuals) == 2 and err.residuals[-1] == err.residual
     assert err.step_lengths == (1.0,)
+    assert err.cg_iterations == (0,)
     assert 1 <= err.hull_builds <= err.mass_passes
     assert err.residual > 1e-12
 
@@ -228,7 +231,7 @@ def test_affine_covariance(disk, h, dual, eigen, angle, ell):
     A = np.array([[1.0, 0.6], [0.0, 1.0]])
     state = solver._solve_state(nodes @ A.T, prob.interior, prob.boundary_values, prob.targets,
                                 1e-10, 10**6, solver._chords(prob.grid), np.empty((0, 4), int),
-                                prob.h)
+                                prob.h, prob.grid.lattice_indices)
     assert state.residual() <= 1e-10
     assert np.max(np.abs(state.heights - rep.grid.values)) < 1e-6
 
@@ -929,13 +932,10 @@ def test_step_bound_is_the_chord_tests_bound(disk, h, eigen, angle, tilt, noise,
         assert fires(bound * (1.0 + 1e-6))
 
 
-def test_small_solve_members_newton_steps(dual_profile_8):
-    # the five members of the small-solves benchmark mix at its tol 1e-6,
-    # untilted and tilted by one affine function: a step count shows a
-    # regression of the step rule that a noisy timer misses.  Halving into
-    # the chord bound took 0, 4, 5, 25 and 46, and the paraboloid start
-    # without the boundary envelope 0, 4, 5, 20 and 36.  The start is
-    # affine-covariant, so the tilted members take the same steps
+def _small_solve_members(dual_profile_8):
+    """Solve the five members of the small-solves benchmark mix at its tol
+    1e-6, untilted and tilted by one affine function; returns the reports
+    and problems per tilt, after checking that each converged."""
     square = grid.Domain2D.square(1.0)
     dual = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     degenerate = grid.RhsField("degenerate", alpha=1 / 8)
@@ -947,13 +947,125 @@ def test_small_solve_members_newton_steps(dual_profile_8):
         (square, 0.1, degenerate, sep),
         (square, 0.0625, degenerate, sep),
     ]
+    solved = []
     for tilt in ((0.0, 0.0, 0.0), (0.3, -0.4, 0.25)):
-        steps = []
+        reports = []
         for dom, h, rhs, boundary in members:
             tilted = lambda p: boundary(p) + tilt[0] + p @ np.array(tilt[1:])
             prob = solver.build_problem(dom, h, rhs, tilted)
             rep = solver.solve(prob, tol=1e-6)
             assert rep.max_residual <= 1e-6 and solver.residual(rep.function, prob) <= 1e-6
-            assert len(rep.step_lengths) == rep.newton_steps
-            steps.append(rep.newton_steps)
-        assert steps == [0, 4, 5, 12, 18], tilt
+            assert len(rep.step_lengths) == len(rep.cg_iterations) == rep.newton_steps
+            reports.append((rep, prob))
+        solved.append(reports)
+    return solved
+
+
+def test_small_solve_members_newton_steps(dual_profile_8):
+    # a step count shows a regression of the step rule that a noisy timer
+    # misses.  Halving into the chord bound took 0, 4, 5, 25 and 46, and the
+    # paraboloid start without the boundary envelope 0, 4, 5, 20 and 36.
+    # The start is affine-covariant, so the tilted members take the same
+    # steps.  The members of at most _DIRECT_MAX unknowns solve their Newton
+    # systems directly, with no CG iteration; dual disk(8) has 3,029
+    for reports in _small_solve_members(dual_profile_8):
+        assert [rep.newton_steps for rep, _ in reports] == [0, 4, 5, 12, 18]
+        for rep, prob in reports:
+            direct = int(prob.interior.sum()) <= solver._DIRECT_MAX
+            assert direct == all(cg == 0 for cg in rep.cg_iterations)
+
+
+def test_small_solve_members_by_two_levels(dual_profile_8, monkeypatch):
+    # with no direct system, every member's Newton systems go through the
+    # two-level CG, and the steps stay those of the direct solves
+    monkeypatch.setattr(solver, "_DIRECT_MAX", 0)
+    for reports in _small_solve_members(dual_profile_8):
+        assert [rep.newton_steps for rep, _ in reports] == [0, 4, 5, 12, 18]
+        for rep, _ in reports:
+            assert all(0 < cg <= 20 for cg in rep.cg_iterations), rep.cg_iterations
+
+
+# ---------------------------------------------------------------------------
+# the Newton system: CG with a two-level aggregation preconditioner
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def degenerate_jacobian():
+    """(J, interior lattice coordinates) of the untilted degenerate h = 0.1
+    solve's last pass, whose cells near x1 = 0 hold little mass."""
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    gf = prob.grid
+    state = solver._solve_state(gf.nodes, prob.interior, prob.boundary_values, prob.targets, 1e-6,
+                                10**6, solver._chords(gf), solver._squares(gf), gf.h,
+                                gf.lattice_indices)
+    return solver._jacobian(state.last, len(state.int_ids)), gf.lattice_indices[prob.interior]
+
+
+def test_aggregates_split_blocks_along_the_strong_axis(degenerate_jacobian):
+    J, lattice = degenerate_jacobian
+    agg = solver._aggregates(-J, lattice)
+    # a partition into aggregates numbered 0 .. n - 1, each in one 2 x 2 block
+    n = int(agg.max()) + 1
+    assert np.array_equal(np.unique(agg), np.arange(n))
+    block = lattice // 2
+    for k in range(n):
+        assert len(np.unique(block[agg == k], axis=0)) == 1
+    # axis link strengths per block, from the matrix entries
+    coo = J.tocoo()
+    strength = {}
+    for i, j, w in zip(coo.row, coo.col, coo.data):
+        d = lattice[j] - lattice[i]
+        if tuple(block[i]) == tuple(block[j]) and np.abs(d).sum() == 1:
+            key = (tuple(block[i]), int(d[1] != 0))
+            strength[key] = strength.get(key, 0.0) + w
+    splits = 0
+    for b in np.unique(block, axis=0):
+        members = np.flatnonzero(np.all(block == b, axis=1))
+        s = [strength.get((tuple(b), axis), 0.0) for axis in (0, 1)]
+        strong = [axis for axis in (0, 1) if s[axis] > solver._SPLIT_RATIO * s[1 - axis]]
+        if not strong:  # the whole block
+            assert len(np.unique(agg[members])) == 1
+            continue
+        # the pairs linked along the strong axis: same coordinate across it
+        across = lattice[members, 1 - strong[0]]
+        for c in np.unique(across):
+            assert len(np.unique(agg[members[across == c]])) == 1
+        splits += len(np.unique(across)) == 2
+    assert splits > 0
+
+
+def test_preconditioner_is_symmetric_positive(degenerate_jacobian, monkeypatch):
+    monkeypatch.setattr(solver, "_DIRECT_MAX", 0)
+    J, lattice = degenerate_jacobian
+    apply = solver._preconditioner(-J, lattice)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        u, v = rng.standard_normal((2, J.shape[0]))
+        uv, vu = np.sum(u * apply(v)), np.sum(v * apply(u))
+        assert abs(uv - vu) <= 1e-12 * math.sqrt(np.sum(u * apply(u)) * np.sum(v * apply(v)))
+        assert np.sum(v * apply(v)) > 0.0
+
+
+def test_direct_system_is_splus_step(degenerate_jacobian):
+    # at most _DIRECT_MAX unknowns: CG starts from the direct solution and
+    # takes no iteration, so the step is splu's on J, bit for bit
+    J, lattice = degenerate_jacobian
+    assert J.shape[0] <= solver._DIRECT_MAX
+    b = np.random.default_rng(2).standard_normal(J.shape[0])
+    delta, cg, reached = solver._newton_solve(J, b, lattice)
+    assert (cg, reached) == (0, True)
+    assert np.array_equal(delta, splu(J, **solver._SPLU_OPTIONS).solve(b))
+
+
+def test_cg_failure_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(solver, "_DIRECT_MAX", 0)
+    monkeypatch.setattr(solver, "_CG_MAXITER", 1)
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    with pytest.raises(NoConvergence,
+                       match="step 0: CG did not reach its tolerance in 1 iterations") as info:
+        solver.solve(prob, tol=1e-6)
+    err = info.value
+    assert err.newton_steps == 0 and err.cg_iterations == (1,)
+    assert err.residual == err.residuals[-1] > 1e-6
