@@ -7,9 +7,9 @@ deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
 ``solve``) records the solve's ``site_updates``, ``newton_steps``,
 ``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks``,
-``edge_flips`` and ``start_boundary_sites``, per step its ``residuals`` and
-``step_lengths``, and the ``verifier_residual`` that ``solver.residual`` reads
-on the solved envelope.  Exit
+``edge_flips`` and ``start_boundary_sites``, per step its ``residuals``,
+``step_lengths`` and ``cg_iterations``, and the ``verifier_residual`` that
+``solver.residual`` reads on the solved envelope.  Exit
 codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
 failure.
 """

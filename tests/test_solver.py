@@ -1047,7 +1047,7 @@ def test_preconditioner_is_symmetric_positive(degenerate_jacobian, monkeypatch):
         assert np.sum(v * apply(v)) > 0.0
 
 
-def test_direct_system_is_splus_step(degenerate_jacobian):
+def test_direct_system_takes_the_splu_step(degenerate_jacobian):
     # at most _DIRECT_MAX unknowns: CG starts from the direct solution and
     # takes no iteration, so the step is splu's on J, bit for bit
     J, lattice = degenerate_jacobian
