@@ -966,8 +966,10 @@ def _preconditioner(A, lattice):
     coarse correction P (P^T A P)^-1 P^T on its residual, and one more sweep
     (Notay, *An aggregation-based algebraic multigrid method*, ETNA 2010).
     The sweeps before and after are the same symmetric one, so M^-1 is
-    symmetric; the weight keeps it positive, since the eigenvalues of
-    D^-1 A for the diagonal D of a diagonally dominant A are at most 2.
+    symmetric.  It is positive definite when the sweep's weight times the
+    largest eigenvalue of D^-1 A, for the diagonal D of A, is below 2; A is
+    diagonally dominant, so that eigenvalue is at most 2 and the weight 0.6
+    keeps the product at most 1.2.
     """
     if A.shape[0] <= _DIRECT_MAX:
         return splu(A, **_SPLU_OPTIONS).solve
