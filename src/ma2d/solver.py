@@ -69,8 +69,7 @@ no hull is built after the Newton loop; it equals ``lower_envelope`` of the
 solved heights as a function, not array for array.  The Newton system is
 symmetric positive definite; it is solved by conjugate gradients with a
 two-level preconditioner, whose coarse system is factored by a
-symmetric-mode sparse LU, and a system of at most ``_DIRECT_MAX`` unknowns is
-its own coarse system (``_newton_solve``).
+symmetric-mode sparse LU (``_newton_solve``).
 The ``residual`` verifier goes through ma_measure's cells instead: on the
 returned envelope's faces and gradients it orders each cell's gradients by
 angle in gradient space and certifies convexity, and it never calls the
@@ -123,12 +122,6 @@ from .ma_measure import (
 # to need backtracks.
 _BOUND_FRACTION = 0.95
 
-# A Newton system of at most this many unknowns is its own coarse system.
-# Best of 5 solves at tol 1e-6, the linear solves of the untilted degenerate
-# problems took 8.5 ms (361 unknowns, 12 steps) and 33 ms (961, 18 steps)
-# direct, and 14 and 40 ms by two levels; dual disk(8), of 3,029 unknowns,
-# took 34 ms direct and 22 ms by two levels.
-_DIRECT_MAX = 2048
 # Conjugate gradients stop at an l2 residual of _CG_RTOL times that of the
 # right-hand side, or fail after _CG_MAXITER iterations.
 _CG_RTOL = 1e-6
@@ -220,7 +213,7 @@ class SolveReport:
     start_boundary_sites: int  # interior sites where the start took the boundary envelope's branch
     residuals: tuple[float, ...]  # max relative residual: the start pass, then each accepted step
     step_lengths: tuple[float, ...]  # the step taken by each accepted Newton step
-    cg_iterations: tuple[int, ...]  # CG iterations per Newton step, 0 for a direct system
+    cg_iterations: tuple[int, ...]  # CG iterations per Newton step
 
     def to_json(self) -> str:
         return json.dumps(
@@ -929,12 +922,10 @@ def _newton_solve(J, rhs, lattice):
 
     CG starts from x0 = M^-1 b for b = -rhs and the preconditioner M^-1 of
     ``_preconditioner``, and stops at the tolerance or after _CG_MAXITER
-    iterations.  A system of at most _DIRECT_MAX unknowns is its own coarse
-    system, so x0 is the direct solution, splu's on J bit for bit, and CG
-    takes no iteration when its residual meets the tolerance.  The
-    inner products and norms are numpy sums of elementwise products, not
-    BLAS dot products, whose blocking can follow the thread count: with
-    ``@`` the verify-dual heights changed between 1 and 2 OpenBLAS threads.
+    iterations.  The inner products and norms are numpy sums of elementwise
+    products, not BLAS dot products, whose blocking can follow the thread
+    count: with ``@`` the verify-dual heights changed between 1 and 2
+    OpenBLAS threads.
     """
     A = -J
     b = -rhs
@@ -960,8 +951,7 @@ def _preconditioner(A, lattice):
     """M^-1 for the symmetric positive definite A = -J, as a function of the
     residual.
 
-    For at most _DIRECT_MAX unknowns it is the exact factor of A.  Else it
-    is a two-level cycle on the aggregates of ``_aggregates``, with their
+    It is a two-level cycle on the aggregates of ``_aggregates``, with their
     0/1 prolongation P: one damped-Jacobi sweep, weight _JACOBI_WEIGHT, the
     coarse correction P (P^T A P)^-1 P^T on its residual, and one more sweep
     (Notay, *An aggregation-based algebraic multigrid method*, ETNA 2010).
@@ -971,8 +961,6 @@ def _preconditioner(A, lattice):
     diagonally dominant, so that eigenvalue is at most 2 and the weight 0.6
     keeps the product at most 1.2.
     """
-    if A.shape[0] <= _DIRECT_MAX:
-        return splu(A, **_SPLU_OPTIONS).solve
     coo = A.tocoo()
     agg = _aggregates(coo, lattice)
     n_agg = int(agg.max()) + 1
@@ -998,7 +986,11 @@ def _aggregates(A, lattice) -> np.ndarray:
     _SPLIT_RATIO times as strong as its links along the other axis splits
     into the two pairs linked along the strong axis.  That follows Notay's
     choice of strongly linked pairs where the data are anisotropic, as the
-    degenerate density is, without a graph search.
+    degenerate density is, without a graph search.  On the untilted
+    degenerate problems about 60% of the blocks split, and CG takes 8-13
+    iterations per step at 361, 961, 5,041 and 20,449 unknowns, against
+    22-42, 35-64, 28-110 and 50-146 with whole blocks.  On verify-dual 0.5%
+    of the blocks split and the iterations are the same either way.
     """
     A = A.tocoo()
     k0, k1 = lattice[:, 0], lattice[:, 1]
