@@ -5,13 +5,11 @@ tables to the output directory.  Reports are byte-identical across runs with
 the same config and seed; the "work" block names the experiment and carries
 deterministic counters, never wall-clock times: an experiment that solves
 (``solve``, ``verify-dual``, and ``sections`` or ``cascade`` with source
-``solve``) records the solve's ``site_updates``, ``newton_steps``,
-``mass_passes``, ``hull_builds``, ``hull_sites``, ``backtracks``,
-``edge_flips`` and ``start_boundary_sites``, per step its ``residuals``,
-``step_lengths`` and ``cg_iterations``, and the ``verifier_residual`` that
-``solver.residual`` reads on the solved envelope.  Exit
-codes: 0 all verdicts pass, 1 verdict failure, 2 config error, 3 numerical
-failure.
+``solve``) records the solve's ``site_updates``, every field of its
+``solver.SolveWork`` (the counters and the per-step lists), and the
+``verifier_residual`` that ``solver.residual`` reads on the solved
+envelope.  Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config
+error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -232,26 +230,11 @@ def _domain(cfg: ExperimentConfig) -> Domain2D:
     return Domain2D.square(cfg.radius)
 
 
-def _count_solve(work: dict, report: solver.SolveReport, problem) -> ma_measure.MAMeasure:
-    """Record the solve's counters in ``work``, with the residual that the
-    independent ``ma_measure`` verifier reads on its envelope; returns the
-    verifier's measure of the envelope."""
-    measure = ma_measure.ma_measure(report.function)
-    work.update(
-        site_updates=report.iterations,
-        newton_steps=report.newton_steps,
-        mass_passes=report.mass_passes,
-        hull_builds=report.hull_builds,
-        hull_sites=report.hull_sites,
-        backtracks=report.backtracks,
-        edge_flips=report.edge_flips,
-        start_boundary_sites=report.start_boundary_sites,
-        residuals=list(report.residuals),
-        step_lengths=list(report.step_lengths),
-        cg_iterations=list(report.cg_iterations),
-        verifier_residual=solver.residual(report.function, problem, measure),
-    )
-    return measure
+def _count_solve(work: dict, report: solver.SolveReport, problem) -> None:
+    """Record the solve's work in ``work``, with the residual that the
+    independent ``ma_measure`` verifier reads on its envelope."""
+    work.update(asdict(report.work), site_updates=report.iterations,
+                verifier_residual=solver.residual(report.function, problem))
 
 
 def _run_oracle(cfg, out, work):
@@ -296,17 +279,12 @@ def _run_solve(cfg, out, work):
     dom = _domain(cfg)
     rhs = _rhs_field(cfg)
     if cfg.rhs == "constant":
-        boundary = lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2)
-        exact = boundary
+        exact = lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2)
     elif cfg.rhs == "degenerate":
-        sep = oracle.SeparableSolution(alpha=cfg.alpha, a=1.0)
-        boundary = sep
-        exact = sep
+        exact = oracle.SeparableSolution(alpha=cfg.alpha, a=1.0)
     else:
-        prof = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
-        boundary = prof
-        exact = prof
-    problem = solver.build_problem(dom, cfg.h, rhs, boundary)
+        exact = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
+    problem = solver.build_problem(dom, cfg.h, rhs, exact)
     report = solver.solve(problem, tol=cfg.tol)
     _count_solve(work, report, problem)
     check = work["verifier_residual"]
@@ -328,20 +306,22 @@ def _run_solve(cfg, out, work):
     return outputs, verdicts
 
 
-def _solve_for_sections(cfg, work):
+def _solve_dual(cfg, work, tol_floor):
+    """Solve the dual translator's Dirichlet problem on the disk of radius
+    cfg.radius to the tolerance max(cfg.tol, tol_floor), and record its work:
+    (profile, problem, report)."""
     prof = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
-    dom = Domain2D.disk(cfg.radius)
     rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
-    problem = solver.build_problem(dom, cfg.h, rhs, prof)
-    report = solver.solve(problem, tol=max(cfg.tol, 1e-3))
+    problem = solver.build_problem(Domain2D.disk(cfg.radius), cfg.h, rhs, prof)
+    report = solver.solve(problem, tol=max(cfg.tol, tol_floor))
     _count_solve(work, report, problem)
-    return report.grid, rhs
+    return prof, problem, report
 
 
 def _run_sections(cfg, out, work):
     if cfg.source == "solve":
-        v, rhs = _solve_for_sections(cfg, work)
-        density = rhs
+        _, problem, report = _solve_dual(cfg, work, 1e-3)
+        v, density = report.grid, problem.rhs
         x0 = v.nodes[v.argmin_node()]
     else:
         v = _source_function(cfg)
@@ -385,7 +365,8 @@ def _run_sections(cfg, out, work):
 
 def _run_cascade(cfg, out, work):
     if cfg.source == "solve":
-        v, _ = _solve_for_sections(cfg, work)
+        _, _, report = _solve_dual(cfg, work, 1e-3)
+        v = report.grid
         x0 = v.nodes[v.argmin_node()]
     else:
         v = _source_function(cfg)
@@ -426,17 +407,12 @@ def _run_doubling(cfg, out, work):
 
 
 def _run_verify_dual(cfg, out, work):
-    prof = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
-    dom = Domain2D.disk(cfg.radius)
-    rhs = RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
-    problem = solver.build_problem(dom, cfg.h, rhs, prof)
-    report = solver.solve(problem, tol=max(cfg.tol, 1e-6))
-    measure = _count_solve(work, report, problem)
+    prof, problem, report = _solve_dual(cfg, work, 1e-6)
     save(report.grid, os.path.join(out, "solution.gfn"))
     ex = prof(problem.grid.nodes)
     sup_err = float(np.max(np.abs(report.grid.values - ex)) / np.abs(ex).max())
 
-    id_rows = ma_measure.dual_identity(report.function, cfg.alpha, cfg.radius, cfg.h, measure)
+    id_rows = ma_measure.dual_identity(report.function, cfg.alpha, cfg.radius, cfg.h)
     worst = max(row[-1] for row in id_rows)
     _write_table(
         out, "dual_identity", ["r_lo", "r_hi", "weighted_mass", "area", "deviation"], id_rows

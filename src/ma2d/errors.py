@@ -33,25 +33,15 @@ class NoConvergence(ToolkitError):
     """The iterative solver did not meet its tolerance.
 
     Besides the residual of the heights it reached, it carries the solve's
-    work counters, per-step residuals and step lengths up to the failure, as
-    ``SolveReport`` names them.
+    ``work``, the ``solver.SolveWork`` record of its counters, per-step
+    residuals, step lengths and CG iterations up to the failure (None when
+    the solve failed before it started).
     """
 
-    def __init__(self, message, residual=None, newton_steps=0, mass_passes=0,
-                 hull_builds=0, hull_sites=0, backtracks=0, edge_flips=0,
-                 start_boundary_sites=0, residuals=(), step_lengths=(), cg_iterations=()):
+    def __init__(self, message, residual=None, work=None):
         super().__init__(message)
         self.residual = residual
-        self.newton_steps = newton_steps
-        self.mass_passes = mass_passes
-        self.hull_builds = hull_builds
-        self.hull_sites = hull_sites
-        self.backtracks = backtracks
-        self.edge_flips = edge_flips
-        self.start_boundary_sites = start_boundary_sites
-        self.residuals = residuals
-        self.step_lengths = step_lengths
-        self.cg_iterations = cg_iterations
+        self.work = work
 
 
 class InfeasibleBoundary(ToolkitError):

@@ -9,15 +9,16 @@ A site is hull-interior when ``geometry.strictly_inside_hull`` says so:
 every edge cross product against Qhull's hull of the sites exceeds
 1e-12 scale**2, the same test that thins ``convex_hull``'s input; no
 monotone chain is run for it.  All cells are built in one array pass over
-the (hull-interior site, incident face) pairs.  Each site's gradients lose their bitwise duplicates
-(Qhull's ``Qt`` repeats a gradient across the triangles of a cocircular
-quad), are ordered by angle around their mean in gradient space, and are
-then certified: at least 3 vertices, the mean strictly left of every edge,
-and every cyclic turn e_k x e_{k+1} above 1e-12 |e_k| |e_{k+1}|.  A
-certified cell is the convex hull itself; it starts at its
-lexicographically smallest vertex, as ``geometry.convex_hull`` returns it,
-and its shoelace area is summed about that vertex.  Any other cell (empty,
-a point, a segment or a near-degenerate polygon) falls back to
+the (hull-interior site, incident face) pairs, once per envelope, whose
+``cells`` keeps them for every later reader.  Each site's gradients lose
+their bitwise duplicates (Qhull's ``Qt`` repeats a gradient across the
+triangles of a cocircular quad), are ordered by angle around their mean in
+gradient space, and are then certified: at least 3 vertices, the mean
+strictly left of every edge, and every cyclic turn e_k x e_{k+1} above
+1e-12 |e_k| |e_{k+1}|.  A certified cell is the convex hull itself; it
+starts at its lexicographically smallest vertex, as ``geometry.convex_hull``
+returns it, and its shoelace area is summed about that vertex.  Any other
+cell (empty, a point, a segment or a near-degenerate polygon) falls back to
 ``convex_hull`` and ``polygon_area`` of the site's face gradients.
 
 The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
@@ -66,6 +67,15 @@ class PLConvexFunction:
     def hull_interior(self) -> np.ndarray:
         """True for sites strictly inside the convex hull of all sites."""
         return strictly_inside_hull(self.sites)
+
+    @cached_property
+    def cells(self) -> _CellArrays:
+        """The subgradient cells of the hull-interior sites, built once.
+        Every reader shares them, so their arrays are read-only."""
+        cells = _cell_arrays(self)
+        for a in (cells.sites, cells.counts, cells.vertices, cells.areas):
+            a.flags.writeable = False
+        return cells
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate the envelope as the max of its affine faces (exact inside the hull)."""
@@ -250,7 +260,7 @@ def subgradient_cells(f: PLConvexFunction) -> list:
     Boundary sites carry unbounded subdifferentials and are skipped; inactive
     interior sites get an empty cell of zero area.
     """
-    c = _cell_arrays(f)
+    c = f.cells
     ends = np.cumsum(c.counts).tolist()
     return [
         SubgradientCell(site_index=i, polygon=c.vertices[start:end], area=a)
@@ -259,7 +269,7 @@ def subgradient_cells(f: PLConvexFunction) -> list:
 
 
 def ma_measure(f: PLConvexFunction) -> MAMeasure:
-    c = _cell_arrays(f)
+    c = f.cells
     masses = np.zeros(len(f.sites))
     masses[c.sites] = c.areas
     return MAMeasure(masses=masses, total=float(masses.sum()))
@@ -314,19 +324,18 @@ def _site_pairing(f: PLConvexFunction, sites, areas, weight) -> float:
 DUAL_IDENTITY_ANNULI = ((0.15, 0.35), (0.35, 0.55), (0.55, 0.75))
 
 
-def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float,
-                  measure: MAMeasure | None = None) -> list:
+def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float) -> list:
     """Dual-equation identity of a solution on the disk of the given radius.
 
     On each annulus of ``DUAL_IDENTITY_ANNULI`` (fractions of the radius),
     the hull-interior sites' pairing sum of (1 + |x|^2)^(2 - 1/(2 alpha))
     times cell area should match the annulus' lattice area (site count times
     h^2).  Returns one row (r_lo, r_hi, weighted_mass, area, deviation) per
-    annulus, with deviation = |weighted_mass / area - 1|.  ``measure`` is
-    ``ma_measure(f)`` when the caller has it already.
+    annulus, with deviation = |weighted_mass / area - 1|.  The masses are
+    those of ``f.cells``, so a caller that has read them pays no second build.
     """
     weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (2.0 - 1.0 / (2.0 * alpha))
-    masses = (ma_measure(f) if measure is None else measure).masses
+    masses = ma_measure(f).masses
     sites = np.flatnonzero(f.hull_interior)
     radii = np.hypot(f.sites[sites, 0], f.sites[sites, 1])
     rows = []
@@ -364,7 +373,7 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     subset = np.zeros(len(f.sites), dtype=bool)
     subset[np.asarray(list(site_subset), dtype=int)] = True
 
-    cells = _cell_arrays(f)
+    cells = f.cells
     lhs = float(cells.areas[subset[cells.sites]].sum())
 
     tris = f.triangulation

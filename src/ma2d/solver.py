@@ -94,9 +94,8 @@ on the tests and a stress set, not proved.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,7 +105,6 @@ from scipy.sparse.linalg import splu
 from .errors import InfeasibleBoundary, NoConvergence
 from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
 from .ma_measure import (
-    MAMeasure,
     PLConvexFunction,
     _ccw,
     _envelope,
@@ -152,10 +150,6 @@ class DirichletProblem:
     def interior(self) -> np.ndarray:
         return self.grid.interior_mask
 
-    @property
-    def alpha(self):
-        return self.rhs.alpha
-
 
 def build_problem(domain: Domain2D, h: float, rhs: RhsField, boundary) -> DirichletProblem:
     """Assemble the problem; ``boundary`` is a callable of the plane."""
@@ -196,35 +190,33 @@ def target_masses(problem: DirichletProblem) -> np.ndarray:
     return problem.targets[problem.interior]
 
 
+@dataclass
+class SolveWork:
+    """The work of one solve, counted as it runs; ``SolveReport`` and
+    ``NoConvergence`` carry it, and ``report.json``'s work block lists it."""
+
+    newton_steps: int = 0  # accepted Newton steps
+    mass_passes: int = 0   # the start pass and one per line-search trial that ran one
+    hull_builds: int = 0   # Qhull lower hulls built, all of them by mass passes
+    hull_sites: int = 0    # sites handed to Qhull, summed over those hulls
+    backtracks: int = 0    # halved line-search trials, by the chord test or by their pass
+    edge_flips: int = 0    # Lawson flips made, those of a repair that gave up included
+    start_boundary_sites: int = 0  # interior sites where the start took the boundary envelope's branch
+    # max relative residual: the start pass, then each accepted step
+    residuals: list[float] = field(default_factory=list)
+    # the step taken by each accepted Newton step
+    step_lengths: list[float] = field(default_factory=list)
+    # CG iterations of each Newton system solved
+    cg_iterations: list[int] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
+    iterations: int  # site updates: interior sites times Newton steps
     max_residual: float
     function: PLConvexFunction
     grid: GridFunction
-    h: float
-    alpha: float | None
-    newton_steps: int  # accepted Newton steps
-    mass_passes: int   # the start pass and one per line-search trial that ran one
-    hull_builds: int   # Qhull lower hulls built, all of them by mass passes
-    hull_sites: int    # sites handed to Qhull, summed over those hulls
-    backtracks: int    # halved line-search trials, by the chord test or by their pass
-    edge_flips: int    # Lawson flips made, those of a repair that gave up included
-    start_boundary_sites: int  # interior sites where the start took the boundary envelope's branch
-    residuals: tuple[float, ...]  # max relative residual: the start pass, then each accepted step
-    step_lengths: tuple[float, ...]  # the step taken by each accepted Newton step
-    cg_iterations: tuple[int, ...]  # CG iterations per Newton step
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "max_residual": self.max_residual,
-                "h": self.h,
-                "alpha": self.alpha,
-            },
-            sort_keys=True,
-        )
+    work: SolveWork
 
 
 # ---------------------------------------------------------------------------
@@ -566,24 +558,9 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
     tris, grads = state.last.topo.tris, state.last.grads
     pl = _envelope(gf.nodes, heights, tris, grads, _offsets(gf.nodes, heights, tris, grads))
-    return SolveReport(
-        iterations=state.newton_steps * len(state.int_ids),  # site updates
-        max_residual=state.residuals[-1],
-        function=pl,
-        grid=out,
-        h=gf.h,
-        alpha=problem.alpha,
-        newton_steps=state.newton_steps,
-        mass_passes=state.mass_passes,
-        hull_builds=state.hull_builds,
-        hull_sites=state.hull_sites,
-        backtracks=state.backtracks,
-        edge_flips=state.edge_flips,
-        start_boundary_sites=state.start_boundary_sites,
-        residuals=tuple(state.residuals),
-        step_lengths=tuple(state.step_lengths),
-        cg_iterations=tuple(state.cg_iterations),
-    )
+    work = state.work
+    return SolveReport(iterations=work.newton_steps * len(state.int_ids),
+                       max_residual=work.residuals[-1], function=pl, grid=out, work=work)
 
 
 def _chords(gf: GridFunction):
@@ -727,7 +704,7 @@ def _paraboloid_init(state, boundary_values, envelope, squares, pitch):
         e = _face_max(*envelope, sites[ids]) + 0.5 * a * (r2[ids] - big_r2)
         wins = e > q
         state.heights[ids] = np.maximum(q, e)
-        state.start_boundary_sites = int(wins.sum())
+        state.work.start_boundary_sites = int(wins.sum())
         on_q = np.ones(len(sites), dtype=bool)
         on_q[ids[wins]] = False
         squares = squares[np.all(on_q[squares], axis=1)]
@@ -742,16 +719,7 @@ class _SolveState:
         self.heights = heights
         self.max_iters = max_iters
         self.chords = chords  # (centre, a, b) of the chord test
-        self.newton_steps = 0
-        self.mass_passes = 0
-        self.hull_builds = 0
-        self.hull_sites = 0
-        self.backtracks = 0
-        self.edge_flips = 0
-        self.start_boundary_sites = 0  # interior sites where the start took E's branch
-        self.residuals = []  # max relative residual of the start and of each accepted step
-        self.step_lengths = []  # the step of each accepted step
-        self.cg_iterations = []  # CG iterations of each Newton system solved
+        self.work = SolveWork()
         self.int_ids = np.flatnonzero(interior)
         self.tgt = targets[self.int_ids]
         self.last = None  # _MassPass of the heights in place
@@ -760,10 +728,11 @@ class _SolveState:
         """Masses of the heights in place, on ``topo`` when it certifies itself
         or flips to the lower hull, else on a new hull (``_mass_pass``)."""
         self.last = _mass_pass(self.sites, self.heights, self.interior, topo, squares)
-        self.mass_passes += 1
-        self.hull_builds += len(self.last.hulls)
-        self.hull_sites += sum(self.last.hulls)
-        self.edge_flips += self.last.flips
+        work = self.work
+        work.mass_passes += 1
+        work.hull_builds += len(self.last.hulls)
+        work.hull_sites += sum(self.last.hulls)
+        work.edge_flips += self.last.flips
         return self.last
 
     def above_a_chord(self) -> bool:
@@ -793,16 +762,6 @@ class _SolveState:
         falls = rate < 0.0
         return float(np.min(slack[falls] / -rate[falls], initial=np.inf))
 
-    def no_convergence(self, message, residual) -> NoConvergence:
-        return NoConvergence(message, residual=residual, newton_steps=self.newton_steps,
-                             mass_passes=self.mass_passes, hull_builds=self.hull_builds,
-                             hull_sites=self.hull_sites, backtracks=self.backtracks,
-                             edge_flips=self.edge_flips,
-                             start_boundary_sites=self.start_boundary_sites,
-                             residuals=tuple(self.residuals),
-                             step_lengths=tuple(self.step_lengths),
-                             cg_iterations=tuple(self.cg_iterations))
-
     def residual(self) -> float:
         masses = self.last.areas
         return float(np.max(np.abs(masses[self.int_ids] - self.tgt) / self.tgt))
@@ -816,7 +775,7 @@ def _newton_phase(state, tol, lattice) -> None:
     most its target t, 2 sqrt(m) (sqrt(m) - sqrt(t)) where it is bigger.
     ``_newton_solve`` solves it by CG, with the interior sites' lattice
     coordinates ``lattice`` for its aggregates; each solve's CG iterations
-    go to ``cg_iterations``, and a CG that misses its tolerance raises
+    go to the state's ``SolveWork``, and a CG that misses its tolerance raises
     NoConvergence, as a failed factorisation does.  A
     cell's area is close to a quadratic in its site's height, since its edges
     move parallel to themselves at linear speed.  Newton on a convex quadratic
@@ -843,28 +802,28 @@ def _newton_phase(state, tol, lattice) -> None:
     start, a step is halved, at most 24 times, until every interior mass
     stays positive and the l2 residual drops (the usual guarded-Newton recipe
     for prescribed-cell-area problems).  The accepted trial's pass gives the
-    next step its masses and Jacobian, and its step goes to
-    ``step_lengths``.  A trial that fails the chord test, which only rounding
+    next step its masses and Jacobian, and its step goes to the
+    ``SolveWork``.  A trial that fails the chord test, which only rounding
     can make a trial below the bound do, is halved at once.  Any other trial costs one
     mass pass, which starts from the accepted pass's triangulation: certified
     as carried, flipped, or built by Qhull (module docstring).  That start is
     the same whether or not the trials before it ran a pass, so a pass the
     chord test skips changes no later pass.  Any other exit raises
-    NoConvergence with the residual of the heights left in place and the work
-    counters so far.
+    NoConvergence with the residual of the heights left in place and the
+    ``SolveWork`` so far.
     """
-    int_ids, tgt = state.int_ids, state.tgt
+    int_ids, tgt, work = state.int_ids, state.tgt, state.work
 
     def stop(reason):
-        return state.no_convergence(f"Newton {reason}, residual {resid:.3e}", resid)
+        return NoConvergence(f"Newton {reason}, residual {resid:.3e}", resid, work)
 
     current = state.last  # the start pass
     for it in range(81):  # the start and 80 steps
         masses = current.areas[int_ids]
         resid = state.residual()
-        state.residuals.append(resid)
-        if state.newton_steps * len(int_ids) > state.max_iters:
-            raise state.no_convergence("update budget exhausted", resid)
+        work.residuals.append(resid)
+        if work.newton_steps * len(int_ids) > state.max_iters:
+            raise NoConvergence("update budget exhausted", resid, work)
         if resid <= tol:
             return
         if it == 80:
@@ -877,7 +836,7 @@ def _newton_phase(state, tol, lattice) -> None:
             delta, cg, reached = _newton_solve(J, -_newton_rhs(masses, tgt), lattice)
         except RuntimeError as exc:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
-        state.cg_iterations.append(cg)
+        work.cg_iterations.append(cg)
         if not reached:
             raise stop(f"step {it}: CG did not reach its tolerance in {cg} iterations")
         if not np.all(np.isfinite(delta)):
@@ -896,15 +855,15 @@ def _newton_phase(state, tol, lattice) -> None:
                 ):
                     break
             step *= 0.5
-            state.backtracks += 1
+            work.backtracks += 1
         else:
             # back to the step's start; its pass replaces the last rejected trial's
             state.heights[int_ids] = base
             state.last = current
             raise stop(f"step {it}: line search found no descent")
         current = state.last
-        state.newton_steps += 1
-        state.step_lengths.append(step)
+        work.newton_steps += 1
+        work.step_lengths.append(step)
 
 
 def _newton_rhs(masses: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -1012,12 +971,10 @@ def _aggregates(A, lattice) -> np.ndarray:
     return (np.cumsum(used) - 1)[key]
 
 
-def residual(pl: PLConvexFunction, problem: DirichletProblem,
-             measure: MAMeasure | None = None) -> float:
-    """Max relative mass residual, verified through ma_measure only;
-    ``measure`` is ``ma_measure(pl)`` when the caller has it already."""
-    measure = ma_measure(pl) if measure is None else measure
+def residual(pl: PLConvexFunction, problem: DirichletProblem) -> float:
+    """Max relative mass residual, verified through ma_measure only: on the
+    cells that ``pl`` builds once and keeps."""
     interior = problem.interior
     t = problem.targets[interior]
-    m = measure.masses[interior]
+    m = ma_measure(pl).masses[interior]
     return float(np.max(np.abs(m - t) / t))

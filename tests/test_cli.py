@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 
@@ -88,6 +89,37 @@ def test_schema_matches_experiment_config():
     assert tuple(props["domain"]["enum"]) == cli.DOMAINS
 
 
+# (field, keyword, bound) per numeric bound of the schema, an array's items included
+SCHEMA_BOUNDS = [
+    (name, key, spec[key])
+    for name, prop in load_schema()["properties"].items()
+    for spec in [prop.get("items", prop)]
+    for key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+    if key in spec
+]
+
+
+@pytest.mark.parametrize("name,key,bound", SCHEMA_BOUNDS,
+                         ids=[f"{name}-{key}" for name, key, _ in SCHEMA_BOUNDS])
+def test_schema_bounds_match_validate(tmp_path, name, key, bound):
+    # a value just inside each bound passes both the schema and validate, and
+    # one just outside fails both; growth samples no lattice, so no budget applies
+    schema = load_schema()
+    step = 1 if schema["properties"][name]["type"] == "integer" else 1e-9
+    inward = step if key.lower().endswith("minimum") else -step
+    if key.startswith("exclusive"):
+        inside, outside = bound + inward, bound
+    else:
+        inside, outside = bound, bound - inward
+    validator = jsonschema.Draft7Validator(schema)
+    for value, accepted in ((inside, True), (outside, False)):
+        fields = {"experiment": "growth", name: [value, value + 1.0] if name == "levels" else value}
+        if name == "rmax":
+            fields["rmin"] = 1e-10  # below every rmax tried, as validate needs rmin < rmax
+        assert validator.is_valid(fields) == accepted, fields
+        assert (cli.validate_config(write_config(tmp_path, **fields)) == []) == accepted, fields
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -114,33 +146,34 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         texts.append((tmp_path / "w" / "report.json").read_bytes())
     assert texts[0] == texts[1]
     rep = solves[-1]
+    work = rep.work
     assert json.loads(texts[0])["work"] == {
         "experiment": fields["experiment"],
         "site_updates": rep.iterations,
-        "newton_steps": rep.newton_steps,
-        "mass_passes": rep.mass_passes,
-        "hull_builds": rep.hull_builds,
-        "hull_sites": rep.hull_sites,
-        "backtracks": rep.backtracks,
-        "edge_flips": rep.edge_flips,
-        "start_boundary_sites": rep.start_boundary_sites,
-        "residuals": list(rep.residuals),
-        "step_lengths": list(rep.step_lengths),
-        "cg_iterations": list(rep.cg_iterations),
+        "newton_steps": work.newton_steps,
+        "mass_passes": work.mass_passes,
+        "hull_builds": work.hull_builds,
+        "hull_sites": work.hull_sites,
+        "backtracks": work.backtracks,
+        "edge_flips": work.edge_flips,
+        "start_boundary_sites": work.start_boundary_sites,
+        "residuals": work.residuals,
+        "step_lengths": work.step_lengths,
+        "cg_iterations": work.cg_iterations,
         "verifier_residual": solver.residual(rep.function, problems[-1]),
     }
-    assert len(rep.residuals) == rep.newton_steps + 1
-    assert len(rep.step_lengths) == rep.newton_steps
-    assert len(rep.cg_iterations) == rep.newton_steps
-    assert all(0.0 < step <= 1.0 for step in rep.step_lengths)
-    assert rep.residuals[-1] == rep.max_residual
-    assert rep.mass_passes >= rep.newton_steps + 1 >= 2
-    assert rep.mass_passes <= rep.newton_steps + 1 + rep.backtracks
-    assert 1 <= rep.hull_builds <= rep.mass_passes + 1
+    assert len(work.residuals) == work.newton_steps + 1
+    assert len(work.step_lengths) == work.newton_steps
+    assert len(work.cg_iterations) == work.newton_steps
+    assert all(0.0 < step <= 1.0 for step in work.step_lengths)
+    assert work.residuals[-1] == rep.max_residual
+    assert work.mass_passes >= work.newton_steps + 1 >= 2
+    assert work.mass_passes <= work.newton_steps + 1 + work.backtracks
+    assert 1 <= work.hull_builds <= work.mass_passes + 1
     # the start pass hands Qhull its band only, and no hull is built for the
     # envelope, so the hulls hold fewer sites than one per pass would
     n = len(rep.grid.nodes)
-    assert rep.hull_builds * n > rep.hull_sites > 0
+    assert work.hull_builds * n > work.hull_sites > 0
     # the verifier confirms the solve: within a factor of 2 of the solver's
     # residual, or both below the rounding floor
     verified = json.loads(texts[0])["work"]["verifier_residual"]
@@ -324,17 +357,23 @@ def test_run_verify_dual_small(tmp_path, monkeypatch):
     header, rows = cli.read_table(str(tmp_path / "vd" / "dual_identity.csv"))
     assert header == ["r_lo", "r_hi", "weighted_mass", "area", "deviation"]
     assert all(r[4] < 0.05 for r in rows)
-    # the rows of a separate build, bit for bit
-    ref = ma_measure.dual_identity(solves[0].function, 0.125, 2.0, 0.25)
+    # the rows of a separate build, on a copy that holds no cells, bit for bit
+    ref = ma_measure.dual_identity(dataclasses.replace(solves[0].function), 0.125, 2.0, 0.25)
+    assert len(built) == 2 and built[1] is not built[0]
     assert rows == ref
 
 
-def test_run_verify_translator_small(tmp_path):
+def test_run_verify_translator_small(tmp_path, monkeypatch):
     cfg = cli.ExperimentConfig(
         experiment="verify-translator", alpha=0.125, radius=0.8, h=0.05,
         outdir=str(tmp_path / "vt"),
     )
+    # the translator identity and the Gauss mass share one build of the cells
+    cell_arrays, built = ma_measure._cell_arrays, []
+    monkeypatch.setattr(ma_measure, "_cell_arrays",
+                        lambda f: built.append(f) or cell_arrays(f))
     rep = cli.run(cfg)
+    assert len(built) == 1
     assert rep["pass"]
 
 

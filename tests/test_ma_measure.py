@@ -286,7 +286,7 @@ def count_fallbacks(f, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(mm, "polygon_area", counted)  # the fallback's area, once per cell
-        mm.subgradient_cells(f)
+        mm._cell_arrays(f)  # a fresh build: ``f.cells`` may be cached already
     return len(calls)
 
 
@@ -370,6 +370,23 @@ def test_fallback_cells_spliced_into_a_solved_envelope(monkeypatch):
     areas = np.array([area for _, _, area in ref])
     assert np.array_equal(cells.areas[fallback], areas[fallback])
     assert np.all(np.abs(cells.areas - areas) <= 1e-10 * areas)
+
+
+def test_cells_are_built_once_per_envelope(monkeypatch):
+    f = _lattice_quadratic()
+    cell_arrays, built = mm._cell_arrays, []
+    monkeypatch.setattr(mm, "_cell_arrays", lambda g: built.append(g) or cell_arrays(g))
+    assert f.cells is f.cells
+    assert not f.cells.vertices.flags.writeable  # shared, so no reader can change them
+    masses = mm.ma_measure(f).masses
+    cells = mm.subgradient_cells(f)
+    rep = mm.check_translator_identity(f, 0.25, np.flatnonzero(f.hull_interior))
+    assert len(built) == 1 and built[0] is f
+    # the readers agree with each other and with a fresh build
+    fresh = cell_arrays(f)
+    assert np.array_equal(masses[fresh.sites], fresh.areas)
+    assert [c.area for c in cells] == fresh.areas.tolist()
+    assert rep.measure_side == float(fresh.areas.sum())
 
 
 @pytest.mark.parametrize("case", ["affine", "ridge", "flat_square"])

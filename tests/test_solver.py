@@ -93,27 +93,28 @@ def test_newton_failure_raises_with_its_residual():
     assert info.value.residual <= 1e-9
     assert "Newton" in str(info.value)
     # the work counters up to the failure; the last line search halved 24 times
-    err = info.value
+    err, work = info.value, info.value.work
     assert "line search found no descent" in str(err)
-    assert err.newton_steps > 0 and err.backtracks >= 24
-    assert len(err.residuals) == err.newton_steps + 1 and err.residuals[-1] == err.residual
-    assert len(err.step_lengths) == err.newton_steps and 0.0 < min(err.step_lengths) <= 1.0
+    assert work.newton_steps > 0 and work.backtracks >= 24
+    assert len(work.residuals) == work.newton_steps + 1 and work.residuals[-1] == err.residual
+    assert len(work.step_lengths) == work.newton_steps and 0.0 < min(work.step_lengths) <= 1.0
     # the failed step solved its Newton system before its line search
-    assert len(err.cg_iterations) == err.newton_steps + 1 and min(err.cg_iterations) > 0
-    assert err.newton_steps + 1 <= err.mass_passes <= err.newton_steps + 1 + err.backtracks
-    assert 1 <= err.hull_builds <= err.mass_passes
+    assert len(work.cg_iterations) == work.newton_steps + 1 and min(work.cg_iterations) > 0
+    assert work.newton_steps + 1 <= work.mass_passes <= work.newton_steps + 1 + work.backtracks
+    assert 1 <= work.hull_builds <= work.mass_passes
 
 
 def test_budget_exhaustion_carries_the_work_counters():
     bump = lambda p: quadratic(p) + 0.05 * (1 + np.sin(3 * p[:, 0]) * np.cos(p[:, 1]))
     with pytest.raises(NoConvergence, match="update budget exhausted") as info:
         solver.solve(unit_problem(0.25, boundary=bump), tol=1e-12, max_iters=1)
-    err = info.value  # the first step is charged, and its full step accepted
-    assert (err.newton_steps, err.mass_passes, err.backtracks) == (1, 2, 0)
-    assert len(err.residuals) == 2 and err.residuals[-1] == err.residual
-    assert err.step_lengths == (1.0,)
-    assert len(err.cg_iterations) == 1 and err.cg_iterations[0] > 0
-    assert 1 <= err.hull_builds <= err.mass_passes
+    # the first step is charged, and its full step accepted
+    err, work = info.value, info.value.work
+    assert (work.newton_steps, work.mass_passes, work.backtracks) == (1, 2, 0)
+    assert len(work.residuals) == 2 and work.residuals[-1] == err.residual
+    assert work.step_lengths == [1.0]
+    assert len(work.cg_iterations) == 1 and work.cg_iterations[0] > 0
+    assert 1 <= work.hull_builds <= work.mass_passes
     assert err.residual > 1e-12
 
 
@@ -222,8 +223,8 @@ def test_affine_covariance(disk, h, dual, eigen, angle, ell):
     lift = ell[0] + nodes @ np.array(ell[1:])
     assert np.max(np.abs(tilted.grid.values - (rep.grid.values + lift))) < 1e-6
     # the start is covariant too, so the tilt costs no step and no hull
-    assert tilted.newton_steps == rep.newton_steps
-    assert tilted.hull_builds == rep.hull_builds
+    assert tilted.work.newton_steps == rep.work.newton_steps
+    assert tilted.work.hull_builds == rep.work.hull_builds
     # shear the sites by a unimodular matrix: same targets, mapped solution.
     # A linear map keeps each chord's centre at the midpoint of its ends; it
     # does not keep a lattice square's corners cocircular, so no squares; the
@@ -250,16 +251,6 @@ def test_refinement_radial_oracle(dual_profile_8):
         errs.append(np.max(np.abs(rep.grid.values - dual_profile_8(prob.grid.nodes))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.7), (errs, orders)
-
-
-def test_solve_report_json():
-    prob = unit_problem(0.25)
-    rep = solver.solve(prob, tol=1e-8)
-    import json
-
-    payload = json.loads(rep.to_json())
-    assert set(payload) == {"iterations", "max_residual", "h", "alpha"}
-    assert payload["h"] == 0.25
 
 
 @pytest.mark.parametrize("case", ["bump", "degenerate"])
@@ -298,18 +289,18 @@ def test_one_hull_per_trial(case, monkeypatch):
         tol = 1e-6
     rep = solver.solve(prob, tol=tol)
 
-    assert calls["_lower_faces"] == rep.hull_builds >= 1
-    assert calls["splu"] == rep.newton_steps > 0
-    assert rep.iterations == rep.newton_steps * int(prob.interior.sum())
+    assert calls["_lower_faces"] == rep.work.hull_builds >= 1
+    assert calls["splu"] == rep.work.newton_steps > 0
+    assert rep.iterations == rep.work.newton_steps * int(prob.interior.sum())
     # each halving was a chord-test rejection, with no pass, or a pass that failed
-    assert sum(rejected) + rep.mass_passes == rep.newton_steps + 1 + rep.backtracks
+    assert sum(rejected) + rep.work.mass_passes == rep.work.newton_steps + 1 + rep.work.backtracks
     if case == "bump":  # every trial that ran a pass was accepted
-        assert rep.mass_passes == rep.newton_steps + 1
+        assert rep.work.mass_passes == rep.work.newton_steps + 1
     else:  # the chord bound cut steps short, and left no trial to halve: a
         # step below 1 that is not a power of 2 was not reached by halving
-        assert any(s < 1.0 and math.frexp(s)[0] != 0.5 for s in rep.step_lengths)
-        assert rep.backtracks == 0
-    assert rep.hull_builds <= rep.mass_passes
+        assert any(s < 1.0 and math.frexp(s)[0] != 0.5 for s in rep.work.step_lengths)
+        assert rep.work.backtracks == 0
+    assert rep.work.hull_builds <= rep.work.mass_passes
     # the envelope is lower_envelope's as a function, at every site and
     # between them, though its faces and gradients are the solver's own
     ref = solver.lower_envelope(prob.grid.nodes, rep.grid.values)
@@ -383,7 +374,7 @@ def solved_disk2(dual_profile_8):
 def test_certified_passes_skip_qhull(solved_disk2):
     sites, _, rep, hull = solved_disk2
     assert hull.hulls == (len(sites),) and hull.topo.covers
-    assert rep.hull_builds < rep.mass_passes
+    assert rep.work.hull_builds < rep.work.mass_passes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -481,18 +472,18 @@ def test_flips_replace_the_trial_hulls():
     rhs = grid.RhsField("degenerate", alpha=1 / 8)
     prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
     rep = solver.solve(prob, tol=1e-6)
-    assert rep.hull_builds == 1 and rep.edge_flips > 0
+    assert rep.work.hull_builds == 1 and rep.work.edge_flips > 0
     # the solve takes more steps than the 10-step budget below charges for
-    assert rep.mass_passes > rep.newton_steps > 10
+    assert rep.work.mass_passes > rep.work.newton_steps > 10
     with pytest.raises(NoConvergence, match="update budget exhausted") as info:
         solver.solve(prob, tol=1e-6, max_iters=10 * int(prob.interior.sum()))
-    assert info.value.hull_builds == 1 and info.value.edge_flips > 0
+    assert info.value.work.hull_builds == 1 and info.value.work.edge_flips > 0
     # the start lifted the sites near x1 = +-1 to the boundary data's envelope
-    assert info.value.start_boundary_sites == rep.start_boundary_sites > 0
+    assert info.value.work.start_boundary_sites == rep.work.start_boundary_sites > 0
     # the start pass's hull is the band's
     n = len(prob.grid.nodes)
-    assert 0 < info.value.hull_sites < n
-    assert rep.hull_sites == info.value.hull_sites
+    assert 0 < info.value.work.hull_sites < n
+    assert rep.work.hull_sites == info.value.work.hull_sites
 
 
 def test_flips_give_up_at_the_round_cap(solved_disk2, monkeypatch):
@@ -595,8 +586,8 @@ def test_dual_disk8_newton_steps(dual_profile_8):
     rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     prob = solver.build_problem(grid.Domain2D.disk(8.0), 0.25, rhs, dual_profile_8)
     rep = solver.solve(prob, tol=1e-8)
-    assert rep.newton_steps == 5
-    assert rep.residuals[0] > 100.0
+    assert rep.work.newton_steps == 5
+    assert rep.work.residuals[0] > 100.0
     assert rep.max_residual <= 1e-8 and solver.residual(rep.function, prob) <= 1e-8
 
 
@@ -693,7 +684,7 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
     assert np.allclose(lattice.heights[interior], np.maximum(q, from_e)[interior],
                        rtol=0.0, atol=1e-12 * scale_z)
     took_e = lattice.heights[interior] != q[interior]
-    assert lattice.start_boundary_sites == int(took_e.sum())
+    assert lattice.work.start_boundary_sites == int(took_e.sum())
     assert start.topo.covers == ref.topo.covers
     for hull in (start, ref):
         assert np.all(np.bincount(hull.topo.tris.ravel(), minlength=len(sites))[interior])
@@ -710,7 +701,7 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
     assert np.allclose(shifted.heights - lattice.heights, l0(sites),
                        rtol=0.0, atol=1e-12 * scale_z)
     if (shape, scale, h, data, tilt) == ("square", 1.0, 0.1, "separable", (0.0, 0.0, 0.0)):
-        assert lattice.start_boundary_sites > 0  # the data rise above q near x1 = +-1
+        assert lattice.work.start_boundary_sites > 0  # the data rise above q near x1 = +-1
     # the squares whose corners all take q's branch stay faces
     on_q = np.ones(len(sites), dtype=bool)
     on_q[np.flatnonzero(interior)[took_e]] = False
@@ -748,7 +739,7 @@ def test_verify_dual_start_is_the_paraboloid(dual_profile_8):
     bv = prob.boundary_values
     state = _paraboloid_start(gf, bv, prob.targets, solver._squares(gf))
     q, from_e, _ = _start_branches(gf, bv, prob.targets)
-    assert state.start_boundary_sites == 0
+    assert state.work.start_boundary_sites == 0
     assert np.array_equal(state.heights[interior], q[interior])
     assert np.all(from_e[interior] < q[interior])
 
@@ -773,7 +764,7 @@ def test_a_square_missing_from_the_list_falls_back_to_qhull(monkeypatch):
         return checked[-1][1]
 
     monkeypatch.setattr(solver, "_tiles_a_disk", recorded)
-    assert _paraboloid_start(gf, bv, targets, squares).hull_builds == 1
+    assert _paraboloid_start(gf, bv, targets, squares).work.hull_builds == 1
     assert checked[-1][1]
     fallback = _paraboloid_start(gf, bv, targets, short)
     topo, verdict = checked[-1]
@@ -782,7 +773,7 @@ def test_a_square_missing_from_the_list_falls_back_to_qhull(monkeypatch):
     edges = len(np.unique(undirected.reshape(-1, 2), axis=0))
     assert len(np.unique(topo.tris)) - edges + len(topo.tris) == 0  # an annulus
     band = int(np.sum(np.bincount(short.ravel(), minlength=len(gf)) < 4))
-    assert (fallback.hull_builds, fallback.hull_sites) == (2, band + len(gf))
+    assert (fallback.work.hull_builds, fallback.work.hull_sites) == (2, band + len(gf))
     ref = _paraboloid_start(gf, bv, targets, NO_SQUARES).last
     start = fallback.last
     for name in ("grads", "areas"):
@@ -879,16 +870,19 @@ def test_chord_test_spares_only_rejected_passes(monkeypatch):
 
         monkeypatch.setattr(solver._SolveState, "above_a_chord", shadowed)
         rep = solver.solve(prob, tol=1e-6)
+        work = rep.work
         assert all(m <= 0.0 for m in least)
         # each halving was a chord rejection or a pass that ran and failed
-        assert len(least) + rep.mass_passes == rep.newton_steps + 1 + rep.backtracks
+        assert len(least) + work.mass_passes == work.newton_steps + 1 + work.backtracks
 
         monkeypatch.setattr(solver._SolveState, "above_a_chord", lambda state: False)
         ref = solver.solve(prob, tol=1e-6)
         assert np.array_equal(rep.grid.values, ref.grid.values)
-        assert (rep.newton_steps, rep.backtracks) == (ref.newton_steps, ref.backtracks)
-        assert rep.step_lengths == ref.step_lengths
-        assert ref.mass_passes == ref.newton_steps + 1 + ref.backtracks >= rep.mass_passes
+        ref_work = ref.work
+        assert (work.newton_steps, work.backtracks) == (ref_work.newton_steps, ref_work.backtracks)
+        assert work.step_lengths == ref_work.step_lengths
+        assert ref_work.mass_passes == ref_work.newton_steps + 1 + ref_work.backtracks
+        assert ref_work.mass_passes >= work.mass_passes
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -955,7 +949,8 @@ def _small_solve_members(dual_profile_8):
             prob = solver.build_problem(dom, h, rhs, tilted)
             rep = solver.solve(prob, tol=1e-6)
             assert rep.max_residual <= 1e-6 and solver.residual(rep.function, prob) <= 1e-6
-            assert len(rep.step_lengths) == len(rep.cg_iterations) == rep.newton_steps
+            work = rep.work
+            assert len(work.step_lengths) == len(work.cg_iterations) == work.newton_steps
             reports.append((rep, prob))
         solved.append(reports)
     return solved
@@ -969,9 +964,9 @@ def test_small_solve_members_newton_steps(dual_profile_8):
     # steps.  Every Newton system goes through the two-level CG, and the
     # steps are those of the direct solves that it replaced.
     for reports in _small_solve_members(dual_profile_8):
-        assert [rep.newton_steps for rep, _ in reports] == [0, 4, 5, 12, 18]
+        assert [rep.work.newton_steps for rep, _ in reports] == [0, 4, 5, 12, 18]
         for rep, _ in reports:
-            assert all(0 < cg <= 20 for cg in rep.cg_iterations), rep.cg_iterations
+            assert all(0 < cg <= 20 for cg in rep.work.cg_iterations), rep.work.cg_iterations
 
 
 # ---------------------------------------------------------------------------
@@ -1045,5 +1040,5 @@ def test_cg_failure_raises_no_convergence(monkeypatch):
                        match="step 0: CG did not reach its tolerance in 1 iterations") as info:
         solver.solve(prob, tol=1e-6)
     err = info.value
-    assert err.newton_steps == 0 and err.cg_iterations == (1,)
-    assert err.residual == err.residuals[-1] > 1e-6
+    assert err.work.newton_steps == 0 and err.work.cg_iterations == [1]
+    assert err.residual == err.work.residuals[-1] > 1e-6
