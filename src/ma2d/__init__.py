@@ -1,7 +1,7 @@
 """2D Monge-Ampere toolkit: exact discrete Alexandrov solutions, Legendre
 duality, section geometry, and growth-rate experiments."""
 
-from . import analysis, cli, errors, geometry, grid, legendre, ma_measure, oracle, sections, solver
+from . import analysis, errors, geometry, grid, legendre, ma_measure, oracle, sections, solver
 
 __all__ = [
     "analysis",

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,24 +28,11 @@ from . import analysis, ma_measure, oracle, sections, solver
 from .errors import ConfigInvalid, LatticeTooLarge, ToolkitError
 from .grid import Domain2D, RhsField, check_lattice_budget, save
 
-EXPERIMENTS = (
-    "oracle",
-    "solve",
-    "sections",
-    "growth",
-    "cascade",
-    "doubling",
-    "verify-dual",
-    "verify-translator",
-)
+with open(os.path.join(os.path.dirname(__file__), "experiment.schema.json"),
+          encoding="utf-8") as _fh:
+    SCHEMA = json.load(_fh)  # the one statement of each field's type, enum and bounds
 
-SOURCES = ("oracle-dual", "oracle-primal", "separable", "quadratic", "solve")
-
-RHS_KINDS = ("constant", "dual_translator", "degenerate")
-
-DOMAINS = ("disk", "square")
-
-MAX_CIRCLES = 4096  # growth samples 256 points on each circle, 2^20 in all
+EXPERIMENTS = tuple(SCHEMA["properties"]["experiment"]["enum"])
 
 
 @dataclass
@@ -70,119 +58,105 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def validate(self) -> list:
-        bad = []
-        if self.experiment not in EXPERIMENTS:
-            bad.append(f"/experiment: must be one of {', '.join(EXPERIMENTS)}")
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha < 0.25):
-            bad.append("/alpha: alpha must be < 0.25 and > 0")
-        if not 0.0 <= self.eta <= 1.0:
-            bad.append("/eta: must lie in [0, 1]")
-        if self.rhs not in RHS_KINDS:
-            bad.append(f"/rhs: must be one of {', '.join(RHS_KINDS)}")
-        if self.source not in SOURCES:
-            bad.append(f"/source: must be one of {', '.join(SOURCES)}")
-        if self.domain not in DOMAINS:
-            bad.append(f"/domain: must be one of {', '.join(DOMAINS)}")
-        if not self.radius > 0:
-            bad.append("/radius: must be positive")
-        if not self.h > 0:
-            bad.append("/h: must be positive")
-        elif 0 < self.radius < np.inf and (
-            self.experiment in ("solve", "verify-dual", "verify-translator")
-            or (self.experiment in ("sections", "cascade") and self.source == "solve")
-        ):  # the experiments that sample the pitch-h lattice of their domain
-            try:
-                check_lattice_budget(_domain(self), self.h)
-            except LatticeTooLarge as exc:
-                bad.append(f"/h: {exc}")
-        if not 0 < self.rmin < self.rmax:
-            bad.append("/rmin: need 0 < rmin < rmax")
-        if not 4 <= self.n_circles <= MAX_CIRCLES:
-            bad.append(f"/n_circles: need at least 4 and at most {MAX_CIRCLES}")
-        if len(self.levels) < 2 or any(t <= 0 for t in self.levels) or any(
-            b <= a for a, b in zip(self.levels, self.levels[1:])
-        ):
-            bad.append("/levels: must be positive and increasing, length >= 2")
-        if self.n_samples < 100:
-            bad.append("/n_samples: need at least 100")
-        if self.experiment == "doubling" and self.seed is None:
-            bad.append("/seed: required for the doubling experiment")
-        if not self.tol > 0:
-            bad.append("/tol: must be positive")
-        for name in ("slope_tolerance", "error_tolerance", "identity_tolerance"):
-            if not getattr(self, name) > 0:
-                bad.append(f"/{name}: must be positive")
-        return bad
+        """Violations, each led by its field's JSON pointer; empty iff valid."""
+        return _violations(asdict(self))
 
 
-# JSON type of each annotation of ExperimentConfig: description, membership test
-_JSON_TYPES = {
-    str: ("a string", lambda v: isinstance(v, str)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+# JSON type: description, membership test.  bool is no number, an integer
+# takes no float (not even 5.0), and a number is finite, as JSON has no NaN
+# or Infinity (Python's json reads them) and no double beyond float max.
+_TYPES = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "array": ("an array", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "null": ("null", lambda v: v is None),
+}
+
+_BOUNDS = {
+    "minimum": (">=", operator.ge),
+    "maximum": ("<=", operator.le),
+    "exclusiveMinimum": (">", operator.gt),
+    "exclusiveMaximum": ("<", operator.lt),
 }
 
 
-def _type_violations(values: dict) -> list:
-    """Fields whose JSON type does not match their ``ExperimentConfig`` annotation.
+def _walk(value, schema, path, typed, bad):
+    """Append the violations of ``value`` against ``schema`` (``SCHEMA`` or
+    one of its subschemas) to ``typed`` (a wrong type, an unknown or a
+    missing property) and to ``bad`` (the rest).
 
-    ``bool`` is no number, an integer field takes no float (not even 5.0),
-    and ``X | None`` also admits null.
+    Only the keywords that ``SCHEMA`` uses are read.
     """
-    hints = typing.get_type_hints(ExperimentConfig)
-    bad = []
-    for name, value in values.items():
-        hint = hints[name]
-        args = set(typing.get_args(hint))
-        if type(None) in args:
-            if value is None:
-                continue
-            (hint,) = args - {type(None)}
-        if typing.get_origin(hint) is list:
-            desc, ok = _JSON_TYPES[typing.get_args(hint)[0]]
-            if not isinstance(value, list):
-                bad.append(f"/{name}: must be an array")
-            else:
-                bad += [f"/{name}/{i}: must be {desc}" for i, v in enumerate(value) if not ok(v)]
-            continue
-        desc, ok = _JSON_TYPES[hint]
-        if not ok(value):
-            bad.append(f"/{name}: must be {desc}")
+    kinds = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    if not any(_TYPES[k][1](value) for k in kinds):
+        typed.append(f"{path or '/'}: must be {' or '.join(_TYPES[k][0] for k in kinds)}")
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        bad.append(f"{path}: must be one of {', '.join(schema['enum'])}")
+    for key, (sign, holds) in _BOUNDS.items():
+        if key in schema and not holds(value, schema[key]):
+            bad.append(f"{path}: must be {sign} {schema[key]}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            bad.append(f"{path}: need at least {schema['minItems']} items")
+        for i, item in enumerate(value):
+            _walk(item, schema["items"], f"{path}/{i}", typed, bad)
+    if isinstance(value, dict):
+        props = schema["properties"]
+        if schema.get("additionalProperties") is False:
+            typed += [f"{path}/{k}: unknown field" for k in sorted(value) if k not in props]
+        typed += [f"{path}/{k}: required" for k in schema.get("required", ()) if k not in value]
+        for k, v in value.items():
+            if k in props:
+                _walk(v, props[k], f"{path}/{k}", typed, bad)
+
+
+def _violations(values) -> list:
+    """Violations of ``values``, a config's JSON object whose fields may be
+    missing: those of ``SCHEMA``, then those of the rules that tie fields
+    together.  Type violations come alone, as they end the check."""
+    typed, bad = [], []
+    _walk(values, SCHEMA, "", typed, bad)
+    if typed:
+        return typed
+    cfg = ExperimentConfig(**values)
+    samples_lattice = (  # the pitch-h lattice of the domain
+        cfg.experiment in ("solve", "verify-dual", "verify-translator")
+        or (cfg.experiment in ("sections", "cascade") and cfg.source == "solve")
+    )
+    if samples_lattice and not any(v.startswith(("/radius:", "/h:")) for v in bad):
+        try:
+            check_lattice_budget(_domain(cfg), cfg.h)
+        except LatticeTooLarge as exc:
+            bad.append(f"/h: {exc}")
+    if not cfg.rmin < cfg.rmax:
+        bad.append("/rmin: need rmin < rmax")
+    if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
+        bad.append("/levels: must be increasing")
+    if cfg.experiment == "doubling" and cfg.seed is None:
+        bad.append("/seed: required for the doubling experiment")
     return bad
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            values = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid([f"/: invalid JSON ({exc})"])
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(["/: config must be a JSON object"])
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = [k for k in raw if k not in known]
-    if unknown:
-        raise ConfigInvalid([f"/{k}: unknown field" for k in sorted(unknown)])
-    if "experiment" not in raw:
-        raise ConfigInvalid(["/experiment: required"])
-    merged = dict(raw)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    bad = _type_violations(merged)
+    if isinstance(values, dict) and overrides:
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+    bad = _violations(values)
     if bad:
         raise ConfigInvalid(bad)
-    try:
-        cfg = ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigInvalid([f"/: {exc}"])
-    bad = cfg.validate()
-    if bad:
-        raise ConfigInvalid(bad)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def validate_config(path) -> list:
-    """List of schema violations (empty iff run would accept the file)."""
+    """List of config violations (empty iff ``load_config`` accepts the file)."""
     try:
         load_config(path)
     except ConfigInvalid as exc:
@@ -202,6 +176,10 @@ def _verdict(name, measured, expected, tolerance, passed):
         "tolerance": float(tolerance),
         "pass": bool(passed),
     }
+
+
+# rhs -> the source that solves det D2 v = rhs in closed form
+_SOLUTIONS = {"constant": "quadratic", "dual_translator": "oracle-dual", "degenerate": "separable"}
 
 
 def _source_function(cfg: ExperimentConfig):
@@ -278,12 +256,7 @@ def _run_growth(cfg, out, work):
 def _run_solve(cfg, out, work):
     dom = _domain(cfg)
     rhs = _rhs_field(cfg)
-    if cfg.rhs == "constant":
-        exact = lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2)
-    elif cfg.rhs == "degenerate":
-        exact = oracle.SeparableSolution(alpha=cfg.alpha, a=1.0)
-    else:
-        exact = oracle.RadialProfile(alpha=cfg.alpha, kind="dual_translator", eta=cfg.eta)
+    exact = _source_function(replace(cfg, source=_SOLUTIONS[cfg.rhs]))
     problem = solver.build_problem(dom, cfg.h, rhs, exact)
     report = solver.solve(problem, tol=cfg.tol)
     _count_solve(work, report, problem)
@@ -325,13 +298,9 @@ def _run_sections(cfg, out, work):
         x0 = v.nodes[v.argmin_node()]
     else:
         v = _source_function(cfg)
-        density = (
-            RhsField("degenerate", alpha=cfg.alpha)
-            if cfg.source == "separable"
-            else RhsField("dual_translator", alpha=cfg.alpha, eta=cfg.eta)
-            if cfg.source == "oracle-dual"
-            else RhsField("constant")
-        )
+        # oracle-primal's density depends on the gradient, so its sections weigh area
+        rhs = next((r for r, s in _SOLUTIONS.items() if s == cfg.source), "constant")
+        density = _rhs_field(replace(cfg, rhs=rhs))
         x0 = np.zeros(2)
     rows = []
     for t in cfg.levels:
@@ -478,10 +447,8 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Run one experiment; returns the report dict after writing all files."""
-    bad = cfg.validate()
-    if bad:
-        raise ConfigInvalid(bad)
+    """Run the experiment of ``cfg``, which ``validate`` passes; returns the
+    report dict after writing all files."""
     os.makedirs(cfg.outdir, exist_ok=True)
     work = {"experiment": cfg.experiment}
     outputs, verdicts = _RUNNERS[cfg.experiment](cfg, cfg.outdir, work)
@@ -570,27 +537,20 @@ def main(argv=None) -> int:
     overrides = {
         k: getattr(args, k)
         for k in ExperimentConfig.__dataclass_fields__
-        if hasattr(args, k)
+        if getattr(args, k, None) is not None
     }
     try:
         if args.config:
             cfg = load_config(args.config, overrides)
+            if cfg.experiment != args.command:
+                raise ConfigInvalid(
+                    [f"/experiment: config says {cfg.experiment!r}, command is {args.command!r}"]
+                )
         else:
-            overrides = {k: v for k, v in overrides.items() if v is not None}
             cfg = ExperimentConfig(experiment=args.command, **overrides)
             bad = cfg.validate()
             if bad:
                 raise ConfigInvalid(bad)
-        if cfg.experiment != args.command:
-            raise ConfigInvalid(
-                [f"/experiment: config says {cfg.experiment!r}, command is {args.command!r}"]
-            )
-    except ConfigInvalid as exc:
-        for v in exc.violations:
-            print(v, file=sys.stderr)
-        return 2
-
-    try:
         report = run(cfg)
     except ConfigInvalid as exc:
         for v in exc.violations:

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -11,7 +14,7 @@ from ma2d import cli, ma_measure, solver
 from ma2d.errors import ConfigInvalid
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
-SCHEMA = os.path.join(os.path.dirname(__file__), "..", "schemas", "experiment.schema.json")
+SCHEMA = os.path.join(os.path.dirname(cli.__file__), "experiment.schema.json")
 
 
 def load_schema():
@@ -81,12 +84,45 @@ def test_schema_accepts_growth_report_config(tmp_path):
 
 
 def test_schema_matches_experiment_config():
+    # every field has a schema, and every enum value of the schema a handler
     props = load_schema()["properties"]
     assert set(props) == set(cli.ExperimentConfig.__dataclass_fields__)
-    assert tuple(props["experiment"]["enum"]) == cli.EXPERIMENTS
-    assert tuple(props["source"]["enum"]) == cli.SOURCES
-    assert tuple(props["rhs"]["enum"]) == cli.RHS_KINDS
-    assert tuple(props["domain"]["enum"]) == cli.DOMAINS
+    assert set(props["experiment"]["enum"]) == set(cli._RUNNERS)
+    cfg = cli.ExperimentConfig(experiment="growth")
+    points = np.array([[1.0, 0.5], [0.3, 0.2]])
+    values = {}
+    for source in props["source"]["enum"]:
+        with_source = dataclasses.replace(cfg, source=source)
+        if source == "solve":  # solved, so no closed form
+            with pytest.raises(ConfigInvalid):
+                cli._source_function(with_source)
+            continue
+        values[source] = tuple(np.asarray(cli._source_function(with_source)(points), dtype=float))
+    assert len(set(values.values())) == len(values)  # a function of its own for each source
+    rhs_kinds = props["rhs"]["enum"]
+    assert [cli._rhs_field(dataclasses.replace(cfg, rhs=r)).kind for r in rhs_kinds] == rhs_kinds
+    assert set(cli._SOLUTIONS) == set(rhs_kinds) and set(cli._SOLUTIONS.values()) <= set(values)
+    domains = props["domain"]["enum"]
+    assert [cli._domain(dataclasses.replace(cfg, domain=d)).kind for d in domains] == domains
+
+
+def test_each_rhs_pairs_with_its_solution():
+    # det D2 v = f at two points, by centered second differences of the source
+    # that _SOLUTIONS pairs with each rhs
+    cfg = cli.ExperimentConfig(experiment="solve")
+    e = 1e-3
+    for rhs, source in cli._SOLUTIONS.items():
+        v = cli._source_function(dataclasses.replace(cfg, source=source))
+        f = cli._rhs_field(dataclasses.replace(cfg, rhs=rhs))
+        for x in ([1.0, 0.5], [-0.7, 0.4]):
+            def val(dx, dy):
+                return v(np.array([[x[0] + dx, x[1] + dy]]))[0]
+
+            vxx = (val(e, 0) - 2 * val(0, 0) + val(-e, 0)) / e**2
+            vyy = (val(0, e) - 2 * val(0, 0) + val(0, -e)) / e**2
+            vxy = (val(e, e) - val(e, -e) - val(-e, e) + val(-e, -e)) / (4 * e**2)
+            expect = f(np.array([x]))[0]
+            assert abs(vxx * vyy - vxy**2 - expect) / expect < 1e-4, (rhs, x)
 
 
 # (field, keyword, bound) per numeric bound of the schema, an array's items included
@@ -102,8 +138,9 @@ SCHEMA_BOUNDS = [
 @pytest.mark.parametrize("name,key,bound", SCHEMA_BOUNDS,
                          ids=[f"{name}-{key}" for name, key, _ in SCHEMA_BOUNDS])
 def test_schema_bounds_match_validate(tmp_path, name, key, bound):
-    # a value just inside each bound passes both the schema and validate, and
-    # one just outside fails both; growth samples no lattice, so no budget applies
+    # a value just inside each bound passes both jsonschema and validate's walk of
+    # the schema, and one just outside fails both; growth samples no lattice, so
+    # no budget applies
     schema = load_schema()
     step = 1 if schema["properties"][name]["type"] == "integer" else 1e-9
     inward = step if key.lower().endswith("minimum") else -step
@@ -257,14 +294,49 @@ def test_config_wrong_json_type_exit_2(tmp_path, capsys, fields, path):
     assert err.startswith(path + ":") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "experiment, name, value, path",
+    [
+        ("verify-dual", "radius", math.inf, "/radius"),
+        ("solve", "h", math.inf, "/h"),
+        ("growth", "rmax", math.inf, "/rmax"),
+        ("cascade", "levels", [1.0, math.inf], "/levels/1"),
+        ("growth", "alpha", math.nan, "/alpha"),
+    ],
+    ids=["radius", "h", "rmax", "levels", "alpha"],
+)
+def test_nonfinite_number_exit_2(tmp_path, capsys, experiment, name, value, path):
+    # JSON has no NaN or Infinity, yet Python's json reads them and float() reads
+    # "inf" and "nan", so a file and a flag can each carry one
+    cfg = write_config(tmp_path, experiment=experiment, **{name: value})
+    assert cli.main(["validate", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(path + ":") and "Traceback" not in out
+    flag = [repr(v) for v in (value if isinstance(value, list) else [value])]
+    for argv in (["--config", cfg], ["--" + name, *flag]):
+        assert cli.main([experiment, *argv, "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(path + ":") and "Traceback" not in err
+
+
+def test_python_m_cli_writes_no_warning():
+    # runpy warns when the package has imported the module it is asked to run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "ma2d.cli", "validate", os.path.join(CONFIGS, "verify_dual.json")]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def test_n_circles_bounded(tmp_path):
     # checked on the config, so the run exits 2 before allocating any circle
     path = write_config(tmp_path, experiment="growth", n_circles=10**9)
     assert any(v.startswith("/n_circles") for v in cli.validate_config(path))
     assert cli.main(["growth", "--n-circles", str(10**9), "--outdir", str(tmp_path)]) == 2
-    path = write_config(tmp_path, experiment="growth", n_circles=cli.MAX_CIRCLES)
+    most = load_schema()["properties"]["n_circles"]["maximum"]
+    path = write_config(tmp_path, experiment="growth", n_circles=most)
     assert cli.validate_config(path) == []
-    assert load_schema()["properties"]["n_circles"]["maximum"] == cli.MAX_CIRCLES
 
 
 def test_every_config_field_has_a_flag(tmp_path):
