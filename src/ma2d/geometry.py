@@ -1,10 +1,10 @@
 """Convex polygon primitives and quadrature rules used across the toolkit.
 
 Everything operates on plain float64 arrays: polygons are (k, 2) arrays of
-vertices in counterclockwise order.  Whether a point lies in a convex
-polygon, and how deep, is asked in one way throughout the package: by the
-edge cross products e_k x (p - a_k) of ``min_edge_cross``, which are
-positive inside.
+vertices in counterclockwise order.  Three jobs are each done in one way
+throughout the package: whether a point lies in a convex polygon, and how
+deep, by the edge cross products of ``min_edge_cross``; which way three
+points turn, by ``orientation``; a max of planes, by ``max_affine``.
 """
 from __future__ import annotations
 
@@ -61,7 +61,33 @@ def spans_plane(points) -> bool:
         return False
     d = x - x[0]
     far = np.flatnonzero(np.any(d != 0.0, axis=1))
-    return bool(len(far) and np.any(d[far[0], 0] * d[:, 1] - d[far[0], 1] * d[:, 0] != 0.0))
+    return bool(len(far) and np.any(orientation(x[0], x[far[0]], x) != 0.0))
+
+
+def orientation(a, b, c) -> np.ndarray:
+    """(b - a) x (c - a) for arrays of planar points, coordinates on the
+    last axis: twice the signed area of triangle (a, b, c), positive if ccw."""
+    u, v = b - a, c - a
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+_AFFINE_BLOCK = 2**16  # values of one (points, planes) block of ``max_affine``
+
+
+def max_affine(points, slopes, offsets) -> np.ndarray:
+    """max_k slopes[k] . p + offsets[k] at each point p, each value summed as
+    p1 * s1 + p2 * s2 + c by elementwise products over blocks of about 2^16
+    (point, plane) values, so the working set stays near a megabyte.  No
+    matrix product: a BLAS gemm would allocate (points, planes) temporaries.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts))
+    chunk = max(1, _AFFINE_BLOCK // len(offsets))
+    for start in range(0, len(pts), chunk):
+        p = pts[start : start + chunk]
+        out[start : start + chunk] = np.max(
+            p[:, :1] * slopes[:, 0] + p[:, 1:] * slopes[:, 1] + offsets, axis=1)
+    return out
 
 
 def polygon_edges(vertices):
@@ -142,46 +168,33 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
     return hull
 
 
-# Symmetric Gauss rules on the reference triangle, (barycentric coords, weights).
-# Degrees of exactness: 1, 2, 4, 5.
-_TRI_RULES = {}
-
-
 def _orbit(a):
     return [(1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)]
 
 
-_TRI_RULES[1] = (np.array([(1 / 3, 1 / 3, 1 / 3)]), np.array([1.0]))
-_TRI_RULES[2] = (np.array(_orbit(1 / 6)), np.full(3, 1 / 3))
+# Symmetric Gauss rules on the reference triangle, (barycentric coords,
+# weights), by degree of exactness: 2 for the translator identity, 4 else.
 _a1, _a2 = 0.445948490915965, 0.091576213509771
 _w1, _w2 = 0.223381589678011, 0.109951743655322
-_TRI_RULES[4] = (
-    np.array(_orbit(_a1) + _orbit(_a2)),
-    np.array([_w1] * 3 + [_w2] * 3),
-)
-_b1, _b2 = 0.470142064105115, 0.101286507323456
-_v1, _v2 = 0.132394152788506, 0.125939180544827
-_TRI_RULES[5] = (
-    np.array([(1 / 3, 1 / 3, 1 / 3)] + _orbit(_b1) + _orbit(_b2)),
-    np.array([9 / 40] + [_v1] * 3 + [_v2] * 3),
-)
+_TRI_RULES = {
+    2: (np.array(_orbit(1 / 6)), np.full(3, 1 / 3)),
+    4: (np.array(_orbit(_a1) + _orbit(_a2)), np.array([_w1] * 3 + [_w2] * 3)),
+}
 
 
-def triangle_rule(order: int):
-    """Smallest stored symmetric rule exact for polynomials of the given degree."""
-    for deg in (1, 2, 4, 5):
-        if deg >= order:
-            return _TRI_RULES[deg]
-    return _TRI_RULES[5]
+def triangle_rule(degree: int):
+    """The stored symmetric rule of the given degree of exactness, 2 or 4."""
+    return _TRI_RULES[degree]
 
 
-def polygon_quadrature(poly: np.ndarray, fn, order: int = 4) -> float:
-    """Integrate ``fn`` over a convex polygon by a triangle fan from its centroid."""
+def polygon_quadrature(poly: np.ndarray, fn) -> float:
+    """Integrate ``fn`` over a convex polygon by a triangle fan from its
+    centroid, with the degree-4 rule on each triangle."""
     poly = np.asarray(poly, dtype=float)
     if len(poly) < 3:
         return 0.0
     c = polygon_centroid(poly)
-    bary, w = triangle_rule(order)
+    bary, w = triangle_rule(4)
     n = len(poly)
     a = poly
     b = np.roll(poly, -1, axis=0)
@@ -191,8 +204,7 @@ def polygon_quadrature(poly: np.ndarray, fn, order: int = 4) -> float:
         + bary[None, :, 1, None] * a[:, None, :]
         + bary[None, :, 2, None] * b[:, None, :]
     )
-    cross = (a[:, 0] - c[0]) * (b[:, 1] - c[1]) - (a[:, 1] - c[1]) * (b[:, 0] - c[0])
-    areas = 0.5 * cross  # signed; convex ccw fans are positive
+    areas = 0.5 * orientation(c, a, b)  # signed; convex ccw fans are positive
     vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(n, len(w))
     return float(np.sum(areas * (vals @ w)))
 
@@ -206,7 +218,7 @@ def cyclic_successor(counts) -> np.ndarray:
     return first + (np.arange(len(first)) - first + 1) % size
 
 
-def polygons_quadrature(vertices, counts, fn, order: int = 4) -> np.ndarray:
+def polygons_quadrature(vertices, counts, fn) -> np.ndarray:
     """``polygon_quadrature`` of convex polygons stored back to back.
 
     ``vertices`` stacks the polygons, each with at least 3 vertices, and
@@ -227,15 +239,13 @@ def polygons_quadrature(vertices, counts, fn, order: int = 4) -> np.ndarray:
         moment = np.bincount(owner, (a[:, k] + b[:, k]) * cross, m)
         c[solid, k] = moment[solid] / (6.0 * area[solid])
     c = c[owner]
-    bary, w = triangle_rule(order)
+    bary, w = triangle_rule(4)
     pts = (
         bary[None, :, 0, None] * c[:, None, :]
         + bary[None, :, 1, None] * a[:, None, :]
         + bary[None, :, 2, None] * b[:, None, :]
     )
-    fan = 0.5 * (
-        (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
-    )
+    fan = 0.5 * orientation(c, a, b)
     vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(len(a), len(w))
     return np.bincount(owner, fan * (vals @ w), m)
 

@@ -19,7 +19,7 @@ from .errors import (
     MalformedFile,
     NonfiniteValue,
 )
-from .geometry import min_edge_cross, polygon_edges
+from .geometry import min_edge_cross, orientation, polygon_edges
 
 _SNAP = 1e-9  # relative slack when testing lattice membership at the boundary
 # Most lattice nodes ``sample`` lays out in a domain's bounding box, about
@@ -48,13 +48,9 @@ class Domain2D:
                 raise ValueError("polygon needs at least 3 planar vertices")
             object.__setattr__(self, "vertices", v)
             scale = float(np.abs(v).max()) + 1.0
-            for i in range(len(v)):
-                a, b, c = v[i - 1], v[i], v[(i + 1) % len(v)]
-                cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                if cross <= 1e-12 * scale**2:
-                    raise ValueError(
-                        "polygon vertices must be in strictly convex ccw position"
-                    )
+            turn = orientation(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
+            if np.any(turn <= 1e-12 * scale**2):
+                raise ValueError("polygon vertices must be in strictly convex ccw position")
 
     @staticmethod
     def square(halfwidth: float) -> "Domain2D":

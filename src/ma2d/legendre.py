@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import spans_plane
+from .geometry import max_affine, spans_plane
 from .grid import Domain2D, GridFunction, sample
 
 
@@ -199,12 +199,7 @@ def biconjugate(u: GridFunction, h_dual: float) -> GridFunction:
     """
     hw = default_dual_halfwidth(u, h_dual)
     star = legendre_transform(u, Domain2D.square(hw), h_dual)
-    y, w = star.dual.nodes, star.dual.values
-    vals = np.empty(len(u))
-    chunk = 2048
-    for s in range(0, len(u), chunk):
-        x = u.nodes[s : s + chunk]
-        vals[s : s + chunk] = np.max(x @ y.T - w[None, :], axis=1)
+    vals = max_affine(u.nodes, star.dual.nodes, -star.dual.values)
     scale = float(np.abs(u.values).max()) + hw * float(np.abs(u.nodes).max()) + 1.0
     snap = 32.0 * np.finfo(float).eps * scale
     vals = np.where(vals >= u.values - snap, u.values, vals)

@@ -44,6 +44,8 @@ from .errors import AlphaOutOfRange, DegenerateInput
 from .geometry import (
     convex_hull,
     cyclic_successor,
+    max_affine,
+    orientation,
     polygon_area,
     polygons_quadrature,
     spans_plane,
@@ -78,16 +80,9 @@ class PLConvexFunction:
         return cells
 
     def __call__(self, points) -> np.ndarray:
-        """Evaluate the envelope as the max of its affine faces (exact inside the hull)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.full(len(pts), -np.inf)
-        chunk = 4096
-        for start in range(0, len(pts), chunk):
-            p = pts[start : start + chunk]
-            vals[start : start + chunk] = np.max(
-                p @ self.gradients.T + self.offsets[None, :], axis=1
-            )
-        return vals
+        """The max of the affine faces (exact inside the hull), by
+        ``geometry.max_affine``: elementwise products in blocks, no BLAS."""
+        return max_affine(points, self.gradients, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -150,10 +145,7 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
 
 def _ccw(sites, tris) -> np.ndarray:
     """``tris`` with each clockwise triangle's last two vertices swapped."""
-    a, b, c = sites[tris[:, 0]], sites[tris[:, 1]], sites[tris[:, 2]]
-    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
+    cross = orientation(*(sites[tris[:, k]] for k in range(3)))
     return np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
 
 
@@ -283,11 +275,11 @@ def ma_mass(cells, site_subset=None) -> float:
     return float(sum(c.area for c in cells if c.site_index in subset))
 
 
-def weighted_mass(cells, weight, order: int = 4) -> np.ndarray:
+def weighted_mass(cells, weight) -> np.ndarray:
     """Per-cell integrals of a weight over the subdifferential polygons.
 
     The weight is a function of the gradient variable; integration uses a
-    centroid triangle fan with a symmetric rule exact to the given degree.
+    centroid triangle fan with the symmetric degree-4 rule.
     All fans are evaluated with one call of the weight.
     """
     out = np.zeros(len(cells))
@@ -295,7 +287,7 @@ def weighted_mass(cells, weight, order: int = 4) -> np.ndarray:
     if full:
         polys = [np.asarray(cells[k].polygon, dtype=float) for k in full]
         counts = [len(p) for p in polys]
-        out[full] = polygons_quadrature(np.concatenate(polys), counts, weight, order=order)
+        out[full] = polygons_quadrature(np.concatenate(polys), counts, weight)
     return out
 
 
@@ -378,10 +370,7 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
 
     tris = f.triangulation
     a, b, c = (f.sites[tris[:, k]] for k in range(3))
-    areas = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+    areas = 0.5 * np.abs(orientation(a, b, c))
     g2 = f.gradients[:, 0] ** 2 + f.gradients[:, 1] ** 2
     density = (1.0 + g2) ** (2.0 - 1.0 / (2.0 * alpha))
     bary, wq = triangle_rule(2)

@@ -53,7 +53,7 @@ class Section:
 
     def mass(self, density) -> float:
         """Integral of a density over the section polygon."""
-        return polygon_quadrature(self.polygon, density, order=4)
+        return polygon_quadrature(self.polygon, density)
 
 
 def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:

@@ -103,6 +103,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleBoundary, NoConvergence
+from .geometry import orientation
 from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
 from .ma_measure import (
     PLConvexFunction,
@@ -491,9 +492,7 @@ def _tiles_a_disk(topo: _Topology) -> bool:
     faces, on opposite sides), and the Euler characteristic V - E + F is 1.
     A hole makes it 0."""
     tris, twin = topo.tris, topo.twin.ravel()
-    a, b, c = (topo.sites[tris[:, k]] for k in range(3))
-    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    if not np.all(cross > 0.0):
+    if not np.all(orientation(*(topo.sites[tris[:, k]] for k in range(3))) > 0.0):
         return False
     half = np.flatnonzero(twin >= 0)
     other = twin[half]
@@ -556,8 +555,7 @@ def solve(problem: DirichletProblem, tol: float = 1e-8, max_iters: int = 10**6) 
     )
     heights = state.heights
     out = GridFunction(domain=gf.domain, h=gf.h, nodes=gf.nodes, values=heights)
-    tris, grads = state.last.topo.tris, state.last.grads
-    pl = _envelope(gf.nodes, heights, tris, grads, _offsets(gf.nodes, heights, tris, grads))
+    pl = _faces_envelope(gf.nodes, heights, state.last.topo.tris, state.last.grads)
     work = state.work
     return SolveReport(iterations=work.newton_steps * len(state.int_ids),
                        max_residual=work.residuals[-1], function=pl, grid=out, work=work)
@@ -605,7 +603,7 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, c
 
     envelope = _boundary_envelope(sites[~interior], boundary_values)
     scale = float(np.ptp(boundary_values)) + 1.0
-    if np.any(boundary_values > _face_max(*envelope, sites[~interior]) + 1e-9 * scale):
+    if np.any(boundary_values > envelope(envelope.sites) + 1e-9 * scale):
         # a node strictly above the envelope of the rim data cannot be matched
         # by any convex function, so no lowering can meet the targets there
         raise InfeasibleBoundary(
@@ -618,33 +616,20 @@ def _solve_state(sites, is_interior, boundary_values, targets, tol, max_iters, c
     return state
 
 
-def _boundary_envelope(sites, values):
-    """(gradients, offsets) of the lower convex envelope E of the boundary
-    data: its faces from ``lower_envelope``, their planes from the vertex
-    cross products, each offset taken at the face's first vertex."""
+def _boundary_envelope(sites, values) -> PLConvexFunction:
+    """The lower convex envelope E of the boundary data: its faces from
+    ``lower_envelope``, their planes from ``_faces_envelope``."""
     tris = lower_envelope(sites, values).triangulation  # ccw in the plane
-    grads = _gradients(_normals(np.column_stack([sites, values]), tris))
-    return grads, _offsets(sites, values, tris, grads)
+    return _faces_envelope(sites, values, tris,
+                           _gradients(_normals(np.column_stack([sites, values]), tris)))
 
 
-def _offsets(sites, heights, tris, grads) -> np.ndarray:
-    """Each face's offset z - g . x, taken at its first vertex."""
-    return heights[tris[:, 0]] - np.einsum("ij,ij->i", sites[tris[:, 0]], grads)
-
-
-def _face_max(grads, offsets, points) -> np.ndarray:
-    """max over the faces of g . x + offset at each point: the envelope E
-    inside the hull of its sites.  Elementwise products in chunks of about
-    2^16 values, not a matrix product: that runs as a threaded BLAS gemm,
-    which took 11-17 ms against 5-9 ms for 3,029 sites and 298 faces on a
-    2-vCPU machine."""
-    out = np.empty(len(points))
-    chunk = max(1, 2**16 // len(offsets))
-    for start in range(0, len(points), chunk):
-        p = points[start : start + chunk]
-        out[start : start + chunk] = np.max(
-            p[:, :1] * grads[:, 0] + p[:, 1:] * grads[:, 1] + offsets, axis=1)
-    return out
+def _faces_envelope(sites, heights, tris, grads) -> PLConvexFunction:
+    """The envelope on the lower-hull faces ``tris`` with the gradients
+    ``grads`` of their vertex cross products, each face's offset
+    z - g . x taken at its first vertex."""
+    offsets = heights[tris[:, 0]] - np.einsum("ij,ij->i", sites[tris[:, 0]], grads)
+    return _envelope(sites, heights, tris, grads, offsets)
 
 
 def _paraboloid_init(state, boundary_values, envelope, squares, pitch):
@@ -676,8 +661,8 @@ def _paraboloid_init(state, boundary_values, envelope, squares, pitch):
     evaluated on the rim first (the centres of the chords with a boundary
     end, which include every rim site); when no rim site takes E's branch,
     the start is q as it is, and E is never evaluated on the other sites.  On
-    verify-dual E - l stays 22.7 below the level on its rim.  E is evaluated
-    by ``_face_max``, not by a matrix product.
+    verify-dual E - l stays 22.7 below the level on its rim.  E is a
+    ``PLConvexFunction``, evaluated by ``geometry.max_affine``.
 
     A lattice square of ``squares`` whose four corners take q's branch is a
     face of the start's lower hull (module docstring), since every other lift
@@ -699,9 +684,9 @@ def _paraboloid_init(state, boundary_values, envelope, squares, pitch):
     big_r2 = float(np.max(r2[~interior]))
     centre, a_end, b_end = state.chords
     rim = np.unique(centre[~(interior[a_end] & interior[b_end])])
-    if np.any(_face_max(*envelope, sites[rim]) - ell[rim] > c + 0.5 * a * big_r2):
+    if np.any(envelope(sites[rim]) - ell[rim] > c + 0.5 * a * big_r2):
         q = state.heights[ids]
-        e = _face_max(*envelope, sites[ids]) + 0.5 * a * (r2[ids] - big_r2)
+        e = envelope(sites[ids]) + 0.5 * a * (r2[ids] - big_r2)
         wins = e > q
         state.heights[ids] = np.maximum(q, e)
         state.work.start_boundary_sites = int(wins.sum())

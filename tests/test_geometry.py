@@ -152,3 +152,33 @@ def test_spans_plane_callers_accept_one_site_off_the_line(caller):
     sites = np.concatenate([_LINE, [[0.0, 0.75]]])
     assert geometry.spans_plane(sites)
     caller(sites)
+
+
+def test_max_affine_working_set_is_bounded():
+    # the h = 1/32 square-lattice envelope: 4,225 sites and 8,192 faces,
+    # whose (points, faces) products at 1,024 points would take 64 MB each
+    import tracemalloc
+
+    gf = grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D.square(1.0), 1 / 32)
+    f = ma_measure.lower_envelope(gf.nodes, np.sum(gf.nodes**2, axis=1))
+    assert (len(f.sites), len(f.offsets)) == (4225, 8192)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(1024, 2))
+    tracemalloc.start()
+    try:
+        f(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+    # blocking changes no value: the unblocked expression bit for bit, at
+    # one point and around one block of points, and for a single plane
+    rng = np.random.default_rng(4)
+    for planes in (7, 1):
+        slopes = rng.standard_normal((planes, 2))
+        offsets = rng.standard_normal(planes)
+        block = 2**16 // planes
+        for n in (1, block - 1, block, block + 1):
+            p = rng.uniform(-3.0, 3.0, size=(n, 2))
+            ref = np.max(p[:, :1] * slopes[:, 0] + p[:, 1:] * slopes[:, 1] + offsets, axis=1)
+            assert np.array_equal(geometry.max_affine(p, slopes, offsets), ref)

@@ -310,9 +310,24 @@ def test_interior_mask_square():
     assert np.abs(inner).max() <= 0.5 + 1e-12
 
 
-def test_domain_polygon_rejects_collinear():
-    with pytest.raises(ValueError):
-        grid.Domain2D.polygon([[0, 0], [1, 0], [2, 0], [1, 1]])
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0, 0], [0, 1], [1, 1], [1, 0]],
+        [[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]],
+        [[0, 0], [1, 0], [2, 0], [1, 1]],
+    ],
+    ids=["clockwise-square", "reflex-pentagon", "collinear"],
+)
+def test_domain_polygon_rejects(vertices):
+    with pytest.raises(ValueError, match="strictly convex ccw"):
+        grid.Domain2D.polygon(vertices)
+
+
+def test_domain_polygon_accepts_ccw_convex():
+    pentagon = [[0, 0], [2, 0], [2.5, 1.5], [1, 2.5], [-0.5, 1.5]]
+    dom = grid.Domain2D.polygon(pentagon)
+    assert np.array_equal(dom.vertices, np.asarray(pentagon, dtype=float))
 
 
 def test_domain_boundary_distance():

@@ -125,14 +125,14 @@ def test_weighted_mass_constant_equals_area():
     sites = rng.uniform(-1, 1, size=(50, 2))
     f = mm.lower_envelope(sites, quadratic(sites))
     cells = mm.subgradient_cells(f)
-    w = mm.weighted_mass(cells, lambda y: np.ones(len(y)), order=1)
+    w = mm.weighted_mass(cells, lambda y: np.ones(len(y)))
     areas = np.array([c.area for c in cells])
     assert np.allclose(w, areas, rtol=1e-12, atol=1e-15)
 
 
 def test_weighted_mass_linear_exact():
     cell = mm.SubgradientCell(0, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), 1.0)
-    out = mm.weighted_mass([cell], lambda y: y[:, 0], order=1)
+    out = mm.weighted_mass([cell], lambda y: y[:, 0])
     assert np.isclose(out[0], 0.5, rtol=1e-14)
 
 

@@ -32,11 +32,11 @@ def test_target_masses_dual_two_digit():
     gf = prob.grid
     i = np.flatnonzero((gf.nodes[:, 0] == 0) & (gf.nodes[:, 1] == 0))[0]
     got = prob.targets[i]
-    # independent order-4 quadrature over the lattice cell
+    # independent degree-4 quadrature over the lattice cell
     from ma2d.geometry import polygon_quadrature
 
     cell = 0.05 * np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]])
-    ref = polygon_quadrature(cell, rhs, order=4)
+    ref = polygon_quadrature(cell, rhs)
     assert abs(got - ref) / ref < 2e-3  # composite-midpoint error scale
     assert abs(got - 0.01) / 0.01 < 5e-3  # agrees with 0.01 to two digits
 
@@ -623,8 +623,7 @@ def _start_branches(gf, boundary_values, targets):
     fit = np.linalg.lstsq(np.column_stack([np.ones(len(gap)), d[~interior]]), gap, rcond=None)[0]
     ell = fit[0] + d[:, 0] * fit[1] + d[:, 1] * fit[2]
     c = float(np.min(gap - ell[~interior]))
-    envelope = solver._boundary_envelope(sites[~interior], boundary_values)
-    e = solver._face_max(*envelope, sites)
+    e = solver._boundary_envelope(sites[~interior], boundary_values)(sites)
     return 0.5 * a * r2 + ell + c, e + 0.5 * a * (r2 - r2[~interior].max()), e - ell
 
 
