@@ -132,7 +132,23 @@ def strictly_inside_hull(points) -> np.ndarray:
     """Points inside the convex hull of ``points`` with every edge cross
     product above 1e-12 scale**2, scale = max|p| + 1; the edges are
     Qhull's, ccw.  All False when Qhull rejects the input (collinear, too
-    few or non-finite points)."""
+    few or non-finite points).
+
+    Only the points outside a disk about the hull vertices' mean c are put
+    to ``min_edge_cross``; those inside pass, and the result is the edge
+    test's bit for bit.  The disk's radius is
+
+        rho = (1 - 1e-6) min_k (e_k x (c - a_k) - 1.1e-12 scale**2) / |e_k|
+
+    over the edges (a_k, e_k), or 0 when that is negative.  For p within
+    rho of c, e_k x (p - a_k) = e_k x (c - a_k) + e_k x (p - c) and
+    |e_k x (p - c)| <= |e_k| |p - c|, so every exact cross product exceeds
+    the limit by 1e-13 scale**2 less the rounding of e_k x (c - a_k).  A
+    float cross product has factors below 2 scale, so it is within
+    24 u scale**2 < 3e-15 scale**2 of its exact value (u = 2**-53), and the
+    factor 1 - 1e-6 covers the rounding of rho and of |p - c|: each float
+    cross product of p, and so their minimum, is above the limit.
+    """
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -141,8 +157,16 @@ def strictly_inside_hull(points) -> np.ndarray:
     except (QhullError, ValueError):
         return np.zeros(len(pts), dtype=bool)
     scale = float(np.abs(pts).max()) + 1.0
+    limit = 1e-12 * scale**2
     a, e = polygon_edges(pts[hull.vertices])  # ccw in 2D
-    return min_edge_cross(pts, a, e) > 1e-12 * scale**2
+    c = a.mean(axis=0)
+    depth = (c[1] - a[:, 1]) * e[:, 0] - (c[0] - a[:, 0]) * e[:, 1]
+    rho = (1.0 - 1e-6) * float(np.min((depth - 1.1 * limit) / np.hypot(e[:, 0], e[:, 1])))
+    d = pts - c
+    inside = d[:, 0] ** 2 + d[:, 1] ** 2 < max(rho, 0.0) ** 2
+    far = np.flatnonzero(~inside)
+    inside[far] = min_edge_cross(pts[far], a, e) > limit
+    return inside
 
 
 def _monotone_chain(pts: np.ndarray) -> np.ndarray:

@@ -175,26 +175,27 @@ class GridFunction:
 
     @cached_property
     def _id_grid(self) -> tuple:
+        """(grid, lo, at): the node index at each point of the lattice box
+        padded by one point on every side, -1 where there is no node; the
+        lattice coordinates of grid[0, 0]; and each node's position in the
+        flattened grid."""
         k = self.lattice_indices
-        lo = k.min(axis=0)
-        shape = k.max(axis=0) - lo + 1
+        lo = k.min(axis=0) - 1
+        shape = k.max(axis=0) - lo + 2
         grid = np.full(shape, -1, dtype=np.int64)
-        grid[k[:, 0] - lo[0], k[:, 1] - lo[1]] = np.arange(len(k))
-        return grid, lo
+        at = (k[:, 0] - lo[0]) * shape[1] + (k[:, 1] - lo[1])
+        grid.ravel()[at] = np.arange(len(k))
+        return grid, lo, at
 
     def neighbor_ids(self, offset) -> np.ndarray:
-        """Node index of (node + h * offset) per node, or -1 when absent."""
-        grid, lo = self._id_grid
-        k = self.lattice_indices - lo + np.asarray(offset, dtype=np.int64)
-        out = np.full(len(k), -1, dtype=np.int64)
-        ok = (
-            (k[:, 0] >= 0)
-            & (k[:, 1] >= 0)
-            & (k[:, 0] < grid.shape[0])
-            & (k[:, 1] < grid.shape[1])
-        )
-        out[ok] = grid[k[ok, 0], k[ok, 1]]
-        return out
+        """Node index of (node + h * offset) per node, or -1 when absent, for
+        a unit offset: components in {-1, 0, 1}, not both 0.  The padding of
+        ``_id_grid`` keeps every such neighbour inside the grid, so it is one
+        gather with no bounds test; any other offset raises ValueError."""
+        if len(offset) != 2 or not all(v in (-1, 0, 1) for v in offset) or not any(offset):
+            raise ValueError(f"offset must be a unit lattice offset, got {offset!r}")
+        grid, _, at = self._id_grid
+        return grid.ravel()[at + (int(offset[0]) * grid.shape[1] + int(offset[1]))]
 
     @cached_property
     def lattice_edges(self) -> np.ndarray:

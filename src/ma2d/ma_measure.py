@@ -10,10 +10,16 @@ every edge cross product against Qhull's hull of the sites exceeds
 1e-12 scale**2, the same test that thins ``convex_hull``'s input; no
 monotone chain is run for it.  All cells are built in one array pass over
 the (hull-interior site, incident face) pairs, once per envelope, whose
-``cells`` keeps them for every later reader.  Each site's gradients lose
-their bitwise duplicates (Qhull's ``Qt`` repeats a gradient across the
-triangles of a cocircular quad), are ordered by angle around their mean in
-gradient space, and are then certified: at least 3 vertices, the mean
+``cells`` keeps them for every later reader.  The pairs are grouped by
+site in lexicographic order of the gradients: the faces are ranked once by
+their gradients, and one integer sort of site * F + rank orders the pairs
+(``_group_order``).  Each site's gradients then lose their bitwise
+duplicates (Qhull's ``Qt`` repeats a gradient across the triangles of a
+cocircular quad) and are ordered by angle around their mean in gradient
+space, by a stable sort of the float key site + (angle + pi) / (4 pi),
+which a tie sends to a lexsort of (site, angle) (``_angle_order``); both
+orders are the lexsorts' bit for bit.  Gradients are gathered as x and y
+columns.  The cells are then certified: at least 3 vertices, the mean
 strictly left of every edge, and every cyclic turn e_k x e_{k+1} above
 1e-12 |e_k| |e_{k+1}|.  A certified cell is the convex hull itself; it
 starts at its lexicographically smallest vertex, as ``geometry.convex_hull``
@@ -36,6 +42,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -85,9 +92,9 @@ class PLConvexFunction:
         return max_affine(points, self.gradients, self.offsets)
 
 
-@dataclass(frozen=True)
-class SubgradientCell:
-    """Polygonal subdifferential of the envelope at one site."""
+class SubgradientCell(NamedTuple):
+    """Polygonal subdifferential of the envelope at one site; a named tuple,
+    so that ``subgradient_cells`` builds thousands of them cheaply."""
 
     site_index: int
     polygon: np.ndarray  # (k, 2) ccw in gradient space; may be empty/degenerate
@@ -183,49 +190,51 @@ def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
     m = len(sites)
     cell_of_site = np.cumsum(interior) - 1
     flat = f.triangulation.ravel()
-    keep = interior[flat]
+    keep = np.flatnonzero(interior[flat])
     cell = cell_of_site[flat[keep]]
-    g = f.gradients[np.flatnonzero(keep) // 3]
+    face = keep // 3
+    gx, gy = np.ascontiguousarray(f.gradients.T)
 
     # group by cell in lexicographic order and drop bitwise-duplicate gradients
-    order = np.lexsort((g[:, 1], g[:, 0], cell))
-    cell, g = cell[order], g[order]
-    bits = g.view(np.int64)
-    dup = np.zeros(len(g), dtype=bool)
-    dup[1:] = (cell[1:] == cell[:-1]) & np.all(bits[1:] == bits[:-1], axis=1)
-    cell, g = cell[~dup], g[~dup]
+    order = _group_order(cell, face, gx, gy)
+    cell, gx, gy = cell[order], gx[face[order]], gy[face[order]]
+    bx, by = gx.view(np.int64), gy.view(np.int64)
+    dup = np.zeros(len(cell), dtype=bool)
+    dup[1:] = (cell[1:] == cell[:-1]) & (bx[1:] == bx[:-1]) & (by[1:] == by[:-1])
+    cell, gx, gy = cell[~dup], gx[~dup], gy[~dup]
     counts = np.bincount(cell, minlength=m)
     starts = np.cumsum(counts) - counts
     first = starts[cell]  # the cell's lexicographic minimum
     full = counts > 0
 
     # order by angle around the mean, starting from the lexicographic minimum
-    mean = np.stack([np.bincount(cell, g[:, k], m) for k in range(2)], axis=1)
-    d = g - (mean / np.maximum(counts, 1)[:, None])[cell]
-    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), cell))
+    n = np.maximum(counts, 1)
+    dx = gx - (np.bincount(cell, gx, m) / n)[cell]
+    dy = gy - (np.bincount(cell, gy, m) / n)[cell]
+    order = _angle_order(cell, np.arctan2(dy, dx))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     shift = np.repeat(rank[starts[full]] - starts[full], counts[full])
     size = np.repeat(counts, counts)
-    src = order[first + (np.arange(len(g)) - first + shift) % size]
-    g, d = g[src], d[src]
+    src = order[first + (np.arange(len(cell)) - first + shift) % size]
+    gx, gy, dx, dy = gx[src], gy[src], dx[src], dy[src]
 
     # certificate: strictly convex and star-shaped about the mean
     nxt = cyclic_successor(counts)
-    e = g[nxt] - g
-    en = e[nxt]
-    turn = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-    length = np.hypot(e[:, 0], e[:, 1])
-    around = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+    ex, ey = gx[nxt] - gx, gy[nxt] - gy
+    turn = ex * ey[nxt] - ey * ex[nxt]
+    length = np.hypot(ex, ey)
+    around = dx * dy[nxt] - dy * dx[nxt]
     bad = ~((turn > 1e-12 * length * length[nxt]) & (around > 0.0))
     certified = (counts >= 3) & (np.bincount(cell, bad, m) == 0)
 
     # shoelace area about each cell's first vertex
-    q = g - g[first]
-    cross = q[:, 0] * q[nxt, 1] - q[:, 1] * q[nxt, 0]
+    qx, qy = gx - gx[first], gy - gy[first]
+    cross = qx * qy[nxt] - qy * qx[nxt]
     areas = np.zeros(m)
     areas[full] = 0.5 * np.add.reduceat(cross, starts[full])
 
+    g = np.column_stack([gx, gy])
     if not certified.all():
         # the incident faces of the fallback sites only, ascending per site,
         # and their polygons spliced between the slices of the other cells
@@ -246,6 +255,37 @@ def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
     return _CellArrays(sites=sites, counts=counts, vertices=g, areas=areas)
 
 
+def _group_order(cell, face, gx, gy) -> np.ndarray:
+    """The permutation ``np.lexsort((gy[face], gx[face], cell))`` of the
+    (cell, face) pairs, given in ascending face order per cell.
+
+    The faces are ranked once by a stable lexsort of their gradients, which
+    puts equal gradients in face order as the pairs are; a face meets a cell
+    at most once, so the integer keys cell * F + rank[face] are distinct and
+    any sort of them gives that permutation.
+    """
+    rank = np.empty(len(gx), dtype=np.int64)
+    rank[np.lexsort((gy, gx))] = np.arange(len(gx))
+    return np.argsort(cell * len(gx) + rank[face])
+
+
+def _angle_order(cell, angle) -> np.ndarray:
+    """The permutation ``np.lexsort((angle, cell))`` for angles in [-pi, pi].
+
+    The float key cell + (angle + pi) / (4 pi) puts each cell's angles in
+    [cell, cell + 1/2], and each rounding is monotone, so the key never
+    reorders two pairs; it can only tie two angles of one cell.  When its
+    stable sort has no tie and every key is finite, the order is the
+    lexsort's; else the lexsort is taken.
+    """
+    key = cell + (angle + np.pi) / (4.0 * np.pi)
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    if np.all(np.isfinite(ordered)) and np.all(ordered[1:] != ordered[:-1]):
+        return order
+    return np.lexsort((angle, cell))
+
+
 def subgradient_cells(f: PLConvexFunction) -> list:
     """Subdifferential polygons of every hull-interior site.
 
@@ -254,10 +294,8 @@ def subgradient_cells(f: PLConvexFunction) -> list:
     """
     c = f.cells
     ends = np.cumsum(c.counts).tolist()
-    return [
-        SubgradientCell(site_index=i, polygon=c.vertices[start:end], area=a)
-        for i, start, end, a in zip(c.sites.tolist(), [0] + ends[:-1], ends, c.areas.tolist())
-    ]
+    polygons = map(c.vertices.__getitem__, map(slice, [0] + ends[:-1], ends))
+    return list(map(SubgradientCell, c.sites.tolist(), polygons, c.areas.tolist()))
 
 
 def ma_measure(f: PLConvexFunction) -> MAMeasure:

@@ -207,14 +207,14 @@ def _grid_value_at(gf: GridFunction, x) -> float:
     k = np.asarray(x, dtype=float) / gf.h
     k0 = np.floor(k).astype(np.int64)
     frac = k - k0
-    ids = []
-    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        grid, lo = gf._id_grid
-        kk = k0 + (dx, dy) - lo
-        if not (0 <= kk[0] < grid.shape[0] and 0 <= kk[1] < grid.shape[1]):
-            ids.append(-1)
-        else:
-            ids.append(grid[kk[0], kk[1]])
+    # the four corners in one gather when they fit in the padded grid; its
+    # padding reads -1 like an absent node, and a corner outside it is off
+    # the lattice box, so any -1 takes the fallback
+    grid, lo, _ = gf._id_grid
+    i, j = k0 - lo
+    ids = [-1]
+    if 0 <= i < grid.shape[0] - 1 and 0 <= j < grid.shape[1] - 1:
+        ids = grid[[i, i + 1, i, i + 1], [j, j, j + 1, j + 1]]
     if min(ids) < 0:
         # fall back to the nearest node
         j = int(np.argmin(np.hypot(gf.nodes[:, 0] - x[0], gf.nodes[:, 1] - x[1])))

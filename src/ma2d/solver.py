@@ -268,8 +268,8 @@ class _Topology:
         site, _, _, nbr = self.fans
         idx_of = -np.ones(len(self.sites), dtype=np.int64)
         idx_of[self.interior] = np.arange(int(self.interior.sum()))
-        d = self.sites[nbr] - self.sites[site]
-        return idx_of[site], idx_of[nbr], np.hypot(d[:, 0], d[:, 1])
+        x, y = self.sites.T
+        return idx_of[site], idx_of[nbr], np.hypot(x[nbr] - x[site], y[nbr] - y[site])
 
 
 def _topology(sites: np.ndarray, tris: np.ndarray, interior: np.ndarray) -> _Topology:
@@ -292,15 +292,15 @@ def _interior_half_edges(twin: np.ndarray) -> np.ndarray:
 
 
 def _normals(lifted: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """(b - a) x (c - a) per lifted face (a, b, c); n_z > 0 when it is ccw in the plane."""
-    a = lifted[tris[:, 0]]
-    u = lifted[tris[:, 1]] - a
-    v = lifted[tris[:, 2]] - a
-    return np.column_stack([
-        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
-        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
-        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
-    ])
+    """(b - a) x (c - a) per lifted face (a, b, c); n_z > 0 when it is ccw in the plane.
+    Like the other per-pass kernels it gathers coordinate columns, at about
+    half the cost of gathering the rows of ``lifted``."""
+    x, y, z = lifted.T
+    a, b, c = tris.T
+    ax, ay, az = x[a], y[a], z[a]
+    ux, uy, uz = x[b] - ax, y[b] - ay, z[b] - az
+    vx, vy, vz = x[c] - ax, y[c] - ay, z[c] - az
+    return np.column_stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
 
 
 def _edge_lifts(lifted, tris, normal, half, twin) -> np.ndarray:
@@ -308,9 +308,10 @@ def _edge_lifts(lifted, tris, normal, half, twin) -> np.ndarray:
     face (a, b, c) and the vertex v opposite it on the other side, the height
     of v above the plane of the face, times twice the face's planar area."""
     f = half // 3
-    d = lifted[tris.ravel()[twin[half]]] - lifted[tris[f, 0]]
-    n = normal[f]
-    return n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1] + n[:, 2] * d[:, 2]
+    v, a = tris.ravel()[twin[half]], tris[f, 0]
+    x, y, z = lifted.T
+    nx, ny, nz = normal.T
+    return nx[f] * (x[v] - x[a]) + ny[f] * (y[v] - y[a]) + nz[f] * (z[v] - z[a])
 
 
 def _gradients(normal: np.ndarray) -> np.ndarray:
@@ -436,8 +437,8 @@ def _mass_pass(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
         grads = _gradients(_normals(np.column_stack([sites, heights]), topo.tris))
         hulls += (len(sites),)
     site, face, nxt, _ = topo.fans
-    g, gn = grads[face], grads[nxt]
-    cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
+    gx, gy = grads.T
+    cross = gx[face] * gy[nxt] - gy[face] * gx[nxt]
     areas = 0.5 * np.abs(np.bincount(site, weights=cross, minlength=len(sites)))
     return _MassPass(topo=topo, grads=grads, areas=areas, flips=flips, hulls=hulls)
 
@@ -509,8 +510,8 @@ def _jacobian(hp: _MassPass, m: int):
     heights (power-diagram stiffness) on the topology of a pass, in CSC."""
     _, face, nxt, _ = hp.topo.fans
     rows, cols, dist = hp.topo.links
-    g, gn = hp.grads[face], hp.grads[nxt]
-    w = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1]) / dist
+    gx, gy = hp.grads.T
+    w = np.hypot(gx[nxt] - gx[face], gy[nxt] - gy[face]) / dist
     keep = w > 0
     off = keep & (cols >= 0)
     diag = np.bincount(rows[keep], weights=-w[keep], minlength=m)

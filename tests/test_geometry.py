@@ -182,3 +182,66 @@ def test_max_affine_working_set_is_bounded():
             p = rng.uniform(-3.0, 3.0, size=(n, 2))
             ref = np.max(p[:, :1] * slopes[:, 0] + p[:, 1:] * slopes[:, 1] + offsets, axis=1)
             assert np.array_equal(geometry.max_affine(p, slopes, offsets), ref)
+
+
+def unfiltered_inside_hull(pts):
+    """``strictly_inside_hull`` without its disk: the edge test on every point."""
+    from scipy.spatial import ConvexHull
+
+    a, e = geometry.polygon_edges(pts[ConvexHull(pts).vertices])
+    return geometry.min_edge_cross(pts, a, e) > 1e-12 * (float(np.abs(pts).max()) + 1.0) ** 2
+
+
+def prefilter_radius(pts):
+    """The radius rho of the docstring of ``strictly_inside_hull``, and c."""
+    from scipy.spatial import ConvexHull
+
+    a, e = geometry.polygon_edges(pts[ConvexHull(pts).vertices])
+    c = a.mean(axis=0)
+    limit = 1e-12 * (float(np.abs(pts).max()) + 1.0) ** 2
+    depth = (c[1] - a[:, 1]) * e[:, 0] - (c[0] - a[:, 0]) * e[:, 1]
+    return (1.0 - 1e-6) * float(np.min((depth - 1.1 * limit) / np.hypot(e[:, 0], e[:, 1]))), c
+
+
+def _ring(c, r, n=64):
+    t = 2 * np.pi * np.arange(n) / n
+    return c + r * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _sliver(height):
+    rng = np.random.default_rng(5)
+    return np.vstack([[[0.0, 0.0], [10.0, 0.0], [5.0, height]],
+                      rng.uniform(0.0, 1.0, (2000, 2)) * [10.0, height]])
+
+
+_HULL_SETS = {
+    "disk": lattice_nodes(grid.Domain2D.disk(8.0), 0.125),
+    "disk_large": DISK2,
+    "square": lattice_nodes(grid.Domain2D.square(1.0), 0.02),
+    "polygon": lattice_nodes(grid.Domain2D.polygon([[0, 0], [3, 0.2], [2.5, 2], [0.5, 1.8]]), 0.02),
+    "gaussian": np.random.default_rng(3).standard_normal((20000, 2)),
+    "sliver": _sliver(1e-3),
+    "sliver_below_limit": _sliver(1e-11),  # rho < 0: every point takes the edge test
+}
+
+
+@pytest.mark.parametrize("case", list(_HULL_SETS))
+def test_hull_prefilter_equals_edge_test(case, monkeypatch):
+    pts = _HULL_SETS[case]
+    rho, c = prefilter_radius(pts)
+    if rho > 0:  # points just inside and just outside the disk, apart by rounding
+        gap = 1e-12 * (float(np.abs(c).max()) + rho)
+        pts = np.concatenate([pts, _ring(c, rho - gap), _ring(c, rho + gap)])
+    tested = []
+    edge_test = geometry.min_edge_cross
+    monkeypatch.setattr(geometry, "min_edge_cross",
+                        lambda p, *args: tested.append(len(p)) or edge_test(p, *args))
+    got = geometry.strictly_inside_hull(pts)
+    monkeypatch.undo()
+    assert np.array_equal(got, unfiltered_inside_hull(pts))
+    d = pts - c
+    near = int(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 < max(rho, 0.0) ** 2))
+    assert tested == [len(pts) - near]
+    assert (rho > 0) == (case != "sliver_below_limit")
+    if rho > 0:  # the inner ring passes without the edge test
+        assert near >= 64 and got[-128:-64].all()

@@ -350,3 +350,64 @@ def test_polygon_boundary_distance():
         grid.Domain2D.square(1.0).boundary_distance(cloud),
         rtol=0, atol=1e-15,
     )
+
+
+_UNIT_OFFSETS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+_LATTICES = {
+    "disk": (grid.Domain2D.disk(1.0), 0.1),
+    "square": (grid.Domain2D.square(1.0), 0.125),
+    "polygon": (grid.Domain2D.polygon([[-1.0, -0.8], [1.0, -0.8], [0.3, 1.0]]), 0.07),
+}
+
+
+def _lattice(case):
+    return grid.sample(quadratic, *_LATTICES[case])
+
+
+@pytest.mark.parametrize("case", list(_LATTICES))
+def test_neighbor_ids_equal_coordinate_lookup(case):
+    gf = _lattice(case)
+    index = {key: i for i, key in enumerate(map(tuple, gf.lattice_indices.tolist()))}
+    for d in _UNIT_OFFSETS:
+        want = [index.get((k1 + d[0], k2 + d[1]), -1) for k1, k2 in gf.lattice_indices.tolist()]
+        assert np.array_equal(gf.neighbor_ids(d), want)
+    for bad in [(0, 0), (2, 0), (1, -2), (0.5, 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="unit lattice offset"):
+            gf.neighbor_ids(bad)
+
+
+def _reference_value_at(gf, x):
+    """Bilinear interpolation with the four corners found by a coordinate
+    lookup, or the nearest node where one is missing; and whether it was
+    the nearest node."""
+    k = np.asarray(x, dtype=float) / gf.h
+    k0 = np.floor(k).astype(np.int64)
+    frac = k - k0
+    index = {key: i for i, key in enumerate(map(tuple, gf.lattice_indices.tolist()))}
+    ids = [index.get((int(k0[0]) + dx, int(k0[1]) + dy), -1)
+           for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    if min(ids) < 0:
+        j = int(np.argmin(np.hypot(gf.nodes[:, 0] - x[0], gf.nodes[:, 1] - x[1])))
+        return float(gf.values[j]), True
+    v00, v10, v01, v11 = gf.values[ids]
+    fx, fy = frac
+    return float(v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy
+                 + v11 * fx * fy), False
+
+
+@pytest.mark.parametrize("case", list(_LATTICES))
+def test_grid_value_at_keeps_its_values(case):
+    from ma2d import sections
+
+    gf = _lattice(case)
+    rng = np.random.default_rng(8)
+    lo, hi = gf.nodes.min(axis=0), gf.nodes.max(axis=0)
+    points = np.concatenate([
+        gf.nodes,                                               # exact at nodes
+        rng.uniform(lo - 0.3, hi + 0.3, size=(400, 2)),         # cells, rim and outside
+        gf.nodes[~gf.interior_mask] + 0.5 * gf.h,               # cells that leave the lattice
+        [[lo[0] - 5.0, 0.0], [0.0, hi[1] + 5.0], [-1e3, 1e3]],  # far off the padded grid
+    ])
+    want, nearest = zip(*(_reference_value_at(gf, x) for x in points))
+    assert [sections._grid_value_at(gf, x) for x in points] == list(want)
+    assert 0 < sum(nearest) < len(points) - len(gf)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
-from ma2d.geometry import convex_hull, polygon_area, polygon_quadrature
+from ma2d.geometry import convex_hull, cyclic_successor, polygon_area, polygon_quadrature
 
 from conftest import quadratic
 
@@ -370,6 +371,117 @@ def test_fallback_cells_spliced_into_a_solved_envelope(monkeypatch):
     areas = np.array([area for _, _, area in ref])
     assert np.array_equal(cells.areas[fallback], areas[fallback])
     assert np.all(np.abs(cells.areas - areas) <= 1e-10 * areas)
+
+
+def two_lexsort_cell_arrays(f):
+    """The cell build with its gradients gathered by rows and its two orders
+    taken by ``np.lexsort``: (sites, counts, vertices, areas)."""
+    interior = f.hull_interior
+    sites = np.flatnonzero(interior)
+    m = len(sites)
+    cell_of_site = np.cumsum(interior) - 1
+    flat = f.triangulation.ravel()
+    keep = interior[flat]
+    cell = cell_of_site[flat[keep]]
+    g = f.gradients[np.flatnonzero(keep) // 3]
+    order = np.lexsort((g[:, 1], g[:, 0], cell))
+    cell, g = cell[order], g[order]
+    bits = g.view(np.int64)
+    dup = np.zeros(len(g), dtype=bool)
+    dup[1:] = (cell[1:] == cell[:-1]) & np.all(bits[1:] == bits[:-1], axis=1)
+    cell, g = cell[~dup], g[~dup]
+    counts = np.bincount(cell, minlength=m)
+    starts = np.cumsum(counts) - counts
+    first = starts[cell]
+    full = counts > 0
+    mean = np.stack([np.bincount(cell, g[:, k], m) for k in range(2)], axis=1)
+    d = g - (mean / np.maximum(counts, 1)[:, None])[cell]
+    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), cell))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    shift = np.repeat(rank[starts[full]] - starts[full], counts[full])
+    size = np.repeat(counts, counts)
+    src = order[first + (np.arange(len(g)) - first + shift) % size]
+    g, d = g[src], d[src]
+    nxt = cyclic_successor(counts)
+    e = g[nxt] - g
+    en = e[nxt]
+    turn = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
+    length = np.hypot(e[:, 0], e[:, 1])
+    around = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0]
+    bad = ~((turn > 1e-12 * length * length[nxt]) & (around > 0.0))
+    certified = (counts >= 3) & (np.bincount(cell, bad, m) == 0)
+    q = g - g[first]
+    cross = q[:, 0] * q[nxt, 1] - q[:, 1] * q[nxt, 0]
+    areas = np.zeros(m)
+    areas[full] = 0.5 * np.add.reduceat(cross, starts[full])
+    if not certified.all():
+        bad = np.flatnonzero(~certified)
+        fallback = np.zeros(len(f.sites), dtype=bool)
+        fallback[sites[bad]] = True
+        corner = np.flatnonzero(fallback[flat])
+        corner = corner[np.argsort(flat[corner], kind="stable")]
+        per_site = np.bincount(cell_of_site[flat[corner]], minlength=m)[bad]
+        pieces, at = [], 0
+        for k, faces in zip(bad, np.split(corner // 3, np.cumsum(per_site)[:-1])):
+            poly = convex_hull(f.gradients[faces]) if len(faces) else np.empty((0, 2))
+            pieces += [g[at:starts[k]], poly]
+            at = starts[k] + counts[k]
+            areas[k] = polygon_area(poly)
+            counts[k] = len(poly)
+        g = np.concatenate(pieces + [g[at:]])
+    return sites, counts, g, areas
+
+
+def _tied_angles():
+    """One hull-interior site whose four faces carry the gradients (-1, 0),
+    (0, -1), (1, 1) and (2, 2): about their mean (0.5, 0.5) the last two lie
+    at one angle, pi / 4, and are bitwise distinct."""
+    sites = np.array([[0.0, 0.0], [1, 0], [0, 1], [-1, 0], [0, -1]])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+    grads = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
+    return mm.PLConvexFunction(sites=sites, heights=np.zeros(5), triangulation=tris,
+                               gradients=grads, offsets=np.zeros(4),
+                               active=np.ones(5, dtype=bool))
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """A cell record as ``cells_to_csv`` reads it."""
+
+    site_index: int
+    polygon: np.ndarray
+    area: float
+
+
+@pytest.mark.parametrize("case", ["verify_dual", "translator", "cocircular_lattice",
+                                  "tied_angles"])
+def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch, tmp_path):
+    if case == "verify_dual":
+        f = request.getfixturevalue("solved_dual_disk8")[1].function
+    elif case == "translator":
+        f = _primal_translator(request.getfixturevalue("primal_profile_8"))
+    elif case == "cocircular_lattice":
+        f = _lattice_quadratic()
+    else:
+        f = _tied_angles()
+    want = two_lexsort_cell_arrays(f)
+    lexsort, keys = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k) or lexsort(k))
+    got = mm._cell_arrays(f)
+    monkeypatch.undo()
+    for a, b in zip((got.sites, got.counts, got.vertices, got.areas), want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))  # bit for bit
+    # the tie fallback is the one lexsort keyed last by the (integer) cells
+    assert sum(k[-1].dtype.kind == "i" for k in keys) == (case == "tied_angles")
+    cells = mm.subgradient_cells(f)
+    ends = np.cumsum(want[1])
+    records = [_Cell(int(i), want[2][end - n:end], float(area))
+               for i, n, end, area in zip(want[0], want[1], ends, want[3])]
+    mm.cells_to_csv(cells, tmp_path / "got.csv")
+    mm.cells_to_csv(records, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_cells_are_built_once_per_envelope(monkeypatch):

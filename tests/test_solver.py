@@ -1041,3 +1041,40 @@ def test_cg_failure_raises_no_convergence(monkeypatch):
     err = info.value
     assert err.work.newton_steps == 0 and err.work.cg_iterations == [1]
     assert err.residual == err.work.residuals[-1] > 1e-6
+
+
+def test_pass_kernels_equal_row_gathers():
+    # the per-pass kernels gather coordinate columns; each must equal the
+    # same arithmetic on gathered rows bit for bit, on a hull whose lifts,
+    # normals and gradients carry no structure that would hide a reordering
+    gf = grid.sample(quadratic, grid.Domain2D.disk(1.0), 0.1)
+    sites, interior = gf.nodes, gf.interior_mask
+    heights = gf.values + 0.01 * np.random.default_rng(4).standard_normal(len(gf))
+    hp = solver._mass_pass(sites, heights, interior)
+    topo = hp.topo
+    lifted = np.column_stack([sites, heights])
+    a = lifted[topo.tris[:, 0]]
+    u, v = lifted[topo.tris[:, 1]] - a, lifted[topo.tris[:, 2]] - a
+    normal = np.column_stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                              u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                              u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]])
+    assert np.array_equal(solver._normals(lifted, topo.tris), normal)
+    twin = topo.twin.ravel()
+    half = solver._interior_half_edges(twin)
+    d = lifted[topo.tris.ravel()[twin[half]]] - lifted[topo.tris[half // 3, 0]]
+    n = normal[half // 3]
+    lift = n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1] + n[:, 2] * d[:, 2]
+    assert np.array_equal(solver._edge_lifts(lifted, topo.tris, normal, half, twin), lift)
+    site, face, nxt, nbr = topo.fans
+    e = sites[nbr] - sites[site]
+    dist = np.hypot(e[:, 0], e[:, 1])
+    assert np.array_equal(topo.links[2], dist)
+    g, gn = hp.grads[face], hp.grads[nxt]
+    cross = g[:, 0] * gn[:, 1] - g[:, 1] * gn[:, 0]
+    areas = 0.5 * np.abs(np.bincount(site, weights=cross, minlength=len(sites)))
+    assert np.array_equal(hp.areas, areas)
+    w = np.hypot(gn[:, 0] - g[:, 0], gn[:, 1] - g[:, 1]) / dist
+    J = solver._jacobian(hp, int(interior.sum()))
+    rows, cols = topo.links[:2]
+    off = (w > 0) & (cols >= 0)
+    assert np.array_equal(np.asarray(J[rows[off], cols[off]]).ravel(), w[off])
