@@ -477,15 +477,6 @@ def _write_table(outdir, name, header, rows):
     _atomic_write(os.path.join(outdir, f"{name}.dat"), "\n".join(dat_lines) + "\n")
 
 
-def read_table(path):
-    """Re-parse a CSV written by _write_table: (header, float rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    rows = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
-    return header, rows
-
-
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")

@@ -22,6 +22,9 @@ from .errors import (
 from .geometry import min_edge_cross, orientation, polygon_edges
 
 _SNAP = 1e-9  # relative slack when testing lattice membership at the boundary
+# A lattice coordinate x / h within _SNAP_EPS |k| of an integer k, 4 to 8
+# ulps of k, is k.
+_SNAP_EPS = 4 * np.finfo(float).eps
 # Most lattice nodes ``sample`` lays out in a domain's bounding box, about
 # 1 GB of index and coordinate arrays; about 100x the 401 x 401 box of the
 # largest lattice the acceptance criteria sample.
@@ -171,7 +174,7 @@ class GridFunction:
     @cached_property
     def lattice_indices(self) -> np.ndarray:
         """Integer lattice coordinates (k1, k2) of each node."""
-        return np.rint(self.nodes / self.h).astype(np.int64)
+        return np.rint(lattice_coordinates(self.nodes, self.h)).astype(np.int64)
 
     @cached_property
     def _id_grid(self) -> tuple:
@@ -223,6 +226,17 @@ class GridFunction:
 
     def argmin_node(self) -> int:
         return int(np.argmin(self.values))
+
+
+def lattice_coordinates(points, h: float) -> np.ndarray:
+    """The lattice coordinates x / h of points x of the plane, each one that
+    lies within _SNAP_EPS |k| of an integer k snapped to it.  A node k h is
+    stored rounded, and its x / h can round off k by an ulp, to either side:
+    snapped, it is k exactly, so floor takes k and rint does as before."""
+    x = np.asarray(points, dtype=float) / h
+    k = np.rint(x)
+    np.copyto(x, k, where=np.abs(x - k) <= _SNAP_EPS * np.abs(k))
+    return x
 
 
 def sample(field, domain: Domain2D, h: float) -> GridFunction:

@@ -305,14 +305,6 @@ def ma_measure(f: PLConvexFunction) -> MAMeasure:
     return MAMeasure(masses=masses, total=float(masses.sum()))
 
 
-def ma_mass(cells, site_subset=None) -> float:
-    """Total subgradient area over a subset of site indices (all cells if None)."""
-    if site_subset is None:
-        return float(sum(c.area for c in cells))
-    subset = set(int(s) for s in site_subset)
-    return float(sum(c.area for c in cells if c.site_index in subset))
-
-
 def weighted_mass(cells, weight) -> np.ndarray:
     """Per-cell integrals of a weight over the subdifferential polygons.
 
@@ -424,14 +416,6 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     return TranslatorIdentityReport(
         measure_side=lhs, integral_side=rhs, residual=res, relative_residual=rel
     )
-
-
-def is_convex_grid(gf) -> bool:
-    """Whether a GridFunction coincides with its own lower convex envelope,
-    to 1e-9 relative to its largest value (or absolute below 1)."""
-    gap = gf.values - lower_envelope(gf.nodes, gf.values)(gf.nodes)
-    scale = max(1.0, float(np.abs(gf.values).max()))
-    return bool(np.max(np.abs(gap)) <= 1e-9 * scale)
 
 
 def cells_to_csv(cells, path) -> None:

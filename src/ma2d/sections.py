@@ -27,7 +27,7 @@ from .errors import (
     NonfiniteValue,
     SectionNotCompact,
 )
-from .grid import Domain2D, GridFunction
+from .grid import Domain2D, GridFunction, lattice_coordinates
 from .geometry import (
     disk_rule,
     min_edge_cross,
@@ -203,8 +203,10 @@ def _section_from_grid(gf: GridFunction, x0, p, t) -> Section:
 
 
 def _grid_value_at(gf: GridFunction, x) -> float:
-    """Bilinear interpolation of grid values (exact at nodes)."""
-    k = np.asarray(x, dtype=float) / gf.h
+    """Bilinear interpolation of grid values, exact at nodes: a node's
+    lattice coordinates snap to integers (``grid.lattice_coordinates``), so
+    its own value takes weight 1 and the other corners 0."""
+    k = lattice_coordinates(x, gf.h)
     k0 = np.floor(k).astype(np.int64)
     frac = k - k0
     # the four corners in one gather when they fit in the padded grid; its

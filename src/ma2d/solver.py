@@ -69,7 +69,10 @@ no hull is built after the Newton loop; it equals ``lower_envelope`` of the
 solved heights as a function, not array for array.  The Newton system is
 symmetric positive definite; it is solved by conjugate gradients with a
 two-level preconditioner, whose coarse system is factored by a
-symmetric-mode sparse LU (``_newton_solve``).
+symmetric-mode sparse LU (``_newton_solve``).  A step keeps the coarse
+level of the step before while CG holds its iterations on it, and a CG on
+a kept level that breaks down or reaches its cap runs again on a new one
+(``_newton_phase``, ``_newton_solve``).
 The ``residual`` verifier goes through ma_measure's cells instead: on the
 returned envelope's faces and gradients it orders each cell's gradients by
 angle in gradient space and certifies convexity, and it never calls the
@@ -104,7 +107,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleBoundary, NoConvergence
 from .geometry import orientation
-from .grid import Domain2D, GridFunction, RhsField, _evaluate, sample
+from .grid import Domain2D, GridFunction, RhsField, _evaluate, lattice_coordinates, sample
 from .ma_measure import (
     PLConvexFunction,
     _ccw,
@@ -125,6 +128,12 @@ _BOUND_FRACTION = 0.95
 # right-hand side, or fail after _CG_MAXITER iterations.
 _CG_RTOL = 1e-6
 _CG_MAXITER = 200
+# From step 2 on, a Newton step keeps the coarse level of the step before
+# while that step's CG took at most _KEEP_GROWTH times the iterations of the
+# CG that built the level, or of _KEEP_FLOOR when they were fewer
+# (``_newton_phase``).
+_KEEP_GROWTH = 1.5
+_KEEP_FLOOR = 4
 # The damped-Jacobi weight of the two-level cycle's sweeps, and the ratio of
 # axis link strengths above which a 2 x 2 aggregate splits into two pairs.
 _JACOBI_WEIGHT = 0.6
@@ -186,11 +195,6 @@ def target_masses_on(gf: GridFunction, rhs: RhsField) -> np.ndarray:
     return out
 
 
-def target_masses(problem: DirichletProblem) -> np.ndarray:
-    """Per-interior-site right-hand-side masses of the problem."""
-    return problem.targets[problem.interior]
-
-
 @dataclass
 class SolveWork:
     """The work of one solve, counted as it runs; ``SolveReport`` and
@@ -203,11 +207,12 @@ class SolveWork:
     backtracks: int = 0    # halved line-search trials, by the chord test or by their pass
     edge_flips: int = 0    # Lawson flips made, those of a repair that gave up included
     start_boundary_sites: int = 0  # interior sites where the start took the boundary envelope's branch
+    coarse_builds: int = 0  # coarse levels the Newton solves built, a guard's rebuild included
     # max relative residual: the start pass, then each accepted step
     residuals: list[float] = field(default_factory=list)
     # the step taken by each accepted Newton step
     step_lengths: list[float] = field(default_factory=list)
-    # CG iterations of each Newton system solved
+    # CG iterations of each Newton system solved, both runs' when a guard rebuilt its coarse level
     cg_iterations: list[int] = field(default_factory=list)
 
 
@@ -466,7 +471,7 @@ def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     band = np.flatnonzero(np.bincount(squares.ravel(), minlength=len(sites)) < 4)
     tris = band[_lower_faces(sites[band], heights[band])[0]]
     h = sites[squares[0, 1], 0] - sites[squares[0, 0], 0]
-    k = np.rint(sites[squares.ravel()] / h).astype(np.int64)
+    k = np.rint(lattice_coordinates(sites[squares.ravel()], h)).astype(np.int64)
     lo = k.min(axis=0)
     corner = np.zeros(k.max(axis=0) - lo + 1, dtype=bool)
     corner[k[:, 0] - lo[0], k[:, 1] - lo[1]] = True
@@ -762,7 +767,14 @@ def _newton_phase(state, tol, lattice) -> None:
     ``_newton_solve`` solves it by CG, with the interior sites' lattice
     coordinates ``lattice`` for its aggregates; each solve's CG iterations
     go to the state's ``SolveWork``, and a CG that misses its tolerance raises
-    NoConvergence, as a failed factorisation does.  A
+    NoConvergence, as a failed factorisation does.  Steps 0 and 1 build their
+    coarse level; from step 2 on a step keeps the level of the step before
+    while that step's CG took at most _KEEP_GROWTH max(b, _KEEP_FLOOR)
+    iterations, for the b iterations of the CG that built the level, and
+    builds a new one otherwise.  Near convergence the Jacobian barely moves,
+    so an older coarse factor still preconditions well: verify-dual builds 2
+    levels in its 5 steps.  Each level built, a guard's rebuild in
+    ``_newton_solve`` included, counts in ``SolveWork.coarse_builds``.  A
     cell's area is close to a quadratic in its site's height, since its edges
     move parallel to themselves at linear speed.  Newton on a convex quadratic
     from above only halves the gap per step, so a paraboloid start whose
@@ -804,6 +816,7 @@ def _newton_phase(state, tol, lattice) -> None:
         return NoConvergence(f"Newton {reason}, residual {resid:.3e}", resid, work)
 
     current = state.last  # the start pass
+    coarse, built_cg = None, 0  # the kept coarse level, and the iterations of the CG that built it
     for it in range(81):  # the start and 80 steps
         masses = current.areas[int_ids]
         resid = state.residual()
@@ -817,12 +830,19 @@ def _newton_phase(state, tol, lattice) -> None:
         l2 = float(np.linalg.norm((masses - tgt) / tgt))
         if not np.isfinite(l2):
             raise stop(f"step {it}: residual is not finite")
-        J = _jacobian(current, len(int_ids))
         try:
-            delta, cg, reached = _newton_solve(J, -_newton_rhs(masses, tgt), lattice)
+            delta, runs, reached, level = _newton_solve(
+                _jacobian(current, len(int_ids)), -_newton_rhs(masses, tgt), lattice, coarse)
         except RuntimeError as exc:
             raise stop(f"step {it}: sparse solve failed ({exc})") from exc
+        cg = sum(runs)
         work.cg_iterations.append(cg)
+        if level is not coarse:
+            work.coarse_builds += 1
+            built_cg = runs[-1]
+        if it == 0 or runs[-1] > _KEEP_GROWTH * max(built_cg, _KEEP_FLOOR):
+            level = None  # the next step builds its own: drop this one before the line search
+        coarse = level
         if not reached:
             raise stop(f"step {it}: CG did not reach its tolerance in {cg} iterations")
         if not np.all(np.isfinite(delta)):
@@ -860,63 +880,112 @@ def _newton_rhs(masses: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(masses > targets, 2.0 * root * (root - np.sqrt(targets)), masses - targets)
 
 
-def _newton_solve(J, rhs, lattice):
+def _newton_solve(J, rhs, lattice, coarse=None):
     """Solve J delta = rhs by preconditioned conjugate gradients on the
-    symmetric positive definite -J; returns (delta, CG iterations, whether
-    the l2 residual reached _CG_RTOL times that of rhs).
+    symmetric positive definite -J; returns (delta, the CG iterations of
+    each run, whether the l2 residual reached _CG_RTOL times that of rhs,
+    the coarse level of the last run).
 
-    CG starts from x0 = M^-1 b for b = -rhs and the preconditioner M^-1 of
-    ``_preconditioner``, and stops at the tolerance or after _CG_MAXITER
-    iterations.  The inner products and norms are numpy sums of elementwise
-    products, not BLAS dot products, whose blocking can follow the thread
-    count: with ``@`` the verify-dual heights changed between 1 and 2
-    OpenBLAS threads.
+    CG runs on the preconditioner of ``_preconditioner`` with the kept
+    coarse level ``coarse``, or with one built here from -J when there is
+    none.  The guard: when CG on a kept level breaks down (r . z <= 0 or
+    p . A p <= 0) or reaches _CG_MAXITER, the level is built again from -J
+    and CG runs again from scratch; a CG on a level built here that misses
+    its tolerance ends the solve unreached.
     """
     A = -J
     b = -rhs
-    precondition = _preconditioner(A, lattice)
+    limit = _CG_RTOL * math.sqrt(np.sum(b * b))
+    runs = []
+    while True:
+        built = coarse is None
+        if built:
+            coarse = _coarse_level(A, lattice)
+        x, its, reached = _cg(A, b, _preconditioner(A, coarse), limit)
+        runs.append(its)
+        if reached or built:
+            return x, runs, reached, coarse
+        coarse = None
+
+
+def _cg(A, b, precondition, limit):
+    """Preconditioned CG on A x = b: (x, iterations, whether the l2 residual
+    reached ``limit``).
+
+    It starts from x0 = M^-1 b and stops at ``limit``, after _CG_MAXITER
+    iterations, or unreached at a breakdown, r . z <= 0 or p . A p <= 0 (or
+    not a number), which an M^-1 that is positive definite in exact
+    arithmetic meets only by rounding.  The inner products and norms are
+    numpy sums of elementwise products, not BLAS dot products, whose
+    blocking can follow the thread count: with ``@`` the verify-dual heights
+    changed between 1 and 2 OpenBLAS threads.
+    """
     x = precondition(b)
     r = b - A @ x
-    limit = _CG_RTOL * math.sqrt(np.sum(b * b))
     rz = p = None
     for its in range(_CG_MAXITER):
         if math.sqrt(np.sum(r * r)) <= limit:
             return x, its, True
         z = precondition(r)
         rz, rz_last = np.sum(r * z), rz
+        if not rz > 0.0:
+            return x, its + 1, False
         p = z if p is None else z + (rz / rz_last) * p
         q = A @ p
-        alpha = rz / np.sum(p * q)
+        pq = np.sum(p * q)
+        if not pq > 0.0:
+            return x, its + 1, False
+        alpha = rz / pq
         x = x + alpha * p
         r = r - alpha * q
     return x, _CG_MAXITER, math.sqrt(np.sum(r * r)) <= limit
 
 
-def _preconditioner(A, lattice):
-    """M^-1 for the symmetric positive definite A = -J, as a function of the
-    residual.
-
-    It is a two-level cycle on the aggregates of ``_aggregates``, with their
-    0/1 prolongation P: one damped-Jacobi sweep, weight _JACOBI_WEIGHT, the
-    coarse correction P (P^T A P)^-1 P^T on its residual, and one more sweep
-    (Notay, *An aggregation-based algebraic multigrid method*, ETNA 2010).
-    The sweeps before and after are the same symmetric one, so M^-1 is
-    symmetric.  It is positive definite when the sweep's weight times the
-    largest eigenvalue of D^-1 A, for the diagonal D of A, is below 2; A is
-    diagonally dominant, so that eigenvalue is at most 2 and the weight 0.6
-    keeps the product at most 1.2.
-    """
+def _coarse_level(A, lattice):
+    """The coarse level of ``_preconditioner`` for the symmetric positive
+    definite A: (the aggregates of ``_aggregates``, their number, the sparse
+    LU factor of the Galerkin matrix P^T A P for their 0/1 prolongation P)."""
     coo = A.tocoo()
     agg = _aggregates(coo, lattice)
     n_agg = int(agg.max()) + 1
     # one COO -> CSC conversion sums the entries that share an aggregate pair
-    coarse = splu(sp.csc_matrix((coo.data, (agg[coo.row], agg[coo.col])), shape=(n_agg, n_agg)),
+    factor = splu(sp.csc_matrix((coo.data, (agg[coo.row], agg[coo.col])), shape=(n_agg, n_agg)),
                   **_SPLU_OPTIONS)
+    return agg, n_agg, factor
+
+
+def _preconditioner(A, coarse):
+    """M^-1 for the symmetric positive definite A = -J, as a function of the
+    residual, on the coarse level ``coarse`` of ``_coarse_level``: that of A,
+    or of the -J of an earlier Newton step.
+
+    It is a two-level cycle on the level's aggregates, with their 0/1
+    prolongation P and coarse matrix B: one damped-Jacobi sweep W = w D^-1,
+    for the weight w = _JACOBI_WEIGHT and the diagonal D of A, the coarse
+    correction P B^-1 P^T on its residual, and one more sweep (Notay, *An
+    aggregation-based algebraic multigrid method*, ETNA 2010).  The sweeps
+    and every product with A use the current A; only P and B can be older.
+    As a matrix, M^-1 = (2 W - W A W) + C B^-1 C^T with C = (I - W A) P, so
+    it is symmetric for any symmetric B.  The first term is positive
+    definite when the eigenvalues of W A lie in (0, 2): A is diagonally
+    dominant, so those of D^-1 A are at most 2, and the weight 0.6 keeps
+    them at most 1.2.  The second is positive semi-definite when B is, so
+    M^-1 is positive definite for every positive definite B: the Galerkin
+    matrix P^T A P of the current A, and that of an earlier -J, a symmetric
+    M-matrix as A is.  What an older B can lose is the cycle's convergence
+    as a stationary iteration, for which every eigenvalue of B^-1 (P^T A P)
+    in (0, 2] is enough, as the coarse correction then does not grow the
+    error in the A-norm.  Nothing proves that for a kept B, so CG's
+    iterations decide whether it is kept (``_newton_phase``), and a CG that
+    reaches its cap or breaks down by rounding rebuilds it
+    (``_newton_solve``).
+    """
+    agg, n_agg, factor = coarse
     sweep = _JACOBI_WEIGHT / A.diagonal()
 
     def precondition(r):
         x = sweep * r
-        x = x + coarse.solve(np.bincount(agg, weights=r - A @ x, minlength=n_agg))[agg]
+        x = x + factor.solve(np.bincount(agg, weights=r - A @ x, minlength=n_agg))[agg]
         return x + sweep * (r - A @ x)
 
     return precondition

@@ -17,6 +17,15 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SCHEMA = os.path.join(os.path.dirname(cli.__file__), "experiment.schema.json")
 
 
+def read_table(path):
+    """Re-parse a CSV written by the CLI's tables: (header, float rows)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    header = lines[0].split(",")
+    rows = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
+    return header, rows
+
+
 def load_schema():
     with open(SCHEMA, encoding="utf-8") as fh:
         return json.load(fh)
@@ -194,6 +203,7 @@ def test_work_block_counts_the_solve(tmp_path, monkeypatch, fields):
         "backtracks": work.backtracks,
         "edge_flips": work.edge_flips,
         "start_boundary_sites": work.start_boundary_sites,
+        "coarse_builds": work.coarse_builds,
         "residuals": work.residuals,
         "step_lengths": work.step_lengths,
         "cg_iterations": work.cg_iterations,
@@ -248,7 +258,7 @@ def test_csv_round_trip(tmp_path):
         rmin=16.0, rmax=64.0, n_circles=5, outdir=str(tmp_path / "g"),
     )
     cli.run(cfg)
-    header, rows = cli.read_table(str(tmp_path / "g" / "growth.csv"))
+    header, rows = read_table(str(tmp_path / "g" / "growth.csv"))
     assert header == ["r", "min_value", "max_value"]
     assert len(rows) == 5
     assert rows[0][0] == 16.0
@@ -396,7 +406,7 @@ def test_run_sections_quadratic(tmp_path):
     )
     rep = cli.run(cfg)
     assert rep["pass"]
-    header, rows = cli.read_table(str(tmp_path / "s" / "sections.csv"))
+    header, rows = read_table(str(tmp_path / "s" / "sections.csv"))
     assert header == ["t", "area", "mass", "r", "ecc", "k0", "A11", "A12", "A21", "A22"]
     k0 = [r[5] for r in rows]
     assert max(k0) / min(k0) < 1.001
@@ -426,7 +436,7 @@ def test_run_verify_dual_small(tmp_path, monkeypatch):
     assert len(built) == 1 and built[0] is solves[0].function
     assert rep["pass"]
     assert (tmp_path / "vd" / "solution.gfn").exists()
-    header, rows = cli.read_table(str(tmp_path / "vd" / "dual_identity.csv"))
+    header, rows = read_table(str(tmp_path / "vd" / "dual_identity.csv"))
     assert header == ["r_lo", "r_hi", "weighted_mass", "area", "deviation"]
     assert all(r[4] < 0.05 for r in rows)
     # the rows of a separate build, on a copy that holds no cells, bit for bit
@@ -464,6 +474,6 @@ def test_run_oracle_profile(tmp_path):
         rmin=16.0, rmax=64.0, outdir=str(tmp_path / "o"),
     )
     rep = cli.run(cfg)
-    header, rows = cli.read_table(str(tmp_path / "o" / "profile.csv"))
+    header, rows = read_table(str(tmp_path / "o" / "profile.csv"))
     assert header == ["r", "slope", "value"]
     assert len(rows) == 64

@@ -377,9 +377,12 @@ def test_neighbor_ids_equal_coordinate_lookup(case):
 
 
 def _reference_value_at(gf, x):
-    """Bilinear interpolation with the four corners found by a coordinate
-    lookup, or the nearest node where one is missing; and whether it was
-    the nearest node."""
+    """A node's own value at a node; elsewhere bilinear interpolation with
+    the four corners found by a coordinate lookup, or the nearest node where
+    one is missing; and whether it was the nearest node."""
+    at = np.flatnonzero((gf.nodes[:, 0] == x[0]) & (gf.nodes[:, 1] == x[1]))
+    if len(at):
+        return float(gf.values[at[0]]), False
     k = np.asarray(x, dtype=float) / gf.h
     k0 = np.floor(k).astype(np.int64)
     frac = k - k0
@@ -411,3 +414,22 @@ def test_grid_value_at_keeps_its_values(case):
     want, nearest = zip(*(_reference_value_at(gf, x) for x in points))
     assert [sections._grid_value_at(gf, x) for x in points] == list(want)
     assert 0 < sum(nearest) < len(points) - len(gf)
+
+
+@pytest.mark.parametrize("case", list(_LATTICES))
+def test_grid_value_at_is_exact_at_nodes(case):
+    # a node k h is stored rounded, and x / h can round below k: floor then
+    # took k - 1 and blended the neighbours, at 92 of the 317 nodes of the
+    # quadratic on disk(1) at h = 0.1
+    from ma2d import sections
+
+    gf = _lattice(case)
+    assert case != "disk" or len(gf) == 317
+    assert [sections._grid_value_at(gf, x) for x in gf.nodes] == gf.values.tolist()
+    k = grid.lattice_coordinates(gf.nodes, gf.h)
+    assert np.array_equal(k, gf.lattice_indices) and np.array_equal(k, np.rint(gf.nodes / gf.h))
+    # away from the nodes the coordinates are x / h, and rint takes the same integers
+    off = np.random.default_rng(4).uniform(-9.0, 9.0, size=(1000, 2))
+    assert np.array_equal(grid.lattice_coordinates(off, gf.h), off / gf.h)
+    assert np.array_equal(np.rint(grid.lattice_coordinates(gf.nodes + 1e-9, gf.h)),
+                          np.rint((gf.nodes + 1e-9) / gf.h))

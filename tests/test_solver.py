@@ -21,7 +21,7 @@ def unit_problem(h, rhs=None, boundary=quadratic):
 
 def test_target_masses_constant():
     prob = unit_problem(0.1)
-    t = solver.target_masses(prob)
+    t = prob.targets[prob.interior]
     assert np.allclose(t, 0.1 * 0.1, rtol=1e-15)
 
 
@@ -258,7 +258,9 @@ def test_one_hull_per_trial(case, monkeypatch):
     # the Newton loop makes one mass pass for its start and one per
     # line-search trial; Qhull runs only for a pass whose latest
     # triangulation fails its certificate, and not for the envelope, which
-    # is the last accepted pass; Jacobians reuse the accepted pass
+    # is the last accepted pass; Jacobians reuse the accepted pass; a coarse
+    # factor is made per coarse level built, at most one per step when no
+    # guard fires
     calls = {"_lower_faces": 0, "splu": 0}
 
     def counted(name):
@@ -290,7 +292,8 @@ def test_one_hull_per_trial(case, monkeypatch):
     rep = solver.solve(prob, tol=tol)
 
     assert calls["_lower_faces"] == rep.work.hull_builds >= 1
-    assert calls["splu"] == rep.work.newton_steps > 0
+    assert calls["splu"] == rep.work.coarse_builds
+    assert 1 <= rep.work.coarse_builds <= rep.work.newton_steps
     assert rep.iterations == rep.work.newton_steps * int(prob.interior.sum())
     # each halving was a chord-test rejection, with no pass, or a pass that failed
     assert sum(rejected) + rep.work.mass_passes == rep.work.newton_steps + 1 + rep.work.backtracks
@@ -1022,7 +1025,7 @@ def test_aggregates_split_blocks_along_the_strong_axis(degenerate_jacobian):
 
 def test_preconditioner_is_symmetric_positive(degenerate_jacobian):
     J, lattice = degenerate_jacobian
-    apply = solver._preconditioner(-J, lattice)
+    apply = solver._preconditioner(-J, solver._coarse_level(-J, lattice))
     rng = np.random.default_rng(5)
     for _ in range(5):
         u, v = rng.standard_normal((2, J.shape[0]))
@@ -1041,6 +1044,77 @@ def test_cg_failure_raises_no_convergence(monkeypatch):
     err = info.value
     assert err.work.newton_steps == 0 and err.work.cg_iterations == [1]
     assert err.residual == err.work.residuals[-1] > 1e-6
+
+
+def test_coarse_level_is_kept_across_steps(dual_profile_8):
+    # steps 0 and 1 build their coarse level and the later steps keep the
+    # last one while CG holds its iterations; the Newton path is that of a
+    # level rebuilt every step (test_small_solve_members_newton_steps)
+    rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
+    prob = solver.build_problem(grid.Domain2D.disk(8.0), 0.25, rhs, dual_profile_8)
+    work = solver.solve(prob, tol=1e-6).work
+    assert work.newton_steps >= 5 and work.backtracks == 0
+    assert 2 <= work.coarse_builds < work.newton_steps
+
+
+def test_stale_coarse_level_is_rebuilt(degenerate_jacobian, monkeypatch):
+    J, lattice = degenerate_jacobian
+    A = -J
+    rhs = np.random.default_rng(3).standard_normal(J.shape[0])
+    fresh, runs, reached, level = solver._newton_solve(J, rhs, lattice)
+    assert reached and len(runs) == 1 and runs[0] <= 20
+    # M^-1 is positive definite for any positive definite coarse matrix: a
+    # level of 1e-6 A is a poor one, but CG still converges on it
+    scaled = solver._coarse_level(1e-6 * A, lattice)
+    apply = solver._preconditioner(A, scaled)
+    for v in np.random.default_rng(5).standard_normal((5, J.shape[0])):
+        assert np.sum(v * apply(v)) > 0.0
+    delta, runs, reached, kept = solver._newton_solve(J, rhs, lattice, scaled)
+    assert reached and kept is scaled and len(runs) == 1 and runs[0] > 20
+    # the guard: a kept level that reaches _CG_MAXITER, or the level of the
+    # negative definite J, on which CG breaks down, is built again from A,
+    # and CG runs again from scratch, as on a level built at once
+    monkeypatch.setattr(solver, "_CG_MAXITER", 30)
+    for stale, capped in ((scaled, True), (solver._coarse_level(J, lattice), False)):
+        delta, runs, reached, level = solver._newton_solve(J, rhs, lattice, stale)
+        assert reached and level is not stale and len(runs) == 2
+        assert (runs[0] == 30) == capped
+        assert np.array_equal(delta, fresh)
+
+
+def test_cg_stops_at_a_breakdown():
+    # p . A p <= 0 (A = -I) and r . z <= 0 (M^-1 = -I) each end CG unreached
+    # at its first iteration, where CG would otherwise go on
+    b = np.arange(1.0, 5.0)
+    identity = sp.identity(4, format="csr")
+    assert solver._cg(-identity, b, lambda r: r, 1e-12)[1:] == (1, False)
+    assert solver._cg(identity, b, lambda r: -r, 1e-12)[1:] == (1, False)
+
+
+def test_guard_rebuild_keeps_the_newton_path(monkeypatch):
+    # every kept level is swapped for the level of J, on which CG breaks
+    # down, so every step after step 1 takes the guard's rebuild; the solve
+    # takes the same steps, builds one level per step, and counts both runs
+    rhs = grid.RhsField("degenerate", alpha=1 / 8)
+    prob = unit_problem(0.1, rhs=rhs, boundary=oracle.SeparableSolution(alpha=1 / 8, a=1.0))
+    plain = solver.solve(prob, tol=1e-6).work
+    newton_solve, runs = solver._newton_solve, []
+
+    def stale_solve(J, rhs, lattice, coarse=None):
+        if coarse is not None:
+            coarse = solver._coarse_level(J, lattice)
+        out = newton_solve(J, rhs, lattice, coarse)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_newton_solve", stale_solve)
+    rep = solver.solve(prob, tol=1e-6)
+    work = rep.work
+    assert rep.max_residual <= 1e-6 and solver.residual(rep.function, prob) <= 1e-6
+    assert (work.newton_steps, work.backtracks) == (plain.newton_steps, plain.backtracks) == (12, 0)
+    assert work.coarse_builds == work.newton_steps > plain.coarse_builds
+    assert [len(r) for r in runs] == [1, 1] + [2] * (work.newton_steps - 2)
+    assert work.cg_iterations == [sum(r) for r in runs]
 
 
 def test_pass_kernels_equal_row_gathers():
