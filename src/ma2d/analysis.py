@@ -1,5 +1,5 @@
 """Theorem-level experiments: growth-exponent fits, the eccentricity cascade
-and its anisotropic scaling law, and the high-level stability property."""
+and the high-level stability property."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainTooSmall, NonfiniteValue
-from .grid import check_alpha
 from .sections import eccentricity, extract_section, john_ellipsoid
 
 
@@ -25,33 +24,17 @@ class GrowthFit:
 
 
 def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
-                    slope_theory: float | None = None, recenter: bool = False) -> GrowthFit:
+                    slope_theory: float | None = None) -> GrowthFit:
     """Fit the polynomial growth rate of an evaluable convex function.
 
     Values are sampled on geometric circles with 256 points each; beyond four
     circles the smallest is dropped from the fit (additive-constant
-    contamination is largest there).  ``recenter`` shifts to the argmin and
-    subtracts the minimum first, making the fit exactly invariant under added
-    affine terms.
+    contamination is largest there).
     """
     if not (np.isfinite(r_min) and np.isfinite(r_max)) or r_min <= 0 or r_max <= r_min:
         raise DomainTooSmall("need 0 < r_min < r_max")
     if n_circles < 4:
         raise DomainTooSmall("need at least 4 circles")
-    fn = v
-    if recenter:
-        from scipy import optimize
-
-        res = optimize.minimize(
-            lambda x: float(np.asarray(v(x[None, :]))[0]),
-            np.zeros(2),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        x_star = res.x
-        v_star = float(np.asarray(v(x_star[None, :]))[0])
-        fn = lambda pts: np.asarray(v(pts + x_star)) - v_star
-
     radii = np.geomspace(r_min, r_max, n_circles)
     theta = 2 * np.pi * np.arange(256) / 256
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -60,7 +43,7 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
     logs = []
     for i, r in enumerate(radii):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            vals = np.asarray(fn(r * unit), dtype=float)
+            vals = np.asarray(v(r * unit), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonfiniteValue(f"non-finite values on circle r={r}")
         if np.any(vals <= 0):
@@ -88,32 +71,6 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
     )
 
 
-def dt_matrix(t: float, alpha: float) -> np.ndarray:
-    """Anisotropic section scaling diag(t^(alpha/(1-2 alpha)), t^(1/2))."""
-    check_alpha(alpha)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    return np.diag([t ** (alpha / (1.0 - 2.0 * alpha)), t**0.5])
-
-
-def gamma_membership(x, alpha: float, theta: float) -> str:
-    """Classify a point against the dilations of the anisotropic unit region
-    {|x1|^(1/alpha - 2) + x2^2 < 1}: returns "inside", "band", or "outside"."""
-    check_alpha(alpha)
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    x = np.asarray(x, dtype=float)
-
-    def gauge(pt):
-        return abs(pt[0]) ** (1.0 / alpha - 2.0) + pt[1] ** 2
-
-    if gauge(x / (1.0 - theta)) < 1.0:
-        return "inside"
-    if gauge(x / (1.0 + theta)) > 1.0:
-        return "outside"
-    return "band"
-
-
 @dataclass(frozen=True)
 class CascadeSeries:
     """Eccentricities of sections at a ladder of heights, with the log-log slope."""
@@ -138,15 +95,6 @@ def eccentricity_cascade(v, x0, p, levels) -> CascadeSeries:
         norms[i] = eccentricity(fit)
     slope = float(np.polyfit(np.log(levels), np.log(norms), 1)[0])
     return CascadeSeries(levels=levels, fits=tuple(fits), norms=norms, slope=slope)
-
-
-def singular_ratio_slope(series: CascadeSeries) -> float:
-    """Slope of log(largest/smallest singular value of A_t) against log t."""
-    ratios = []
-    for fit in series.fits:
-        ev = np.linalg.eigvalsh(fit.normalized)
-        ratios.append(ev[-1] / ev[0])
-    return float(np.polyfit(np.log(series.levels), np.log(ratios), 1)[0])
 
 
 def stability_check(series: CascadeSeries, M: float, C1: float) -> bool:

@@ -298,9 +298,11 @@ def _run_sections(cfg, out, work):
         x0 = v.nodes[v.argmin_node()]
     else:
         v = _source_function(cfg)
-        # oracle-primal's density depends on the gradient, so its sections weigh area
-        rhs = next((r for r, s in _SOLUTIONS.items() if s == cfg.source), "constant")
-        density = _rhs_field(replace(cfg, rhs=rhs))
+        if isinstance(v, oracle.RadialProfile):
+            density = v.rhs  # the primal's density depends on its gradient: no RhsField has it
+        else:
+            rhs = next(r for r, s in _SOLUTIONS.items() if s == cfg.source)
+            density = _rhs_field(replace(cfg, rhs=rhs))
         x0 = np.zeros(2)
     rows = []
     for t in cfg.levels:

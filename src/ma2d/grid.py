@@ -303,39 +303,6 @@ def _evaluate(field, nodes: np.ndarray) -> np.ndarray:
     return np.full(len(nodes), float(field))
 
 
-@dataclass(frozen=True)
-class RhsConditionReport:
-    """Per-radius sup deviation of |x|**(4 - 1/alpha) f(x) from 1."""
-
-    radii: np.ndarray
-    deviations: np.ndarray
-    epsilon: float
-    eventually_below: bool
-
-
-def check_rhs_condition(f, alpha: float, eps: float, radii) -> RhsConditionReport:
-    """Measure sup_{|x|=R} | |x|**(4-1/alpha) f(x) - 1 | on growing circles
-    of 128 samples each.
-
-    The verdict ``eventually_below`` uses the three largest radii.
-    """
-    alpha = check_alpha(alpha)
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
-    theta = 2 * np.pi * np.arange(128) / 128
-    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    devs = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        vals = np.asarray(f(r * unit), dtype=float)
-        devs[i] = np.max(np.abs(r ** (4.0 - 1.0 / alpha) * vals - 1.0))
-    tail = devs[-3:] if len(devs) >= 3 else devs
-    return RhsConditionReport(
-        radii=radii, deviations=devs, epsilon=float(eps),
-        eventually_below=bool(np.all(tail <= eps)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # .gfn persistence: a 4-line header followed by one "x1 x2 value" row per node.
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ order with a certificate is independent of the planar face order that
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -106,7 +105,6 @@ class MAMeasure:
     """Per-site Monge-Ampere masses (zero at boundary and inactive sites)."""
 
     masses: np.ndarray
-    total: float
 
 
 def _lower_faces(sites: np.ndarray, heights: np.ndarray):
@@ -302,7 +300,7 @@ def ma_measure(f: PLConvexFunction) -> MAMeasure:
     c = f.cells
     masses = np.zeros(len(f.sites))
     masses[c.sites] = c.areas
-    return MAMeasure(masses=masses, total=float(masses.sum()))
+    return MAMeasure(masses=masses)
 
 
 def weighted_mass(cells, weight) -> np.ndarray:
@@ -417,26 +415,3 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
         measure_side=lhs, integral_side=rhs, residual=res, relative_residual=rel
     )
 
-
-def cells_to_csv(cells, path) -> None:
-    """Export cells as rows: site_index, area, v1x, v1y, v2x, v2y, ..."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for cell in cells:
-            row = [cell.site_index, repr(float(cell.area))]
-            for vx, vy in cell.polygon:
-                row.extend([repr(float(vx)), repr(float(vy))])
-            writer.writerow(row)
-
-
-def cells_from_csv(path) -> list:
-    cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            idx = int(row[0])
-            area = float(row[1])
-            coords = np.array([float(t) for t in row[2:]], dtype=float).reshape(-1, 2)
-            cells.append(SubgradientCell(site_index=idx, polygon=coords, area=area))
-    return cells

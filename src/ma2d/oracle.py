@@ -185,10 +185,6 @@ class SeparableSolution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.a * np.abs(pts[:, 0]) ** self.p + self.b * pts[:, 1] ** 2
 
-    def section_semi_axes(self, t: float):
-        """Semi-axes of {x : value <= t}, along x1 and x2 respectively."""
-        return (t / self.a) ** (1.0 / self.p), np.sqrt(t / self.b)
-
     def eccentricity_slope(self) -> float:
         """Exact log-log slope of the normalized section matrix norm in t.
 
@@ -197,6 +193,3 @@ class SeparableSolution:
         """
         return 0.5 * (0.5 - self.alpha / (1.0 - 2.0 * self.alpha))
 
-
-def separable_value(alpha: float, a: float, x) -> np.ndarray:
-    return SeparableSolution(alpha=alpha, a=a)(x)

@@ -2,7 +2,7 @@
 doubling constants, and sub-level compactness.
 
 A section S is the sub-level polygon {v <= v(x0) + p.(x - x0) + t}.  For
-callable convex functions the boundary is traced along n_dirs equally spaced
+callable convex functions the boundary is traced along 512 equally spaced
 rays from the base point, all rays at once: each step calls the function once
 on an (m, 2) array holding every ray still open.  Radii are bracketed by
 doubling from 1, with w(lo) <= 0 < w(hi) for the shifted function w, and the
@@ -56,12 +56,12 @@ class Section:
         return polygon_quadrature(self.polygon, density)
 
 
-def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:
+def extract_section(v, x0, p, t) -> Section:
     """Section polygon of v at height t above the supporting plane at x0.
 
     ``v`` may be a GridFunction (marching squares on lattice edges), a
     PLConvexFunction, or any callable of (N, 2) arrays.  A callable is traced
-    along ``n_dirs`` rays by a batched bracket and root search (see the module
+    along 512 rays by a batched bracket and root search (see the module
     docstring): 9 to 18 calls of ``v`` for the oracles at t = 1 and 128, each
     on the rays still open, for radii to 1e-13 + 1e-14 r.  Raises
     SectionNotCompact when a ray's radius passes 1e9, naming the lowest-index
@@ -75,18 +75,19 @@ def extract_section(v, x0, p, t, n_dirs: int = 512) -> Section:
     if isinstance(v, GridFunction):
         return _section_from_grid(v, x0, p, t)
     # PLConvexFunction instances evaluate as max-affine callables
-    return _section_from_callable(v, x0, p, t, n_dirs=n_dirs)
+    return _section_from_callable(v, x0, p, t)
 
 
+_N_DIRS = 512  # rays traced around a callable's section
 _XTOL, _RTOL = 1e-13, 1e-14  # a ray's bracket [x1, x2] closes at width _XTOL + _RTOL * max(x1, x2)
 _R_MAX = 1e9  # a ray whose bracket passes this radius is unbounded
 
 
-def _section_from_callable(fn, x0, p, t, n_dirs: int) -> Section:
+def _section_from_callable(fn, x0, p, t) -> Section:
     v0 = float(np.asarray(fn(x0[None, :]), dtype=float)[0])
     if not np.isfinite(v0):
         raise NonfiniteValue(f"function value {v0} at the base point is not finite")
-    theta = 2 * np.pi * np.arange(n_dirs) / n_dirs
+    theta = 2 * np.pi * np.arange(_N_DIRS) / _N_DIRS
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
     def w(rays, s):
@@ -106,11 +107,11 @@ def _section_from_callable(fn, x0, p, t, n_dirs: int) -> Section:
 
     # bracket: double hi on the rays where the shifted function is still <= 0,
     # keeping the values at both ends; w(0) = -t
-    lo = np.zeros(n_dirs)
-    hi = np.ones(n_dirs)
-    wlo = np.full(n_dirs, -float(t))
-    whi = np.empty(n_dirs)
-    rays = np.arange(n_dirs)
+    lo = np.zeros(_N_DIRS)
+    hi = np.ones(_N_DIRS)
+    wlo = np.full(_N_DIRS, -float(t))
+    whi = np.empty(_N_DIRS)
+    rays = np.arange(_N_DIRS)
     while True:
         vals = w(rays, hi[rays])
         up = vals <= 0.0

@@ -827,7 +827,8 @@ def _newton_phase(state, tol, lattice) -> None:
             return
         if it == 80:
             raise stop("did not converge in 80 steps")
-        l2 = float(np.linalg.norm((masses - tgt) / tgt))
+        e = (masses - tgt) / tgt
+        l2 = math.sqrt(np.sum(e * e))  # no BLAS call: after SuperLU its threads can stall
         if not np.isfinite(l2):
             raise stop(f"step {it}: residual is not finite")
         try:
@@ -853,7 +854,8 @@ def _newton_phase(state, tol, lattice) -> None:
             state.heights[int_ids] = base + step * delta
             if not state.above_a_chord():
                 trial = state.mass_pass(current.topo).areas
-                trial_l2 = float(np.linalg.norm((trial[int_ids] - tgt) / tgt))
+                e = (trial[int_ids] - tgt) / tgt
+                trial_l2 = math.sqrt(np.sum(e * e))
                 if (
                     np.all(trial[int_ids] > 0.0)
                     and np.isfinite(trial_l2)

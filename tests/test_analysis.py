@@ -19,14 +19,6 @@ def test_growth_requires_window():
         analysis.growth_exponent(quadratic, 16.0, 256.0, 3)
 
 
-def test_growth_affine_invariance_after_recentering():
-    p = np.array([0.7, -0.4])
-    shifted = lambda x: quadratic(x) + x @ p + 3.0
-    base = analysis.growth_exponent(quadratic, 8.0, 128.0, 6, recenter=True)
-    moved = analysis.growth_exponent(shifted, 8.0, 128.0, 6, recenter=True)
-    assert abs(base.slope - moved.slope) < 1e-6
-
-
 def test_growth_lambda_rescaling_matched_windows(dual_profile_8):
     lam = 2.0
     alpha = 1 / 8
@@ -37,19 +29,6 @@ def test_growth_lambda_rescaling_matched_windows(dual_profile_8):
     assert abs(a.slope - b.slope) < 1e-6
 
 
-def test_dt_matrix_values():
-    assert np.allclose(analysis.dt_matrix(1.0, 1 / 8), np.eye(2))
-    D = analysis.dt_matrix(64.0, 1 / 8)
-    assert np.allclose(np.diag(D), [2.0, 8.0], rtol=1e-12)
-    assert np.isclose(np.linalg.det(D), 16.0, rtol=1e-12)
-
-
-def test_gamma_membership_trichotomy():
-    assert analysis.gamma_membership([0.0, 0.0], 1 / 8, 0.1) == "inside"
-    assert analysis.gamma_membership([1.0, 0.0], 1 / 8, 0.1) == "band"
-    assert analysis.gamma_membership([0.0, 1.2], 1 / 8, 0.1) == "outside"
-
-
 def test_separable_cascade_slope():
     sep = oracle.SeparableSolution(alpha=1 / 8, a=1.0)
     series = analysis.eccentricity_cascade(
@@ -57,7 +36,6 @@ def test_separable_cascade_slope():
     )
     theory = sep.eccentricity_slope()
     assert abs(series.slope - theory) / theory < 0.05
-    assert abs(analysis.singular_ratio_slope(series) - 1 / 3) < 0.05 / 3
 
 
 def test_radial_cascade_flat(dual_profile_8):

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ma2d import cli, ma_measure, solver
+from ma2d import cli, ma_measure, oracle, sections, solver
 from ma2d.errors import ConfigInvalid
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -410,6 +410,18 @@ def test_run_sections_quadratic(tmp_path):
     assert header == ["t", "area", "mass", "r", "ecc", "k0", "A11", "A12", "A21", "A22"]
     k0 = [r[5] for r in rows]
     assert max(k0) / min(k0) < 1.001
+
+
+def test_run_sections_oracle_primal_default_levels(tmp_path):
+    # the primal's sections weigh its own density, which depends on its gradient
+    out = tmp_path / "sp"
+    assert cli.main(["sections", "--source", "oracle-primal", "--outdir", str(out)]) == 0
+    _, rows = read_table(str(out / "sections.csv"))
+    assert len(rows) == 8
+    prof = oracle.RadialProfile(alpha=0.125, kind="primal_translator")
+    t, mass = rows[0][0], rows[0][2]
+    sec = sections.extract_section(prof, np.zeros(2), np.zeros(2), t)
+    assert mass == sec.mass(prof.rhs)
 
 
 def test_run_cascade_separable(tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ma2d import grid
 from ma2d.errors import (
-    AlphaOutOfRange,
     EmptyDomain,
     LatticeTooLarge,
     MalformedFile,
@@ -90,6 +89,11 @@ def test_sample_empty_domain():
 def test_rhs_dual_translator_value():
     f = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     assert f(np.array([[1.0, 0.0]]))[0] == 4.0  # exponent 1/(2a) - 2 = 2
+    # closed form on circles: |x|^(4-1/a) f = (1 + R^-2)^(1/(2a)-2)
+    theta = 2 * np.pi * np.arange(128) / 128
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for r in (2.0, 5.0, 10.0, 20.0, 40.0):
+        assert np.allclose(r**-4.0 * f(r * unit), (1.0 + r**-2.0) ** 2, rtol=1e-10)
 
 
 def test_rhs_positive_off_axis():
@@ -108,30 +112,6 @@ def test_rhs_positive_off_axis():
 def test_rhs_degenerate_vanishes_on_axis():
     f = grid.RhsField("degenerate", alpha=1 / 8)
     assert f(np.array([[0.0, 3.0]]))[0] == 0.0
-
-
-def test_check_rhs_condition_dual_closed_form():
-    f = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
-    radii = np.array([2.0, 5.0, 10.0, 20.0, 40.0])
-    rep = grid.check_rhs_condition(f, 1 / 8, eps=0.05, radii=radii)
-    # closed form: |x|^(4-1/a) f = (1 + R^-2)^(1/(2a)-2)
-    expect = (1.0 + radii**-2.0) ** 2 - 1.0
-    assert np.allclose(rep.deviations, expect, rtol=1e-10)
-    assert rep.eventually_below
-    assert np.all(np.diff(rep.deviations) < 0)
-
-
-def test_check_rhs_condition_alpha_boundary_rejected():
-    f = grid.RhsField("constant")
-    with pytest.raises(AlphaOutOfRange):
-        grid.check_rhs_condition(f, 0.25, eps=0.1, radii=[1.0, 2.0, 4.0])
-
-
-def test_check_rhs_condition_degenerate_fails_pointwise():
-    f = grid.RhsField("degenerate", alpha=1 / 8)
-    rep = grid.check_rhs_condition(f, 1 / 8, eps=0.5, radii=[5.0, 10.0])
-    assert rep.deviations[-1] == 1.0  # the density vanishes at x1 = 0
-    assert not rep.eventually_below
 
 
 def test_save_load_round_trip(tmp_path):

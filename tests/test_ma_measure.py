@@ -1,6 +1,5 @@
 import ast
 import inspect
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -235,21 +234,6 @@ def test_translator_identity_quadratic_alpha_quarter():
     assert rep.residual < 2 * h * 8.0  # perimeter of the unit square is 8
 
 
-def test_cells_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    sites = rng.uniform(-1, 1, size=(30, 2))
-    f = mm.lower_envelope(sites, quadratic(sites))
-    cells = mm.subgradient_cells(f)
-    path = tmp_path / "cells.csv"
-    mm.cells_to_csv(cells, path)
-    back = mm.cells_from_csv(path)
-    assert len(back) == len(cells)
-    for a, b in zip(cells, back):
-        assert a.site_index == b.site_index
-        assert a.area == b.area
-        assert np.array_equal(a.polygon, b.polygon)
-
-
 # ---------------------------------------------------------------------------
 # array core against the per-site monotone-chain reference
 # ---------------------------------------------------------------------------
@@ -445,18 +429,9 @@ def _tied_angles():
                                active=np.ones(5, dtype=bool))
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """A cell record as ``cells_to_csv`` reads it."""
-
-    site_index: int
-    polygon: np.ndarray
-    area: float
-
-
 @pytest.mark.parametrize("case", ["verify_dual", "translator", "cocircular_lattice",
                                   "tied_angles"])
-def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch, tmp_path):
+def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch):
     if case == "verify_dual":
         f = request.getfixturevalue("solved_dual_disk8")[1].function
     elif case == "translator":
@@ -475,13 +450,15 @@ def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch, tmp
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8))  # bit for bit
     # the tie fallback is the one lexsort keyed last by the (integer) cells
     assert sum(k[-1].dtype.kind == "i" for k in keys) == (case == "tied_angles")
+    # each cell record carries its site, polygon and area bit for bit
     cells = mm.subgradient_cells(f)
-    ends = np.cumsum(want[1])
-    records = [_Cell(int(i), want[2][end - n:end], float(area))
-               for i, n, end, area in zip(want[0], want[1], ends, want[3])]
-    mm.cells_to_csv(cells, tmp_path / "got.csv")
-    mm.cells_to_csv(records, tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(cells) == len(want[0])
+    for cell, i, n, end, area in zip(cells, *want[:2], np.cumsum(want[1]), want[3]):
+        polygon = want[2][end - n:end]
+        assert cell.site_index == i
+        assert cell.polygon.shape == polygon.shape
+        assert cell.polygon.tobytes() == polygon.tobytes()
+        assert np.float64(cell.area).tobytes() == area.tobytes()
 
 
 def test_cells_are_built_once_per_envelope(monkeypatch):

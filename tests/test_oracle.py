@@ -154,7 +154,7 @@ def test_separable_coefficients_and_value():
     assert sep.p == 6.0
     assert np.isclose(sep.b, 1 / 60, rtol=1e-15)
     assert np.isclose(sep(np.array([[1.0, 1.0]]))[0], 1 + 1 / 60, rtol=1e-15)
-    assert oracle.separable_value(1 / 8, 1.0, np.zeros((1, 2)))[0] == 0.0
+    assert sep(np.zeros((1, 2)))[0] == 0.0
 
 
 def test_separable_hessian_determinant():
@@ -175,11 +175,10 @@ def test_separable_hessian_determinant():
         assert abs(det - expect) / expect < 1e-4
 
 
-def test_separable_section_semi_axes():
+def test_separable_eccentricity_slope():
     sep = oracle.SeparableSolution(alpha=1 / 8, a=1.0)
-    s1, s2 = sep.section_semi_axes(1.0)
-    assert np.isclose(s1, 1.0) and np.isclose(s2, np.sqrt(60))
-    # eccentricity exponent in t: (1/2 - 1/p)/2 = 1/6 at alpha = 1/8
+    # semi-axes t^(1/p) and t^(1/2) give the eccentricity exponent
+    # (1/2 - 1/p)/2 = 1/6 at alpha = 1/8
     assert np.isclose(sep.eccentricity_slope(), 1 / 6)
 
 

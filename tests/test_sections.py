@@ -88,15 +88,15 @@ def test_section_not_compact_grid():
         sections.extract_section(gf, np.zeros(2), np.zeros(2), 10.0)
 
 
-def _brentq_section(fn, x0, p, t, n_dirs=512):
+def _brentq_section(fn, x0, p, t):
     """Reference trace: brentq along each ray, one point per call of fn."""
     v0 = float(np.asarray(fn(x0[None, :]))[0])
 
     def w(x):
         return float(np.asarray(fn(x[None, :]))[0]) - v0 - float(p @ (x - x0)) - t
 
-    theta = 2 * np.pi * np.arange(n_dirs) / n_dirs
-    verts = np.empty((n_dirs, 2))
+    theta = 2 * np.pi * np.arange(sections._N_DIRS) / sections._N_DIRS
+    verts = np.empty((sections._N_DIRS, 2))
     for k, u in enumerate(np.stack([np.cos(theta), np.sin(theta)], axis=1)):
         lo, hi = 0.0, 1.0
         while w(x0 + hi * u) <= 0.0:
@@ -126,8 +126,8 @@ def test_callable_section_matches_brentq_reference(name, t):
 
 def test_callable_section_matches_brentq_reference_tilted():
     x0, p = np.array([0.3, -0.2]), np.array([0.3, -0.2])  # the gradient of quadratic at x0
-    sec = sections.extract_section(quadratic, x0, p, 2.0, n_dirs=64)
-    ref = _brentq_section(quadratic, x0, p, 2.0, n_dirs=64)
+    sec = sections.extract_section(quadratic, x0, p, 2.0)
+    ref = _brentq_section(quadratic, x0, p, 2.0)
     assert np.abs(sec.polygon - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -139,7 +139,7 @@ def test_callable_section_batches_its_calls(name):
         calls.append(len(pts))
         return CALLABLES[name](pts)
 
-    sections.extract_section(counted, np.zeros(2), np.zeros(2), 128.0, n_dirs=512)
+    sections.extract_section(counted, np.zeros(2), np.zeros(2), 128.0)
     assert len(calls) <= 30
     assert calls[1] == 512  # the first bracket step holds every ray
 
@@ -343,7 +343,7 @@ def test_eccentricity_known_axes():
 
 def test_eccentricity_unimodular_equivariance():
     rng = np.random.default_rng(10)
-    sec = sections.extract_section(quadratic, np.zeros(2), np.zeros(2), 1.0, n_dirs=256)
+    sec = sections.extract_section(quadratic, np.zeros(2), np.zeros(2), 1.0)
     for _ in range(5):
         T = rng.standard_normal((2, 2))
         det = np.linalg.det(T)
