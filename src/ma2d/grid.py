@@ -315,8 +315,12 @@ def save(gf: GridFunction, path) -> None:
     )
     lines.append("h " + repr(float(gf.h)))
     lines.append("n " + str(len(gf)))
-    x1, x2 = gf.nodes.reshape(-1, 2).T.tolist()  # Python floats: repr(x) == repr(float(x))
-    lines.extend(map("{!r} {!r} {!r}".format, x1, x2, gf.values.tolist()))
+    # one repr per distinct coordinate, keyed on its bits so that -0.0 and 0.0
+    # stay apart; Python floats: repr(x) == repr(float(x))
+    bits, at = np.unique(gf.nodes.reshape(-1, 2).view(np.int64), return_inverse=True)
+    coord = np.array([repr(c) + " " for c in bits.view(float).tolist()], dtype=object)
+    x1, x2 = coord[at.reshape(-1, 2)].T
+    lines.extend(x1 + x2 + np.array(list(map(repr, gf.values.tolist())), dtype=object))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,9 +6,9 @@ one-dimensional sweeps: first along every primal lattice row for every dual
 slope y1, then along every dual column over the rows' partial maxima.  Each
 stage treats all its rows at once: the lower hulls of the rows are built in
 lockstep (``_lower_hulls``), and each (row, slope) query takes the first
-hull vertex where the supporting line stops rising, by one dense comparison
-per block (``_row_argmax``).  This finds the vertex the linear-time sweep of
-Lucet (Numer. Algorithms 1997) finds, first maximum on ties.  Every winning
+hull vertex where the supporting line stops rising, by the linear-time sweep
+of Lucet (Numer. Algorithms 1997) over ascending slopes, all rows' pointers
+in lockstep (``_row_argmax``); first maximum on ties.  Every winning
 node is then re-evaluated with the same floating-point expression as the
 brute-force path.  When the two paths agree on the maximiser their values
 agree bit for bit.  They agree whenever no two nodes tie within rounding.
@@ -49,9 +49,6 @@ def legendre_transform_brute(u: GridFunction, dual_domain: Domain2D, h_dual: flo
         vals[j] = cand[arg[j]]
     out = GridFunction(domain=dual.domain, h=dual.h, nodes=dual.nodes, values=vals)
     return ConjugateResult(dual=out, argmax=arg)
-
-
-_DENSE_BLOCK = 2**16  # elements of one (rows, slopes, hull vertices) comparison block
 
 
 def _lower_hulls(x: np.ndarray, u: np.ndarray, n: np.ndarray):
@@ -96,13 +93,14 @@ def _lower_hulls(x: np.ndarray, u: np.ndarray, n: np.ndarray):
 def _row_argmax(x: np.ndarray, u: np.ndarray, n: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """Per row r and slope s = slopes[r, j], the position i < n[r] along row r
     that maximises s * x[r, i] - u[r, i], the first such i on ties; rows as
-    in ``_lower_hulls``, ``slopes`` of shape (rows, m) or (1, m).
+    in ``_lower_hulls``, ``slopes`` of shape (rows, m) or (1, m), ascending.
 
     Along row r's hull, with edges (dx_k, du_k) and dx_k > 0, the answer is
     the first vertex k with not s * dx_k > du_k, or the last vertex when the
-    test holds on every edge.  A rounded product is monotone in s, so this is
-    the vertex where Lucet's linear-time sweep over sorted slopes stops (Numer.
-    Algorithms 1997); here one dense test per block of rows finds it.
+    test holds on every edge.  A rounded product is monotone in s, so Lucet's
+    linear-time sweep (Numer. Algorithms 1997) finds it: each row's pointer
+    resumes where the previous slope stopped and advances while the test
+    holds, all rows in lockstep.
     """
     stack, top = _lower_hulls(x, u, n)
     hx = np.take_along_axis(np.broadcast_to(x, u.shape), stack, axis=1)
@@ -115,14 +113,17 @@ def _row_argmax(x: np.ndarray, u: np.ndarray, n: np.ndarray, slopes: np.ndarray)
     du = np.full(u.shape, np.inf)
     dx[:, :-1][edge] = (hx[:, 1:] - hx[:, :-1])[edge]
     du[:, :-1][edge] = (hu[:, 1:] - hu[:, :-1])[edge]
-    slopes = np.broadcast_to(slopes, (rows, slopes.shape[1]))
-    k = np.empty(slopes.shape, dtype=np.intp)
-    step = max(1, _DENSE_BLOCK // (slopes.shape[1] * width))
-    for r in range(0, rows, step):
-        w = int(top[r : r + step].max())  # edges past every hull's end all fail
-        rising = slopes[r : r + step, :, None] * dx[r : r + step, None, :w] > du[r : r + step, None, :w]
-        k[r : r + step] = np.argmin(rising, axis=2)  # the first False
-    return np.take_along_axis(stack, k, axis=1)
+    dx, du = dx.ravel(), du.ravel()
+    at = np.arange(rows) * width  # each row's pointer, a flat index into dx, du
+    k = np.empty((slopes.shape[1], rows), dtype=np.intp)
+    for j, s in enumerate(np.broadcast_to(slopes, (rows, slopes.shape[1])).T):
+        live = np.arange(rows)
+        while live.size:
+            e = at[live]
+            live = live[s[live] * dx[e] > du[e]]
+            at[live] += 1
+        k[j] = at
+    return stack.ravel()[k.T]
 
 
 def legendre_transform(
@@ -162,11 +163,13 @@ def legendre_transform(
     )
 
     # stage 2: per dual x1-column, 1D conjugate in x2 over the rows for the
-    # column's slopes y2, from one split of the dual nodes by column
+    # column's slopes y2, from one split of the dual nodes by column (a short
+    # column's tail repeats its last slope)
     order = np.argsort(y1_inv, kind="stable")
     col = y1_inv[order]
     j = np.arange(len(order)) - np.searchsorted(col, col)  # place in the column
-    y2 = np.zeros((n_y1, j.max() + 1))
+    last = order[np.searchsorted(col, np.arange(n_y1), side="right") - 1]
+    y2 = np.repeat(dual.nodes[last, 1][:, None], j.max() + 1, axis=1)
     y2[col, j] = dual.nodes[order, 1]
     rloc = _row_argmax(row_y, -stage_val.T, np.full(n_y1, n_rows), y2)
     arg = np.empty(len(dual), dtype=np.int64)

@@ -18,7 +18,8 @@ Concretely:
   (for eta = 0 the profile is the pure power sqrt(2/(1/alpha - 2)) r^(k)).
 
 Values are slope integrals, tabulated once on a dense geometric grid and
-corrected locally with Gauss-Legendre panels (absolute error well below 1e-10).
+corrected locally with Gauss-Legendre panels (absolute error well below 1e-10),
+one evaluation per distinct radius.
 
 The 15-point rule is pinned as float64 literals and each panel sum runs in a
 fixed node order, so values do not depend on the LAPACK eigen-solve behind
@@ -128,8 +129,9 @@ class RadialProfile:
         return half * np.add.accumulate(vals, axis=0, out=vals)[-1]
 
     def value(self, r) -> np.ndarray:
-        """v(r) = integral of the slope from 0, vectorized over radii; raises
-        DomainTooSmall beyond r = 4000, where the table ends."""
+        """v(r) = integral of the slope from 0, vectorized over radii and
+        evaluated once per distinct radius (every step is elementwise in r, so
+        bit for bit); raises DomainTooSmall beyond r = 4000, where the table ends."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
@@ -137,9 +139,10 @@ class RadialProfile:
             raise DomainTooSmall(
                 f"radius {r.max():.6g} beyond the oracle's table range {_TABLE_RMAX:g}"
             )
+        r, back = np.unique(r, return_inverse=True)
         knots, cum = self._table
         idx = np.searchsorted(knots, r, side="right") - 1
-        return cum[idx] + self._panel_integrals(knots[idx], r)
+        return (cum[idx] + self._panel_integrals(knots[idx], r))[back]
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate as a function of the plane (vectorized over (N, 2))."""

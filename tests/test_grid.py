@@ -253,6 +253,27 @@ def test_save_equals_per_node_formatter_on_dual_solution(tmp_path, solved_dual_d
     assert rows[4:] == ref_node_lines(report.grid) + [""]
 
 
+def test_save_equals_per_row_writer_with_signed_zeros(tmp_path):
+    gf = grid.sample(quadratic, grid.Domain2D.disk(1.0), 0.25)
+    nodes = gf.nodes.copy()
+    nodes[::3] *= -1.0  # -0.0 where a coordinate is 0.0, on the axes
+    signed = grid.GridFunction(domain=gf.domain, h=gf.h, nodes=nodes, values=-gf.values)
+    assert np.any(np.signbit(nodes) & (nodes == 0.0))
+    assert np.any(~np.signbit(nodes) & (nodes == 0.0))
+    path = tmp_path / "signed.gfn"
+    grid.save(signed, path)
+    rows = path.read_bytes().decode("utf-8").split("\n")
+    assert rows[4:] == ref_node_lines(signed) + [""]
+    assert any(row.startswith("-0.0 ") for row in rows)
+
+
+def test_save_of_loaded_fixture_gives_its_bytes(tmp_path):
+    path = tmp_path / "again.gfn"
+    grid.save(grid.load(f"{DATA}/radial_dual_alpha8.gfn"), path)
+    with open(f"{DATA}/radial_dual_alpha8.gfn", "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
 awkward = st.floats(width=64) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
 )

@@ -341,3 +341,72 @@ def test_lockstep_hulls_equal_row_hulls(seed):
     got = legendre._row_argmax(x, u, n, slopes)
     for r in range(12):
         assert np.array_equal(got[r], ref_row_conjugate(x[r, : n[r]], u[r, : n[r]], slopes[r]))
+
+
+def ref_dense_row_argmax(x, u, n, slopes):
+    """``legendre._row_argmax`` by one dense comparison per block of rows:
+    every slope against every hull edge, the first failing edge wins."""
+    stack, top = legendre._lower_hulls(x, u, n)
+    hx = np.take_along_axis(np.broadcast_to(x, u.shape), stack, axis=1)
+    hu = np.take_along_axis(u, stack, axis=1)
+    rows, width = u.shape
+    edge = np.arange(width - 1) < top[:, None] - 1
+    dx = np.zeros(u.shape)
+    du = np.full(u.shape, np.inf)
+    dx[:, :-1][edge] = (hx[:, 1:] - hx[:, :-1])[edge]
+    du[:, :-1][edge] = (hu[:, 1:] - hu[:, :-1])[edge]
+    slopes = np.broadcast_to(slopes, (rows, slopes.shape[1]))
+    k = np.empty(slopes.shape, dtype=np.intp)
+    step = max(1, 2**16 // (slopes.shape[1] * width))
+    for r in range(0, rows, step):
+        w = int(top[r : r + step].max())  # edges past every hull's end all fail
+        rising = slopes[r : r + step, :, None] * dx[r : r + step, None, :w] > du[r : r + step, None, :w]
+        k[r : r + step] = np.argmin(rising, axis=2)  # the first False
+    return np.take_along_axis(stack, k, axis=1)
+
+
+def ragged_tied_rows(rng, rows=40, width=24):
+    """Rows of 1 to ``width`` points on a dyadic x grid, with values drawn
+    from five levels (many exact ties and collinear runs) or normal noise."""
+    n = rng.integers(1, width + 1, rows)
+    n[0] = width
+    x = np.sort(rng.choice(np.arange(-64, 64) / 16, (rows, width), replace=True), axis=1)
+    x += np.arange(width) * 8.0  # strictly increasing, still dyadic
+    u = np.where(rng.random((rows, width)) < 0.7, rng.integers(-2, 3, (rows, width)) * 0.5,
+                 rng.standard_normal((rows, width)))
+    return x, u, n
+
+
+def ascending_slopes(rng, shape):
+    """Sorted slopes with repeats and both infinities in every row."""
+    s = rng.choice(np.arange(-24, 25) / 8, shape)
+    s[:, 0], s[:, 1], s[:, -1] = -np.inf, -np.inf, np.inf
+    s[:, 5] = s[:, 4]
+    return np.sort(s, axis=1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 past a hull's end
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sweep_equals_dense_comparison(seed):
+    rng = np.random.default_rng(seed)
+    x, u, n = ragged_tied_rows(rng)
+    for slopes in (ascending_slopes(rng, (len(u), 17)), ascending_slopes(rng, (1, 17))):
+        assert np.array_equal(legendre._row_argmax(x, u, n, slopes),
+                              ref_dense_row_argmax(x, u, n, slopes))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_equals_dense_comparison_stage_2_shape(seed):
+    # stage 2 of the fast path: one x shared by all rows, every row full
+    # length, and ragged dual columns whose tails repeat their last slope
+    rng = np.random.default_rng(seed)
+    cols, n_rows, h = 30, 41, 0.125
+    row_y = (np.arange(n_rows) - n_rows // 2) * h
+    u = -np.where(rng.random((cols, n_rows)) < 0.5, rng.integers(-3, 4, (cols, n_rows)) * 0.25,
+                  rng.standard_normal((cols, n_rows)))
+    lengths = rng.integers(1, 20, cols)
+    y2 = np.sort(rng.choice(np.arange(-40, 41) * h, (cols, 20)), axis=1)
+    y2 = np.take_along_axis(y2, np.minimum(np.arange(20), lengths[:, None] - 1), axis=1)
+    n = np.full(cols, n_rows)
+    assert np.array_equal(legendre._row_argmax(row_y, u, n, y2),
+                          ref_dense_row_argmax(row_y, u, n, y2))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from ma2d import analysis, grid, legendre, oracle
-from ma2d.errors import AlphaOutOfRange
+from ma2d.errors import AlphaOutOfRange, DomainTooSmall
 
 
 def ode_slope(alpha, kind, r_end, eta=1.0):
@@ -50,6 +50,25 @@ def test_zero_radius():
     assert oracle.radial_dual_slope(0.2, 0.0) == 0.0
     prof = oracle.RadialProfile(alpha=0.2, kind="primal_translator")
     assert prof.value(0.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["primal_translator", "dual_translator"])
+def test_value_per_distinct_radius_is_per_node_value(kind):
+    # a disk lattice repeats each radius up to eight times; the origin and
+    # points with a -0.0 coordinate are in it too
+    prof = oracle.RadialProfile(alpha=1 / 8, kind=kind)
+    nodes = grid.sample(0.0, grid.Domain2D.disk(2.0), 0.1).nodes
+    pts = np.vstack([nodes, [[-0.0, 0.3], [0.3, -0.0], [-0.0, -0.0]]])
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    assert len(np.unique(radii)) < len(radii) // 4
+    assert np.any((radii == 0.0) & np.signbit(pts).any(axis=1))
+    got = prof(pts)
+    ref = np.array([prof.value(r)[0] for r in radii])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    with pytest.raises(ValueError, match="nonnegative"):
+        prof.value([1.0, -1e-300, 1.0])
+    with pytest.raises(DomainTooSmall):
+        prof.value([1.0, 4000.5, 1.0])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.3, -1.0])
