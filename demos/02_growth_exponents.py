@@ -23,6 +23,6 @@ for alpha in (1 / 8, 1 / 6, 1 / 5):
 
 print("\nquadratic sanity check:")
 fit = analysis.growth_exponent(
-    lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), 16.0, 256.0, 8
+    lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2), 16.0, 256.0, 8, slope_theory=2.0
 )
 print(f"  fitted slope {fit.slope:.8f} (exact power 2)")

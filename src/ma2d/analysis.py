@@ -18,13 +18,11 @@ class GrowthFit:
     min_values: np.ndarray
     max_values: np.ndarray
     slope: float
-    intercept: float
-    slope_theory: float | None
     ratio_proxy: float  # spread of value * r^(-slope_theory) on the top three circles
 
 
 def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
-                    slope_theory: float | None = None) -> GrowthFit:
+                    slope_theory: float) -> GrowthFit:
     """Fit the polynomial growth rate of an evaluable convex function.
 
     Values are sampled on geometric circles with 256 points each; beyond four
@@ -53,20 +51,17 @@ def growth_exponent(v, r_min: float, r_max: float, n_circles: int,
     use = slice(1, None) if n_circles > 4 else slice(None)
     x = np.repeat(np.log(radii[use]), len(theta))
     y = np.concatenate(logs[use])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope = np.polyfit(x, y, 1)[0]
 
-    theory = slope_theory if slope_theory is not None else float(slope)
     scaled = []
     for r, lo, hi in zip(radii[-3:], mins[-3:], maxs[-3:]):
-        scaled.extend([lo * r ** (-theory), hi * r ** (-theory)])
+        scaled.extend([lo * r ** (-slope_theory), hi * r ** (-slope_theory)])
     ratio = float(np.max(scaled) / np.min(scaled))
     return GrowthFit(
         radii=radii,
         min_values=mins,
         max_values=maxs,
         slope=float(slope),
-        intercept=float(intercept),
-        slope_theory=slope_theory,
         ratio_proxy=ratio,
     )
 
@@ -76,7 +71,6 @@ class CascadeSeries:
     """Eccentricities of sections at a ladder of heights, with the log-log slope."""
 
     levels: np.ndarray
-    fits: tuple
     norms: np.ndarray  # |A_t| per level
     slope: float
 
@@ -86,15 +80,12 @@ def eccentricity_cascade(v, x0, p, levels) -> CascadeSeries:
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0) or np.any(np.diff(levels) <= 0):
         raise ValueError("levels must be positive and increasing")
-    fits = []
     norms = np.empty(len(levels))
     for i, t in enumerate(levels):
         sec = extract_section(v, x0, p, float(t))
-        fit = john_ellipsoid(sec.polygon)
-        fits.append(fit)
-        norms[i] = eccentricity(fit)
+        norms[i] = eccentricity(john_ellipsoid(sec.polygon))
     slope = float(np.polyfit(np.log(levels), np.log(norms), 1)[0])
-    return CascadeSeries(levels=levels, fits=tuple(fits), norms=norms, slope=slope)
+    return CascadeSeries(levels=levels, norms=norms, slope=slope)
 
 
 def stability_check(series: CascadeSeries, M: float, C1: float) -> bool:

@@ -2,7 +2,9 @@
 
 The lattice is always anchored at the origin so that symmetric domains
 produce symmetric node sets, and nodes are ordered lexicographically by
-(x2, x1) so every downstream computation is deterministic.
+(x2, x1) so every downstream computation is deterministic: ``sample`` lays
+them out in that order, and ``load`` rejects a file whose rows are not in
+it.  A field is vectorised: one call on the (N, 2) nodes gives N values.
 """
 from __future__ import annotations
 
@@ -240,9 +242,12 @@ def lattice_coordinates(points, h: float) -> np.ndarray:
 
 
 def sample(field, domain: Domain2D, h: float) -> GridFunction:
-    """Sample a scalar field on the origin-anchored pitch-h lattice inside domain.
+    """Sample a vectorised field on the origin-anchored pitch-h lattice inside
+    domain.
 
-    ``field`` may be vectorized over an (N, 2) array or a plain scalar callable.
+    The rows of the (x1, x2) meshgrid run k2-major with k1 ascending, and k h
+    is monotone in k, so the nodes come out in (x2, x1) order with no sort.
+    ``field`` is called once, on the (N, 2) nodes (``_evaluate``).
     """
     if not np.isfinite(h) or h <= 0:
         raise ValueError("spacing h must be positive")
@@ -255,8 +260,6 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
     nodes = nodes[domain.contains(nodes, slack=slack)]
     if len(nodes) == 0:
         raise EmptyDomain("no lattice node falls inside the domain")
-    order = np.lexsort((nodes[:, 0], nodes[:, 1]))
-    nodes = nodes[order]
     values = _evaluate(field, nodes)
     if not np.all(np.isfinite(values)):
         bad = nodes[~np.isfinite(values)][0]
@@ -287,20 +290,12 @@ def check_lattice_budget(domain: Domain2D, h: float) -> None:
 
 
 def _evaluate(field, nodes: np.ndarray) -> np.ndarray:
-    """Float values of ``field`` (a callable or a constant) at the (N, 2) nodes.
-
-    A callable that returns no (N,) array, or raises TypeError or ValueError
-    as a scalar-only field does, is called once per node; other errors propagate.
-    """
-    if callable(field):
-        try:
-            out = np.asarray(field(nodes), dtype=float)
-            if out.shape == (len(nodes),):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(field(p)) for p in nodes])
-    return np.full(len(nodes), float(field))
+    """Float values of ``field`` at the (N, 2) nodes, from one call on all of
+    them; raises ValueError when the call returns no (N,) array."""
+    out = np.asarray(field(nodes), dtype=float)
+    if out.shape != (len(nodes),):
+        raise ValueError(f"field gave shape {out.shape} at {len(nodes)} nodes, not ({len(nodes)},)")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +376,7 @@ def load(path) -> GridFunction:
         fail(4, "node count must not be negative")
     # the first bad node line is reported, with the first check it fails:
     # token count, then numbers, then a finite value, then finite
-    # coordinates, then the lattice
+    # coordinates, then the lattice, then the (x2, x1) order
     rows = raw[4 : 4 + n]
     good = next((i for i, line in enumerate(rows) if len(line.split()) != 3), len(rows))
     try:
@@ -394,13 +389,19 @@ def load(path) -> GridFunction:
         k = nodes / h
         off = np.max(np.abs(k - np.rint(k)), axis=1) > 1e-9
     finite_xy = np.isfinite(nodes).all(axis=1)
-    bad = ~np.isfinite(values) | ~finite_xy | off
+    # each row strictly after the one before in (x2, x1) order, which also
+    # rules out a repeated node
+    x1, x2 = nodes.T
+    after = np.ones(len(nodes), dtype=bool)
+    after[1:] = (x2[1:] > x2[:-1]) | ((x2[1:] == x2[:-1]) & (x1[1:] > x1[:-1]))
+    bad = ~np.isfinite(values) | ~finite_xy | off | ~after
     if bad.any():
         i = int(np.argmax(bad))
         if not np.isfinite(values[i]):
             fail(5 + i, "value is not finite")
         fail(5 + i, "coordinate is not finite" if not finite_xy[i]
-             else "node is not on the pitch-h lattice")
+             else "node is not on the pitch-h lattice" if off[i]
+             else "node is not after the node before it in (x2, x1) order")
     if good < len(rows):
         fail(5 + good, "expected 'x1 x2 value'" if len(rows[good].split()) != 3
              else "entries must be numbers")

@@ -100,13 +100,6 @@ class SubgradientCell(NamedTuple):
     area: float
 
 
-@dataclass(frozen=True)
-class MAMeasure:
-    """Per-site Monge-Ampere masses (zero at boundary and inactive sites)."""
-
-    masses: np.ndarray
-
-
 def _lower_faces(sites: np.ndarray, heights: np.ndarray):
     """(F, 3) site triples of the lower hull of the lifted points (x_i, heights_i)
     and their (F, 4) unit plane equations (nx, ny, nz, off), nz < 0.
@@ -296,11 +289,12 @@ def subgradient_cells(f: PLConvexFunction) -> list:
     return list(map(SubgradientCell, c.sites.tolist(), polygons, c.areas.tolist()))
 
 
-def ma_measure(f: PLConvexFunction) -> MAMeasure:
+def ma_measure(f: PLConvexFunction) -> np.ndarray:
+    """Per-site Monge-Ampere masses (zero at boundary and inactive sites)."""
     c = f.cells
     masses = np.zeros(len(f.sites))
     masses[c.sites] = c.areas
-    return MAMeasure(masses=masses)
+    return masses
 
 
 def weighted_mass(cells, weight) -> np.ndarray:
@@ -355,7 +349,7 @@ def dual_identity(f: PLConvexFunction, alpha: float, radius: float, h: float) ->
     those of ``f.cells``, so a caller that has read them pays no second build.
     """
     weight = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (2.0 - 1.0 / (2.0 * alpha))
-    masses = ma_measure(f).masses
+    masses = ma_measure(f)
     sites = np.flatnonzero(f.hull_interior)
     radii = np.hypot(f.sites[sites, 0], f.sites[sites, 1])
     rows = []

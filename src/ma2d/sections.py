@@ -8,8 +8,9 @@ on an (m, 2) array holding every ray still open.  Radii are bracketed by
 doubling from 1, with w(lo) <= 0 < w(hi) for the shifted function w, and the
 root is then found by Chandrupatla's method on every ray, until the bracket
 is no wider than 1e-13 + 1e-14 r or w is exactly 0; the vertex is the bracket
-end of least |w|.  For grid samples the boundary is the marching-squares
-contour with linear interpolation along lattice edges, all edges at once.
+end of least |w|.  For grid samples the base point is a lattice node, and the
+boundary is the marching-squares contour with linear interpolation along
+lattice edges, all edges at once.
 
 The John ellipse is fitted on an active set of the polygon's edges, since a
 maximum-volume inscribed ellipse touches at most five of them.
@@ -59,14 +60,14 @@ class Section:
 def extract_section(v, x0, p, t) -> Section:
     """Section polygon of v at height t above the supporting plane at x0.
 
-    ``v`` may be a GridFunction (marching squares on lattice edges), a
-    PLConvexFunction, or any callable of (N, 2) arrays.  A callable is traced
-    along 512 rays by a batched bracket and root search (see the module
-    docstring): 9 to 18 calls of ``v`` for the oracles at t = 1 and 128, each
-    on the rays still open, for radii to 1e-13 + 1e-14 r.  Raises
-    SectionNotCompact when a ray's radius passes 1e9, naming the lowest-index
-    such direction, and NonfiniteValue when ``v`` is NaN or infinite at a
-    traced point.
+    ``v`` may be a GridFunction (marching squares on lattice edges; x0 must
+    be one of its nodes, else ValueError), a PLConvexFunction, or any
+    callable of (N, 2) arrays.  A callable is traced along 512 rays by a
+    batched bracket and root search (see the module docstring): 9 to 18
+    calls of ``v`` for the oracles at t = 1 and 128, each on the rays still
+    open, for radii to 1e-13 + 1e-14 r.  Raises SectionNotCompact when a
+    ray's radius passes 1e9, naming the lowest-index such direction, and
+    NonfiniteValue when ``v`` is NaN or infinite at a traced point.
     """
     if t <= 0:
         raise ValueError("section height t must be positive")
@@ -204,32 +205,17 @@ def _section_from_grid(gf: GridFunction, x0, p, t) -> Section:
 
 
 def _grid_value_at(gf: GridFunction, x) -> float:
-    """Bilinear interpolation of grid values, exact at nodes: a node's
-    lattice coordinates snap to integers (``grid.lattice_coordinates``), so
-    its own value takes weight 1 and the other corners 0."""
+    """The value at the node x, found by its lattice coordinates, which snap
+    to integers at a node (``grid.lattice_coordinates``); raises ValueError
+    when x is not a node."""
     k = lattice_coordinates(x, gf.h)
-    k0 = np.floor(k).astype(np.int64)
-    frac = k - k0
-    # the four corners in one gather when they fit in the padded grid; its
-    # padding reads -1 like an absent node, and a corner outside it is off
-    # the lattice box, so any -1 takes the fallback
     grid, lo, _ = gf._id_grid
-    i, j = k0 - lo
-    ids = [-1]
-    if 0 <= i < grid.shape[0] - 1 and 0 <= j < grid.shape[1] - 1:
-        ids = grid[[i, i + 1, i, i + 1], [j, j, j + 1, j + 1]]
-    if min(ids) < 0:
-        # fall back to the nearest node
-        j = int(np.argmin(np.hypot(gf.nodes[:, 0] - x[0], gf.nodes[:, 1] - x[1])))
-        return float(gf.values[j])
-    v00, v10, v01, v11 = gf.values[ids]
-    fx, fy = frac
-    return float(
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    i, j = k - lo
+    if np.all(k == np.rint(k)) and 0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]:
+        node = grid[int(i), int(j)]
+        if node >= 0:
+            return float(gf.values[node])
+    raise ValueError(f"base point ({x[0]!r}, {x[1]!r}) is not a node of the pitch-{gf.h!r} lattice")
 
 
 @dataclass(frozen=True)

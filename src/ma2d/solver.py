@@ -149,8 +149,6 @@ _SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 class DirichletProblem:
     """Discrete Dirichlet problem: domain lattice, targets, boundary heights."""
 
-    domain: Domain2D
-    h: float
     rhs: RhsField
     grid: GridFunction           # geometry carrier; values unused
     boundary_values: np.ndarray  # per boundary node, aligned with grid order
@@ -169,9 +167,7 @@ def build_problem(domain: Domain2D, h: float, rhs: RhsField, boundary) -> Dirich
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary values must be finite")
     targets = target_masses_on(gf, rhs)
-    return DirichletProblem(
-        domain=domain, h=h, rhs=rhs, grid=gf, boundary_values=bvals, targets=targets
-    )
+    return DirichletProblem(rhs=rhs, grid=gf, boundary_values=bvals, targets=targets)
 
 
 def target_masses_on(gf: GridFunction, rhs: RhsField) -> np.ndarray:
@@ -1033,5 +1029,5 @@ def residual(pl: PLConvexFunction, problem: DirichletProblem) -> float:
     cells that ``pl`` builds once and keeps."""
     interior = problem.interior
     t = problem.targets[interior]
-    m = ma_measure(pl).masses[interior]
+    m = ma_measure(pl)[interior]
     return float(np.max(np.abs(m - t) / t))

@@ -91,7 +91,7 @@ def test_criterion_04_verify_dual(solved_dual_disk8, dual_profile_8):
     exact = dual_profile_8(problem.grid.nodes)
     sup_err = float(np.max(np.abs(rep.grid.values - exact)) / np.abs(exact).max())
 
-    rows = ma_measure.dual_identity(rep.function, 1 / 8, 8.0, problem.h)
+    rows = ma_measure.dual_identity(rep.function, 1 / 8, 8.0, problem.grid.h)
     worst = max(row[-1] for row in rows)
     elapsed = time.perf_counter() - t0 + solve_seconds
     ok = sup_err < 0.02 and worst < 0.05 and elapsed < 600.0

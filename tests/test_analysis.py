@@ -8,15 +8,15 @@ from conftest import quadratic
 
 
 def test_quadratic_slope_exact():
-    fit = analysis.growth_exponent(quadratic, 16.0, 256.0, 8)
+    fit = analysis.growth_exponent(quadratic, 16.0, 256.0, 8, slope_theory=2.0)
     assert abs(fit.slope - 2.0) < 1e-6
 
 
 def test_growth_requires_window():
     with pytest.raises(DomainTooSmall):
-        analysis.growth_exponent(quadratic, 16.0, 16.0, 8)
+        analysis.growth_exponent(quadratic, 16.0, 16.0, 8, slope_theory=2.0)
     with pytest.raises(DomainTooSmall):
-        analysis.growth_exponent(quadratic, 16.0, 256.0, 3)
+        analysis.growth_exponent(quadratic, 16.0, 256.0, 3, slope_theory=2.0)
 
 
 def test_growth_lambda_rescaling_matched_windows(dual_profile_8):
@@ -24,8 +24,8 @@ def test_growth_lambda_rescaling_matched_windows(dual_profile_8):
     alpha = 1 / 8
     v = dual_profile_8
     v_lam = lambda pts: lam ** (-1.0 / (2 * alpha)) * np.asarray(v(lam * np.atleast_2d(pts)))
-    a = analysis.growth_exponent(v_lam, 8.0, 64.0, 6)
-    b = analysis.growth_exponent(v, 8.0 * lam, 64.0 * lam, 6)
+    a = analysis.growth_exponent(v_lam, 8.0, 64.0, 6, slope_theory=1 / (2 * alpha))
+    b = analysis.growth_exponent(v, 8.0 * lam, 64.0 * lam, 6, slope_theory=1 / (2 * alpha))
     assert abs(a.slope - b.slope) < 1e-6
 
 

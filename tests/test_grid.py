@@ -63,13 +63,18 @@ def test_sample_nonfinite_raises():
 
 
 def test_sample_field_evaluation():
+    # a field is called once, on all nodes: its errors propagate, and a result
+    # of any shape but (N,) is an error
     dom = grid.Domain2D.square(1.0)
 
     def scalar_only(p):
         return 0.5 * (float(p[0]) ** 2 + float(p[1]) ** 2)  # TypeError on an (N, 2) array
 
-    assert np.array_equal(grid.sample(scalar_only, dom, 0.25).values,
-                          grid.sample(quadratic, dom, 0.25).values)
+    with pytest.raises(TypeError):
+        grid.sample(scalar_only, dom, 0.25)
+    for wrong in (lambda p: 0.0, lambda p: np.zeros((len(p), 1)), lambda p: np.zeros(3)):
+        with pytest.raises(ValueError, match=r"not \(81,\)"):
+            grid.sample(wrong, dom, 0.25)
 
     def broken(p):
         if np.ndim(p) == 2:
@@ -203,15 +208,34 @@ def _edited_gfn(tmp_path, edits, name="bad.gfn"):
         ({10: "0.5 -inf 1.0"}, "line 10: coordinate is not finite"),
         ({12: "nan 0.5 inf"}, "line 12: value is not finite"),
         ({12: "0.5 inf 1.0", 13: "0.25 0.5 1.0"}, "line 12: coordinate is not finite"),
+        # rows 5-9 hold x2 = -1 and x1 = -1, -0.5, ..., 1: a swapped pair, a
+        # repeated node, and a row in order that the next row is not after
+        ({8: "1.0 -1.0 1.0", 9: "0.5 -1.0 0.625"}, "line 9: node is not after"),
+        ({7: "-0.5 -1.0 0.625"}, "line 7: node is not after"),
+        ({7: "0.0 -0.5 2.0"}, "line 8: node is not after"),
+        ({7: "0.25 -0.5 2.0"}, "line 7: node is not on the pitch-h lattice"),
     ],
     ids=["number", "inf", "nan", "lattice", "count", "negative-n", "nan-then-number",
          "count-then-lattice", "value-before-lattice", "lattice-then-number",
          "nan-x1", "inf-x1", "nan-x2", "inf-x2", "value-before-coordinate",
-         "coordinate-then-lattice"],
+         "coordinate-then-lattice", "swapped", "repeated", "order-then-row",
+         "lattice-then-order"],
 )
 def test_load_names_first_bad_line(tmp_path, edits, message):
     path = _edited_gfn(tmp_path, edits)
     with pytest.raises(MalformedFile, match=message):
+        grid.load(path)
+
+
+def test_load_rejects_rows_out_of_order(tmp_path):
+    # the fast conjugate reads the rows as a lattice in (x2, x1) order, and
+    # rows out of that order end it in a bare IndexError
+    gf = grid.sample(quadratic, grid.Domain2D.disk(1.0), 0.25)
+    path = tmp_path / "reversed.gfn"
+    grid.save(gf, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + lines[:3:-1]) + "\n")
+    with pytest.raises(MalformedFile, match=r"line 6: node is not after the node before it"):
         grid.load(path)
 
 
@@ -223,18 +247,35 @@ def test_load_short_file_after_good_lines(tmp_path):
 
 
 @st.composite
-def gfn_cases(draw):
+def domains(draw, off_origin=False):
+    """A square, disk or regular polygon of size 0.3 to 1.5; with off_origin,
+    the polygon is moved by up to 3 along each axis."""
     kind = draw(st.sampled_from(["square", "disk", "polygon"]))
     size = draw(st.floats(0.3, 1.5))
-    if kind == "polygon":
-        k = draw(st.integers(3, 7))
-        turn = draw(st.floats(0.0, 1.0))
-        ang = 2 * np.pi * (np.arange(k) + turn) / k
-        dom = grid.Domain2D.polygon(size * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    else:
-        dom = grid.Domain2D(kind, size=size)
+    if kind != "polygon":
+        return grid.Domain2D(kind, size=size)
+    k = draw(st.integers(3, 7))
+    turn = draw(st.floats(0.0, 1.0))
+    ang = 2 * np.pi * (np.arange(k) + turn) / k
+    shift = np.array(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+                     if off_origin else [0.0, 0.0])
+    return grid.Domain2D.polygon(size * np.stack([np.cos(ang), np.sin(ang)], axis=1) + shift)
+
+
+# every one of these lattices has a node: a polygon's inscribed disk has
+# radius at least 0.15, more than the half-diagonal of a cell of pitch 0.2
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dom=domains(off_origin=True), h=st.floats(0.02, 0.2))
+def test_sample_lays_nodes_out_in_order_property(dom, h):
+    nodes = grid.sample(lambda p: np.zeros(len(p)), dom, h).nodes
+    assert np.array_equal(np.lexsort((nodes[:, 0], nodes[:, 1])), np.arange(len(nodes)))
+
+
+@st.composite
+def gfn_cases(draw):
+    dom = draw(domains())
     h = draw(st.floats(0.15, 0.6))
-    n = len(grid.sample(0.0, dom, h))
+    n = len(grid.sample(lambda p: np.zeros(len(p)), dom, h))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(finite, min_size=n, max_size=n))
     return grid.sample(lambda p: np.array(values), dom, h)
@@ -377,46 +418,6 @@ def test_neighbor_ids_equal_coordinate_lookup(case):
             gf.neighbor_ids(bad)
 
 
-def _reference_value_at(gf, x):
-    """A node's own value at a node; elsewhere bilinear interpolation with
-    the four corners found by a coordinate lookup, or the nearest node where
-    one is missing; and whether it was the nearest node."""
-    at = np.flatnonzero((gf.nodes[:, 0] == x[0]) & (gf.nodes[:, 1] == x[1]))
-    if len(at):
-        return float(gf.values[at[0]]), False
-    k = np.asarray(x, dtype=float) / gf.h
-    k0 = np.floor(k).astype(np.int64)
-    frac = k - k0
-    index = {key: i for i, key in enumerate(map(tuple, gf.lattice_indices.tolist()))}
-    ids = [index.get((int(k0[0]) + dx, int(k0[1]) + dy), -1)
-           for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    if min(ids) < 0:
-        j = int(np.argmin(np.hypot(gf.nodes[:, 0] - x[0], gf.nodes[:, 1] - x[1])))
-        return float(gf.values[j]), True
-    v00, v10, v01, v11 = gf.values[ids]
-    fx, fy = frac
-    return float(v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy
-                 + v11 * fx * fy), False
-
-
-@pytest.mark.parametrize("case", list(_LATTICES))
-def test_grid_value_at_keeps_its_values(case):
-    from ma2d import sections
-
-    gf = _lattice(case)
-    rng = np.random.default_rng(8)
-    lo, hi = gf.nodes.min(axis=0), gf.nodes.max(axis=0)
-    points = np.concatenate([
-        gf.nodes,                                               # exact at nodes
-        rng.uniform(lo - 0.3, hi + 0.3, size=(400, 2)),         # cells, rim and outside
-        gf.nodes[~gf.interior_mask] + 0.5 * gf.h,               # cells that leave the lattice
-        [[lo[0] - 5.0, 0.0], [0.0, hi[1] + 5.0], [-1e3, 1e3]],  # far off the padded grid
-    ])
-    want, nearest = zip(*(_reference_value_at(gf, x) for x in points))
-    assert [sections._grid_value_at(gf, x) for x in points] == list(want)
-    assert 0 < sum(nearest) < len(points) - len(gf)
-
-
 @pytest.mark.parametrize("case", list(_LATTICES))
 def test_grid_value_at_is_exact_at_nodes(case):
     # a node k h is stored rounded, and x / h can round below k: floor then
@@ -427,6 +428,14 @@ def test_grid_value_at_is_exact_at_nodes(case):
     gf = _lattice(case)
     assert case != "disk" or len(gf) == 317
     assert [sections._grid_value_at(gf, x) for x in gf.nodes] == gf.values.tolist()
+    # a base point that is not a node has no value: a cell's middle, a point
+    # 1e-9 off a node, lattice points in the lattice box's padding and far
+    # beyond it, and NaN
+    lo, hi = gf.nodes.min(axis=0), gf.nodes.max(axis=0)
+    for x in [gf.nodes[0] + 0.5 * gf.h, gf.nodes[0] + [1e-9, 0.0], lo - gf.h, hi + gf.h,
+              [-1e3, 1e3], [np.nan, 0.0]]:
+        with pytest.raises(ValueError, match="is not a node"):
+            sections._grid_value_at(gf, np.asarray(x, dtype=float))
     k = grid.lattice_coordinates(gf.nodes, gf.h)
     assert np.array_equal(k, gf.lattice_indices) and np.array_equal(k, np.rint(gf.nodes / gf.h))
     # away from the nodes the coordinates are x / h, and rint takes the same integers

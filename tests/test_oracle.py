@@ -57,7 +57,7 @@ def test_value_per_distinct_radius_is_per_node_value(kind):
     # a disk lattice repeats each radius up to eight times; the origin and
     # points with a -0.0 coordinate are in it too
     prof = oracle.RadialProfile(alpha=1 / 8, kind=kind)
-    nodes = grid.sample(0.0, grid.Domain2D.disk(2.0), 0.1).nodes
+    nodes = grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D.disk(2.0), 0.1).nodes
     pts = np.vstack([nodes, [[-0.0, 0.3], [0.3, -0.0], [-0.0, -0.0]]])
     radii = np.hypot(pts[:, 0], pts[:, 1])
     assert len(np.unique(radii)) < len(radii) // 4
@@ -156,8 +156,8 @@ def test_dual_local_log_slope_at_256(dual_profile_8):
 def test_growth_slopes_both_kinds(alpha):
     primal = oracle.RadialProfile(alpha=alpha, kind="primal_translator")
     dual = oracle.RadialProfile(alpha=alpha, kind="dual_translator")
-    fu = analysis.growth_exponent(primal, 16.0, 256.0, 5)
-    fd = analysis.growth_exponent(dual, 16.0, 256.0, 5)
+    fu = analysis.growth_exponent(primal, 16.0, 256.0, 5, slope_theory=1 / (1 - 2 * alpha))
+    fd = analysis.growth_exponent(dual, 16.0, 256.0, 5, slope_theory=1 / (2 * alpha))
     assert abs(fu.slope - 1 / (1 - 2 * alpha)) <= 0.02 / (1 - 2 * alpha)
     assert abs(fd.slope - 1 / (2 * alpha)) <= 0.02 / (2 * alpha)
 
