@@ -9,10 +9,6 @@ class NonfiniteValue(ToolkitError):
     """A sampled or computed value is NaN or infinite."""
 
 
-class EmptyDomain(ToolkitError):
-    """No lattice node falls inside the requested domain."""
-
-
 class LatticeTooLarge(ToolkitError):
     """A sampling lattice would exceed the node budget of ``grid.sample``."""
 

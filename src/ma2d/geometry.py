@@ -2,9 +2,9 @@
 
 Everything operates on plain float64 arrays: polygons are (k, 2) arrays of
 vertices in counterclockwise order.  Three jobs are each done in one way
-throughout the package: whether a point lies in a convex polygon, and how
-deep, by the edge cross products of ``min_edge_cross``; which way three
-points turn, by ``orientation``; a max of planes, by ``max_affine``.
+throughout the package: whether a point lies inside a convex hull, by the
+edge cross products of ``min_edge_cross``; which way three points turn, by
+``orientation``; a max of planes, by ``max_affine``.
 """
 from __future__ import annotations
 
@@ -90,40 +90,25 @@ def max_affine(points, slopes, offsets) -> np.ndarray:
     return out
 
 
-def polygon_edges(vertices):
-    """The directed edges ``(a_k, e_k)`` of a polygon: a_k is vertex k and
-    e_k runs from it to the next vertex."""
-    a = np.asarray(vertices, dtype=float)
-    return a, np.roll(a, -1, axis=0) - a
-
-
-def min_edge_cross(points, a, e, weight=None) -> np.ndarray:
+def min_edge_cross(points, a, e) -> np.ndarray:
     """Per point p, the least edge cross product e_k x (p - a_k) over the
-    directed edges ``(a, e)`` of a polygon, each divided by ``weight[k]``
-    when given, or by ``weight[k, j]`` for point j when ``weight`` is an
-    (edges, points) array.
+    directed edges ``(a, e)`` of a polygon: a_k is vertex k and e_k runs
+    from it to the next vertex.
 
     For a ccw convex polygon, e_k x (p - a_k) is |e_k| times the signed
     distance of p from edge k's line, positive inside; so p is inside when
-    the result is positive, and with ``weight = |e_k|`` the result is the
-    distance to the boundary.  Points are taken in blocks of 4096, which
+    the result is positive.  Points are taken in blocks of 4096, which
     bounds the (edges, block) arrays.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ax, ay = a[:, 0, None], a[:, 1, None]
     ex, ey = e[:, 0, None], e[:, 1, None]
-    if weight is not None:
-        weight = np.asarray(weight, dtype=float)
-        if weight.ndim == 1:
-            weight = weight[:, None]
     out = np.empty(len(pts))
     chunk = 4096
     for s in range(0, len(pts), chunk):
         x, y = pts[s : s + chunk].T
         cross = (y - ay) * ex  # (edges, block)
         cross -= (x - ax) * ey
-        if weight is not None:
-            cross /= weight if weight.shape[1] == 1 else weight[:, s : s + chunk]
         out[s : s + chunk] = cross.min(axis=0)
     return out
 
@@ -158,7 +143,8 @@ def strictly_inside_hull(points) -> np.ndarray:
         return np.zeros(len(pts), dtype=bool)
     scale = float(np.abs(pts).max()) + 1.0
     limit = 1e-12 * scale**2
-    a, e = polygon_edges(pts[hull.vertices])  # ccw in 2D
+    a = pts[hull.vertices]  # ccw in 2D
+    e = np.roll(a, -1, axis=0) - a
     c = a.mean(axis=0)
     depth = (c[1] - a[:, 1]) * e[:, 0] - (c[0] - a[:, 0]) * e[:, 1]
     rho = (1.0 - 1e-6) * float(np.min((depth - 1.1 * limit) / np.hypot(e[:, 0], e[:, 1])))

@@ -1,10 +1,12 @@
-"""Planar domains, lattice-sampled scalar fields, and right-hand-side families.
+"""Origin-centred disk and square domains, lattice-sampled scalar fields, and
+right-hand-side families.
 
-The lattice is always anchored at the origin so that symmetric domains
-produce symmetric node sets, and nodes are ordered lexicographically by
-(x2, x1) so every downstream computation is deterministic: ``sample`` lays
-them out in that order, and ``load`` rejects a file whose rows are not in
-it.  A field is vectorised: one call on the (N, 2) nodes gives N values.
+The lattice is always anchored at the origin, so every node set is
+symmetric under x -> -x and holds the origin.  Nodes are ordered
+lexicographically by (x2, x1) so every downstream computation is
+deterministic: ``sample`` lays them out in that order, and ``load`` rejects
+a file whose rows are not in it.  A field is vectorised: one call on the
+(N, 2) nodes gives N values.
 """
 from __future__ import annotations
 
@@ -14,14 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    EmptyDomain,
-    LatticeTooLarge,
-    MalformedFile,
-    NonfiniteValue,
-)
-from .geometry import min_edge_cross, orientation, polygon_edges
+from .errors import AlphaOutOfRange, LatticeTooLarge, MalformedFile, NonfiniteValue
 
 _SNAP = 1e-9  # relative slack when testing lattice membership at the boundary
 # A lattice coordinate x / h within _SNAP_EPS |k| of an integer k, 4 to 8
@@ -35,27 +30,17 @@ MAX_LATTICE_NODES = 2**24
 
 @dataclass(frozen=True)
 class Domain2D:
-    """Convex planar domain: origin-centered square or disk, or a ccw polygon."""
+    """Origin-centred planar domain: the disk of radius ``size`` or the
+    square of half-width ``size``."""
 
     kind: str
-    size: float | None = None
-    vertices: np.ndarray | None = None
+    size: float
 
     def __post_init__(self):
-        if self.kind not in ("square", "disk", "polygon"):
+        if self.kind not in ("square", "disk"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind in ("square", "disk"):
-            if self.size is None or not np.isfinite(self.size) or self.size <= 0:
-                raise ValueError("square/disk domains need a positive size")
-        else:
-            v = np.asarray(self.vertices, dtype=float)
-            if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-                raise ValueError("polygon needs at least 3 planar vertices")
-            object.__setattr__(self, "vertices", v)
-            scale = float(np.abs(v).max()) + 1.0
-            turn = orientation(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
-            if np.any(turn <= 1e-12 * scale**2):
-                raise ValueError("polygon vertices must be in strictly convex ccw position")
+        if not np.isfinite(self.size) or self.size <= 0:
+            raise ValueError("square/disk domains need a positive size")
 
     @staticmethod
     def square(halfwidth: float) -> "Domain2D":
@@ -65,52 +50,28 @@ class Domain2D:
     def disk(radius: float) -> "Domain2D":
         return Domain2D("disk", size=float(radius))
 
-    @staticmethod
-    def polygon(vertices) -> "Domain2D":
-        return Domain2D("polygon", vertices=np.asarray(vertices, dtype=float))
-
     def contains(self, points, slack: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
             return np.abs(pts).max(axis=1) <= self.size + slack
-        if self.kind == "disk":
-            return np.hypot(pts[:, 0], pts[:, 1]) <= self.size + slack
-        v = self.vertices
-        return min_edge_cross(pts, *polygon_edges(v)) >= -slack * max(1.0, np.abs(v).max())
+        return np.hypot(pts[:, 0], pts[:, 1]) <= self.size + slack
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance from points to the domain boundary (negative outside)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
             return self.size - np.abs(pts).max(axis=1)
-        if self.kind == "disk":
-            return self.size - np.hypot(pts[:, 0], pts[:, 1])
-        a, e = polygon_edges(self.vertices)
-        return min_edge_cross(pts, a, e, weight=np.hypot(e[:, 0], e[:, 1]))
+        return self.size - np.hypot(pts[:, 0], pts[:, 1])
 
     def bbox(self):
-        if self.kind == "square":
-            s = self.size
-            return np.array([-s, -s]), np.array([s, s])
-        if self.kind == "disk":
-            s = self.size
-            return np.array([-s, -s]), np.array([s, s])
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+        s = self.size
+        return np.array([-s, -s]), np.array([s, s])
 
     @property
     def diameter(self) -> float:
         if self.kind == "disk":
             return 2.0 * self.size
-        if self.kind == "square":
-            return 2.0 * np.sqrt(2.0) * self.size
-        v = self.vertices
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(d2.max()))
-
-    def _params(self):
-        if self.kind == "polygon":
-            return list(self.vertices.ravel())
-        return [self.size]
+        return 2.0 * np.sqrt(2.0) * self.size
 
 
 @dataclass(frozen=True)
@@ -258,8 +219,6 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
     g1, g2 = np.meshgrid(k1, k2, indexing="xy")
     nodes = np.stack([g1.ravel() * h, g2.ravel() * h], axis=1)
     nodes = nodes[domain.contains(nodes, slack=slack)]
-    if len(nodes) == 0:
-        raise EmptyDomain("no lattice node falls inside the domain")
     values = _evaluate(field, nodes)
     if not np.all(np.isfinite(values)):
         bad = nodes[~np.isfinite(values)][0]
@@ -303,11 +262,7 @@ def _evaluate(field, nodes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save(gf: GridFunction, path) -> None:
-    lines = ["GFN 1"]
-    lines.append(
-        "domain " + gf.domain.kind + " "
-        + " ".join(repr(float(p)) for p in gf.domain._params())
-    )
+    lines = ["GFN 1", f"domain {gf.domain.kind} {float(gf.domain.size)!r}"]
     lines.append("h " + repr(float(gf.h)))
     lines.append("n " + str(len(gf)))
     # one repr per distinct coordinate, keyed on its bits so that -0.0 and 0.0
@@ -336,24 +291,14 @@ def load(path) -> GridFunction:
     if t != ["GFN", "1"]:
         fail(1, "expected header 'GFN 1'")
     t = tokens(2)
-    if len(t) < 3 or t[0] != "domain":
-        fail(2, "expected 'domain <kind> <params...>'")
-    kind = t[1]
+    if len(t) != 3 or t[0] != "domain":
+        fail(2, "expected 'domain <kind> <size>'")
     try:
-        params = [float(s) for s in t[2:]]
+        size = float(t[2])
     except ValueError:
-        fail(2, "domain parameters must be numbers")
+        fail(2, "domain size must be a number")
     try:
-        if kind in ("square", "disk"):
-            if len(params) != 1:
-                fail(2, f"{kind} takes exactly one parameter")
-            domain = Domain2D(kind, size=params[0])
-        elif kind == "polygon":
-            if len(params) % 2 or len(params) < 6:
-                fail(2, "polygon needs an even number (>= 6) of coordinates")
-            domain = Domain2D.polygon(np.array(params).reshape(-1, 2))
-        else:
-            fail(2, f"unknown domain kind {kind!r}")
+        domain = Domain2D(t[1], size)
     except ValueError as exc:
         fail(2, str(exc))
     t = tokens(3)
@@ -363,8 +308,8 @@ def load(path) -> GridFunction:
         h = float(t[1])
     except ValueError:
         fail(3, "spacing must be a number")
-    if not h > 0:
-        fail(3, "spacing must be positive")
+    if not 0 < h < np.inf:  # an infinite pitch puts every finite node at k = 0
+        fail(3, "spacing must be positive and finite")
     t = tokens(4)
     if len(t) != 2 or t[0] != "n":
         fail(4, "expected 'n <node-count>'")
@@ -386,14 +331,15 @@ def load(path) -> GridFunction:
         data = _parse_numbers(rows[:good])
     nodes, values = np.ascontiguousarray(data[:, :2]), data[:, 2].copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        k = nodes / h
-        off = np.max(np.abs(k - np.rint(k)), axis=1) > 1e-9
+        x = nodes / h
+        k = np.rint(x)
+        off = ~np.all(np.abs(x - k) <= 1e-9, axis=1)  # x - k is NaN where x / h overflows
     finite_xy = np.isfinite(nodes).all(axis=1)
-    # each row strictly after the one before in (x2, x1) order, which also
-    # rules out a repeated node
-    x1, x2 = nodes.T
+    # each row's lattice coordinates strictly after the row before's in
+    # (k2, k1) order, which also rules out two rows at one lattice point
+    k1, k2 = k.T
     after = np.ones(len(nodes), dtype=bool)
-    after[1:] = (x2[1:] > x2[:-1]) | ((x2[1:] == x2[:-1]) & (x1[1:] > x1[:-1]))
+    after[1:] = (k2[1:] > k2[:-1]) | ((k2[1:] == k2[:-1]) & (k1[1:] > k1[:-1]))
     bad = ~np.isfinite(values) | ~finite_xy | off | ~after
     if bad.any():
         i = int(np.argmax(bad))

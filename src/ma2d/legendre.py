@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import max_affine, spans_plane
+from .geometry import spans_plane
 from .grid import Domain2D, GridFunction, sample
 
 
@@ -183,27 +183,3 @@ def legendre_transform(
 def _require_full_rank(u: GridFunction) -> None:
     if not spans_plane(u.nodes):
         raise DegenerateInput("need at least 3 non-collinear primal nodes")
-
-
-def default_dual_halfwidth(u: GridFunction, h_dual: float) -> float:
-    """Dual half-width covering the subgradient image: max finite-difference
-    slope of u plus one dual spacing."""
-    a, b = u.lattice_edges.T
-    best = float((np.abs(u.values[b] - u.values[a]) / u.h).max()) if len(a) else 0.0
-    return best + h_dual
-
-
-def biconjugate(u: GridFunction, h_dual: float) -> GridFunction:
-    """(u*)* restricted to the primal nodes: the convex envelope of the samples.
-
-    Values are clipped from above by u, and raw values within a few ulps of u
-    snap to u exactly; this keeps both the envelope property and idempotence
-    bitwise in floating point.
-    """
-    hw = default_dual_halfwidth(u, h_dual)
-    star = legendre_transform(u, Domain2D.square(hw), h_dual)
-    vals = max_affine(u.nodes, star.dual.nodes, -star.dual.values)
-    scale = float(np.abs(u.values).max()) + hw * float(np.abs(u.nodes).max()) + 1.0
-    snap = 32.0 * np.finfo(float).eps * scale
-    vals = np.where(vals >= u.values - snap, u.values, vals)
-    return GridFunction(domain=u.domain, h=u.h, nodes=u.nodes, values=vals)

@@ -29,14 +29,7 @@ from .errors import (
     SectionNotCompact,
 )
 from .grid import Domain2D, GridFunction, lattice_coordinates
-from .geometry import (
-    disk_rule,
-    min_edge_cross,
-    polygon_area,
-    polygon_centroid,
-    polygon_edges,
-    polygon_quadrature,
-)
+from .geometry import disk_rule, polygon_area, polygon_centroid, polygon_quadrature
 
 
 @dataclass(frozen=True)
@@ -472,21 +465,15 @@ def _ellipse_maps(u0, u1, u2, la, lb) -> np.ndarray:
 
 
 def _ellipses_inside(region: Domain2D, centers, T) -> np.ndarray:
-    """Per ellipse center + T(unit disk), whether it lies in the region."""
+    """Per ellipse center + T(unit disk), whether it lies in the region, a
+    disk or a square."""
     if region.kind == "disk":
         # T = rotation @ diag(s) has orthogonal columns: |T|_2 is the larger column norm
         smax = np.maximum(np.hypot(T[:, 0, 0], T[:, 1, 0]), np.hypot(T[:, 0, 1], T[:, 1, 1]))
         return np.hypot(centers[:, 0], centers[:, 1]) + smax <= region.size
-    if region.kind == "square":
-        # support of the ellipse in the axis directions: row norms of T
-        ext = np.hypot(T[:, :, 0], T[:, :, 1])
-        return np.all(np.abs(centers) + ext <= region.size, axis=1)
-    # ccw polygon: the center's cross product with each edge e_k must cover
-    # the ellipse's support in the outward normal (e_k[1], -e_k[0])
-    a, e = polygon_edges(region.vertices)
-    tn = np.matmul(T.transpose(0, 2, 1), np.stack([e[:, 1], -e[:, 0]]))  # (m, 2, edges)
-    support = np.hypot(tn[:, 0], tn[:, 1]).T
-    return min_edge_cross(centers, a, e, weight=support) >= 1.0
+    # support of the ellipse in the axis directions: row norms of T
+    ext = np.hypot(T[:, :, 0], T[:, :, 1])
+    return np.all(np.abs(centers) + ext <= region.size, axis=1)
 
 
 def sublevel_compactness(v: GridFunction, levels) -> list:

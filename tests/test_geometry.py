@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ma2d import geometry, grid, legendre, ma_measure
 from ma2d.errors import DegenerateInput
 
+from conftest import polygon_edges, polygon_lattice
+
 
 def plain_chain(points):
     """The monotone chain on every input point, without the Qhull prefilter."""
@@ -32,13 +34,12 @@ def test_qhull_vertices_miss_near_collinear_ones():
 
 
 def test_prefilter_matches_chain_on_lattices():
-    for domain, h in [
-        (grid.Domain2D.disk(8.0), 0.125),
-        (grid.Domain2D.square(1.0), 0.02),
-        (grid.Domain2D.disk(1.0), 0.02),
-        (grid.Domain2D.polygon([[-1.0, -0.8], [1.0, -0.8], [0.0, 1.0]]), 0.01),
+    for pts in [
+        lattice_nodes(grid.Domain2D.disk(8.0), 0.125),
+        lattice_nodes(grid.Domain2D.square(1.0), 0.02),
+        lattice_nodes(grid.Domain2D.disk(1.0), 0.02),
+        polygon_lattice([[-1.0, -0.8], [1.0, -0.8], [0.0, 1.0]], 0.01),
     ]:
-        pts = lattice_nodes(domain, h)
         assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
 
 
@@ -108,15 +109,15 @@ def test_hull_interior_equals_chain_reference(pts):
 
 def test_min_edge_cross_blocks_and_weights():
     # unit square: the cross product is the distance to the nearest side,
-    # times the side length 1; blocks of 4096 points give the same values
-    a, e = geometry.polygon_edges([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    # times the side length, 1 or 2; blocks of 4096 points give the same values
+    a, e = polygon_edges([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     pts = np.random.default_rng(4).uniform(-0.5, 1.5, size=(10_000, 2))
     inside_depth = np.minimum(np.minimum(pts[:, 0], 1 - pts[:, 0]),
                               np.minimum(pts[:, 1], 1 - pts[:, 1]))
     np.testing.assert_allclose(geometry.min_edge_cross(pts, a, e), inside_depth,
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose(geometry.min_edge_cross(pts, a, 2 * e, weight=np.full(4, 2.0)),
-                               inside_depth, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(geometry.min_edge_cross(pts, a, 2 * e), 2 * inside_depth,
+                               rtol=0, atol=2e-15)
 
 
 _LINE = np.stack([np.arange(-4, 3) * 0.25, np.arange(-4, 3) * 0.125 + 0.25], axis=1)  # y = x/2 + 1/4
@@ -188,7 +189,7 @@ def unfiltered_inside_hull(pts):
     """``strictly_inside_hull`` without its disk: the edge test on every point."""
     from scipy.spatial import ConvexHull
 
-    a, e = geometry.polygon_edges(pts[ConvexHull(pts).vertices])
+    a, e = polygon_edges(pts[ConvexHull(pts).vertices])
     return geometry.min_edge_cross(pts, a, e) > 1e-12 * (float(np.abs(pts).max()) + 1.0) ** 2
 
 
@@ -196,7 +197,7 @@ def prefilter_radius(pts):
     """The radius rho of the docstring of ``strictly_inside_hull``, and c."""
     from scipy.spatial import ConvexHull
 
-    a, e = geometry.polygon_edges(pts[ConvexHull(pts).vertices])
+    a, e = polygon_edges(pts[ConvexHull(pts).vertices])
     c = a.mean(axis=0)
     limit = 1e-12 * (float(np.abs(pts).max()) + 1.0) ** 2
     depth = (c[1] - a[:, 1]) * e[:, 0] - (c[0] - a[:, 0]) * e[:, 1]
@@ -218,7 +219,7 @@ _HULL_SETS = {
     "disk": lattice_nodes(grid.Domain2D.disk(8.0), 0.125),
     "disk_large": DISK2,
     "square": lattice_nodes(grid.Domain2D.square(1.0), 0.02),
-    "polygon": lattice_nodes(grid.Domain2D.polygon([[0, 0], [3, 0.2], [2.5, 2], [0.5, 1.8]]), 0.02),
+    "polygon": polygon_lattice([[0, 0], [3, 0.2], [2.5, 2], [0.5, 1.8]], 0.02),
     "gaussian": np.random.default_rng(3).standard_normal((20000, 2)),
     "sliver": _sliver(1e-3),
     "sliver_below_limit": _sliver(1e-11),  # rho < 0: every point takes the edge test

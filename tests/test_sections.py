@@ -15,16 +15,9 @@ from ma2d.errors import (
     NonfiniteValue,
     SectionNotCompact,
 )
-from ma2d.geometry import (
-    convex_hull,
-    disk_rule,
-    min_edge_cross,
-    polygon_area,
-    polygon_centroid,
-    polygon_edges,
-)
+from ma2d.geometry import convex_hull, disk_rule, min_edge_cross, polygon_area, polygon_centroid
 
-from conftest import quadratic
+from conftest import polygon_edges, quadratic
 
 
 def ones(p):
@@ -418,16 +411,6 @@ def test_doubling_deterministic_and_monotone():
     assert c >= a
 
 
-def test_doubling_polygon_square_equals_square():
-    # the polygon branches of contains and _ellipses_inside accept the same
-    # centers and ellipses as the square's on the same region
-    f = grid.RhsField("degenerate", alpha=1 / 8)
-    square = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    est = sections.doubling_constant(f, square, 300, rng_seed=7)
-    assert est == sections.doubling_constant(f, grid.Domain2D.square(1.0), 300, rng_seed=7)
-    assert est > 4.0
-
-
 def ref_doubling_constant(f, region, n_samples, rng_seed):
     """The sampler one proposal at a time, as three generator calls, one
     containment test and two 24-point evaluations of f per ellipse."""
@@ -445,7 +428,10 @@ def ref_doubling_constant(f, region, n_samples, rng_seed):
         center = lo + rng.random(2) * (hi - lo)
         if not region.contains(center[None, :])[0]:
             continue
-        s = np.exp(rng.uniform(np.log(1e-2), np.log(diam / 4.0), size=2))
+        # Generator.uniform's low + (high - low) * u, which it refuses to
+        # form when diam / 4 < 1e-2, as on the guard tests' small domains
+        la, lb = np.log(1e-2), np.log(diam / 4.0)
+        s = np.exp(la + (lb - la) * rng.random(2))
         phi = rng.uniform(0.0, np.pi)
         cph, sph = np.cos(phi), np.sin(phi)
         T = np.array([[cph * s[0], -sph * s[1]], [sph * s[0], cph * s[1]]])
@@ -465,15 +451,8 @@ def ref_ellipse_inside(region, center, T) -> bool:
     if region.kind == "disk":
         smax = float(np.hypot(T[0], T[1]).max())
         return bool(np.hypot(*center) + smax <= region.size)
-    if region.kind == "square":
-        ext = np.array([np.hypot(T[0, 0], T[0, 1]), np.hypot(T[1, 0], T[1, 1])])
-        return bool(np.all(np.abs(center) + ext <= region.size))
-    a, e = polygon_edges(region.vertices)
-    support = np.hypot(*(T.T @ np.stack([e[:, 1], -e[:, 0]])))
-    return bool(min_edge_cross(center, a, e, weight=support)[0] >= 1.0)
-
-
-_POLY_SQUARE = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    ext = np.array([np.hypot(T[0, 0], T[0, 1]), np.hypot(T[1, 0], T[1, 1])])
+    return bool(np.all(np.abs(center) + ext <= region.size))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -482,9 +461,8 @@ _POLY_SQUARE = grid.Domain2D.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1
     [
         (grid.Domain2D.disk(10.0), grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)),
         (grid.Domain2D.square(1.0), grid.RhsField("degenerate", alpha=1 / 8)),
-        (_POLY_SQUARE, grid.RhsField("degenerate", alpha=1 / 8)),
     ],
-    ids=["disk10", "square1", "polygon_square"],
+    ids=["disk10", "square1"],
 )
 def test_doubling_blocks_equal_per_sample_reference(region, f, seed):
     est = sections.doubling_constant(f, region, 2000, rng_seed=seed)
@@ -497,21 +475,19 @@ def test_doubling_pinned_estimate():
     assert est == 59.87768719457595
 
 
-def _thin_rectangle(w):
-    return grid.Domain2D.polygon([[-1.0, -w], [1.0, -w], [1.0, w], [-1.0, w]])
-
-
 def test_doubling_rejection_guard_is_typed():
-    # half-width 0.012: about 1 ellipse in 1,800 fits, far below 1/200
+    # radius 1e-3: semi-axes between diam / 4 = 5e-4 and 1e-2, and the 100th
+    # ellipse that fits takes about 39,000 proposals, past the 20,000 budget
     with pytest.raises(DomainTooSmall, match="rejection rate too high"):
-        sections.doubling_constant(ones, _thin_rectangle(0.012), 100, rng_seed=1)
+        sections.doubling_constant(ones, grid.Domain2D.disk(1e-3), 100, rng_seed=1)
 
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_doubling_guard_trips_with_the_reference(seed):
-    # half-width 0.0155: the 100th ellipse comes near the 20,000-proposal
-    # budget, after it at seed 1 and before it at seed 4
-    region = _thin_rectangle(0.0155)
+    # half-width 0.0062: the 100th ellipse comes near the 20,000-proposal
+    # budget, after it at seed 1 (proposal 22,130) and before it at seed 4
+    # (proposal 19,719)
+    region = grid.Domain2D.square(0.0062)
     try:
         ref = ref_doubling_constant(ones, region, 100, rng_seed=seed)
     except RuntimeError:

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu
 from ma2d import grid, oracle, solver
 from ma2d.errors import InfeasibleBoundary, NoConvergence
 
-from conftest import quadratic
+from conftest import polygon_lattice, quadratic
 
 
 def unit_problem(h, rhs=None, boundary=quadratic):
@@ -651,9 +651,12 @@ def test_square_start_is_the_qhull_start(shape, scale, h, dual, eigen, angle, ti
     # the start pass from the lattice squares against the one Qhull builds
     # on every site; boundary data on the start paraboloid itself ties the
     # band's boundary cells as the squares are tied
-    dom = {"square": grid.Domain2D.square(scale), "disk": grid.Domain2D.disk(scale),
-           "polygon": grid.Domain2D.polygon(scale * POLYGON)}[shape]
-    gf = grid.sample(lambda p: np.zeros(len(p)), dom, h)
+    if shape == "polygon":  # an asymmetric node set
+        nodes = polygon_lattice(scale * POLYGON, h)
+        gf = grid.GridFunction(domain=grid.Domain2D.square(1.1 * scale), h=h, nodes=nodes,
+                               values=np.zeros(len(nodes)))
+    else:
+        gf = grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D(shape, scale), h)
     sites, interior = gf.nodes, gf.interior_mask
     rhs = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0) if dual else None
     targets = solver.target_masses_on(gf, rhs or grid.RhsField("constant"))

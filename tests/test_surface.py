@@ -17,8 +17,6 @@ READERS = (
     + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
     + [os.path.join(ROOT, "tests", "test_acceptance.py")]
 )
-# the conjugate's envelope check, against which the tests hold the fast conjugate
-EXCEPTIONS = {("legendre", "biconjugate")}
 
 
 def _parse(path):
@@ -51,13 +49,11 @@ def test_every_public_name_is_reached():
     for reader in READERS:
         for name, line in _uses(reader):
             uses.setdefault(name, []).append((reader, line))
-    defined, unreached = set(), []
+    unreached = []
     for path, module, node in _public_definitions():
-        defined.add((module, node.name))
         own = range(node.lineno, node.end_lineno + 1)
         reached = any(reader != path or line not in own
                       for reader, line in uses.get(node.name, ()))
-        if not reached and (module, node.name) not in EXCEPTIONS:
+        if not reached:
             unreached.append(f"{module}.{node.name}")
-    assert EXCEPTIONS <= defined
     assert unreached == []
