@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainTooSmall, NonfiniteValue
-from .sections import eccentricity, extract_section, john_ellipsoid
+from .sections import eccentricity, extract_sections, john_ellipses
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,17 @@ class CascadeSeries:
 
 
 def eccentricity_cascade(v, x0, p, levels) -> CascadeSeries:
-    """Per-level section -> John fit -> |A|, plus the slope of log|A| vs log t."""
+    """Per-level section -> John fit -> |A|, plus the slope of log|A| vs log t.
+
+    Every level's section is traced, and every section fitted, in one call
+    (``extract_sections``, ``john_ellipses``).
+    """
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0) or np.any(np.diff(levels) <= 0):
         raise ValueError("levels must be positive and increasing")
-    norms = np.empty(len(levels))
-    for i, t in enumerate(levels):
-        sec = extract_section(v, x0, p, float(t))
-        norms[i] = eccentricity(john_ellipsoid(sec.polygon))
+    secs = extract_sections(v, x0, p, levels)
+    fits = john_ellipses([sec.polygon for sec in secs])
+    norms = np.array([eccentricity(fit) for fit in fits])
     slope = float(np.polyfit(np.log(levels), np.log(norms), 1)[0])
     return CascadeSeries(levels=levels, norms=norms, slope=slope)
 

@@ -353,6 +353,17 @@ def load(path) -> GridFunction:
              else "entries must be numbers")
     if len(rows) < n:
         fail(5 + len(rows), "unexpected end of file")
+    # the lattice box of the nodes, which GridFunction._id_grid lays out,
+    # within the budget of ``sample``, else the first row that widens it
+    # past; the rows run in (k2, k1) order, so k2 spans k2[0] to k2[-1]
+    with np.errstate(over="ignore"):
+        if len(k) and not ((k1.max() - k1.min() + 1.0) * (k2[-1] - k2[0] + 1.0)
+                           <= MAX_LATTICE_NODES):
+            box = ((np.maximum.accumulate(k1) - np.minimum.accumulate(k1) + 1.0)
+                   * (k2 - k2[0] + 1.0))
+            i = int(np.argmax(~(box <= MAX_LATTICE_NODES)))
+            fail(5 + i, f"nodes span a lattice box of {box[i]:.3g} nodes, "
+                 f"more than the budget of {MAX_LATTICE_NODES}")
     extra = 5 + n
     while extra - 1 < len(raw):
         if raw[extra - 1].strip():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import spans_plane
+from .geometry import orientation, spans_plane
 from .grid import Domain2D, GridFunction, sample
 
 
@@ -181,5 +181,16 @@ def legendre_transform(
 
 
 def _require_full_rank(u: GridFunction) -> None:
-    if not spans_plane(u.nodes):
+    """Raise DegenerateInput unless some three nodes are not collinear.
+
+    On a lattice the first two nodes of a row and the last node of a later
+    row already turn, so their one cross product decides; ``spans_plane``
+    over every node decides only when it is 0.  Any turning triple proves
+    the rank, and ``spans_plane`` tests that same triple when the first two
+    nodes differ, so the verdict is its verdict on every input.
+    """
+    x = u.nodes
+    if len(x) >= 3 and orientation(x[0], x[1], x[-1]) != 0.0:
+        return
+    if not spans_plane(x):
         raise DegenerateInput("need at least 3 non-collinear primal nodes")

@@ -397,7 +397,8 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     density = (1.0 + g2) ** (2.0 - 1.0 / (2.0 * alpha))
     bary, wq = triangle_rule(2)
     pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
-    _, owner = cKDTree(f.sites).query(pts.reshape(-1, 2))
+    # every CPU: the query's indices and distances are those of one worker
+    _, owner = cKDTree(f.sites).query(pts.reshape(-1, 2), workers=-1)
     inside = subset[owner].reshape(len(wq), len(tris))
     rhs = 0.0
     for k in range(len(wq)):

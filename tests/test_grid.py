@@ -240,6 +240,37 @@ def test_load_rejects_rows_out_of_order(tmp_path):
         grid.load(path)
 
 
+@pytest.mark.parametrize(
+    "h, rows, message",
+    [
+        # 3 valid rows whose lattice box is 1e7 + 1 by 1e7 + 1 points: its
+        # index grid would take 8e14 bytes
+        ("0.0001", ["0.0 0.0 0.0", "1000.0 0.0 0.0", "0.0 1000.0 0.0"],
+         r"line 7: nodes span a lattice box of 1e\+14 nodes"),
+        # a box of 4,097 by 4,096 points, one row past the 2^24 budget
+        ("1.0", ["0.0 0.0 0.0", "4096.0 0.0 0.0", "0.0 4095.0 0.0"],
+         r"line 7: nodes span a lattice box of 1.68e\+07 nodes"),
+        ("1.0", ["0.0 0.0 0.0", "0.0 4096.0 0.0", "4096.0 4096.0 0.0"],
+         r"line 7: nodes span a lattice box of 1.68e\+07 nodes"),
+    ],
+    ids=["far-nodes", "wide", "tall-then-wide"],
+)
+def test_load_rejects_a_lattice_box_over_budget(tmp_path, h, rows, message):
+    path = tmp_path / "wide.gfn"
+    path.write_text("\n".join(["GFN 1", "domain square 5000.0", f"h {h}", f"n {len(rows)}"]
+                              + rows) + "\n")
+    with pytest.raises(MalformedFile, match=message):
+        grid.load(path)
+
+
+def test_load_takes_a_lattice_box_at_the_budget(tmp_path):
+    # 4,096 by 4,096 points is MAX_LATTICE_NODES exactly
+    path = tmp_path / "budget.gfn"
+    path.write_text("GFN 1\ndomain square 5000.0\nh 1.0\nn 3\n"
+                    "0.0 0.0 0.0\n4095.0 0.0 0.0\n0.0 4095.0 0.0\n")
+    assert len(grid.load(path)) == 3
+
+
 def test_load_short_file_after_good_lines(tmp_path):
     path = _edited_gfn(tmp_path, {})
     path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ma2d import grid, legendre, ma_measure
-from ma2d.geometry import max_affine
+from ma2d.geometry import max_affine, spans_plane
 from ma2d.errors import DegenerateInput
 
 from conftest import quadratic
@@ -214,6 +214,28 @@ def test_one_node_off_the_row_is_full_rank():
     fast, brute = conj_pair(u, 1.0, 0.5)
     assert np.array_equal(fast.dual.values, brute.dual.values)
     assert np.array_equal(fast.argmax, brute.argmax)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        np.concatenate([_ROW, [[0.0, 0.75]]]),             # last node off the row
+        np.concatenate([_ROW[:3], [[0.0, 0.75]], _ROW[3:]]),  # off the row in the middle
+        np.concatenate([_ROW[:1], _ROW[:1], [[0.0, 0.75]], _ROW[1:]]),  # first node twice
+        np.concatenate([_ROW[:3], [[0.0, 0.75]], _ROW[3:]])[::-1],
+        _ROW, _ROW[:2], np.tile([[0.25, -0.5]], (6, 1)),
+    ],
+    ids=["last-off", "middle-off", "first-twice", "reversed", "row", "two", "duplicates"],
+)
+def test_rank_verdict_is_that_of_spans_plane(nodes):
+    # the first two nodes and the last decide when they turn; every other
+    # node set falls back to the test over all nodes
+    gf = _nodes_gf(nodes)
+    if spans_plane(gf.nodes):
+        legendre._require_full_rank(gf)
+    else:
+        with pytest.raises(DegenerateInput):
+            legendre._require_full_rank(gf)
 
 
 def test_default_dual_halfwidth_covers_slopes():

@@ -215,6 +215,36 @@ def test_translator_identity_radial(primal_profile_8):
     assert rep.relative_residual < 0.03
 
 
+def test_translator_identity_on_every_cpu_equals_one_worker(primal_profile_8, monkeypatch):
+    # the acceptance criterion's problem: the report of the all-CPU
+    # nearest-site query is that of a one-worker query, bit for bit
+    gf = grid.sample(primal_profile_8, grid.Domain2D.disk(1.0), 0.02)
+    pl = mm.lower_envelope(gf.nodes, gf.values)
+    radii = np.hypot(gf.nodes[:, 0], gf.nodes[:, 1])
+    subset = np.flatnonzero((radii >= 0.3) & (radii <= 0.7) & pl.hull_interior)
+    workers = []
+    base = mm.cKDTree
+
+    class Tree(base):
+        def query(self, x, **kw):
+            workers.append(kw.get("workers"))
+            return super().query(x, **kw)
+
+    monkeypatch.setattr(mm, "cKDTree", Tree)
+    every = mm.check_translator_identity(pl, 1 / 8, subset)
+
+    class OneWorker(base):
+        def query(self, x, **kw):
+            return super().query(x, **dict(kw, workers=1))
+
+    monkeypatch.setattr(mm, "cKDTree", OneWorker)
+    one = mm.check_translator_identity(pl, 1 / 8, subset)
+    assert workers == [-1]
+    for name in ("measure_side", "integral_side", "residual", "relative_residual"):
+        assert np.float64(getattr(every, name)).view(np.int64) == np.float64(
+            getattr(one, name)).view(np.int64)
+
+
 def test_translator_identity_affine_detects_nonsolution():
     sites = lattice(1.0, 0.25)
     pl = mm.lower_envelope(sites, 0.5 * sites[:, 0])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -7,13 +8,14 @@ import pytest
 from scipy import optimize
 
 import ma2d
-from ma2d import grid, oracle, sections
+from ma2d import grid, ma_measure, oracle, sections
 from ma2d.errors import (
     DegeneratePolygon,
     DivideByZeroMass,
     DomainTooSmall,
     NonfiniteValue,
     SectionNotCompact,
+    ToolkitError,
 )
 from ma2d.geometry import convex_hull, disk_rule, min_edge_cross, polygon_area, polygon_centroid
 
@@ -22,6 +24,11 @@ from conftest import polygon_edges, quadratic
 
 def ones(p):
     return np.ones(len(np.atleast_2d(p)))
+
+
+def john(polygon):
+    """The John fit of one polygon: a stack of one."""
+    return sections.john_ellipses([polygon])[0]
 
 
 def test_section_quadratic_disk():
@@ -137,12 +144,52 @@ def test_callable_section_batches_its_calls(name):
     assert calls[1] == 512  # the first bracket step holds every ray
 
 
-def test_callable_section_nan_raises_nonfinite():
-    def nan_beyond_one(pts):
-        return np.where(np.hypot(pts[:, 0], pts[:, 1]) > 1.0, np.nan, quadratic(pts))
+def _per_level_error(fn, levels):
+    """The error of the first level whose own trace fails, one call each."""
+    for t in levels:
+        try:
+            sections.extract_section(fn, np.zeros(2), np.zeros(2), t)
+        except ToolkitError as exc:
+            return exc
+    raise AssertionError("no level fails")
 
-    with pytest.raises(NonfiniteValue, match="direction 0.000"):
-        sections.extract_section(nan_beyond_one, np.zeros(2), np.zeros(2), 1.0)
+
+def _raises_per_level_error(fn, levels, kind):
+    """extract_sections raises what the per-level loop raises."""
+    ref = _per_level_error(fn, levels)
+    assert type(ref) is kind
+    with pytest.raises(kind) as err:
+        sections.extract_sections(fn, np.zeros(2), np.zeros(2), levels)
+    assert str(err.value) == str(ref)
+    return str(ref)
+
+
+def _nan_beyond_one(pts):
+    return np.where(np.hypot(pts[:, 0], pts[:, 1]) > 1.0, np.nan, quadratic(pts))
+
+
+# the quadratic in x1 plus one that stops growing at |x2| = 2: its level
+# sets above 2 are unbounded along x2
+def _flat_beyond_two(pts):
+    return 0.5 * pts[:, 0] ** 2 + 0.5 * np.minimum(pts[:, 1] ** 2, 4.0)
+
+
+def _nan_band(pts):
+    # the bracket [1, 2] misses the NaN band, and the root sqrt(2) lies in it
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    return np.where((r > 1.40) & (r < 1.45), np.nan, quadratic(pts))
+
+
+def _nan_band_flat_beyond_two(pts):
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    return np.where((r > 1.40) & (r < 1.45), np.nan, _flat_beyond_two(pts))
+
+
+def test_callable_section_nan_raises_nonfinite():
+    # one level; several, of which only the highest fails; the first failing
+    for levels in ([1.0], [0.125, 0.25, 1.0], [1.0, 0.25]):
+        message = _raises_per_level_error(_nan_beyond_one, levels, NonfiniteValue)
+        assert "direction 0.000" in message
 
 
 @pytest.mark.parametrize("t, radius", [(0.5, 1.0), (2.0, 2.0)])
@@ -154,21 +201,50 @@ def test_callable_section_root_at_bracket_end(t, radius):
 
 
 def test_callable_section_nan_in_root_phase_raises_nonfinite():
-    # the bracket [1, 2] misses the NaN band, and the root sqrt(2) lies in it
-    def nan_band(pts):
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        return np.where((r > 1.40) & (r < 1.45), np.nan, quadratic(pts))
-
-    with pytest.raises(NonfiniteValue, match=r"direction \d\.\d{3} at radius 1\.4"):
-        sections.extract_section(nan_band, np.zeros(2), np.zeros(2), 1.0)
+    for levels in ([1.0], [0.25, 1.0]):
+        message = _raises_per_level_error(_nan_band, levels, NonfiniteValue)
+        assert re.search(r"direction \d\.\d{3} at radius 1\.4", message)
 
 
 def test_callable_section_not_compact_names_direction():
     def x1_squared(pts):
         return pts[:, 0] ** 2
 
-    with pytest.raises(SectionNotCompact, match="direction 1.571"):
-        sections.extract_section(x1_squared, np.zeros(2), np.zeros(2), 1.0)
+    message = _raises_per_level_error(x1_squared, [1.0], SectionNotCompact)
+    assert "direction 1.571" in message
+    message = _raises_per_level_error(_flat_beyond_two, [0.5, 1.0, 8.0], SectionNotCompact)
+    assert "direction 1.571" in message
+
+
+def test_callable_sections_raise_the_lowest_failing_level():
+    # level 1 fails in its root search and level 8 in its bracket, which the
+    # batched trace finishes first: the error is level 1's, as level by level
+    _raises_per_level_error(_nan_band_flat_beyond_two, [1.0, 8.0], NonfiniteValue)
+    _raises_per_level_error(_nan_band_flat_beyond_two, [0.5, 8.0], SectionNotCompact)
+
+
+def _pl_quadratic():
+    h = 0.5
+    g = np.arange(-8, 9) * h
+    sites = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    return ma_measure.lower_envelope(sites, quadratic(sites))
+
+
+@pytest.mark.parametrize("name", ["radial_dual", "radial_primal", "separable", "pl"])
+def test_callable_sections_equal_one_level_at_a_time(name):
+    fn = {
+        "radial_dual": oracle.RadialProfile(alpha=1 / 8, kind="dual_translator"),
+        "radial_primal": oracle.RadialProfile(alpha=1 / 8, kind="primal_translator"),
+        "separable": oracle.SeparableSolution(alpha=1 / 8, a=1.0),
+        "pl": _pl_quadratic(),
+    }[name]
+    levels = 2.0 ** np.arange(-2, 3) if name == "pl" else 2.0 ** np.arange(8)
+    zero = np.zeros(2)
+    secs = sections.extract_sections(fn, zero, zero, levels)
+    assert [sec.height for sec in secs] == levels.tolist()
+    for sec, t in zip(secs, levels):
+        one = sections.extract_section(fn, zero, zero, t)
+        assert np.array_equal(sec.polygon.view(np.int64), one.polygon.view(np.int64))
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -176,20 +252,31 @@ def test_import_leaves_scipy_optimize_unloaded():
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(ma2d.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ma2d; print('scipy.optimize' in sys.modules)"
+    # and the John fits of a cascade and of a balance step load none either
+    code = "\n".join([
+        "import sys, numpy as np, ma2d",
+        "from ma2d import analysis, grid, oracle, sections",
+        "print('scipy.optimize' in sys.modules)",
+        "z = np.zeros(2)",
+        "gf = grid.sample(lambda p: 0.5 * (p ** 2).sum(axis=1), grid.Domain2D.disk(3.0), 0.25)",
+        "for v in (oracle.RadialProfile(alpha=0.125, kind='dual_translator'), gf):",
+        "    analysis.eccentricity_cascade(v, z, z, [0.5, 1.0, 2.0])",
+        "    sections.section_balance(v, lambda p: np.ones(len(p)), z, z, 1.0)",
+        "print('scipy.optimize' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_john_square_is_unit_disk():
-    fit = sections.john_ellipsoid(np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]]))
+    fit = john(np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]]))
     assert np.abs(fit.shape_matrix - np.eye(2)).max() < 1e-7
     assert abs(sections.eccentricity(fit) - 1.0) < 1e-7
 
 
 def test_john_rectangle_axes():
-    fit = sections.john_ellipsoid(np.array([[-2.0, -1], [2, -1], [2, 1], [-2, 1]]))
+    fit = john(np.array([[-2.0, -1], [2, -1], [2, 1], [-2, 1]]))
     expect = np.diag([np.sqrt(2), 1 / np.sqrt(2)])
     assert np.abs(fit.normalized - expect).max() < 1e-7
 
@@ -205,7 +292,7 @@ def test_john_triangle_steiner():
             continue
         if s < 0:
             tri = tri[::-1]
-        fit = sections.john_ellipsoid(tri)
+        fit = john(tri)
         area = np.pi / np.sqrt(np.linalg.det(fit.shape_matrix))
         assert np.abs(fit.center - tri.mean(axis=0)).max() < 1e-7
         assert abs(area - np.pi * abs(s) / (3 * np.sqrt(3))) < 1e-7 * abs(s)
@@ -218,7 +305,7 @@ def test_john_containment_two_sided():
     from ma2d.geometry import convex_hull
 
     poly = convex_hull(pts)
-    fit = sections.john_ellipsoid(poly)
+    fit = john(poly)
     evals, evecs = np.linalg.eigh(fit.shape_matrix)
     B = evecs @ np.diag(evals**-0.5) @ evecs.T
     # inscribed: 1e4 ellipse points (boundary and interior grid) inside the polygon
@@ -248,7 +335,7 @@ def _edge_lines(poly):
 
 
 def _full_john(poly):
-    """Reference fit: john_ellipsoid's SLSQP problem over every edge at once,
+    """Reference fit: the John problem over every edge at once, by SLSQP
     from the centroid's inscribed disk.  Returns B of the ellipse
     c + B(unit disk)."""
     nrm, b = _edge_lines(poly)
@@ -307,26 +394,90 @@ def _active_set_cases():
         yield _cloud_hull(seed)
 
 
-def test_john_active_set_equals_full_problem():
-    for poly in _active_set_cases():
-        assert len(poly) >= 64  # the active set starts from a subset of the edges
-        fit = sections.john_ellipsoid(poly)
+def _rectangle(s1, s2):
+    return np.array([[-s1, -s2], [s1, -s2], [s1, s2], [-s1, s2]])
+
+
+def _small_cases():
+    """Polygons of the John tests below: all their edges are active."""
+    yield _rectangle(1.0, 1.0)
+    yield _rectangle(2.0, 1.0)
+    yield _rectangle(8.0, 0.25)
+    yield np.array([[0.0, 0.0], [3.0, 0.5], [1.0, 2.0]])
+    yield convex_hull(np.random.default_rng(9).standard_normal((12, 2)))
+
+
+def _grid_cases(solved):
+    """The 8 sections of the solved dual at the cascade's levels, from its
+    minimum node: those of the benchmark's grid cascade and balance loop."""
+    gf = solved[1].grid
+    x0, zero = gf.nodes[gf.argmin_node()], np.zeros(2)
+    return [sec.polygon for sec in sections.extract_sections(gf, x0, zero, 2.0 ** np.arange(8))]
+
+
+def test_john_active_set_equals_full_problem(solved_dual_disk8):
+    # the interior-point fit of the active set against SLSQP on every edge:
+    # the callable sections and grid sections of the cascades, hulls of
+    # point clouds, and the small polygons of the tests below
+    large = list(_active_set_cases())
+    polys = large + _grid_cases(solved_dual_disk8) + list(_small_cases())
+    fits = sections.john_ellipses(polys)
+    for i, (poly, fit) in enumerate(zip(polys, fits)):
         B = _full_john(poly)
+        # log det B of the fit's ellipse c + B(unit disk) is 2 log(scale)
+        assert abs(2.0 * np.log(fit.scale) - np.log(np.linalg.det(B))) <= 1e-9
         ref = B / np.sqrt(np.linalg.det(B))
         assert np.abs(fit.normalized - ref).max() <= 1e-8
         ecc = np.linalg.eigvalsh(ref).max()
-        assert abs(sections.eccentricity(fit) - ecc) <= 1e-9 * ecc
+        # on the triangle, SLSQP's eccentricity is 4.4e-9 off the Steiner
+        # inellipse's, and the fit's 2e-16
+        if i < len(large):
+            assert abs(sections.eccentricity(fit) - ecc) <= 1e-9 * ecc
         # the fit is inscribed in the whole polygon, not only in its active edges
         nrm, b = _edge_lines(poly)
         slack = b - nrm @ fit.center - np.hypot(*((fit.scale * fit.normalized) @ nrm.T))
-        assert slack.min() >= -1e-10 * fit.scale
+        assert slack.min() >= -1e-12 * np.abs(b).max()
+
+
+def test_john_fit_one_at_a_time_equals_the_stack():
+    # alone or padded in a stack, a fit stops at its own point within the
+    # tolerance: log det B is flat to second order in a rotation of the
+    # ellipse, which moves the normalized matrix's off-diagonal most
+    polys = list(_active_set_cases())[:6]
+    for poly, fit in zip(polys, sections.john_ellipses(polys)):
+        one = john(poly)
+        assert abs(one.scale - fit.scale) <= 1e-10 * fit.scale
+        assert abs(sections.eccentricity(one) - sections.eccentricity(fit)) <= 1e-9
+        assert np.abs(one.normalized - fit.normalized).max() <= 1e-7
+
+
+def test_john_solve_meets_its_first_order_bound(solved_dual_disk8):
+    # the stopping rule of the interior-point solve, recomputed here from
+    # its x = (c, B) and multipliers on every edge of the whitened polygon
+    polys = list(_active_set_cases()) + _grid_cases(solved_dual_disk8) + list(_small_cases())
+    for poly in polys:
+        f = sections._edge_frame(poly)
+        x, lam, _, _ = sections._john_solve(f.a[None], f.d[None])
+        (c1, c2, p, q, r), lam, a = x[0], lam[0], f.a
+        B = np.array([[p, q], [q, r]])
+        v = a @ B
+        n = np.hypot(v[:, 0], v[:, 1])
+        s = f.d - a @ [c1, c2] - n
+        assert s.min() > 0 and lam.min() > 0
+        assert lam @ s <= 1e-10  # the gap bounds log det B below its optimum
+        u1, u2 = v[:, 0] / n, v[:, 1] / n
+        minus_grad_s = np.stack([a[:, 0], a[:, 1], u1 * a[:, 0], u1 * a[:, 1] + u2 * a[:, 0],
+                                 u2 * a[:, 1]], axis=1)
+        Bi = np.linalg.inv(B)
+        grad_f = np.array([0.0, 0.0, -Bi[0, 0], -2.0 * Bi[0, 1], -Bi[1, 1]])
+        assert np.abs(grad_f + lam @ minus_grad_s).max() <= 1e-9
 
 
 def test_eccentricity_known_axes():
     rect = lambda s1, s2: np.array([[-s1, -s2], [s1, -s2], [s1, s2], [-s1, s2]])
-    fit = sections.john_ellipsoid(rect(8.0, 0.25))
+    fit = john(rect(8.0, 0.25))
     assert abs(sections.eccentricity(fit) - np.sqrt(32)) < 1e-5
-    sep_fit = sections.john_ellipsoid(
+    sep_fit = john(
         sections.extract_section(
             oracle.SeparableSolution(alpha=1 / 8, a=1.0), np.zeros(2), np.zeros(2), 1.0
         ).polygon
@@ -347,11 +498,11 @@ def test_eccentricity_unimodular_equivariance():
             T = T[::-1]
         if np.linalg.norm(T, 2) > 10:
             continue
-        fit0 = sections.john_ellipsoid(sec.polygon)
+        fit0 = john(sec.polygon)
         poly = sec.polygon @ T.T
         if polygon_area(poly) <= 0:
             poly = poly[::-1]
-        fit1 = sections.john_ellipsoid(poly)
+        fit1 = john(poly)
         TA = T @ fit0.normalized
         expect = np.sqrt(np.linalg.eigvalsh(TA @ TA.T).max())
         assert abs(sections.eccentricity(fit1) - expect) < 1e-6 * max(1.0, expect)
@@ -375,14 +526,14 @@ def test_balance_unimodular_invariance():
     T = T / np.sqrt(np.linalg.det(T))
     density = grid.RhsField("dual_translator", alpha=1 / 8, eta=1.0)
     sec = sections.extract_section(quadratic, np.zeros(2), np.zeros(2), 2.0)
-    fit = sections.john_ellipsoid(sec.polygon)
+    fit = john(sec.polygon)
     r = sections.caffarelli_radius(2.0, sec.mass(density))
     k0 = sections.balance_check(sec, fit, r)
     poly_T = sec.polygon @ T.T
     sec_T = sections.Section(
         base_point=np.zeros(2), slope=np.zeros(2), height=2.0, polygon=poly_T
     )
-    fit_T = sections.john_ellipsoid(poly_T)
+    fit_T = john(poly_T)
     Tinv = np.linalg.inv(T)
     density_T = lambda p: density(np.atleast_2d(p) @ Tinv.T)  # unimodular pushforward
     r_T = sections.caffarelli_radius(2.0, sec_T.mass(density_T))
@@ -393,7 +544,7 @@ def test_balance_unimodular_invariance():
 
 def test_balance_degenerate_polygon_propagates():
     with pytest.raises(DegeneratePolygon):
-        sections.john_ellipsoid(np.array([[0.0, 0], [1, 0], [2, 0]]))
+        john(np.array([[0.0, 0], [1, 0], [2, 0]]))
 
 
 def test_doubling_constant_unity_density():
