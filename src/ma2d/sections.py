@@ -606,9 +606,10 @@ def doubling_constant(f, region: Domain2D, n_samples: int, rng_seed: int) -> flo
 
     Centers are uniform in the region, semi-axes log-uniform in
     [1e-2, diam/4], orientations uniform; ellipses not contained in the
-    region are rejected.  Raises DomainTooSmall when 200 * n_samples
-    proposals leave fewer than n_samples ellipses.  Deterministic for a fixed
-    seed, and the estimate is monotone in n_samples for a common seed prefix.
+    region are rejected.  Raises DomainTooSmall, before it draws anything,
+    when that interval is empty, and when 200 * n_samples proposals leave
+    fewer than n_samples ellipses.  Deterministic for a fixed seed, and the
+    estimate is monotone in n_samples for a common seed prefix.
 
     A proposal reads two doubles of the generator for its center and, when
     the center is in the region, three more for its semi-axes and angle.
@@ -618,6 +619,9 @@ def doubling_constant(f, region: Domain2D, n_samples: int, rng_seed: int) -> flo
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    if region.diameter / 4.0 < 1e-2:
+        raise DomainTooSmall(f"the semi-axes' interval [1e-2, diam/4] = [0.01, "
+                             f"{region.diameter / 4.0:.3g}] is empty")
     rng = np.random.default_rng(rng_seed)
     lo, hi = region.bbox()
     la, lb = float(np.log(1e-2)), float(np.log(region.diameter / 4.0))

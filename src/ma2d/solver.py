@@ -107,7 +107,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleBoundary, NoConvergence
 from .geometry import orientation
-from .grid import Domain2D, GridFunction, RhsField, _evaluate, lattice_coordinates, sample
+from .grid import (Domain2D, GridFunction, RhsField, _evaluate, lattice_box, lattice_coordinates,
+                   sample)
 from .ma_measure import (
     PLConvexFunction,
     _ccw,
@@ -468,8 +469,8 @@ def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     tris = band[_lower_faces(sites[band], heights[band])[0]]
     h = sites[squares[0, 1], 0] - sites[squares[0, 0], 0]
     k = np.rint(lattice_coordinates(sites[squares.ravel()], h)).astype(np.int64)
-    lo = k.min(axis=0)
-    corner = np.zeros(k.max(axis=0) - lo + 1, dtype=bool)
+    lo, hi = lattice_box(k)
+    corner = np.zeros(hi - lo + 1, dtype=bool)
     corner[k[:, 0] - lo[0], k[:, 1] - lo[1]] = True
     cell = np.floor(sites[tris].mean(axis=1) / h).astype(np.int64) - lo
     i, j = cell[:, 0], cell[:, 1]
@@ -892,6 +893,9 @@ def _newton_solve(J, rhs, lattice, coarse=None):
     its tolerance ends the solve unreached.
     """
     A = -J
+    # sorted CSR rows add each row's products in ascending column order, as
+    # the CSC product does, so the products are the same bits, and faster
+    A_rows = A.tocsr()
     b = -rhs
     limit = _CG_RTOL * math.sqrt(np.sum(b * b))
     runs = []
@@ -899,7 +903,7 @@ def _newton_solve(J, rhs, lattice, coarse=None):
         built = coarse is None
         if built:
             coarse = _coarse_level(A, lattice)
-        x, its, reached = _cg(A, b, _preconditioner(A, coarse), limit)
+        x, its, reached = _cg(A_rows, b, _preconditioner(A_rows, coarse), limit)
         runs.append(its)
         if reached or built:
             return x, runs, reached, coarse

@@ -372,6 +372,30 @@ def test_fast_equals_brute_on_inexact_ties():
     assert np.array_equal(fast.dual.values, brute.dual.values)
 
 
+def flat_rows(x, u, n):
+    """Padded rows (x of shape (rows, width), or one row shared by all) as
+    the ragged rows ``legendre`` takes: row r's first n[r] points, one row
+    after the other, and where each row starts."""
+    x = np.broadcast_to(x, u.shape)
+    keep = np.arange(u.shape[1]) < np.asarray(n)[:, None]
+    return x[keep], u[keep], np.concatenate([[0], np.cumsum(n)])
+
+
+def fast_row_argmax(x, u, n, slopes):
+    """``legendre._row_argmax`` on padded rows, as positions along each row."""
+    fx, fu, start = flat_rows(x, u, n)
+    return legendre._row_argmax(fx, fu, start, slopes) - start[:-1, None]
+
+
+def assert_hulls_equal_row_hulls(x, u, n):
+    fx, fu, start = flat_rows(x, u, n)
+    hull, _, _ = legendre._lower_hulls(fx, fu, start)
+    x = np.broadcast_to(x, u.shape)
+    for r in range(len(u)):
+        ref = ref_lower_hull_indices(x[r, : n[r]], u[r, : n[r]])
+        assert np.array_equal(np.flatnonzero(hull[start[r] : start[r + 1]]), ref)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_hulls_equal_row_hulls(seed):
     rng = np.random.default_rng(seed)
@@ -379,37 +403,29 @@ def test_lockstep_hulls_equal_row_hulls(seed):
     x = np.sort(rng.uniform(-1, 1, (12, 30)), axis=1)
     u = np.where(rng.random((12, 30)) < 0.5, rng.integers(-2, 3, (12, 30)) * 0.5,
                  rng.standard_normal((12, 30)))
-    stack, top = legendre._lower_hulls(x, u, n)
-    for r in range(12):
-        ref = ref_lower_hull_indices(x[r, : n[r]], u[r, : n[r]])
-        assert np.array_equal(stack[r, : top[r]], ref)
+    assert_hulls_equal_row_hulls(x, u, n)
     slopes = np.sort(rng.uniform(-4, 4, (12, 9)), axis=1)
     slopes[:, 4] = slopes[:, 3]  # a repeated slope
-    got = legendre._row_argmax(x, u, n, slopes)
+    got = fast_row_argmax(x, u, n, slopes)
     for r in range(12):
         assert np.array_equal(got[r], ref_row_conjugate(x[r, : n[r]], u[r, : n[r]], slopes[r]))
 
 
 def ref_dense_row_argmax(x, u, n, slopes):
-    """``legendre._row_argmax`` by one dense comparison per block of rows:
-    every slope against every hull edge, the first failing edge wins."""
-    stack, top = legendre._lower_hulls(x, u, n)
-    hx = np.take_along_axis(np.broadcast_to(x, u.shape), stack, axis=1)
-    hu = np.take_along_axis(u, stack, axis=1)
-    rows, width = u.shape
-    edge = np.arange(width - 1) < top[:, None] - 1
-    dx = np.zeros(u.shape)
-    du = np.full(u.shape, np.inf)
-    dx[:, :-1][edge] = (hx[:, 1:] - hx[:, :-1])[edge]
-    du[:, :-1][edge] = (hu[:, 1:] - hu[:, :-1])[edge]
-    slopes = np.broadcast_to(slopes, (rows, slopes.shape[1]))
+    """The first maximiser on each padded row by one dense comparison: every
+    slope against every edge of the row's ``ref_lower_hull_indices``, the
+    first edge that does not rise wins (past the last vertex none rises).
+    A rounded s * dx does not decrease in s, so this is the pointer sweep's
+    answer."""
+    x = np.broadcast_to(x, u.shape)
+    slopes = np.broadcast_to(slopes, (len(u), slopes.shape[1]))
     k = np.empty(slopes.shape, dtype=np.intp)
-    step = max(1, 2**16 // (slopes.shape[1] * width))
-    for r in range(0, rows, step):
-        w = int(top[r : r + step].max())  # edges past every hull's end all fail
-        rising = slopes[r : r + step, :, None] * dx[r : r + step, None, :w] > du[r : r + step, None, :w]
-        k[r : r + step] = np.argmin(rising, axis=2)  # the first False
-    return np.take_along_axis(stack, k, axis=1)
+    for r in range(len(u)):
+        hull = ref_lower_hull_indices(x[r, : n[r]], u[r, : n[r]])
+        dx = np.append(np.diff(x[r, hull]), 0.0)
+        du = np.append(np.diff(u[r, hull]), np.inf)
+        k[r] = hull[np.argmin(slopes[r, :, None] * dx > du, axis=1)]  # the first False
+    return k
 
 
 def ragged_tied_rows(rng, rows=40, width=24):
@@ -438,7 +454,7 @@ def test_sweep_equals_dense_comparison(seed):
     rng = np.random.default_rng(seed)
     x, u, n = ragged_tied_rows(rng)
     for slopes in (ascending_slopes(rng, (len(u), 17)), ascending_slopes(rng, (1, 17))):
-        assert np.array_equal(legendre._row_argmax(x, u, n, slopes),
+        assert np.array_equal(fast_row_argmax(x, u, n, slopes),
                               ref_dense_row_argmax(x, u, n, slopes))
 
 
@@ -455,5 +471,111 @@ def test_sweep_equals_dense_comparison_stage_2_shape(seed):
     y2 = np.sort(rng.choice(np.arange(-40, 41) * h, (cols, 20)), axis=1)
     y2 = np.take_along_axis(y2, np.minimum(np.arange(20), lengths[:, None] - 1), axis=1)
     n = np.full(cols, n_rows)
-    assert np.array_equal(legendre._row_argmax(row_y, u, n, y2),
+    assert np.array_equal(fast_row_argmax(row_y, u, n, y2),
                           ref_dense_row_argmax(row_y, u, n, y2))
+
+
+def event_rows(kind, rng, rows=24, width=40):
+    """Padded rows (x, u, n) for the hull's and the sweep's paths:
+
+    - ``convex``: strictly convex rows, where no triple drops;
+    - ``sparse_ends``: convex rows with a few dents near both ends, each of
+      which pops one to several vertices over one or more steps, as the
+      second stage of a radial field's conjugate has;
+    - ``noise``: normal noise, where most steps pop;
+    - ``short``: rows of one and two points;
+    - ``nonfinite``: noise with NaN and infinite values;
+    - ``flat``: nearly collinear rows, whose edges' du/dx round out of the
+      drop test's order, as do the slopes set to those quotients.
+    """
+    x = np.sort(rng.uniform(-2, 2, (rows, width)), axis=1) + np.arange(width) * 1e-3
+    n = rng.integers(width // 2, width + 1, rows)
+    if kind == "convex":
+        u = x**2 + rng.uniform(0.5, 2, (rows, 1)) * x
+    elif kind == "sparse_ends":
+        u = x**2
+        for r in range(rows):
+            for at in rng.choice(np.r_[2:8, n[r] - 8 : n[r] - 2], 3, replace=False):
+                u[r, at : at + rng.integers(1, 4)] += rng.uniform(0.05, 1.0)
+    elif kind == "noise":
+        u = rng.standard_normal((rows, width))
+    elif kind == "short":
+        u, n = rng.standard_normal((rows, width)), rng.integers(1, 3, rows)
+    elif kind == "nonfinite":
+        u = rng.standard_normal((rows, width))
+        u[rng.random(u.shape) < 0.15] = np.nan
+        u[rng.random(u.shape) < 0.1] = np.inf
+        u[rng.random(u.shape) < 0.1] = -np.inf
+    else:
+        x = np.arange(width) * 0.1 + rng.integers(0, 4, (rows, 1)) * 0.1
+        u = 0.3 * x + 1e-17 * rng.integers(0, 3, (rows, width)) * np.arange(width) ** 2
+    return x, u, n
+
+
+class CallCount:
+    """Wraps a ``legendre`` helper and counts its calls."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls, self.fn = 0, getattr(legendre, name)
+        monkeypatch.setattr(legendre, name, self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["convex", "sparse_ends", "noise", "short", "nonfinite", "flat"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hulls_and_sweeps_equal_references(kind, seed):
+    rng = np.random.default_rng(seed)
+    x, u, n = event_rows(kind, rng)
+    assert_hulls_equal_row_hulls(x, u, n)
+    m = 13
+    per_row = ascending_slopes(rng, (len(u), m))
+    shared = ascending_slopes(rng, (1, m))
+    if kind == "flat":  # slopes at the edges' own rounded du/dx
+        q = np.diff(u, axis=1) / np.diff(x, axis=1)
+        per_row = np.sort(np.concatenate([per_row, q[:, ::4]], axis=1), axis=1)
+        shared = np.sort(np.append(shared, q[0, ::2]))[None, :]
+    for slopes in (per_row, shared):
+        got = fast_row_argmax(x, u, n, slopes)
+        assert np.array_equal(got, ref_dense_row_argmax(x, u, n, slopes))
+        for r in range(len(u)):
+            ref = ref_row_conjugate(x[r, : n[r]], u[r, : n[r]], slopes[min(r, len(slopes) - 1)])
+            assert np.array_equal(got[r], ref)
+
+
+@pytest.mark.parametrize(
+    "x, u, slopes",
+    [
+        # s = fl(0.7 / 0.3) rises on the edge: 0.3 * s rounds above 0.7
+        ([0.0, 0.3], [0.0, 0.7], [-1.0, 0.7 / 0.3, 5.0]),
+        # the middle point stays on the hull, but the edges' du/dx round to
+        # 2.1 and 2.0999999999999996, out of order
+        ([0.0, 2.1, 6.6], [0.0, 4.41, 13.86], [2.0999999999999996, 2.1, 3.0]),
+    ],
+    ids=["guess-rises", "quotients-out-of-order"],
+)
+def test_sweep_answers_where_its_certificate_fails(x, u, slopes, monkeypatch):
+    x, u, slopes = np.array([x]), np.array([u]), np.array([slopes])
+    n = np.array([x.shape[1]])
+    rises = CallCount(monkeypatch, "_rises")
+    got = fast_row_argmax(x, u, n, slopes)
+    assert rises.calls > 2  # parts (b) and (c), then the row's sweep
+    assert np.array_equal(got[0], ref_row_conjugate(x[0], u[0], slopes[0]))
+    assert np.array_equal(got, ref_dense_row_argmax(x, u, n, slopes))
+
+
+def test_convex_rows_skip_the_pop_loop_and_the_sweep(monkeypatch):
+    # no triple of a convex row drops, so the drop test runs once, in the
+    # vectorised pass, and the certificate holds on every row, so the rising
+    # test runs twice, for its parts (b) and (c)
+    x, u, n = event_rows("convex", np.random.default_rng(5))
+    drops = CallCount(monkeypatch, "_drops")
+    rises = CallCount(monkeypatch, "_rises")
+    slopes = ascending_slopes(np.random.default_rng(6), (1, 21))[:, 2:-1]
+    with np.errstate(invalid="ignore"):
+        got = fast_row_argmax(x, u, n, slopes)
+    assert (drops.calls, rises.calls) == (1, 2)
+    assert np.array_equal(got, ref_dense_row_argmax(x, u, n, slopes))

@@ -336,11 +336,14 @@ def _edge_lines(poly):
 
 def _full_john(poly):
     """Reference fit: the John problem over every edge at once, by SLSQP
-    from the centroid's inscribed disk.  Returns B of the ellipse
-    c + B(unit disk)."""
-    nrm, b = _edge_lines(poly)
+    from the centroid's inscribed disk, in the frame moved to the centroid
+    and scaled to unit extent, where its absolute tolerances are relative
+    ones.  Returns B of the ellipse c + B(unit disk), and fails unless SLSQP
+    reports success."""
     c0 = polygon_centroid(poly)
-    r0 = float(np.min(b - nrm @ c0))
+    extent = float(np.abs(poly - c0).max())
+    nrm, b = _edge_lines((poly - c0) / extent)
+    r0 = float(np.min(b))
 
     def chol(z):
         return np.array([[z[2], 0.0], [z[3], z[4]]])
@@ -361,15 +364,17 @@ def _full_john(poly):
 
     res = optimize.minimize(
         lambda z: -(np.log(z[2]) + np.log(z[4])),
-        np.array([c0[0], c0[1], 0.5 * r0, 0.0, 0.5 * r0]),
+        np.array([0.0, 0.0, 0.5 * r0, 0.0, 0.5 * r0]),
         jac=lambda z: np.array([0.0, 0.0, -1.0 / z[2], 0.0, -1.0 / z[4]]),
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
         bounds=[(None, None), (None, None), (1e-12, None), (None, None), (1e-12, None)],
         options={"maxiter": 400, "ftol": 1e-12},
     )
+    if not res.success:
+        raise AssertionError(f"SLSQP reference fit failed: {res.message}")
     L = chol(res.x)
-    return L @ L.T
+    return extent * (L @ L.T)
 
 
 def _cloud_hull(seed):
@@ -407,6 +412,14 @@ def _small_cases():
     yield convex_hull(np.random.default_rng(9).standard_normal((12, 2)))
 
 
+def _tiny_hull():
+    """A 13-vertex hull of extent 0.01, away from the origin."""
+    rng = np.random.default_rng(13)
+    ang = np.sort(rng.uniform(0.0, 2 * np.pi, 13))
+    pts = np.stack([np.cos(ang), np.sin(ang)], axis=1) @ rng.standard_normal((2, 2))
+    return convex_hull(0.01 * pts / np.abs(pts).max() + np.array([0.7, -0.4]))
+
+
 def _grid_cases(solved):
     """The 8 sections of the solved dual at the cascade's levels, from its
     minimum node: those of the benchmark's grid cascade and balance loop."""
@@ -418,21 +431,18 @@ def _grid_cases(solved):
 def test_john_active_set_equals_full_problem(solved_dual_disk8):
     # the interior-point fit of the active set against SLSQP on every edge:
     # the callable sections and grid sections of the cascades, hulls of
-    # point clouds, and the small polygons of the tests below
-    large = list(_active_set_cases())
-    polys = large + _grid_cases(solved_dual_disk8) + list(_small_cases())
-    fits = sections.john_ellipses(polys)
-    for i, (poly, fit) in enumerate(zip(polys, fits)):
+    # point clouds, the small polygons of the tests below and a hull of
+    # extent 0.01
+    polys = (list(_active_set_cases()) + _grid_cases(solved_dual_disk8) + list(_small_cases())
+             + [_tiny_hull()])
+    for poly, fit in zip(polys, sections.john_ellipses(polys)):
         B = _full_john(poly)
         # log det B of the fit's ellipse c + B(unit disk) is 2 log(scale)
         assert abs(2.0 * np.log(fit.scale) - np.log(np.linalg.det(B))) <= 1e-9
         ref = B / np.sqrt(np.linalg.det(B))
         assert np.abs(fit.normalized - ref).max() <= 1e-8
         ecc = np.linalg.eigvalsh(ref).max()
-        # on the triangle, SLSQP's eccentricity is 4.4e-9 off the Steiner
-        # inellipse's, and the fit's 2e-16
-        if i < len(large):
-            assert abs(sections.eccentricity(fit) - ecc) <= 1e-9 * ecc
+        assert abs(sections.eccentricity(fit) - ecc) <= 1e-9 * ecc
         # the fit is inscribed in the whole polygon, not only in its active edges
         nrm, b = _edge_lines(poly)
         slack = b - nrm @ fit.center - np.hypot(*((fit.scale * fit.normalized) @ nrm.T))
@@ -565,9 +575,11 @@ def test_doubling_deterministic_and_monotone():
 def ref_doubling_constant(f, region, n_samples, rng_seed):
     """The sampler one proposal at a time, as three generator calls, one
     containment test and two 24-point evaluations of f per ellipse."""
+    diam = region.diameter
+    if diam / 4.0 < 1e-2:
+        raise DomainTooSmall("the semi-axes' interval [1e-2, diam/4] is empty")
     rng = np.random.default_rng(rng_seed)
     lo, hi = region.bbox()
-    diam = region.diameter
     pts, wts = disk_rule()
     best = 0.0
     accepted = 0
@@ -579,8 +591,7 @@ def ref_doubling_constant(f, region, n_samples, rng_seed):
         center = lo + rng.random(2) * (hi - lo)
         if not region.contains(center[None, :])[0]:
             continue
-        # Generator.uniform's low + (high - low) * u, which it refuses to
-        # form when diam / 4 < 1e-2, as on the guard tests' small domains
+        # Generator.uniform's low + (high - low) * u
         la, lb = np.log(1e-2), np.log(diam / 4.0)
         s = np.exp(la + (lb - la) * rng.random(2))
         phi = rng.uniform(0.0, np.pi)
@@ -627,26 +638,49 @@ def test_doubling_pinned_estimate():
 
 
 def test_doubling_rejection_guard_is_typed():
-    # radius 1e-3: semi-axes between diam / 4 = 5e-4 and 1e-2, and the 100th
-    # ellipse that fits takes about 39,000 proposals, past the 20,000 budget
-    with pytest.raises(DomainTooSmall, match="rejection rate too high"):
-        sections.doubling_constant(ones, grid.Domain2D.disk(1e-3), 100, rng_seed=1)
+    # radius 1e-3: diam / 4 = 5e-4, below the least semi-axis 1e-2, so there
+    # is no interval to draw from, and the sampler says so before it draws
+    def f(x):
+        raise AssertionError("evaluated a field")
+
+    with pytest.raises(DomainTooSmall, match=r"\[1e-2, diam/4\] = \[0.01, 0.0005\] is empty"):
+        sections.doubling_constant(f, grid.Domain2D.disk(1e-3), 100, rng_seed=1)
 
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_doubling_guard_trips_with_the_reference(seed):
-    # half-width 0.0062: the 100th ellipse comes near the 20,000-proposal
-    # budget, after it at seed 1 (proposal 22,130) and before it at seed 4
-    # (proposal 19,719)
+    # half-width 0.0062: diam / 4 = 0.0044, an empty interval of semi-axes,
+    # which the sampler and the reference refuse alike, at every seed
     region = grid.Domain2D.square(0.0062)
-    try:
-        ref = ref_doubling_constant(ones, region, 100, rng_seed=seed)
-    except RuntimeError:
-        with pytest.raises(DomainTooSmall):
-            sections.doubling_constant(ones, region, 100, rng_seed=seed)
-        assert seed == 1
-    else:
-        assert sections.doubling_constant(ones, region, 100, rng_seed=seed) == ref
+    with pytest.raises(DomainTooSmall, match="is empty"):
+        ref_doubling_constant(ones, region, 100, rng_seed=seed)
+    with pytest.raises(DomainTooSmall, match=r"\[0.01, 0.00438\] is empty"):
+        sections.doubling_constant(ones, region, 100, rng_seed=seed)
+
+
+def test_doubling_at_the_least_diameter_equals_the_reference():
+    # radius 0.02: diam / 4 = 1e-2, so every semi-axis is 1e-2
+    region = grid.Domain2D.disk(0.02)
+    est = sections.doubling_constant(ones, region, 100, rng_seed=3)
+    assert est == ref_doubling_constant(ones, region, 100, rng_seed=3)
+
+
+def test_doubling_budget_guard_when_no_ellipse_fits(monkeypatch):
+    # every proposal fails containment: the sampler stops at its budget of
+    # 200 * n_samples proposals, and never evaluates the field
+    seen = []
+
+    def inside(region, centers, T):
+        seen.append(len(centers))
+        return np.zeros(len(centers), dtype=bool)
+
+    def f(x):
+        raise AssertionError("evaluated a field")
+
+    monkeypatch.setattr(sections, "_ellipses_inside", inside)
+    with pytest.raises(DomainTooSmall, match="rejection rate too high"):
+        sections.doubling_constant(f, grid.Domain2D.disk(1.0), 100, rng_seed=1)
+    assert 0 < sum(seen) <= 200 * 100
 
 
 def test_doubling_degenerate_closed_form_ratio():
