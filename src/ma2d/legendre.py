@@ -221,10 +221,12 @@ def legendre_transform(
     dual = sample(lambda p: np.zeros(len(p)), dual_domain, h_dual)
 
     # nodes are in lattice order, (k2, k1): a row starts where k2 changes,
-    # and x2 changes there too, so only those nodes need their k2
+    # and x2 changes there too, so only those nodes need their k2, rounded
+    # as ``lattice_indices`` rounds it (a stored node may lie off the
+    # lattice by up to 1e-9 h, so its x2 can change within a row)
     x2 = u.nodes[:, 1]
     step = np.flatnonzero(x2[1:] != x2[:-1]) + 1
-    k2 = lattice_coordinates(np.concatenate([x2[step - 1], x2[step]]), u.h)
+    k2 = np.rint(lattice_coordinates(np.concatenate([x2[step - 1], x2[step]]), u.h))
     start = np.concatenate([[0], step[k2[: step.size] != k2[step.size :]], [len(u)]])
     n_rows = len(start) - 1
     x1 = np.ascontiguousarray(u.nodes[:, 0])

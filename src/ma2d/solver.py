@@ -893,9 +893,6 @@ def _newton_solve(J, rhs, lattice, coarse=None):
     its tolerance ends the solve unreached.
     """
     A = -J
-    # sorted CSR rows add each row's products in ascending column order, as
-    # the CSC product does, so the products are the same bits, and faster
-    A_rows = A.tocsr()
     b = -rhs
     limit = _CG_RTOL * math.sqrt(np.sum(b * b))
     runs = []
@@ -903,7 +900,7 @@ def _newton_solve(J, rhs, lattice, coarse=None):
         built = coarse is None
         if built:
             coarse = _coarse_level(A, lattice)
-        x, its, reached = _cg(A_rows, b, _preconditioner(A_rows, coarse), limit)
+        x, its, reached = _cg(A, b, _preconditioner(A, coarse), limit)
         runs.append(its)
         if reached or built:
             return x, runs, reached, coarse

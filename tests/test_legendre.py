@@ -238,6 +238,27 @@ def test_rank_verdict_is_that_of_spans_plane(nodes):
             legendre._require_full_rank(gf)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_of_a_loaded_file_with_nodes_off_the_lattice(tmp_path, seed):
+    # a .gfn node may lie off the lattice by up to 1e-9 h and keeps its
+    # coordinates, so x2 can change within a row (0.1, 0.1 + 1e-13, 0.1):
+    # the row is still one row, and the fast path answers as brute does
+    rng = np.random.default_rng(seed)
+    u = grid.sample(lambda p: rng.standard_normal(len(p)), grid.Domain2D.square(0.5), 0.1)
+    nodes = u.nodes.copy()
+    k = u.lattice_indices
+    odd = (k[:, 0] % 2 == 1) & (k[:, 1] != 0)
+    nodes[odd, 1] += 1e-13 * np.sign(nodes[odd, 1])
+    path = tmp_path / "off.gfn"
+    grid.save(grid.GridFunction(domain=u.domain, h=u.h, nodes=nodes, values=u.values), path)
+    v = grid.load(path)
+    assert np.array_equal(v.nodes, nodes)
+    assert np.array_equal(v.lattice_indices, k)
+    fast, brute = conj_pair(v, 100.0, 20.0)
+    assert np.array_equal(fast.argmax, brute.argmax)
+    assert np.array_equal(fast.dual.values, brute.dual.values)
+
+
 def test_default_dual_halfwidth_covers_slopes():
     u = grid.sample(quadratic, grid.Domain2D.square(1.0), 0.1)
     hw = default_dual_halfwidth(u, 0.1)

@@ -665,22 +665,34 @@ def test_doubling_at_the_least_diameter_equals_the_reference():
     assert est == ref_doubling_constant(ones, region, 100, rng_seed=3)
 
 
-def test_doubling_budget_guard_when_no_ellipse_fits(monkeypatch):
-    # every proposal fails containment: the sampler stops at its budget of
-    # 200 * n_samples proposals, and never evaluates the field
-    seen = []
+@pytest.mark.parametrize("seed", [1, 2])
+def test_doubling_budget_guard_when_no_ellipse_fits(monkeypatch, seed):
+    # every proposal fails containment: the sampler walks exactly the
+    # reference's 200 * n_samples proposals, testing the ellipses of the
+    # same ones (those centred in the region), and never evaluates the field
+    seen, ref_seen = [], []
 
     def inside(region, centers, T):
         seen.append(len(centers))
         return np.zeros(len(centers), dtype=bool)
 
+    def ref_inside(region, center, T):
+        ref_seen.append(center)
+        return False
+
     def f(x):
         raise AssertionError("evaluated a field")
 
+    region = grid.Domain2D.disk(1.0)
     monkeypatch.setattr(sections, "_ellipses_inside", inside)
+    monkeypatch.setitem(globals(), "ref_ellipse_inside", ref_inside)
+    with pytest.raises(RuntimeError, match="rejection rate too high"):
+        ref_doubling_constant(f, region, 100, rng_seed=seed)
     with pytest.raises(DomainTooSmall, match="rejection rate too high"):
-        sections.doubling_constant(f, grid.Domain2D.disk(1.0), 100, rng_seed=1)
-    assert 0 < sum(seen) <= 200 * 100
+        sections.doubling_constant(f, region, 100, rng_seed=seed)
+    # about pi / 4 of the 20,000 proposals are centred in the disk
+    assert 15_000 < len(ref_seen) < 16_500
+    assert sum(seen) == len(ref_seen)
 
 
 def test_doubling_degenerate_closed_form_ratio():
