@@ -250,14 +250,24 @@ def polygons_quadrature(vertices, counts, fn) -> np.ndarray:
         c[solid, k] = moment[solid] / (6.0 * area[solid])
     c = c[owner]
     bary, w = triangle_rule(4)
-    pts = (
-        bary[None, :, 0, None] * c[:, None, :]
-        + bary[None, :, 1, None] * a[:, None, :]
-        + bary[None, :, 2, None] * b[:, None, :]
-    )
+    pts = _fan_nodes(c, a, b, bary)
     fan = 0.5 * orientation(c, a, b)
     vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(len(a), len(w))
     return np.bincount(owner, fan * (vals @ w), m)
+
+
+def _fan_nodes(c, a, b, bary) -> np.ndarray:
+    """The (n, k, 2) rule nodes s c + t a + u b of n triangles (c, a, b) for
+    the k barycentric rows (s, t, u) of ``bary``: the products and sums of
+    ``polygon_quadrature``'s broadcast, in its order, so the same bits.
+    Each (node, coordinate) column is computed on contiguous coordinate
+    copies, which die with this frame, before the weight is called."""
+    pts = np.empty((len(a), len(bary), 2))
+    cols = [np.ascontiguousarray(v.T) for v in (c, a, b)]
+    for j, (s, t, u) in enumerate(bary):
+        for k, (ck, ak, bk) in enumerate(zip(*cols)):
+            pts[:, j, k] = s * ck + t * ak + u * bk
+    return pts
 
 
 def disk_rule():

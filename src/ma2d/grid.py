@@ -332,12 +332,16 @@ def load(path) -> GridFunction:
     # token count, then numbers, then a finite value, then finite
     # coordinates, then the lattice, then the (x2, x1) order
     rows = raw[4 : 4 + n]
-    good = next((i for i, line in enumerate(rows) if len(line.split()) != 3), len(rows))
+    # each row is split once: one branch of the tee counts its tokens, and
+    # the other yields the rows before the first without three
+    counted, split = itertools.tee(map(str.split, rows))
     try:
-        data = _parse_numbers(rows[:good])
+        data = _parse_numbers(itertools.compress(
+            split, itertools.takewhile((3).__eq__, map(len, counted))))
     except ValueError:
-        good = next(i for i, line in enumerate(rows) if not _numbers(line))
-        data = _parse_numbers(rows[:good])
+        bad = next(i for i, line in enumerate(rows) if not _numbers(line))
+        data = _parse_numbers(map(str.split, rows[:bad]))
+    good = len(data)
     nodes, values = np.ascontiguousarray(data[:, :2]), data[:, 2].copy()
     with np.errstate(over="ignore", invalid="ignore"):
         x = nodes / h
@@ -381,11 +385,11 @@ def load(path) -> GridFunction:
     return GridFunction(domain=domain, h=h, nodes=nodes, values=values)
 
 
-def _parse_numbers(lines) -> np.ndarray:
-    """The (len(lines), 3) floats of lines of three tokens, each parsed by
+def _parse_numbers(rows) -> np.ndarray:
+    """The (rows, 3) floats of split rows of three tokens, each parsed by
     ``float``; raises ValueError when a token is not a number."""
-    flat = itertools.chain.from_iterable(map(str.split, lines))
-    return np.fromiter(map(float, flat), dtype=float, count=3 * len(lines)).reshape(-1, 3)
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(map(float, flat), dtype=float).reshape(-1, 3)
 
 
 def _numbers(line) -> bool:

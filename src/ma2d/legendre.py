@@ -80,6 +80,9 @@ def _rises(s, dx, du):
     return s * dx > du
 
 
+_TRIPLE_BLOCK = 8192  # triples per block of ``_lower_hulls``' vectorised pass
+
+
 def _lower_hulls(x: np.ndarray, u: np.ndarray, start: np.ndarray):
     """Lower hulls of ragged rows: row r holds the points (x[i], u[i]) for
     start[r] <= i < start[r + 1], x strictly increasing along it, and no row
@@ -102,7 +105,10 @@ def _lower_hulls(x: np.ndarray, u: np.ndarray, start: np.ndarray):
     np.subtract(x[1:], x[:-1], out=dx[:-1])
     np.subtract(u[1:], u[:-1], out=du[:-1])
     drop = np.zeros(n_pts, dtype=bool)
-    drop[2:] = _drops(dx[:-2], du[:-2], x[2:] - x[:-2], u[2:] - u[:-2])
+    for s in range(2, n_pts, _TRIPLE_BLOCK):  # blocks keep the temporaries small
+        e = min(s + _TRIPLE_BLOCK, n_pts)
+        drop[s:e] = _drops(dx[s - 2:e - 2], du[s - 2:e - 2], x[s:e] - x[s - 2:e - 2],
+                           u[s:e] - u[s - 2:e - 2])
     young = np.concatenate([start[:-1], start[:-1] + 1])  # no triple ends there
     drop[young[young < n_pts]] = False
     events = np.flatnonzero(drop)

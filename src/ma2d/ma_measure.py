@@ -36,11 +36,22 @@ last accepted pass.  The cells and their areas share no code with the solve
 loop: this module imports nothing from ``solver``, and its gradient-space
 order with a certificate is independent of the planar face order that
 ``solver._mass_pass`` sums.
+
+The translator identity integrates each face with a degree-2 rule whose
+node k sits at barycentric weight 2/3 next to the face's vertex k, and
+counts a node for the site nearest to it.  ``_nearest_sites`` certifies
+that vertex as the nearest site when the node lies within half the
+vertex's distance to its nearest other site (with a 1e-9 relative margin
+for rounding), and puts only the other nodes to a KD-tree query: 384 of
+the 46,728 nodes of the primal translator on disk(1) at h = 0.02.  The
+owners are the full query's, index for index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -152,7 +163,7 @@ def _envelope(sites, heights, tris, grads, offs) -> PLConvexFunction:
     its triangles oriented ccw in the plane; ``tris`` is not modified."""
     tris = _ccw(sites, tris)
     active = np.zeros(len(sites), dtype=bool)
-    active[np.unique(tris)] = True
+    active[tris.ravel()] = True
     return PLConvexFunction(
         sites=sites,
         heights=heights,
@@ -286,7 +297,9 @@ def subgradient_cells(f: PLConvexFunction) -> list:
     c = f.cells
     ends = np.cumsum(c.counts).tolist()
     polygons = map(c.vertices.__getitem__, map(slice, [0] + ends[:-1], ends))
-    return list(map(SubgradientCell, c.sites.tolist(), polygons, c.areas.tolist()))
+    # tuple.__new__ builds each record in C, as the class's own __new__ would
+    fields = zip(c.sites.tolist(), polygons, c.areas.tolist())
+    return list(map(tuple.__new__, repeat(SubgradientCell), fields))
 
 
 def ma_measure(f: PLConvexFunction) -> np.ndarray:
@@ -304,12 +317,14 @@ def weighted_mass(cells, weight) -> np.ndarray:
     centroid triangle fan with the symmetric degree-4 rule.
     All fans are evaluated with one call of the weight.
     """
+    polys = list(map(attrgetter("polygon"), cells))
+    areas = np.fromiter(map(attrgetter("area"), cells), dtype=float, count=len(cells))
+    counts = np.fromiter(map(len, polys), dtype=np.intp, count=len(cells))
+    full = (areas > 0.0) & (counts >= 3)
     out = np.zeros(len(cells))
-    full = [k for k, c in enumerate(cells) if c.area > 0.0 and len(c.polygon) >= 3]
-    if full:
-        polys = [np.asarray(cells[k].polygon, dtype=float) for k in full]
-        counts = [len(p) for p in polys]
-        out[full] = polygons_quadrature(np.concatenate(polys), counts, weight)
+    if full.any():
+        vertices = np.concatenate(list(compress(polys, full)), dtype=float)
+        out[full] = polygons_quadrature(vertices, counts[full], weight)
     return out
 
 
@@ -378,7 +393,10 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
 
     The region of a subset is the union of its sites' nearest-site cells:
     every face is integrated with a degree-2 rule and each quadrature node
-    contributes when its nearest site belongs to the subset.  alpha = 1/4 is
+    contributes when its nearest site belongs to the subset.  The rule's
+    node k of a face lies at barycentric weight 2/3 next to the face's
+    vertex k, which ``_nearest_sites`` certifies as its nearest site when
+    it can, and puts to the KD-tree query otherwise.  alpha = 1/4 is
     allowed here (the weight becomes 1 and the identity reduces to
     mass = area).
     """
@@ -397,8 +415,7 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
     density = (1.0 + g2) ** (2.0 - 1.0 / (2.0 * alpha))
     bary, wq = triangle_rule(2)
     pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
-    # every CPU: the query's indices and distances are those of one worker
-    _, owner = cKDTree(f.sites).query(pts.reshape(-1, 2), workers=-1)
+    owner = _nearest_sites(f.sites, pts.reshape(-1, 2), tris.T.ravel())
     inside = subset[owner].reshape(len(wq), len(tris))
     rhs = 0.0
     for k in range(len(wq)):
@@ -410,3 +427,30 @@ def check_translator_identity(f: PLConvexFunction, alpha: float, site_subset) ->
         measure_side=lhs, integral_side=rhs, residual=res, relative_residual=rel
     )
 
+
+def _nearest_sites(sites, points, near) -> np.ndarray:
+    """Index of each point's nearest site, equal to
+    ``cKDTree(sites).query(points)[1]``; ``near`` names a candidate site
+    per point, and the query runs only for the points it cannot certify.
+
+    Let gap(a) be the distance from site a to its nearest other site (one
+    k = 2 query of the sites themselves) and p a point with
+    2 |p - a| < gap(a).  For every other site s, the triangle inequality
+    gives |p - s| >= |a - s| - |p - a| >= gap(a) - |p - a| > |p - a|, so a
+    is the unique nearest site and the query returns it.  The test is
+    4 |p - a|**2 < (1 - 1e-9) gap(a)**2: the margin 1e-9 is far above the
+    few units of rounding (2**-53 each) in the squared distances, here and
+    in the query, so a certified point's exact nearest site is a, and the
+    query's float comparison sees a ahead by about 5e-10 gap(a)**2.
+    Duplicated sites have gap 0 and NaN fails the test, so their points go
+    to the query.  Both queries use every CPU; their results are those of
+    one worker.
+    """
+    tree = cKDTree(sites)
+    gap = tree.query(sites, k=2, workers=-1)[0][:, 1]
+    d = points - sites[near]
+    owner = np.array(near, dtype=np.intp)
+    rest = np.flatnonzero(~(4.0 * (d[:, 0] ** 2 + d[:, 1] ** 2) < (1.0 - 1e-9) * gap[near] ** 2))
+    if rest.size:
+        owner[rest] = tree.query(points[rest], workers=-1)[1]
+    return owner

@@ -246,3 +246,65 @@ def test_hull_prefilter_equals_edge_test(case, monkeypatch):
     assert (rho > 0) == (case != "sliver_below_limit")
     if rho > 0:  # the inner ring passes without the edge test
         assert near >= 64 and got[-128:-64].all()
+
+
+def broadcast_polygons_quadrature(vertices, counts, fn):
+    """``polygons_quadrature`` with its fan nodes built by broadcasting over
+    a last axis of length 2, the formula the column-wise build replaced."""
+    a = np.asarray(vertices, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    m = len(counts)
+    owner = np.repeat(np.arange(m), counts)
+    b = a[geometry.cyclic_successor(counts)]
+    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    area = 0.5 * np.bincount(owner, cross, m)
+    c = np.stack([np.bincount(owner, a[:, k], m) / counts for k in range(2)], axis=1)
+    solid = np.abs(area) >= 1e-300
+    for k in range(2):
+        moment = np.bincount(owner, (a[:, k] + b[:, k]) * cross, m)
+        c[solid, k] = moment[solid] / (6.0 * area[solid])
+    c = c[owner]
+    bary, w = geometry.triangle_rule(4)
+    pts = (
+        bary[None, :, 0, None] * c[:, None, :]
+        + bary[None, :, 1, None] * a[:, None, :]
+        + bary[None, :, 2, None] * b[:, None, :]
+    )
+    fan = 0.5 * geometry.orientation(c, a, b)
+    vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(len(a), len(w))
+    return np.bincount(owner, fan * (vals @ w), m)
+
+
+def _random_convex_polygons(seed, m):
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(m):
+        scale = 10.0 ** rng.uniform(-6, 1)
+        centre = rng.uniform(-3, 3, 2)
+        polys.append(geometry.convex_hull(centre + scale * rng.standard_normal(
+            (int(rng.integers(3, 30)), 2))))
+    return [p for p in polys if len(p) >= 3]
+
+
+@pytest.mark.parametrize("case", ["verify_dual", "random_0", "random_1"])
+def test_polygons_quadrature_equals_the_broadcast_formula(case, request):
+    if case == "verify_dual":
+        cells = request.getfixturevalue("solved_dual_disk8")[1].function.cells
+        full = cells.counts >= 3
+        keep = np.repeat(full, cells.counts)
+        vertices, counts = cells.vertices[keep], cells.counts[full]
+    else:
+        polys = _random_convex_polygons(int(case[-1]), 300)
+        vertices, counts = np.concatenate(polys), [len(p) for p in polys]
+    seen = {}
+
+    def weight(key):
+        def fn(y):
+            seen[key] = y.copy()
+            return (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (-1.5) + 0.25 * y[:, 0]
+        return fn
+
+    got = geometry.polygons_quadrature(vertices, counts, weight("got"))
+    want = broadcast_polygons_quadrature(vertices, counts, weight("want"))
+    assert np.array_equal(seen["got"].view(np.int64), seen["want"].view(np.int64))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

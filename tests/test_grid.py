@@ -228,6 +228,27 @@ def test_load_names_first_bad_line(tmp_path, edits, message):
         grid.load(path)
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({11: "0.5 0.5", 14: "a b c"}, "line 11: expected 'x1 x2 value'"),
+        ({11: "a b"}, "line 11: expected 'x1 x2 value'"),
+        ({11: "x 0.5 1.0", 14: "0.5"}, "line 11: entries must be numbers"),
+        ({5: ""}, "line 5: expected 'x1 x2 value'"),
+        ({29: "1.0 1.0 x"}, "line 29: entries must be numbers"),
+        ({29: "1.0 1.0"}, "line 29: expected 'x1 x2 value'"),
+    ],
+    ids=["count-then-number", "count-of-words", "number-then-count", "first-row-empty",
+         "last-row-number", "last-row-count"],
+)
+def test_load_splits_rows_once_and_names_first_bad_line(tmp_path, edits, message):
+    # the token count and the numbers come from one split of each row; the
+    # parse stops at the first row without three tokens
+    path = _edited_gfn(tmp_path, edits)
+    with pytest.raises(MalformedFile, match=message):
+        grid.load(path)
+
+
 def test_load_rejects_rows_out_of_order(tmp_path):
     # the fast conjugate reads the rows as a lattice in (x2, x1) order, and
     # rows out of that order end it in a bare IndexError

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
-from ma2d.geometry import convex_hull, cyclic_successor, polygon_area, polygon_quadrature
+from ma2d.geometry import (
+    convex_hull,
+    cyclic_successor,
+    polygon_area,
+    polygon_quadrature,
+    triangle_rule,
+)
 
 from conftest import quadratic
 
@@ -239,10 +245,83 @@ def test_translator_identity_on_every_cpu_equals_one_worker(primal_profile_8, mo
 
     monkeypatch.setattr(mm, "cKDTree", OneWorker)
     one = mm.check_translator_identity(pl, 1 / 8, subset)
-    assert workers == [-1]
+    assert workers and all(w == -1 for w in workers)  # every query, on every CPU
     for name in ("measure_side", "integral_side", "residual", "relative_residual"):
         assert np.float64(getattr(every, name)).view(np.int64) == np.float64(
             getattr(one, name)).view(np.int64)
+
+
+def rule_points(f):
+    """The degree-2 rule nodes of every face of ``f``, node k next to the
+    face's vertex k, and that vertex: the points and candidate sites of
+    ``check_translator_identity``'s nearest-site query."""
+    bary, _ = triangle_rule(2)
+    a, b, c = (f.sites[f.triangulation[:, k]] for k in range(3))
+    pts = bary[:, 0, None, None] * a + bary[:, 1, None, None] * b + bary[:, 2, None, None] * c
+    return pts.reshape(-1, 2), f.triangulation.T.ravel()
+
+
+def counted_owners(sites, points, near, monkeypatch):
+    """``_nearest_sites`` and the number of points it put to the full query."""
+    asked = []
+    base = mm.cKDTree
+
+    class Tree(base):
+        def query(self, x, k=1, **kw):
+            if k == 1:
+                asked.append(len(x))
+            return super().query(x, k=k, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(mm, "cKDTree", Tree)
+        owner = mm._nearest_sites(sites, points, near)
+    return owner, sum(asked)
+
+
+def assert_owners_are_the_query(sites, points, near, monkeypatch):
+    owner, fallback = counted_owners(sites, points, near, monkeypatch)
+    want = mm.cKDTree(sites).query(points)[1]
+    assert owner.dtype == want.dtype and np.array_equal(owner, want)
+    return fallback
+
+
+def _sliver_envelope():
+    # a lattice square and one site 1e-3 below its bottom edge: the sliver
+    # face on the hull boundary puts rule nodes past half its short gaps
+    sites = np.vstack([lattice(1.0, 0.25), [[0.1, -1.001]]])
+    return mm.lower_envelope(sites, quadratic(sites))
+
+
+def test_nearest_sites_of_the_acceptance_problem(primal_profile_8, monkeypatch):
+    f = _primal_translator(primal_profile_8)
+    points, near = rule_points(f)
+    fallback = assert_owners_are_the_query(f.sites, points, near, monkeypatch)
+    assert 0 < fallback < len(points) // 10
+
+
+def test_nearest_sites_of_duplicated_sites(monkeypatch):
+    # every site twice: gap 0, so no point is certified and the query
+    # decides, as it does between the copies
+    f = _lattice_quadratic()
+    points, near = rule_points(f)
+    sites = np.vstack([f.sites, f.sites[::-1]])
+    fallback = assert_owners_are_the_query(sites, points, near, monkeypatch)
+    assert fallback == len(points)
+    half = np.vstack([f.sites, f.sites[:7]])  # a few copies: the rest stays certified
+    fallback = assert_owners_are_the_query(half, points, near, monkeypatch)
+    assert 0 < fallback < len(points)
+
+
+def test_nearest_sites_fall_back_on_a_sliver(monkeypatch):
+    f = _sliver_envelope()
+    points, near = rule_points(f)
+    assert assert_owners_are_the_query(f.sites, points, near, monkeypatch) > 0
+
+
+def test_nearest_sites_of_a_square_lattice_need_no_query(monkeypatch):
+    f = mm.lower_envelope(lattice(1.0, 0.1), quadratic(lattice(1.0, 0.1)))
+    points, near = rule_points(f)
+    assert assert_owners_are_the_query(f.sites, points, near, monkeypatch) == 0
 
 
 def test_translator_identity_affine_detects_nonsolution():
@@ -584,3 +663,63 @@ def test_array_core_property(cloud, tilt, shear):
     sheared = mm.lower_envelope(sites @ np.array([[1.0, shear], [0.0, 1.0]]).T, heights)
     assert_matches_reference(sheared)
     assert np.allclose(mm.ma_measure(sheared), base, rtol=1e-9, atol=scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cloud=lifted_clouds())
+def test_nearest_sites_property(cloud):
+    sites, heights = cloud
+    try:
+        f = mm.lower_envelope(sites, heights)
+    except DegenerateInput:
+        assume(False)
+    points, near = rule_points(f)
+    owner = mm._nearest_sites(f.sites, points, near)
+    assert np.array_equal(owner, mm.cKDTree(f.sites).query(points)[1])
+
+
+def test_cell_records_equal_named_tuples(primal_profile_8):
+    f = _primal_translator(primal_profile_8)
+    got = mm.subgradient_cells(f)
+    c = f.cells
+    ends = np.cumsum(c.counts)
+    want = [mm.SubgradientCell(int(i), c.vertices[e - k:e], float(a))
+            for i, k, e, a in zip(c.sites, c.counts, ends, c.areas)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is mm.SubgradientCell and g._fields == w._fields
+        assert type(g.site_index) is int and g.site_index == w.site_index
+        assert type(g.area) is float and np.float64(g.area).view(np.int64) == np.float64(
+            w.area).view(np.int64)
+        assert g.polygon.base is c.vertices and g.polygon.shape == w.polygon.shape
+        assert np.array_equal(g.polygon, w.polygon)
+
+
+def listed_weighted_mass(cells, weight):
+    """``weighted_mass`` with its full cells picked, converted and counted
+    one record at a time, the form the C-level gathers replaced."""
+    out = np.zeros(len(cells))
+    full = [k for k, c in enumerate(cells) if c.area > 0.0 and len(c.polygon) >= 3]
+    if full:
+        polys = [np.asarray(cells[k].polygon, dtype=float) for k in full]
+        counts = [len(p) for p in polys]
+        out[full] = mm.polygons_quadrature(np.concatenate(polys), counts, weight)
+    return out
+
+
+def test_weighted_mass_equals_record_by_record(primal_profile_8):
+    cells = mm.subgradient_cells(_primal_translator(primal_profile_8))
+    tri = [[0, 0], [1, 0], [0, 1]]
+    cells += [
+        mm.SubgradientCell(0, tri, 0.5),  # a list polygon
+        mm.SubgradientCell(1, np.array(tri), 0.5),  # integer vertices
+        mm.SubgradientCell(2, np.array(tri, dtype=float), 0.0),  # zero area
+        mm.SubgradientCell(3, np.array(tri[:2], dtype=float), 0.5),  # a segment
+        mm.SubgradientCell(4, np.empty((0, 2)), 0.0),
+        mm.SubgradientCell(5, np.array(tri, dtype=float), float("nan")),
+    ]
+    for weight in (_gauss_weight, lambda y: 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 3):
+        got = mm.weighted_mass(cells, weight)
+        want = listed_weighted_mass(cells, weight)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(mm.weighted_mass([], _gauss_weight), np.zeros(0))
