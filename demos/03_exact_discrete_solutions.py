@@ -13,21 +13,22 @@ from ma2d import grid, ma_measure
 sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0, 0]])
 heights = np.array([1.0, 1, 1, 1, 0])
 pyramid = ma_measure.lower_envelope(sites, heights)
-cells = ma_measure.subgradient_cells(pyramid)
+cells = pyramid.cells  # the hull-interior sites' cells, as arrays
 print("pyramid max(|x1|, |x2|)-style lift:")
-for c in cells:
-    print(f"  site {c.site_index} at {pyramid.sites[c.site_index]}: cell area {c.area}")
+for i, area in zip(cells.sites.tolist(), cells.areas.tolist()):
+    print(f"  site {i} at {pyramid.sites[i]}: cell area {area}")
 print("  (the apex cell is the hull of the four face gradients, area 2)")
 
 # a sampled cone: the apex mass approaches the area pi of the unit disk of slopes
 gf = grid.sample(lambda p: np.hypot(p[:, 0], p[:, 1]), grid.Domain2D.disk(1.0), 0.04)
 cone = ma_measure.lower_envelope(gf.nodes, gf.values)
-cells = ma_measure.subgradient_cells(cone)
-apex = [c for c in cells if np.allclose(cone.sites[c.site_index], 0.0)][0]
-print(f"\ncone |x| sampled at h = 0.04: apex mass {apex.area:.5f} vs pi = {np.pi:.5f}")
+cells = cone.cells
+apex = np.flatnonzero(np.isclose(cone.sites[cells.sites], 0.0).all(axis=1))[0]
+print(f"\ncone |x| sampled at h = 0.04: apex mass {cells.areas[apex]:.5f} vs pi = {np.pi:.5f}")
 
-# the Gauss-map weight turns cell areas into spherical areas
-gm = ma_measure.gauss_map_mass([apex])
+# the Gauss-map weight (1 + |y|^2)^(-3/2) turns cell areas into spherical areas
+gauss = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (-1.5)
+gm = ma_measure.weighted_mass(cells, gauss)[apex]
 closed = 2 * np.pi * (1 - 1 / np.sqrt(2))
 print(f"gauss-map mass of the apex cell {gm:.5f} vs closed form {closed:.5f}")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, ma_measure, oracle, sections, solver
 from .errors import ConfigInvalid, LatticeTooLarge, ToolkitError
-from .grid import Domain2D, RhsField, check_lattice_budget, save
+from .grid import Domain2D, RhsField, check_lattice_budget, sample, save
 
 with open(os.path.join(os.path.dirname(__file__), "experiment.schema.json"),
           encoding="utf-8") as _fh:
@@ -404,8 +404,6 @@ def _run_verify_dual(cfg, out, work):
 
 
 def _run_verify_translator(cfg, out, work):
-    from .grid import sample
-
     prof = oracle.RadialProfile(alpha=cfg.alpha, kind="primal_translator")
     dom = Domain2D.disk(cfg.radius)
     gf = sample(prof, dom, cfg.h)
@@ -414,8 +412,7 @@ def _run_verify_translator(cfg, out, work):
     lo, hi = 0.3 * cfg.radius, 0.7 * cfg.radius
     subset = np.flatnonzero((radii >= lo) & (radii <= hi) & pl.hull_interior)
     rep = ma_measure.check_translator_identity(pl, cfg.alpha, subset)
-    cells = ma_measure.subgradient_cells(pl)
-    gauss_total = ma_measure.gauss_map_mass(cells)
+    gauss_total = ma_measure.gauss_map_mass(pl.cells)
     rows = [(lo, hi, rep.measure_side, rep.integral_side, rep.relative_residual)]
     _write_table(
         out,

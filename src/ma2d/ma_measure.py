@@ -25,7 +25,8 @@ strictly left of every edge, and every cyclic turn e_k x e_{k+1} above
 starts at its lexicographically smallest vertex, as ``geometry.convex_hull``
 returns it, and its shoelace area is summed about that vertex.  Any other
 cell (empty, a point, a segment or a near-degenerate polygon) falls back to
-``convex_hull`` and ``polygon_area`` of the site's face gradients.
+``convex_hull`` and ``polygon_area`` of the site's face gradients.  Every
+reader of the cells, ``weighted_mass`` included, takes these arrays.
 
 The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
 package: ``lower_envelope`` and the solver's mass pass both build on it, and
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import attrgetter
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +80,6 @@ class PLConvexFunction:
     triangulation: np.ndarray  # (F, 3) site-index triples, ccw in the plane
     gradients: np.ndarray      # (F, 2) per-face gradient
     offsets: np.ndarray        # (F,) per-face affine offset: z = g.x + c
-    active: np.ndarray         # (N,) bool, site lies on the envelope
 
     @cached_property
     def hull_interior(self) -> np.ndarray:
@@ -103,8 +102,8 @@ class PLConvexFunction:
 
 
 class SubgradientCell(NamedTuple):
-    """Polygonal subdifferential of the envelope at one site; a named tuple,
-    so that ``subgradient_cells`` builds thousands of them cheaply."""
+    """Polygonal subdifferential of the envelope at one site: one record of
+    ``_CellArrays``' record view, which only the benchmark reads."""
 
     site_index: int
     polygon: np.ndarray  # (k, 2) ccw in gradient space; may be empty/degenerate
@@ -131,7 +130,7 @@ def _lower_faces(sites: np.ndarray, heights: np.ndarray):
 def lower_envelope(sites, heights) -> PLConvexFunction:
     """Lower convex hull of the lifted points (x_i, heights_i).
 
-    Sites strictly above the envelope are flagged inactive.  The faces come
+    Sites strictly above the envelope are no vertex of its faces, which come
     from ``_lower_faces`` and are oriented ccw by ``_envelope``.
     """
     sites = np.asarray(sites, dtype=float)
@@ -161,27 +160,35 @@ def _ccw(sites, tris) -> np.ndarray:
 def _envelope(sites, heights, tris, grads, offs) -> PLConvexFunction:
     """The envelope whose lower-hull faces ``tris`` carry z = grads . x + offs,
     its triangles oriented ccw in the plane; ``tris`` is not modified."""
-    tris = _ccw(sites, tris)
-    active = np.zeros(len(sites), dtype=bool)
-    active[tris.ravel()] = True
-    return PLConvexFunction(
-        sites=sites,
-        heights=heights,
-        triangulation=tris,
-        gradients=grads,
-        offsets=offs,
-        active=active,
-    )
+    return PLConvexFunction(sites, heights, _ccw(sites, tris), grads, offs)
 
 
 @dataclass(frozen=True)
 class _CellArrays:
-    """Subgradient cells of all hull-interior sites, stored back to back."""
+    """Subgradient cells of all hull-interior sites, stored back to back.
+    ``len`` and iteration are a record view for the benchmark only, one
+    ``SubgradientCell`` per cell built at the first iteration; it goes with
+    ``subgradient_cells`` and ``site_weighted_mass`` once the benchmark
+    reads the arrays."""
 
     sites: np.ndarray     # (M,) hull-interior site indices, ascending
     counts: np.ndarray    # (M,) vertices per cell
     vertices: np.ndarray  # (counts.sum(), 2) ccw polygons, each from its lexicographic minimum
     areas: np.ndarray     # (M,)
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @cached_property
+    def _records(self) -> list:
+        ends = np.cumsum(self.counts).tolist()
+        polygons = map(self.vertices.__getitem__, map(slice, [0] + ends[:-1], ends))
+        # tuple.__new__ builds each record in C, as the class's own __new__ would
+        fields = zip(self.sites.tolist(), polygons, self.areas.tolist())
+        return list(map(tuple.__new__, repeat(SubgradientCell), fields))
 
 
 def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
@@ -288,47 +295,37 @@ def _angle_order(cell, angle) -> np.ndarray:
     return np.lexsort((angle, cell))
 
 
-def subgradient_cells(f: PLConvexFunction) -> list:
-    """Subdifferential polygons of every hull-interior site.
-
-    Boundary sites carry unbounded subdifferentials and are skipped; inactive
-    interior sites get an empty cell of zero area.
-    """
-    c = f.cells
-    ends = np.cumsum(c.counts).tolist()
-    polygons = map(c.vertices.__getitem__, map(slice, [0] + ends[:-1], ends))
-    # tuple.__new__ builds each record in C, as the class's own __new__ would
-    fields = zip(c.sites.tolist(), polygons, c.areas.tolist())
-    return list(map(tuple.__new__, repeat(SubgradientCell), fields))
+def subgradient_cells(f: PLConvexFunction) -> _CellArrays:
+    """``f.cells``, for the benchmark, which iterates them as records.
+    Boundary sites carry unbounded subdifferentials and have no cell;
+    interior sites off the envelope get an empty cell of zero area."""
+    return f.cells
 
 
 def ma_measure(f: PLConvexFunction) -> np.ndarray:
-    """Per-site Monge-Ampere masses (zero at boundary and inactive sites)."""
+    """Per-site Monge-Ampere masses (zero at boundary sites and off the envelope)."""
     c = f.cells
     masses = np.zeros(len(f.sites))
     masses[c.sites] = c.areas
     return masses
 
 
-def weighted_mass(cells, weight) -> np.ndarray:
+def weighted_mass(cells: _CellArrays, weight) -> np.ndarray:
     """Per-cell integrals of a weight over the subdifferential polygons.
 
     The weight is a function of the gradient variable; integration uses a
-    centroid triangle fan with the symmetric degree-4 rule.
-    All fans are evaluated with one call of the weight.
+    centroid triangle fan with the symmetric degree-4 rule, all fans in one
+    call of the weight.  Cells of area 0 (or NaN) or under 3 vertices read 0.
     """
-    polys = list(map(attrgetter("polygon"), cells))
-    areas = np.fromiter(map(attrgetter("area"), cells), dtype=float, count=len(cells))
-    counts = np.fromiter(map(len, polys), dtype=np.intp, count=len(cells))
-    full = (areas > 0.0) & (counts >= 3)
-    out = np.zeros(len(cells))
+    full = (cells.areas > 0.0) & (cells.counts >= 3)
+    out = np.zeros(len(cells.areas))
     if full.any():
-        vertices = np.concatenate(list(compress(polys, full)), dtype=float)
-        out[full] = polygons_quadrature(vertices, counts[full], weight)
+        vertices = cells.vertices[np.repeat(full, cells.counts)]
+        out[full] = polygons_quadrature(vertices, cells.counts[full], weight)
     return out
 
 
-def gauss_map_mass(cells) -> float:
+def gauss_map_mass(cells: _CellArrays) -> float:
     """Spherical area of the Gauss image over the cells' sites.
 
     The lower-hemisphere pullback of surface measure along y -> (y, -1)/sqrt(1+|y|^2)
@@ -339,8 +336,8 @@ def gauss_map_mass(cells) -> float:
 
 
 def site_weighted_mass(f: PLConvexFunction, cells, weight) -> float:
-    """Sum of weight(site) * cell-area; the atomic-measure pairing for the
-    dual-equation identity where the weight lives on the domain variable."""
+    """Sum of weight(site) * cell-area over cell records: the benchmark's
+    form of ``dual_identity``'s pairing, where the weight lives on x."""
     idx = np.array([c.site_index for c in cells], dtype=np.intp)
     areas = np.array([c.area for c in cells], dtype=float)
     return _site_pairing(f, idx, areas, weight)

@@ -106,8 +106,7 @@ def test_criterion_05_translator_identity(primal_profile_8):
     radii = np.hypot(gf.nodes[:, 0], gf.nodes[:, 1])
     subset = np.flatnonzero((radii >= 0.3) & (radii <= 0.7) & pl.hull_interior)
     rep = ma_measure.check_translator_identity(pl, 1 / 8, subset)
-    cells = ma_measure.subgradient_cells(pl)
-    total = ma_measure.gauss_map_mass(cells)
+    total = ma_measure.gauss_map_mass(pl.cells)
     ok = rep.relative_residual < 0.03 and total <= 2 * np.pi
     assert report(5, "geometric-Alexandrov identity", ok,
                   f"relative residual {rep.relative_residual:.3e} (< 3%), "

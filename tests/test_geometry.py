@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,9 +104,29 @@ def test_hull_interior_equals_chain_reference(pts):
     n = len(pts)
     f = ma_measure.PLConvexFunction(
         sites=pts, heights=np.zeros(n), triangulation=np.empty((0, 3), dtype=int),
-        gradients=np.empty((0, 2)), offsets=np.empty(0), active=np.zeros(n, dtype=bool),
+        gradients=np.empty((0, 2)), offsets=np.empty(0),
     )
     assert np.array_equal(f.hull_interior, chain_hull_interior(pts))
+
+
+def fraction_area(poly):
+    """The exact shoelace area of float vertices, in ``Fraction``."""
+    v = [(Fraction(x), Fraction(y)) for x, y in np.asarray(poly).tolist()]
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(v, v[1:] + v[:1]))) / 2
+
+
+def test_polygon_area_of_a_small_polygon_far_from_the_origin():
+    # a subgradient-cell-like pentagon of area 1.19e-6 at |g| = 2: the
+    # shoelace about the origin rounds at eps |g|**2 and is off by 7.6e-10
+    # relative, about the first vertex it is exact to rounding
+    rng = np.random.default_rng(0)
+    poly = geometry.convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
+    exact = fraction_area(poly)
+    assert len(poly) == 5 and 1.1e-6 < exact < 1.3e-6
+    assert abs(Fraction(geometry.polygon_area(poly)) - exact) <= 1e-15 * exact
+    x, y = poly[:, 0], poly[:, 1]
+    about_origin = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    assert abs(Fraction(about_origin) - exact) > 1e-11 * exact
 
 
 def test_min_edge_cross_blocks_and_weights():

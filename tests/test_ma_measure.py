@@ -3,7 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ma2d import grid, ma_measure as mm, solver
@@ -23,21 +23,40 @@ def lattice(hw, h):
     return grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D.square(hw), h).nodes
 
 
+def cell_polygons(cells):
+    """Each cell's polygon, a view of ``cells.vertices``."""
+    ends = np.cumsum(cells.counts)
+    return [cells.vertices[e - k:e] for k, e in zip(cells.counts, ends)]
+
+
+def cell_at(f, point, atol=1e-8):
+    """Position in ``f.cells`` of the first cell whose site is close to the point."""
+    near = np.isclose(f.sites[f.cells.sites], point, atol=atol).all(axis=1)
+    return np.flatnonzero(near)[0]
+
+
+def cell_arrays(polygons, areas):
+    """Hand-built ``_CellArrays`` of sites 0, 1, ... with these polygons and areas."""
+    polys = [np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons]
+    return mm._CellArrays(sites=np.arange(len(polys)), counts=np.array([len(p) for p in polys]),
+                          vertices=np.concatenate(polys + [np.empty((0, 2))]),
+                          areas=np.array(areas, dtype=float))
+
+
 def test_flat_square_two_faces():
     sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1]])
     f = mm.lower_envelope(sites, np.zeros(4))
     assert len(f.triangulation) == 2
     assert np.abs(f.gradients).max() == 0.0
-    assert f.active.all()
+    assert np.array_equal(np.unique(f.triangulation), np.arange(4))  # every site a vertex
 
 
 def test_pyramid_four_faces_center_cell():
     sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0, 0]])
     f = mm.lower_envelope(sites, np.array([1.0, 1, 1, 1, 0]))
     assert len(f.triangulation) == 4
-    cells = mm.subgradient_cells(f)
-    assert len(cells) == 1 and cells[0].site_index == 4
-    assert cells[0].area == 2.0  # hull of four face gradients (+-1, 0), (0, +-1)
+    assert f.cells.sites.tolist() == [4]
+    assert f.cells.areas[0] == 2.0  # hull of four face gradients (+-1, 0), (0, +-1)
 
 
 def test_random_quadratic_all_active():
@@ -45,7 +64,7 @@ def test_random_quadratic_all_active():
     sites = rng.uniform(-1, 1, size=(100, 2))
     heights = quadratic(sites)
     f = mm.lower_envelope(sites, heights)
-    assert f.active.all()
+    assert np.array_equal(np.unique(f.triangulation), np.arange(100))  # every site a vertex
     # brute check: all sites on their own envelope
     assert np.max(np.abs(f(sites) - heights)) <= 1e-9
 
@@ -53,8 +72,7 @@ def test_random_quadratic_all_active():
 def test_affine_zero_cells():
     sites = lattice(1.0, 0.25)
     f = mm.lower_envelope(sites, 0.3 * sites[:, 0] - 0.7 * sites[:, 1] + 0.1)
-    cells = mm.subgradient_cells(f)
-    assert all(c.area <= 1e-20 for c in cells)
+    assert np.all(f.cells.areas <= 1e-20)
 
 
 def test_anisotropic_quadratic_cell_area():
@@ -62,9 +80,8 @@ def test_anisotropic_quadratic_cell_area():
     sites = lattice(0.5, h)
     heights = 0.5 * (2 * sites[:, 0] ** 2 + 3 * sites[:, 1] ** 2)
     f = mm.lower_envelope(sites, heights)
-    cells = mm.subgradient_cells(f)
-    mid = [c for c in cells if np.allclose(f.sites[c.site_index], 0.0)][0]
-    assert abs(mid.area - 6 * h * h) <= 0.1 * 6 * h * h  # det D2 v * h^2
+    mid = f.cells.areas[cell_at(f, 0.0)]
+    assert abs(mid - 6 * h * h) <= 0.1 * 6 * h * h  # det D2 v * h^2
 
 
 def test_collinear_sites_rejected():
@@ -97,11 +114,11 @@ def test_cells_disjoint_interiors():
     rng = np.random.default_rng(2)
     sites = rng.uniform(-1, 1, size=(40, 2))
     f = mm.lower_envelope(sites, quadratic(sites) + 0.05 * rng.standard_normal(40))
-    cells = [c for c in mm.subgradient_cells(f) if c.area > 1e-12]
+    cells = [(p, area) for p, area in zip(cell_polygons(f.cells), f.cells.areas) if area > 1e-12]
     for a in range(len(cells)):
         for b in range(a + 1, len(cells)):
-            inter = clip_convex(cells[a].polygon, cells[b].polygon)
-            assert polygon_area(inter) <= 1e-10 * max(cells[a].area, cells[b].area)
+            inter = clip_convex(cells[a][0], cells[b][0])
+            assert polygon_area(inter) <= 1e-10 * max(cells[a][1], cells[b][1])
 
 
 def test_cone_apex_mass_converges_to_pi():
@@ -109,35 +126,30 @@ def test_cone_apex_mass_converges_to_pi():
         lambda p: np.hypot(p[:, 0], p[:, 1]), grid.Domain2D.disk(1.0), 0.02
     )
     f = mm.lower_envelope(gf.nodes, gf.values)
-    cells = mm.subgradient_cells(f)
-    apex = [c for c in cells if np.allclose(f.sites[c.site_index], 0.0)][0]
-    assert abs(apex.area - np.pi) < 0.05 * np.pi
+    apex = f.cells.areas[cell_at(f, 0.0)]
+    assert abs(apex - np.pi) < 0.05 * np.pi
 
 
 def test_mass_additivity():
     rng = np.random.default_rng(3)
     sites = rng.uniform(-1, 1, size=(60, 2))
     f = mm.lower_envelope(sites, quadratic(sites))
-    cells = mm.subgradient_cells(f)
-    ids = [c.site_index for c in cells]
-    a, b = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-    mass = lambda subset: sum(c.area for c in cells if c.site_index in set(subset))
-    assert np.isclose(mass(a) + mass(b), mass(a + b))
+    areas = f.cells.areas
+    half = len(areas) // 2
+    assert np.isclose(areas[:half].sum() + areas[half:].sum(), areas.sum())
 
 
 def test_weighted_mass_constant_equals_area():
     rng = np.random.default_rng(4)
     sites = rng.uniform(-1, 1, size=(50, 2))
     f = mm.lower_envelope(sites, quadratic(sites))
-    cells = mm.subgradient_cells(f)
-    w = mm.weighted_mass(cells, lambda y: np.ones(len(y)))
-    areas = np.array([c.area for c in cells])
-    assert np.allclose(w, areas, rtol=1e-12, atol=1e-15)
+    w = mm.weighted_mass(f.cells, lambda y: np.ones(len(y)))
+    assert np.allclose(w, f.cells.areas, rtol=1e-12, atol=1e-15)
 
 
 def test_weighted_mass_linear_exact():
-    cell = mm.SubgradientCell(0, np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), 1.0)
-    out = mm.weighted_mass([cell], lambda y: y[:, 0])
+    cells = cell_arrays([[[0.0, 0], [1, 0], [1, 1], [0, 1]]], [1.0])
+    out = mm.weighted_mass(cells, lambda y: y[:, 0])
     assert np.isclose(out[0], 0.5, rtol=1e-14)
 
 
@@ -146,9 +158,7 @@ def test_gauss_map_mass_cone_closed_form():
         lambda p: np.hypot(p[:, 0], p[:, 1]), grid.Domain2D.disk(1.0), 0.02
     )
     f = mm.lower_envelope(gf.nodes, gf.values)
-    cells = mm.subgradient_cells(f)
-    apex = [c for c in cells if np.allclose(f.sites[c.site_index], 0.0)]
-    got = mm.gauss_map_mass(apex)
+    got = mm.weighted_mass(f.cells, _gauss_weight)[cell_at(f, 0.0)]
     expect = 2 * np.pi * (1 - 1 / np.sqrt(2))  # radial integral over the unit disk
     assert abs(got - expect) < 0.05 * expect
 
@@ -156,13 +166,13 @@ def test_gauss_map_mass_cone_closed_form():
 def test_gauss_map_mass_flat_zero_and_hemisphere_bound():
     sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0.2, 0.1]])
     f = mm.lower_envelope(sites, np.zeros(5))
-    assert mm.gauss_map_mass(mm.subgradient_cells(f)) == 0.0
+    assert mm.gauss_map_mass(f.cells) == 0.0
     rng = np.random.default_rng(5)
     for _ in range(10):
         pts = rng.uniform(-2, 2, size=(30, 2))
         hts = rng.standard_normal(30)
         pl = mm.lower_envelope(pts, hts)
-        total = mm.gauss_map_mass(mm.subgradient_cells(pl))
+        total = mm.gauss_map_mass(pl.cells)
         assert total <= 2 * np.pi + 0.05
 
 
@@ -191,10 +201,8 @@ def test_mass_monotone_under_subset():
     rng = np.random.default_rng(8)
     sites = rng.uniform(-1, 1, size=(40, 2))
     f = mm.lower_envelope(sites, quadratic(sites))
-    cells = mm.subgradient_cells(f)
-    ids = [c.site_index for c in cells]
-    mass = lambda subset: sum(c.area for c in cells if c.site_index in set(subset))
-    assert mass(ids[:5]) <= mass(ids[:15]) <= sum(c.area for c in cells)
+    areas = f.cells.areas
+    assert areas[:5].sum() <= areas[:15].sum() <= areas.sum()
 
 
 def test_refinement_cell_over_lattice_area():
@@ -206,9 +214,8 @@ def test_refinement_cell_over_lattice_area():
             sites[:, 0]
         )
         f = mm.lower_envelope(sites, heights)
-        cells = mm.subgradient_cells(f)
-        mid = [c for c in cells if np.allclose(f.sites[c.site_index], 0.0, atol=1e-12)][0]
-        errs.append(abs(mid.area / h**2 - 6.0))
+        mid = f.cells.areas[cell_at(f, 0.0, atol=1e-12)]
+        errs.append(abs(mid / h**2 - 6.0))
     assert errs[1] <= errs[0] + 1e-12
 
 
@@ -362,16 +369,15 @@ def reference_cells(f):
 
 def assert_matches_reference(f):
     ref = reference_cells(f)
-    got = mm.subgradient_cells(f)
-    assert [c.site_index for c in got] == [i for i, _, _ in ref]
-    for cell, (_, poly, _) in zip(got, ref):
-        assert cell.polygon.shape == poly.shape and np.array_equal(cell.polygon, poly)
-        # the shoelace about the first vertex: about the origin it rounds at
-        # eps |g|^2, 2e-16 on a cell of area 1.2e-6 at |g| = 2, where the
-        # array core's area is exact to 4e-23
-        area = polygon_area(poly - poly[:1])
-        assert abs(cell.area - area) <= 1e-10 * area
-    return got
+    cells = f.cells
+    assert cells.sites.tolist() == [i for i, _, _ in ref]
+    for poly, area, (_, want, want_area) in zip(cell_polygons(cells), cells.areas, ref):
+        assert poly.shape == want.shape and np.array_equal(poly, want)
+        # one area rule: the shoelace about the first vertex, summed by
+        # np.add.reduceat, in the array core's certified cells and in
+        # ``polygon_area``
+        assert np.float64(area).view(np.int64) == np.float64(want_area).view(np.int64)
+    return cells
 
 
 def count_fallbacks(f, monkeypatch):
@@ -401,7 +407,8 @@ def _random_inactive():
     rng = np.random.default_rng(11)
     sites = rng.uniform(-1, 1, size=(200, 2))
     f = mm.lower_envelope(sites, quadratic(sites) + 0.2 * rng.standard_normal(200))
-    assert not f.active[f.hull_interior].all()
+    on_envelope = np.isin(np.arange(200), f.triangulation)
+    assert not on_envelope[f.hull_interior].all()
     return f
 
 
@@ -426,13 +433,12 @@ def test_array_core_matches_reference(case, request, monkeypatch):
         assert count_fallbacks(f, monkeypatch) == 0
     got = mm.weighted_mass(cells, _gauss_weight)
     want = np.array([
-        polygon_quadrature(c.polygon, _gauss_weight) if c.area > 0.0 and len(c.polygon) >= 3
-        else 0.0
-        for c in cells
+        polygon_quadrature(poly, _gauss_weight) if area > 0.0 and len(poly) >= 3 else 0.0
+        for poly, area in zip(cell_polygons(cells), cells.areas)
     ])
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     masses = mm.ma_measure(f)
-    assert np.array_equal(masses[[c.site_index for c in cells]], [c.area for c in cells])
+    assert np.array_equal(masses[cells.sites], cells.areas)
 
 
 def test_fallback_cells_spliced_into_a_solved_envelope(monkeypatch):
@@ -538,8 +544,7 @@ def _tied_angles():
     tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
     grads = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
     return mm.PLConvexFunction(sites=sites, heights=np.zeros(5), triangulation=tris,
-                               gradients=grads, offsets=np.zeros(4),
-                               active=np.ones(5, dtype=bool))
+                               gradients=grads, offsets=np.zeros(4))
 
 
 @pytest.mark.parametrize("case", ["verify_dual", "translator", "cocircular_lattice",
@@ -581,13 +586,14 @@ def test_cells_are_built_once_per_envelope(monkeypatch):
     assert f.cells is f.cells
     assert not f.cells.vertices.flags.writeable  # shared, so no reader can change them
     masses = mm.ma_measure(f)
-    cells = mm.subgradient_cells(f)
+    ones = mm.weighted_mass(f.cells, lambda y: np.ones(len(y)))
     rep = mm.check_translator_identity(f, 0.25, np.flatnonzero(f.hull_interior))
+    assert mm.subgradient_cells(f) is f.cells
     assert len(built) == 1 and built[0] is f
     # the readers agree with each other and with a fresh build
     fresh = cell_arrays(f)
     assert np.array_equal(masses[fresh.sites], fresh.areas)
-    assert [c.area for c in cells] == fresh.areas.tolist()
+    assert np.allclose(ones, fresh.areas, rtol=1e-12, atol=0.0)
     assert rep.measure_side == float(fresh.areas.sum())
 
 
@@ -602,9 +608,9 @@ def test_degenerate_cells_take_fallback(case, monkeypatch):
         sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0.2, 0.1]])
         f = mm.lower_envelope(sites, np.zeros(5))
     cells = assert_matches_reference(f)
-    assert count_fallbacks(f, monkeypatch) == len(cells) > 0
-    assert all(c.area == 0.0 for c in cells)
-    assert np.array_equal(mm.weighted_mass(cells, _gauss_weight), np.zeros(len(cells)))
+    assert count_fallbacks(f, monkeypatch) == len(cells.sites) > 0
+    assert np.all(cells.areas == 0.0)
+    assert np.array_equal(mm.weighted_mass(cells, _gauss_weight), np.zeros(len(cells.sites)))
 
 
 def test_verifier_independent_of_solve_loop(monkeypatch):
@@ -623,9 +629,8 @@ def test_verifier_independent_of_solve_loop(monkeypatch):
     prob = solver.build_problem(dom, 0.1, grid.RhsField("constant"), quadratic)
     pl = mm.lower_envelope(prob.grid.nodes, quadratic(prob.grid.nodes))
     assert solver.residual(pl, prob) <= 1e-12
-    cells = mm.subgradient_cells(pl)
-    assert len(cells) == int(prob.interior.sum())
-    assert np.allclose([c.area for c in cells], 0.01, rtol=1e-12)
+    assert len(pl.cells.sites) == int(prob.interior.sum())
+    assert np.allclose(pl.cells.areas, 0.01, rtol=1e-12)
 
 
 @st.composite
@@ -641,12 +646,21 @@ def lifted_clouds(draw):
     return sites, curvature * quadratic(sites) + bumps
 
 
+# a cloud with an 11-vertex cell, whose area np.add.reduceat does not sum
+# in order: ``polygon_area`` must sum it as the array core does
+_LONG_CELL = np.array([(0, 0), (0, 1), (0, -1), (0, 2), (0, -2), (0, 3), (0, -3), (0, 4),
+                       (0, -4), (0, 5), (0, -5), (0, 6), (0, -6), (0, 7), (0, 8), (0, 9),
+                       (1, 0), (1, 1), (1, -1), (1, 2), (-1, 0), (-2, 0), (-4, 0)]) / 16.0
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     cloud=lifted_clouds(),
     tilt=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)),
     shear=st.floats(-2, 2),
 )
+@example(cloud=(_LONG_CELL, 2.0 * quadratic(_LONG_CELL) - 0.25 * (np.arange(23) == 21)),
+         tilt=(0.0, 0.0, 0.0), shear=0.0)
 def test_array_core_property(cloud, tilt, shear):
     sites, heights = cloud
     try:
@@ -679,9 +693,13 @@ def test_nearest_sites_property(cloud):
 
 
 def test_cell_records_equal_named_tuples(primal_profile_8):
+    # the record view that only the benchmark reads: ``subgradient_cells``
+    # hands out the cells themselves, whose records are built once
     f = _primal_translator(primal_profile_8)
-    got = mm.subgradient_cells(f)
     c = f.cells
+    assert mm.subgradient_cells(f) is c and len(c) == len(c.sites)
+    got = list(c)
+    assert all(a is b for a, b in zip(got, c))
     ends = np.cumsum(c.counts)
     want = [mm.SubgradientCell(int(i), c.vertices[e - k:e], float(a))
             for i, k, e, a in zip(c.sites, c.counts, ends, c.areas)]
@@ -696,8 +714,8 @@ def test_cell_records_equal_named_tuples(primal_profile_8):
 
 
 def listed_weighted_mass(cells, weight):
-    """``weighted_mass`` with its full cells picked, converted and counted
-    one record at a time, the form the C-level gathers replaced."""
+    """``weighted_mass`` on records, with its full cells picked, converted
+    and counted one record at a time: the record path it replaced."""
     out = np.zeros(len(cells))
     full = [k for k, c in enumerate(cells) if c.area > 0.0 and len(c.polygon) >= 3]
     if full:
@@ -707,19 +725,45 @@ def listed_weighted_mass(cells, weight):
     return out
 
 
-def test_weighted_mass_equals_record_by_record(primal_profile_8):
-    cells = mm.subgradient_cells(_primal_translator(primal_profile_8))
-    tri = [[0, 0], [1, 0], [0, 1]]
-    cells += [
-        mm.SubgradientCell(0, tri, 0.5),  # a list polygon
-        mm.SubgradientCell(1, np.array(tri), 0.5),  # integer vertices
-        mm.SubgradientCell(2, np.array(tri, dtype=float), 0.0),  # zero area
-        mm.SubgradientCell(3, np.array(tri[:2], dtype=float), 0.5),  # a segment
-        mm.SubgradientCell(4, np.empty((0, 2)), 0.0),
-        mm.SubgradientCell(5, np.array(tri, dtype=float), float("nan")),
-    ]
-    for weight in (_gauss_weight, lambda y: 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 3):
-        got = mm.weighted_mass(cells, weight)
-        want = listed_weighted_mass(cells, weight)
+def _cubic_weight(y):
+    return 1.0 + y[:, 0] - 0.5 * y[:, 1] ** 3
+
+
+def test_weighted_mass_equals_record_by_record(primal_profile_8, solved_dual_disk8):
+    # criterion 05's cells and verify-dual's: the arrays give the record
+    # path's masses and Gauss-map mass bit for bit
+    for f in (_primal_translator(primal_profile_8), solved_dual_disk8[1].function):
+        records = list(f.cells)
+        for weight in (_gauss_weight, _cubic_weight):
+            got = mm.weighted_mass(f.cells, weight)
+            want = listed_weighted_mass(records, weight)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        total = float(listed_weighted_mass(records, _gauss_weight).sum())
+        assert np.float64(mm.gauss_map_mass(f.cells)).view(np.int64) == np.float64(
+            total).view(np.int64)
+
+
+def test_weighted_mass_of_hand_built_cells():
+    # empty, point, segment, zero-area and NaN-area cells read 0 and reach
+    # no weight call; the triangles between them are integrated as records
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    polygons = [tri, [], tri[:1], tri[:2], tri, tri, tri + 0.5]
+    areas = [0.5, 0.0, 0.0, 0.5, 0.0, float("nan"), 0.5]
+    cells = cell_arrays(polygons, areas)
+    records = [mm.SubgradientCell(k, np.reshape(p, (-1, 2)), a)
+               for k, (p, a) in enumerate(zip(polygons, areas))]
+    for weight in (_gauss_weight, _cubic_weight):
+        calls = []
+        got = mm.weighted_mass(cells, lambda y: calls.append(len(y)) or weight(y))
+        want = listed_weighted_mass(records, weight)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(mm.weighted_mass([], _gauss_weight), np.zeros(0))
+        assert len(calls) == 1 and np.all(got[1:6] == 0.0)
+        assert np.allclose(got[[0, 6]], [polygon_quadrature(tri, weight),
+                                         polygon_quadrature(tri + 0.5, weight)], rtol=1e-13)
+    degenerate = cell_arrays(polygons[1:6], areas[1:6])
+    never = lambda y: pytest.fail("a degenerate cell reached the weight")
+    assert np.array_equal(mm.weighted_mass(degenerate, never), np.zeros(5))
+    assert mm.gauss_map_mass(degenerate) == 0.0
+    empty = cell_arrays([], [])
+    assert np.array_equal(mm.weighted_mass(empty, never), np.zeros(0))
+    assert mm.gauss_map_mass(empty) == 0.0

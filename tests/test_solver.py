@@ -307,8 +307,10 @@ def test_one_hull_per_trial(case, monkeypatch):
     # the envelope is lower_envelope's as a function, at every site and
     # between them, though its faces and gradients are the solver's own
     ref = solver.lower_envelope(prob.grid.nodes, rep.grid.values)
-    for name in ("sites", "heights", "active"):
+    for name in ("sites", "heights"):
         assert np.array_equal(getattr(rep.function, name), getattr(ref, name)), name
+    # and the same sites lie on it: those that are vertices of the triangulation
+    assert np.array_equal(np.unique(rep.function.triangulation), np.unique(ref.triangulation))
     points = np.vstack([prob.grid.nodes,
                         np.random.default_rng(3).uniform(-1.0, 1.0, size=(1000, 2))])
     scale = 1.0 + np.abs(rep.grid.values).max()
