@@ -24,16 +24,17 @@ def polygon_area(vertices) -> float:
 
 
 def polygon_centroid(vertices) -> np.ndarray:
-    """Area-weighted centroid; falls back to the vertex mean when degenerate."""
+    """Area-weighted centroid, its shoelace sums taken about the first vertex
+    as ``polygon_area``'s are; falls back to the vertex mean when degenerate."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
+    x, y = v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
     cross = x * np.roll(y, -1) - np.roll(x, -1) * y
     a = 0.5 * np.sum(cross)
     if abs(a) < 1e-300:
         return v.mean(axis=0)
     cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
     cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    return np.array([v[0, 0] + cx, v[0, 1] + cy])
 
 
 def convex_hull(points) -> np.ndarray:
@@ -243,20 +244,30 @@ def polygons_quadrature(vertices, counts, fn) -> np.ndarray:
     m = len(counts)
     owner = np.repeat(np.arange(m), counts)
     b = a[cyclic_successor(counts)]
-    # area-weighted centroids as in polygon_centroid
-    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
-    area = 0.5 * np.bincount(owner, cross, m)
-    c = np.stack([np.bincount(owner, a[:, k], m) / counts for k in range(2)], axis=1)
-    solid = np.abs(area) >= 1e-300
-    for k in range(2):
-        moment = np.bincount(owner, (a[:, k] + b[:, k]) * cross, m)
-        c[solid, k] = moment[solid] / (6.0 * area[solid])
-    c = c[owner]
+    c = _centroids(a, b, counts, owner)[owner]
     bary, w = triangle_rule(4)
     pts = _fan_nodes(c, a, b, bary)
     fan = 0.5 * orientation(c, a, b)
     vals = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(len(a), len(w))
     return np.bincount(owner, fan * (vals @ w), m)
+
+
+def _centroids(a, b, counts, owner) -> np.ndarray:
+    """The area-weighted centroids of polygons stored back to back, as
+    ``polygon_centroid`` gives them: the shoelace sums about each polygon's
+    first vertex, and the vertex mean for a degenerate polygon.  ``b`` holds
+    each vertex's successor and ``owner`` each vertex's polygon."""
+    m = len(counts)
+    first = a[np.cumsum(counts) - counts]
+    p, q = a - first[owner], b - first[owner]
+    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    area = 0.5 * np.bincount(owner, cross, m)
+    c = np.stack([np.bincount(owner, a[:, k], m) / counts for k in range(2)], axis=1)
+    solid = np.abs(area) >= 1e-300
+    for k in range(2):
+        moment = np.bincount(owner, (p[:, k] + q[:, k]) * cross, m)
+        c[solid, k] = first[solid, k] + moment[solid] / (6.0 * area[solid])
+    return c
 
 
 def _fan_nodes(c, a, b, bary) -> np.ndarray:

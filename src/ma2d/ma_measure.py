@@ -28,24 +28,45 @@ cell (empty, a point, a segment or a near-degenerate polygon) falls back to
 ``convex_hull`` and ``polygon_area`` of the site's face gradients.  Every
 reader of the cells, ``weighted_mass`` included, takes these arrays.
 
-The lifted lower hull, ``_lower_faces``, is the one hull primitive of the
-package: ``lower_envelope`` and the solver's mass pass both build on it, and
-``_envelope`` turns faces with their gradients and offsets into a
-``PLConvexFunction``.  ``lower_envelope`` takes them from Qhull's plane
-equations; the solver takes only Qhull's faces, and its envelope is its
-last accepted pass.  The cells and their areas share no code with the solve
-loop: this module imports nothing from ``solver``, and its gradient-space
-order with a certificate is independent of the planar face order that
-``solver._mass_pass`` sums.
+The lifted lower hull is the one hull primitive of the package, and lives
+here: Qhull's whole hull (``_lower_faces``), the lattice start that builds
+most of it from lattice squares with Qhull on a band of sites only
+(``_square_start``), and the checks that the faces triangulate the sites'
+hull (``_twins``, ``_tiles_a_disk``) and are locally convex
+(``_edge_lifts``).  The solver's start pass calls the same start and check
+on its paraboloid's squares, and its mass passes build on the same pieces;
+this module imports nothing from ``solver``.  ``lower_envelope`` recognises
+a lattice from the sites alone (``_lattice``: the pitch is the least
+nonzero |coordinate|, the lattice box is bounded in floats before any
+integer cast, and duplicated sites are no lattice), so O(N) time and
+memory decide the path on any input.  On a lattice it splits each square
+whose four corners are sites along its lower diagonal, merges the squares'
+triangles with Qhull's lower hull of the band (the sites that are not a
+corner of four squares) and certifies the merge (``_lattice_faces``):
+every face strictly ccw, the edge pairing an involution, V - E + F = 1,
+the unpaired half-edges those of the band's hull, every site a vertex, and
+n . (P[v] - P[a]) >= 0 on every interior edge.  A triangulation of the
+sites' hull that is locally convex everywhere is the lower hull
+(Edelsbrunner & Shah, Algorithmica 1996).  Its planes are the vertex cross
+products, and a tied square's two triangles share one.  On the primal
+translator on disk(1) at h = 0.02, criterion 05's input, the band is 396 of
+7,845 sites and the faces are Qhull's 15,576.  Any failed check, and any
+input that is no lattice, takes Qhull's whole hull with its ``Qt`` plane
+equations, bit for bit as before; ``hull_sites`` records which path ran.
+The envelope's cells and their areas share no code with the solve loop:
+their gradient-space order with a certificate is independent of the planar
+face order that ``solver._mass_pass`` sums.
 
 The translator identity integrates each face with a degree-2 rule whose
 node k sits at barycentric weight 2/3 next to the face's vertex k, and
 counts a node for the site nearest to it.  ``_nearest_sites`` certifies
-that vertex as the nearest site when the node lies within half the
-vertex's distance to its nearest other site (with a 1e-9 relative margin
-for rounding), and puts only the other nodes to a KD-tree query: 384 of
-the 46,728 nodes of the primal translator on disk(1) at h = 0.02.  The
-owners are the full query's, index for index.
+that vertex as the nearest site when the node lies within half a lower
+bound on the vertex's distance to its nearest other site (with a 1e-9
+relative margin for rounding), and puts only the other nodes to a KD-tree
+query: 384 of the 46,728 nodes of the primal translator on disk(1) at
+h = 0.02.  On a lattice of pitch h the bound is h (1 - 1e-9) for every
+site, with no query of the sites; elsewhere it is the gap of a k = 2
+query.  The owners are the full query's, index for index.
 """
 from __future__ import annotations
 
@@ -80,6 +101,9 @@ class PLConvexFunction:
     triangulation: np.ndarray  # (F, 3) site-index triples, ccw in the plane
     gradients: np.ndarray      # (F, 2) per-face gradient
     offsets: np.ndarray        # (F,) per-face affine offset: z = g.x + c
+    # sites handed to Qhull: the band on the lattice path, N (plus the band
+    # of a failed lattice start) on Qhull's; 0 for the solver's envelope
+    hull_sites: int = 0
 
     @cached_property
     def hull_interior(self) -> np.ndarray:
@@ -112,7 +136,9 @@ class SubgradientCell(NamedTuple):
 
 def _lower_faces(sites: np.ndarray, heights: np.ndarray):
     """(F, 3) site triples of the lower hull of the lifted points (x_i, heights_i)
-    and their (F, 4) unit plane equations (nx, ny, nz, off), nz < 0.
+    and their (F, 4) unit plane equations (nx, ny, nz, off), nz < 0: Qhull's
+    whole hull, which builds the band of a lattice start and every hull
+    that no start gives.
 
     An apex far above the sites makes the lifted set full rank; Qhull's
     ``Qt`` triangulation resolves cocircular degeneracies deterministically.
@@ -130,8 +156,13 @@ def _lower_faces(sites: np.ndarray, heights: np.ndarray):
 def lower_envelope(sites, heights) -> PLConvexFunction:
     """Lower convex hull of the lifted points (x_i, heights_i).
 
-    Sites strictly above the envelope are no vertex of its faces, which come
-    from ``_lower_faces`` and are oriented ccw by ``_envelope``.
+    Sites strictly above the envelope are no vertex of its faces.  When the
+    sites are a lattice (``_lattice``), the faces are the lattice start that
+    ``_lattice_faces`` certifies, with planes from vertex cross products and
+    offsets at each face's first vertex; otherwise, or when the start fails
+    its certificate, they are Qhull's whole hull (``_lower_faces``) with its
+    plane equations, each turned ccw in the plane.  ``hull_sites`` counts
+    the sites handed to Qhull: the band alone on the lattice path.
     """
     sites = np.asarray(sites, dtype=float)
     heights = np.asarray(heights, dtype=float)
@@ -142,13 +173,17 @@ def lower_envelope(sites, heights) -> PLConvexFunction:
     if not spans_plane(sites):
         raise DegenerateInput("all sites are collinear")
 
+    tris, grads, band = _lattice_faces(sites, heights)
+    if tris is not None:
+        return _faces_envelope(sites, heights, tris, grads, hull_sites=band)
     try:
         tris, n = _lower_faces(sites, heights)
     except QhullError as exc:  # pragma: no cover - apex makes inputs full rank
         raise DegenerateInput(str(exc)) from exc
     # per-face affine data from the (unit) outward normal (nx, ny, nz), nz < 0:
     # z = -(nx x + ny y + off) / nz
-    return _envelope(sites, heights, tris, -n[:, :2] / n[:, 2:3], -n[:, 3] / n[:, 2])
+    return PLConvexFunction(sites, heights, _ccw(sites, tris), -n[:, :2] / n[:, 2:3],
+                            -n[:, 3] / n[:, 2], band + len(sites))
 
 
 def _ccw(sites, tris) -> np.ndarray:
@@ -157,10 +192,216 @@ def _ccw(sites, tris) -> np.ndarray:
     return np.where((cross < 0)[:, None], tris[:, [0, 2, 1]], tris)
 
 
-def _envelope(sites, heights, tris, grads, offs) -> PLConvexFunction:
-    """The envelope whose lower-hull faces ``tris`` carry z = grads . x + offs,
-    its triangles oriented ccw in the plane; ``tris`` is not modified."""
-    return PLConvexFunction(sites, heights, _ccw(sites, tris), grads, offs)
+def _faces_envelope(sites, heights, tris, grads, hull_sites=0) -> PLConvexFunction:
+    """The envelope on the lower-hull faces ``tris``, ccw in the plane, with
+    the gradients ``grads`` of their vertex cross products, each face's
+    offset z - g . x taken at its first vertex."""
+    offsets = heights[tris[:, 0]] - np.einsum("ij,ij->i", sites[tris[:, 0]], grads)
+    return PLConvexFunction(sites, heights, tris, grads, offsets, hull_sites)
+
+
+def _lattice(sites: np.ndarray):
+    """(h, lo, index) when the sites are distinct nodes k h of the
+    origin-anchored lattice of pitch h, or None: ``index[k - lo]`` is the
+    site at k, and -1 where no site is.
+
+    The pitch is the least nonzero |coordinate|.  The lattice box is bounded
+    in floats before any integer cast: (ptp x1 / h + 1) (ptp x2 / h + 1)
+    <= 4 N + 64, which also rejects NaN and +-inf, and every |coordinate|
+    <= 2**19 h.  So the recognition costs O(N) time and memory on any input.
+    Every site must lie within 2**-33 of its lattice point in units of h,
+    as computed: x / h rounds by at most 2**-34 at |x / h| <= 2**19, and a
+    node stored as the rounded k h reads at most 2**-52 |k| <= 2**-33 off
+    k.  So each site lies within 1.5 2**-33 h of k h per coordinate, and two
+    distinct sites at least h (1 - 5e-10) apart.
+    """
+    n = len(sites)
+    x = np.abs(sites).ravel()
+    nonzero = x[x > 0.0]
+    if not len(nonzero):
+        return None
+    h = float(nonzero.min())
+    box = (float(np.ptp(sites[:, 0])) / h + 1.0) * (float(np.ptp(sites[:, 1])) / h + 1.0)
+    if not (box <= 4.0 * n + 64.0 and float(x.max()) <= 2.0**19 * h):
+        return None
+    r = sites / h
+    k = np.rint(r)
+    if not np.all(np.abs(r - k) <= 2.0**-33):
+        return None
+    k = k.astype(np.int64)
+    lo = np.array([k[:, 0].min(), k[:, 1].min()])
+    hi = np.array([k[:, 0].max(), k[:, 1].max()])
+    index = np.full(hi - lo + 1, -1, dtype=np.intp)
+    index[k[:, 0] - lo[0], k[:, 1] - lo[1]] = np.arange(n)
+    if np.count_nonzero(index >= 0) < n:  # a duplicated site
+        return None
+    return h, lo, index
+
+
+def _lattice_faces(sites: np.ndarray, heights: np.ndarray):
+    """(faces, gradients, band size) of the lower hull of the lifted sites,
+    built from their lattice squares and certified; (None, None, band size)
+    when the sites are no lattice, a height is not finite or the start
+    fails its certificate, with band size 0 when no Qhull hull was built.
+
+    The squares are the lattice cells whose four corners are sites.  Each
+    splits along its lower diagonal: corners 0 and 2 when
+    z0 + z2 <= z1 + z3, else 1 and 3.  The sites that are not a corner of
+    four squares form the band, whose lower hull Qhull builds; its faces
+    over a square are dropped (``_square_start``).  A band that Qhull
+    rejects leaves the error, if any, to the whole hull.  A lattice with no
+    site of four squares, such as the solver's boundary ring, builds nothing.
+    The merged faces are certified: they tile the hull of the sites
+    (``_tiles_a_disk``), every site is a vertex, and every interior edge is
+    locally convex, n . (P[v] - P[a]) >= 0 in floats (``_edge_lifts``).
+    Such a triangulation is the lower hull (Edelsbrunner & Shah,
+    Algorithmica 1996).  The planes are the vertex cross products, except
+    that a square whose heights tie, z0 + z2 == z1 + z3, gives its second
+    triangle the first one's, as the solver's start does: separate cross
+    products of coplanar triangles differ by an ulp, and a cell with two
+    gradients an ulp apart fails its certificate and takes the fallback.
+    """
+    lattice = _lattice(sites)
+    if lattice is None or not np.all(np.isfinite(heights)):
+        return None, None, 0
+    h, lo, index = lattice
+    corners = (index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:])
+    square = (corners[0] >= 0) & (corners[1] >= 0) & (corners[2] >= 0) & (corners[3] >= 0)
+    squares = np.column_stack([c[square] for c in corners])
+    count = np.bincount(squares.ravel(), minlength=len(sites))
+    if not np.any(count == 4):
+        return None, None, 0
+    band = np.flatnonzero(count < 4)
+    z = heights[squares]
+    diagonal = z[:, 0] + z[:, 2]
+    other = z[:, 1] + z[:, 3]
+    turn = diagonal > other
+    squares[turn] = squares[turn][:, [1, 2, 3, 0]]
+    try:
+        band_faces = band[_lower_faces(sites[band], heights[band])[0]]
+    except (QhullError, ValueError):  # NaN heights, say: the whole hull decides
+        return None, None, len(band)
+    tris, boundary = _square_start(sites, band_faces, squares, h, lo, square)
+    twin = _twins(len(sites), tris)
+    covers = np.all(np.bincount(tris.ravel(), minlength=len(sites)))
+    if not (covers and _tiles_a_disk(sites, tris, twin, boundary)):
+        return None, None, len(band)
+    lifted = np.column_stack([sites, heights])
+    normal = _normals(lifted, tris)
+    second = len(tris) - len(squares)
+    tied = np.flatnonzero(diagonal == other)
+    normal[second + tied] = normal[second - len(squares) + tied]
+    half = _interior_half_edges(twin.ravel())
+    if not np.all(_edge_lifts(lifted, tris, normal, half, twin.ravel()) >= 0.0):
+        return None, None, len(band)
+    return tris, _gradients(normal), len(band)
+
+
+def _square_start(sites, band_faces, squares, h, lo, square_cell):
+    """The faces of the lower hull that the lattice squares give, and the
+    boundary of the band's: (faces, boundary).  ``squares`` are (S, 4) site
+    indices, ccw, each split along its corners 0 and 2; ``band_faces`` is
+    Qhull's lower hull (``_lower_faces``) of the band, the sites that are
+    not corners of four squares, in site indices.  ``square_cell[i, j]`` is
+    whether the lattice cell lo + (i, j) of pitch ``h`` is a square.
+
+    A band face is dropped when the lattice cell that holds its centroid,
+    floor(centroid / h), is a square, and the two triangles of every square
+    take the dropped faces' place.  The face's vertices would not do: a band
+    face that spans the squares' region need not touch the square it
+    covers.  The faces are the kept band faces, ccw, then the squares'
+    triangles (0, 1, 2), then (0, 2, 3).  ``boundary`` lists the band
+    hull's boundary half-edges (``_boundary``) for ``_tiles_a_disk``.
+    """
+    cell = np.floor(sites[band_faces].mean(axis=1) / h).astype(np.int64) - lo
+    i, j = cell[:, 0], cell[:, 1]
+    inside = (i >= 0) & (j >= 0) & (i < square_cell.shape[0]) & (j < square_cell.shape[1])
+    i, j = i[inside], j[inside]
+    inside[inside] = square_cell[i, j]
+    tris = _ccw(sites, band_faces)
+    boundary = _boundary(len(sites), tris, _twins(len(sites), tris))
+    return np.concatenate([tris[~inside], squares[:, [0, 1, 2]], squares[:, [0, 2, 3]]]), boundary
+
+
+def _twins(n: int, tris: np.ndarray) -> np.ndarray:
+    """(F, 3) edge pairing of faces on n sites: side k of face f, opposite
+    its vertex k, is the half-edge 3 f + k, and ``twin`` holds the half-edge
+    3 g + j when that side is side j of face g, -1 when no other face has
+    it.  An edge on three faces pairs two of them."""
+    lo = np.minimum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
+    hi = np.maximum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
+    order = np.argsort(lo * n + hi, kind="stable")
+    lo, hi = lo[order], hi[order]
+    pair = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    twin = np.full(3 * len(tris), -1)
+    twin[order[pair]] = order[pair + 1]
+    twin[order[pair + 1]] = order[pair]
+    return twin.reshape(-1, 3)
+
+
+def _boundary(n: int, tris: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """The unpaired half-edges of faces on n sites, ascending, each as
+    tail * n + head; side k of a face runs from its vertex k + 1 to k + 2."""
+    half = np.flatnonzero(twin.ravel() < 0)
+    tail, head = tris[:, [1, 2, 0]].ravel()[half], tris[:, [2, 0, 1]].ravel()[half]
+    return np.sort(tail * n + head)
+
+
+def _tiles_a_disk(sites, tris, twin, boundary) -> bool:
+    """Whether the faces ``tris`` with the edge pairing ``twin`` triangulate
+    the region that ``boundary`` (``_boundary`` of a triangulation of the
+    sites' hull) bounds, by integer counts: every face is strictly ccw in
+    the plane, the edge pairing is an involution between opposite
+    half-edges (so an edge is on at most two faces, on opposite sides), the
+    Euler characteristic V - E + F is 1 (a hole makes it 0), and the
+    unpaired half-edges are those of ``boundary``.  All faces ccw, each
+    point is then covered as often as the boundary winds about it: once
+    inside the hull, so the faces are a triangulation of the hull."""
+    if not np.all(orientation(*(sites[tris[:, k]] for k in range(3))) > 0.0):
+        return False
+    twin = twin.ravel()
+    half = np.flatnonzero(twin >= 0)
+    other = twin[half]
+    tail, head = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()  # side k: k+1 -> k+2
+    if not (np.array_equal(twin[other], half) and np.array_equal(tail[other], head[half])):
+        return False
+    vertices = np.count_nonzero(np.bincount(tris.ravel(), minlength=len(sites)))
+    edges = len(half) // 2 + (len(twin) - len(half))
+    return (vertices - edges + len(tris) == 1
+            and np.array_equal(_boundary(len(sites), tris, twin), boundary))
+
+
+def _interior_half_edges(twin: np.ndarray) -> np.ndarray:
+    """Each interior edge once, as its lower half-edge, in ascending order."""
+    return np.flatnonzero(twin > np.arange(len(twin)))
+
+
+def _normals(lifted: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a) per lifted face (a, b, c); n_z > 0 when it is ccw in the plane.
+    Like the other per-pass kernels it gathers coordinate columns, at about
+    half the cost of gathering the rows of ``lifted``."""
+    x, y, z = lifted.T
+    a, b, c = tris.T
+    ax, ay, az = x[a], y[a], z[a]
+    ux, uy, uz = x[b] - ax, y[b] - ay, z[b] - az
+    vx, vy, vz = x[c] - ax, y[c] - ay, z[c] - az
+    return np.column_stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
+
+
+def _edge_lifts(lifted, tris, normal, half, twin) -> np.ndarray:
+    """n . (P[v] - P[a]) per half-edge of ``half``: with the normal n of its
+    face (a, b, c) and the vertex v opposite it on the other side, the height
+    of v above the plane of the face, times twice the face's planar area."""
+    f = half // 3
+    v, a = tris.ravel()[twin[half]], tris[f, 0]
+    x, y, z = lifted.T
+    nx, ny, nz = normal.T
+    return nx[f] * (x[v] - x[a]) + ny[f] * (y[v] - y[a]) + nz[f] * (z[v] - z[a])
+
+
+def _gradients(normal: np.ndarray) -> np.ndarray:
+    """Face gradients from face normals that point up (n_z > 0) or down."""
+    return -normal[:, :2] / normal[:, 2:3]
 
 
 @dataclass(frozen=True)
@@ -430,24 +671,33 @@ def _nearest_sites(sites, points, near) -> np.ndarray:
     ``cKDTree(sites).query(points)[1]``; ``near`` names a candidate site
     per point, and the query runs only for the points it cannot certify.
 
-    Let gap(a) be the distance from site a to its nearest other site (one
-    k = 2 query of the sites themselves) and p a point with
-    2 |p - a| < gap(a).  For every other site s, the triangle inequality
-    gives |p - s| >= |a - s| - |p - a| >= gap(a) - |p - a| > |p - a|, so a
-    is the unique nearest site and the query returns it.  The test is
-    4 |p - a|**2 < (1 - 1e-9) gap(a)**2: the margin 1e-9 is far above the
+    Let g(a) be a lower bound on the distance gap(a) from site a to its
+    nearest other site and p a point with 2 |p - a| < g(a).  For every other
+    site s, the triangle inequality gives |p - s| >= |a - s| - |p - a| >=
+    gap(a) - |p - a| > |p - a|, so a is the unique nearest site and the
+    query returns it.  On a lattice of pitch h (``_lattice``), two distinct
+    sites lie at least h (1 - 5e-10) apart, so g(a) = h (1 - 1e-9) for
+    every site, with no query of the sites; otherwise g(a) = gap(a), from
+    one k = 2 query of the sites themselves.  The test is
+    4 |p - a|**2 < (1 - 1e-9) g(a)**2: the margin 1e-9 is far above the
     few units of rounding (2**-53 each) in the squared distances, here and
     in the query, so a certified point's exact nearest site is a, and the
     query's float comparison sees a ahead by about 5e-10 gap(a)**2.
-    Duplicated sites have gap 0 and NaN fails the test, so their points go
-    to the query.  Both queries use every CPU; their results are those of
-    one worker.
+    Duplicated sites are no lattice and have gap 0, and NaN fails the test,
+    so their points go to the query.  Both queries use every CPU; their
+    results are those of one worker.
     """
-    tree = cKDTree(sites)
-    gap = tree.query(sites, k=2, workers=-1)[0][:, 1]
+    lattice = _lattice(sites)
+    tree = None
+    if lattice is None:
+        tree = cKDTree(sites)
+        gap = tree.query(sites, k=2, workers=-1)[0][:, 1][near]
+    else:
+        gap = lattice[0] * (1.0 - 1e-9)
     d = points - sites[near]
     owner = np.array(near, dtype=np.intp)
-    rest = np.flatnonzero(~(4.0 * (d[:, 0] ** 2 + d[:, 1] ** 2) < (1.0 - 1e-9) * gap[near] ** 2))
+    rest = np.flatnonzero(~(4.0 * (d[:, 0] ** 2 + d[:, 1] ** 2) < (1.0 - 1e-9) * gap ** 2))
     if rest.size:
+        tree = cKDTree(sites) if tree is None else tree
         owner[rest] = tree.query(points[rest], workers=-1)[1]
     return owner

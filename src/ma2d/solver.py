@@ -39,8 +39,10 @@ in one of four ways:
   square whose corners are interior sites at height q is a face of the
   lower hull, and Qhull builds the hull of the band only: the sites that are
   not corners of four such squares, 860 of verify-dual's 12,853
-  (``_square_hull``).  A merge that fails its check falls back to a whole
-  Qhull build;
+  (``_square_hull``).  The merge and its check are those of
+  ``ma_measure.lower_envelope``'s lattice start (``ma_measure._square_start``
+  and ``_tiles_a_disk``).  A merge that fails its check falls back to a
+  whole Qhull build;
 - certified as carried: the accepted pass's triangulation is still the lower
   hull when every site is a vertex and the lift is locally convex across
   every interior edge (Edelsbrunner & Shah, Algorithmica 1996);
@@ -106,14 +108,20 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleBoundary, NoConvergence
-from .geometry import orientation
 from .grid import (Domain2D, GridFunction, RhsField, _evaluate, lattice_box, lattice_coordinates,
                    sample)
 from .ma_measure import (
     PLConvexFunction,
     _ccw,
-    _envelope,
+    _edge_lifts,
+    _faces_envelope,
+    _gradients,
+    _interior_half_edges,
     _lower_faces,
+    _normals,
+    _square_start,
+    _tiles_a_disk,
+    _twins,
     lower_envelope,
     ma_measure,
 )
@@ -277,48 +285,7 @@ class _Topology:
 def _topology(sites: np.ndarray, tris: np.ndarray, interior: np.ndarray) -> _Topology:
     """The topology of ``tris``: its faces turned ccw, and their edge pairing."""
     tris = _ccw(sites, tris)
-    lo = np.minimum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
-    hi = np.maximum(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]).ravel()
-    order = np.argsort(lo * len(sites) + hi, kind="stable")
-    lo, hi = lo[order], hi[order]
-    pair = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
-    twin = np.full(3 * len(tris), -1)
-    twin[order[pair]] = order[pair + 1]
-    twin[order[pair + 1]] = order[pair]
-    return _Topology(sites=sites, interior=interior, tris=tris, twin=twin.reshape(-1, 3))
-
-
-def _interior_half_edges(twin: np.ndarray) -> np.ndarray:
-    """Each interior edge once, as its lower half-edge, in ascending order."""
-    return np.flatnonzero(twin > np.arange(len(twin)))
-
-
-def _normals(lifted: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """(b - a) x (c - a) per lifted face (a, b, c); n_z > 0 when it is ccw in the plane.
-    Like the other per-pass kernels it gathers coordinate columns, at about
-    half the cost of gathering the rows of ``lifted``."""
-    x, y, z = lifted.T
-    a, b, c = tris.T
-    ax, ay, az = x[a], y[a], z[a]
-    ux, uy, uz = x[b] - ax, y[b] - ay, z[b] - az
-    vx, vy, vz = x[c] - ax, y[c] - ay, z[c] - az
-    return np.column_stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
-
-
-def _edge_lifts(lifted, tris, normal, half, twin) -> np.ndarray:
-    """n . (P[v] - P[a]) per half-edge of ``half``: with the normal n of its
-    face (a, b, c) and the vertex v opposite it on the other side, the height
-    of v above the plane of the face, times twice the face's planar area."""
-    f = half // 3
-    v, a = tris.ravel()[twin[half]], tris[f, 0]
-    x, y, z = lifted.T
-    nx, ny, nz = normal.T
-    return nx[f] * (x[v] - x[a]) + ny[f] * (y[v] - y[a]) + nz[f] * (z[v] - z[a])
-
-
-def _gradients(normal: np.ndarray) -> np.ndarray:
-    """Face gradients from face normals that point up (n_z > 0) or down."""
-    return -normal[:, :2] / normal[:, 2:3]
+    return _Topology(sites=sites, interior=interior, tris=tris, twin=_twins(len(sites), tris))
 
 
 def _flip_to_lower_hull(topo: _Topology, sites: np.ndarray, heights: np.ndarray, rounds: int):
@@ -452,59 +419,33 @@ def _square_hull(sites: np.ndarray, heights: np.ndarray, interior: np.ndarray,
     with no topology and no gradients when the merged faces fail their check.
 
     Every square of ``squares`` is a face (module docstring), so Qhull builds
-    the lower hull of the band only: the sites that are not corners of four
-    squares.  A band face is dropped when the lattice cell that holds its
-    centroid, floor(centroid / h), has four square corners, and two triangles
-    per square take the dropped faces' place.  On the squares of ``_squares``
-    such a cell is a square; a list that misses one leaves a hole there,
-    which the check rejects.  The face's vertices would not do: a band face
-    that spans the squares' region need not touch the square it covers.  The
+    the lower hull of the band only, and the squares' triangles take the
+    place of the band faces over them (``ma_measure._square_start``).  A
+    lattice cell counts as a square when its four corners are corners of
+    squares; on the squares of ``_squares`` such a cell is a square, and a
+    list that misses one leaves a hole there, which the check rejects.  The
     faces take their gradients from vertex cross products, as every pass's
     do, but the two triangles of a square share the first one's, since
     separate cross products of these coplanar triangles differ by an ulp and
     would give the Jacobian links of rounding size.  The merge is checked by
-    ``_tiles_a_disk``.
+    ``ma_measure._tiles_a_disk``.
     """
-    band = np.flatnonzero(np.bincount(squares.ravel(), minlength=len(sites)) < 4)
-    tris = band[_lower_faces(sites[band], heights[band])[0]]
     h = sites[squares[0, 1], 0] - sites[squares[0, 0], 0]
     k = np.rint(lattice_coordinates(sites[squares.ravel()], h)).astype(np.int64)
     lo, hi = lattice_box(k)
     corner = np.zeros(hi - lo + 1, dtype=bool)
     corner[k[:, 0] - lo[0], k[:, 1] - lo[1]] = True
-    cell = np.floor(sites[tris].mean(axis=1) / h).astype(np.int64) - lo
-    i, j = cell[:, 0], cell[:, 1]
-    inside = (i >= 0) & (j >= 0) & (i < corner.shape[0] - 1) & (j < corner.shape[1] - 1)
-    i, j = i[inside], j[inside]
-    inside[inside] = corner[i, j] & corner[i + 1, j] & corner[i, j + 1] & corner[i + 1, j + 1]
-    kept = tris[~inside]
-    topo = _topology(sites, np.concatenate([kept, squares[:, [0, 1, 2]], squares[:, [0, 2, 3]]]),
-                     interior)
-    if not _tiles_a_disk(topo):
+    square = corner[:-1, :-1] & corner[1:, :-1] & corner[:-1, 1:] & corner[1:, 1:]
+    band = np.flatnonzero(np.bincount(squares.ravel(), minlength=len(sites)) < 4)
+    tris, boundary = _square_start(sites, band[_lower_faces(sites[band], heights[band])[0]],
+                                   squares, h, lo, square)
+    topo = _topology(sites, tris, interior)
+    if not _tiles_a_disk(sites, topo.tris, topo.twin, boundary):
         return None, None, len(band)
     # a square's second triangle takes the first one's gradient
-    grads = _gradients(_normals(np.column_stack([sites, heights]),
-                                topo.tris[:len(kept) + len(squares)]))
-    return topo, np.concatenate([grads, grads[len(kept):]]), len(band)
-
-
-def _tiles_a_disk(topo: _Topology) -> bool:
-    """Whether the faces of ``topo`` triangulate a disk, by integer counts:
-    every face is strictly ccw in the plane, the edge pairing is an
-    involution between opposite half-edges (so an edge is on at most two
-    faces, on opposite sides), and the Euler characteristic V - E + F is 1.
-    A hole makes it 0."""
-    tris, twin = topo.tris, topo.twin.ravel()
-    if not np.all(orientation(*(topo.sites[tris[:, k]] for k in range(3))) > 0.0):
-        return False
-    half = np.flatnonzero(twin >= 0)
-    other = twin[half]
-    tail, head = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()  # side k: k+1 -> k+2
-    if not (np.array_equal(twin[other], half) and np.array_equal(tail[other], head[half])):
-        return False
-    vertices = np.count_nonzero(np.bincount(tris.ravel(), minlength=len(topo.sites)))
-    edges = len(half) // 2 + (len(twin) - len(half))
-    return vertices - edges + len(tris) == 1
+    first = len(tris) - len(squares)
+    grads = _gradients(_normals(np.column_stack([sites, heights]), topo.tris[:first]))
+    return topo, np.concatenate([grads, grads[first - len(squares):]]), len(band)
 
 
 def _jacobian(hp: _MassPass, m: int):
@@ -625,14 +566,6 @@ def _boundary_envelope(sites, values) -> PLConvexFunction:
     tris = lower_envelope(sites, values).triangulation  # ccw in the plane
     return _faces_envelope(sites, values, tris,
                            _gradients(_normals(np.column_stack([sites, values]), tris)))
-
-
-def _faces_envelope(sites, heights, tris, grads) -> PLConvexFunction:
-    """The envelope on the lower-hull faces ``tris`` with the gradients
-    ``grads`` of their vertex cross products, each face's offset
-    z - g . x taken at its first vertex."""
-    offsets = heights[tris[:, 0]] - np.einsum("ij,ij->i", sites[tris[:, 0]], grads)
-    return _envelope(sites, heights, tris, grads, offsets)
 
 
 def _paraboloid_init(state, boundary_values, envelope, squares, pitch):

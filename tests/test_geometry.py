@@ -129,6 +129,40 @@ def test_polygon_area_of_a_small_polygon_far_from_the_origin():
     assert abs(Fraction(about_origin) - exact) > 1e-11 * exact
 
 
+def fraction_centroid(poly):
+    """The exact area-weighted centroid of float vertices, in ``Fraction``."""
+    v = [(Fraction(x), Fraction(y)) for x, y in np.asarray(poly).tolist()]
+    cross = [a[0] * b[1] - a[1] * b[0] for a, b in zip(v, v[1:] + v[:1])]
+    six_area = 3 * sum(cross)
+    return [sum((a[k] + b[k]) * c for a, b, c in zip(v, v[1:] + v[:1], cross)) / six_area
+            for k in range(2)]
+
+
+def test_polygon_centroid_of_a_small_polygon_far_from_the_origin(monkeypatch):
+    # the pentagon above: about the origin the centroid is off by 4.7e-11,
+    # 5.4e-8 of its extent; about the first vertex, as ``polygon_centroid``
+    # and the fan centres of ``polygons_quadrature`` sum it, by the rounding
+    # of the centroid itself (half an ulp at 1.2 is 5.8e-14 of the extent)
+    # and 1e-15 of the extent
+    rng = np.random.default_rng(0)
+    poly = geometry.convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
+    exact = fraction_centroid(poly)
+    extent = float(np.ptp(poly, axis=0).max())
+    centres = []
+    fan_nodes = geometry._fan_nodes
+    monkeypatch.setattr(geometry, "_fan_nodes",
+                        lambda c, *rest: centres.append(c[0].copy()) or fan_nodes(c, *rest))
+    geometry.polygons_quadrature(poly, [len(poly)], lambda y: np.ones(len(y)))
+    for got in (geometry.polygon_centroid(poly), centres[0]):
+        for k in range(2):
+            ulp = float(np.spacing(float(exact[k])))
+            assert abs(Fraction(float(got[k])) - exact[k]) <= 0.5 * ulp + 1e-15 * extent
+    x, y = poly[:, 0], poly[:, 1]
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    about_origin = np.sum((x + np.roll(x, -1)) * cross) / (3.0 * np.sum(cross))
+    assert abs(Fraction(float(about_origin)) - exact[0]) > 1e-9 * extent
+
+
 def test_min_edge_cross_blocks_and_weights():
     # unit square: the cross product is the distance to the nearest side,
     # times the side length, 1 or 2; blocks of 4096 points give the same values
@@ -278,13 +312,15 @@ def broadcast_polygons_quadrature(vertices, counts, fn):
     m = len(counts)
     owner = np.repeat(np.arange(m), counts)
     b = a[geometry.cyclic_successor(counts)]
-    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    first = a[np.cumsum(counts) - counts]
+    p, q = a - first[owner], b - first[owner]
+    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
     area = 0.5 * np.bincount(owner, cross, m)
     c = np.stack([np.bincount(owner, a[:, k], m) / counts for k in range(2)], axis=1)
     solid = np.abs(area) >= 1e-300
     for k in range(2):
-        moment = np.bincount(owner, (a[:, k] + b[:, k]) * cross, m)
-        c[solid, k] = moment[solid] / (6.0 * area[solid])
+        moment = np.bincount(owner, (p[:, k] + q[:, k]) * cross, m)
+        c[solid, k] = first[solid, k] + moment[solid] / (6.0 * area[solid])
     c = c[owner]
     bary, w = geometry.triangle_rule(4)
     pts = (

@@ -1,10 +1,13 @@
 import ast
 import inspect
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
@@ -633,6 +636,212 @@ def test_verifier_independent_of_solve_loop(monkeypatch):
     assert np.allclose(pl.cells.areas, 0.01, rtol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the lattice start of the lower hull, and its fallback to Qhull
+# ---------------------------------------------------------------------------
+
+def qhull_envelope(sites, heights):
+    """The envelope of Qhull's whole hull: the faces of ``_lower_faces``
+    with its plane equations, as ``lower_envelope`` builds it off a lattice."""
+    tris, n = mm._lower_faces(sites, heights)
+    return mm.PLConvexFunction(sites, heights, mm._ccw(sites, tris), -n[:, :2] / n[:, 2:3],
+                               -n[:, 3] / n[:, 2])
+
+
+def assert_qhull_behaviour(sites, heights):
+    """``lower_envelope`` gives Qhull's whole hull bit for bit, or raises
+    what that build raises, Qhull's own errors as ``DegenerateInput``;
+    returns the envelope, or None after an error."""
+    try:
+        want = qhull_envelope(sites, heights)
+    except (QhullError, ValueError) as exc:  # Qhull rejects NaN and infinite points
+        expected = DegenerateInput if isinstance(exc, QhullError) else type(exc)
+        with pytest.raises(expected, match=re.escape(str(exc).splitlines()[0])):
+            mm.lower_envelope(sites, heights)
+        return None
+    f = mm.lower_envelope(sites, heights)
+    for name in ("triangulation", "gradients", "offsets"):
+        a, b = getattr(f, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    return f
+
+
+def face_order(tris):
+    """The faces as sorted site triples in ascending order, and the
+    permutation of the faces that gives that order."""
+    t = np.sort(tris, axis=1)
+    order = np.lexsort(t.T[::-1])
+    return t[order], order
+
+
+_FIELDS = {
+    "primal": None,  # the primal translator, from the fixture
+    "anisotropic": lambda p: p[:, 0] ** 2 + 0.5 * p[:, 1] ** 2 + 0.3 * p[:, 0] * p[:, 1],
+    "quadratic": quadratic,
+    "exp": lambda p: np.exp(p[:, 0] + p[:, 1]),
+    "ridge": lambda p: (p[:, 0] + 3 * p[:, 1]) ** 2 + 0.01 * p[:, 1] ** 2,
+}
+
+
+def _sampled(field, domain, h, request):
+    fn = request.getfixturevalue("primal_profile_8") if field == "primal" else _FIELDS[field]
+    dom = grid.Domain2D.disk(1.0) if domain == "disk" else grid.Domain2D.square(1.0)
+    return grid.sample(fn, dom, h)
+
+
+@pytest.mark.parametrize("field, domain, h", [
+    ("primal", "disk", 0.02),  # criterion 05's input
+    ("primal", "disk", 0.037),
+    ("anisotropic", "disk", 0.02),
+    ("anisotropic", "square", 0.02),
+])
+def test_lattice_start_gives_qhull_faces(field, domain, h, request):
+    gf = _sampled(field, domain, h, request)
+    f = mm.lower_envelope(gf.nodes, gf.values)
+    want = qhull_envelope(gf.nodes, gf.values)
+    assert 0 < f.hull_sites < len(gf)  # the band, on the lattice path
+    got_faces, got = face_order(f.triangulation)
+    want_faces, ref = face_order(want.triangulation)
+    assert np.array_equal(got_faces, want_faces)
+    # the cross-product planes are Qhull's up to rounding, and pass through
+    # their own vertices
+    assert np.allclose(f.gradients[got], want.gradients[ref], rtol=1e-9, atol=1e-12)
+    assert np.allclose(f.offsets[got], want.offsets[ref], rtol=1e-9, atol=1e-12)
+    assert np.allclose(f(gf.nodes), gf.values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("field, domain, h", [
+    ("quadratic", "square", 0.1),  # tied squares whose lifts round negative
+    ("exp", "disk", 0.02),
+    ("exp", "square", 0.02),
+    ("ridge", "disk", 0.02),
+    ("ridge", "square", 0.02),
+])
+def test_failed_lattice_start_keeps_qhull_bits(field, domain, h, request):
+    gf = _sampled(field, domain, h, request)
+    f = assert_qhull_behaviour(gf.nodes, gf.values)
+    assert f.hull_sites > len(gf)  # the band, then every site
+
+
+@pytest.mark.parametrize("domain", ["square", "disk"])
+def test_dyadic_quadratic_takes_the_lattice_path(domain, monkeypatch):
+    # at h = 1/8 every square ties exactly and the lifts are exact, so the
+    # certificate holds; each cell has the four gradients of a lattice square
+    dom = grid.Domain2D.square(1.0) if domain == "square" else grid.Domain2D.disk(1.0)
+    gf = grid.sample(quadratic, dom, 0.125)
+    f = mm.lower_envelope(gf.nodes, gf.values)
+    assert f.hull_sites < len(gf)
+    cells = assert_matches_reference(f)
+    assert count_fallbacks(f, monkeypatch) == 0
+    if domain == "square":  # every interior cell is a lattice square's
+        assert np.all(cells.areas == 0.125 ** 2)
+
+
+def test_criterion_05_input_takes_the_lattice_path(primal_profile_8):
+    # criterion 05's input is also the benchmark's: a fallback to the whole
+    # Qhull build would hand it every site
+    f = _primal_translator(primal_profile_8)
+    assert 0 < f.hull_sites < 0.1 * len(f.sites)
+    assert len(f.triangulation) == 15_576 and len(f.cells.sites) == 7_733
+
+
+def test_solver_boundary_ring_stays_on_qhull(monkeypatch):
+    # no ring site is a corner of four lattice squares, so the ring's
+    # envelope builds no band hull and is Qhull's bit for bit
+    prob = solver.build_problem(grid.Domain2D.disk(2.0), 0.1, grid.RhsField("constant"),
+                                quadratic)
+    ring = prob.grid.nodes[~prob.interior]
+    values = quadratic(ring)
+    faces = []
+    lower_faces = mm._lower_faces
+    monkeypatch.setattr(mm, "_lower_faces", lambda p, z: faces.append(len(p)) or lower_faces(p, z))
+    f = assert_qhull_behaviour(ring, values)
+    assert faces == [len(ring)] * 2 and f.hull_sites == len(ring)  # the reference's, then its own
+
+
+def test_tiling_check_rejects_a_notch_at_the_hull():
+    # a face with one side on the hull boundary dropped from a triangulation
+    # keeps V - E + F = 1; the boundary of the sites' hull rejects it
+    sites = lattice(1.0, 0.25)
+    tris = mm._ccw(sites, mm._lower_faces(sites, quadratic(sites))[0])
+    twin = mm._twins(len(sites), tris)
+    boundary = mm._boundary(len(sites), tris, twin)
+    assert mm._tiles_a_disk(sites, tris, twin, boundary)
+    ear = np.flatnonzero(np.sum(twin < 0, axis=1) == 1)[0]
+    notched = np.delete(tris, ear, axis=0)
+    twin = mm._twins(len(sites), notched)
+    edges = len(np.unique(np.sort(np.stack([notched, np.roll(notched, 1, axis=1)], axis=2),
+                                  axis=2).reshape(-1, 2), axis=0))
+    assert len(np.unique(notched)) - edges + len(notched) == 1
+    assert not mm._tiles_a_disk(sites, notched, twin, boundary)
+
+
+def _with_site(sites, row, value):
+    out = sites.copy()
+    out[row] = value
+    return out
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "duplicated", "tiny"])
+def test_sites_off_the_lattice_keep_qhull_bits(case):
+    sites = lattice(1.0, 0.25)
+    if case == "nan":
+        sites = _with_site(sites, 5, [np.nan, 0.25])
+    elif case == "inf":
+        sites = _with_site(sites, 5, [np.inf, 0.25])
+    elif case == "-inf":
+        sites = _with_site(sites, 5, [0.5, -np.inf])
+    elif case == "duplicated":
+        sites = np.vstack([sites, sites[[40, 3]]])
+    else:  # two sites 1e-300 apart in a cloud of extent 2
+        sites = np.vstack([sites, [[1e-300, 0.0]]])
+    heights = quadratic(sites)
+    tracemalloc.start()
+    try:
+        assert mm._lattice(sites) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * len(sites) + 65536  # O(N): no lattice box of 1e300 cells
+    with np.errstate(invalid="ignore"):  # spans_plane's cross products of inf
+        f = assert_qhull_behaviour(sites, heights)
+    assert f is None or f.hull_sites == len(sites)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("site", [40, 0])  # the lattice's centre, and a band corner
+def test_non_finite_heights_keep_qhull_behaviour(value, site):
+    sites = lattice(1.0, 0.25)
+    heights = _with_site(quadratic(sites), site, value)
+    f = assert_qhull_behaviour(sites, heights)
+    assert f is None or f.hull_sites == len(sites)
+
+
+@pytest.mark.parametrize("h", [0.02, 0.037])
+def test_nearest_sites_of_a_lattice_make_no_gap_query(h, primal_profile_8, monkeypatch):
+    # the lattice bounds every gap below by h (1 - 1e-9): the owners are
+    # the full query's with no k = 2 query of the sites
+    gf = grid.sample(primal_profile_8, grid.Domain2D.disk(1.0), h)
+    f = mm.lower_envelope(gf.nodes, gf.values)
+    assert mm._lattice(f.sites)[0] == h
+    gaps = mm.cKDTree(f.sites).query(f.sites, k=2)[0][:, 1]
+    assert gaps.min() >= h * (1.0 - 1e-9)
+    points, near = rule_points(f)
+    ks = []
+    base = mm.cKDTree
+
+    class Tree(base):
+        def query(self, x, k=1, **kw):
+            ks.append(k)
+            return super().query(x, k=k, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(mm, "cKDTree", Tree)
+        owner = mm._nearest_sites(f.sites, points, near)
+    assert np.array_equal(owner, base(f.sites).query(points)[1])
+    assert ks == [1]
+
+
 @st.composite
 def lifted_clouds(draw):
     """Sites on a 1/16 lattice (collinear and cocircular runs included) with
@@ -652,6 +861,11 @@ _LONG_CELL = np.array([(0, 0), (0, 1), (0, -1), (0, 2), (0, -2), (0, 3), (0, -3)
                        (0, -4), (0, 5), (0, -5), (0, 6), (0, -6), (0, 7), (0, 8), (0, 9),
                        (1, 0), (1, 1), (1, -1), (1, 2), (-1, 0), (-2, 0), (-4, 0)]) / 16.0
 
+# five sites that a shear by 4.54e-241 moves off the axis by 2.8e-242: the
+# least nonzero |coordinate| is then no pitch, and x / h would overflow an
+# integer cast; ``_lattice`` bounds the box in floats first
+_FIVE_SITES = np.array([(0, 0), (0, 2), (3, -1), (-2, 1), (-1, -3)]) / 16.0
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
@@ -661,6 +875,8 @@ _LONG_CELL = np.array([(0, 0), (0, 1), (0, -1), (0, 2), (0, -2), (0, 3), (0, -3)
 )
 @example(cloud=(_LONG_CELL, 2.0 * quadratic(_LONG_CELL) - 0.25 * (np.arange(23) == 21)),
          tilt=(0.0, 0.0, 0.0), shear=0.0)
+@example(cloud=(_FIVE_SITES, quadratic(_FIVE_SITES) + np.array([0.0, 0.1, -0.2, 0.3, 0.05])),
+         tilt=(0.0, 0.0, 0.0), shear=4.54e-241)
 def test_array_core_property(cloud, tilt, shear):
     sites, heights = cloud
     try:

@@ -766,19 +766,19 @@ def test_a_square_missing_from_the_list_falls_back_to_qhull(monkeypatch):
     tiles = solver._tiles_a_disk
     checked = []
 
-    def recorded(topo):
-        checked.append((topo, tiles(topo)))
+    def recorded(sites, tris, twin, boundary):
+        checked.append((tris, tiles(sites, tris, twin, boundary)))
         return checked[-1][1]
 
     monkeypatch.setattr(solver, "_tiles_a_disk", recorded)
     assert _paraboloid_start(gf, bv, targets, squares).work.hull_builds == 1
     assert checked[-1][1]
     fallback = _paraboloid_start(gf, bv, targets, short)
-    topo, verdict = checked[-1]
+    tris, verdict = checked[-1]
     assert not verdict
-    undirected = np.sort(np.stack([topo.tris, np.roll(topo.tris, 1, axis=1)], axis=2), axis=2)
+    undirected = np.sort(np.stack([tris, np.roll(tris, 1, axis=1)], axis=2), axis=2)
     edges = len(np.unique(undirected.reshape(-1, 2), axis=0))
-    assert len(np.unique(topo.tris)) - edges + len(topo.tris) == 0  # an annulus
+    assert len(np.unique(tris)) - edges + len(tris) == 0  # an annulus
     band = int(np.sum(np.bincount(short.ravel(), minlength=len(gf)) < 4))
     assert (fallback.work.hull_builds, fallback.work.hull_sites) == (2, band + len(gf))
     ref = _paraboloid_start(gf, bv, targets, NO_SQUARES).last
