@@ -52,9 +52,15 @@ class Domain2D:
 
     def contains(self, points, slack: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return self._contains(pts[:, 0], pts[:, 1], slack)
+
+    def _contains(self, x1, x2, slack: float) -> np.ndarray:
+        """Membership of the points (x1, x2) given as two coordinate arrays:
+        the one disk and square test, which ``contains`` and ``sample``
+        call."""
         if self.kind == "square":
-            return np.abs(pts).max(axis=1) <= self.size + slack
-        return np.hypot(pts[:, 0], pts[:, 1]) <= self.size + slack
+            return np.maximum(np.abs(x1), np.abs(x2)) <= self.size + slack
+        return np.hypot(x1, x2) <= self.size + slack
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance from points to the domain boundary (negative outside)."""
@@ -215,9 +221,12 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
     """Sample a vectorised field on the origin-anchored pitch-h lattice inside
     domain.
 
-    The rows of the (x1, x2) meshgrid run k2-major with k1 ascending, and k h
-    is monotone in k, so the nodes come out in (x2, x1) order with no sort.
-    ``field`` is called once, on the (N, 2) nodes (``_evaluate``).
+    The box's candidates are two coordinate arrays, x1 = k1 h tiled and
+    x2 = k2 h repeated, so they run k2-major with k1 ascending; k h is
+    monotone in k, so the nodes come out in (x2, x1) order with no sort.  The
+    domain's own membership test masks them, and the (N, 2) nodes are filled
+    one column at a time: no (box, 2) array is built.  ``field`` is called
+    once, on the (N, 2) nodes (``_evaluate``).
     """
     if not np.isfinite(h) or h <= 0:
         raise ValueError("spacing h must be positive")
@@ -225,9 +234,10 @@ def sample(field, domain: Domain2D, h: float) -> GridFunction:
     slack, k_lo, k_hi = _lattice_box(domain, h)
     k1 = np.arange(int(k_lo[0]), int(k_hi[0]) + 1)
     k2 = np.arange(int(k_lo[1]), int(k_hi[1]) + 1)
-    g1, g2 = np.meshgrid(k1, k2, indexing="xy")
-    nodes = np.stack([g1.ravel() * h, g2.ravel() * h], axis=1)
-    nodes = nodes[domain.contains(nodes, slack=slack)]
+    x1, x2 = np.tile(k1 * h, len(k2)), np.repeat(k2 * h, len(k1))
+    inside = domain._contains(x1, x2, slack)
+    nodes = np.empty((np.count_nonzero(inside), 2))
+    nodes[:, 0], nodes[:, 1] = x1[inside], x2[inside]
     values = _evaluate(field, nodes)
     if not np.all(np.isfinite(values)):
         bad = nodes[~np.isfinite(values)][0]

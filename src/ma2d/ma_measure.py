@@ -67,6 +67,18 @@ query: 384 of the 46,728 nodes of the primal translator on disk(1) at
 h = 0.02.  On a lattice of pitch h the bound is h (1 - 1e-9) for every
 site, with no query of the sites; elsewhere it is the gap of a k = 2
 query.  The owners are the full query's, index for index.
+
+The Gauss-map mass needs no quadrature.  The Gauss map of the envelope's
+gradients, y -> (y, -1) / sqrt(1 + |y|^2), inverts the gnomonic projection
+onto the plane z = -1: it sends segments to great-circle arcs, so each
+cell's image is a geodesic polygon on the lower hemisphere, and its area
+element is exactly (1 + |y|^2)^(-3/2) dy.  ``gauss_map_mass`` sums the
+closed-form areas of the triangles of the fan from each cell's first
+vertex.  It selects the cells ``weighted_mass`` integrates (area > 0 and at
+least 3 vertices), so empty and degenerate cells read 0 as before; on
+criterion 05's 7,733 cells it lands within 3e-14 relative of the
+degree-4 centroid fan refined three times by 4-way splits, where that fan
+alone was 7e-9 off.  ``weighted_mass`` keeps that fan for other weights.
 """
 from __future__ import annotations
 
@@ -567,13 +579,45 @@ def weighted_mass(cells: _CellArrays, weight) -> np.ndarray:
 
 
 def gauss_map_mass(cells: _CellArrays) -> float:
-    """Spherical area of the Gauss image over the cells' sites.
+    """Spherical area of the Gauss image over the cells' sites, in closed form.
 
-    The lower-hemisphere pullback of surface measure along y -> (y, -1)/sqrt(1+|y|^2)
-    has Jacobian (1 + |y|^2)^(-3/2).
+    The Gauss map y -> (y, -1) / sqrt(1 + |y|^2) pulls surface measure back
+    to (1 + |y|^2)^(-3/2) dy.  It is the inverse of the gnomonic projection
+    from the centre of the sphere onto the plane z = -1, so it sends segments
+    to great-circle arcs and a convex cell to a convex geodesic polygon whose
+    vertices are the unit normals of the cell's vertices.  The fan from each
+    cell's first vertex splits that polygon into triangles of one
+    orientation, and a triangle of unit vectors a, b, c has area
+    2 atan2(|a . (b x c)|, 1 + a . b + b . c + c . a) (Van Oosterom &
+    Strackee, IEEE TBME 1983).  The cells are those ``weighted_mass``
+    integrates, area > 0 and at least 3 vertices, so an empty or degenerate
+    cell reads 0 on either route.  The pairs (k, k + 1) of consecutive
+    vertices are taken over all cells at once, as views, with each cell's
+    first vertex gathered beside them; the pairs that start at a cell's first
+    or last vertex are no fan triangle and count 0.
     """
-    w = lambda y: (1.0 + y[:, 0] ** 2 + y[:, 1] ** 2) ** (-1.5)
-    return float(weighted_mass(cells, w).sum())
+    full = (cells.areas > 0.0) & (cells.counts >= 3)
+    counts = cells.counts[full]
+    if not len(counts):
+        return 0.0
+    take = np.repeat(full, cells.counts)
+    x, y = cells.vertices[take, 0], cells.vertices[take, 1]
+    nz = -1.0 / np.sqrt(1.0 + x * x + y * y)
+    nx, ny = -x * nz, -y * nz
+    del x, y
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first = np.repeat(starts, counts)[:-1]
+    ax, ay, az = nx[first], ny[first], nz[first]
+    del first
+    bx, by, bz, cx, cy, cz = nx[:-1], ny[:-1], nz[:-1], nx[1:], ny[1:], nz[1:]
+    det = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+    dots = 1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz) \
+        + (cx * ax + cy * ay + cz * az)
+    angle = np.arctan2(np.abs(det), dots)
+    angle[starts] = 0.0
+    angle[ends[:-1] - 1] = 0.0
+    return float(2.0 * angle.sum())
 
 
 def site_weighted_mass(f: PLConvexFunction, cells, weight) -> float:

@@ -29,10 +29,58 @@ def test_sample_lattice_budget(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the lattice was laid out before the budget check")
 
-    monkeypatch.setattr(grid.np, "meshgrid", forbidden)
+    for name in ("arange", "tile", "repeat"):
+        monkeypatch.setattr(grid.np, name, forbidden)
     for h in (1e-9, 1e-300):
         with pytest.raises(LatticeTooLarge, match="budget"):
             grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D.disk(1.0), h)
+
+
+def meshgrid_layout(domain, h):
+    """The nodes of the pitch-h lattice box that ``sample`` laid out by a
+    meshgrid, a (box, 2) stack and a row gather, with the disk and square
+    tests written out: the reference of the two-array layout."""
+    slack, k_lo, k_hi = grid._lattice_box(domain, h)
+    k1 = np.arange(int(k_lo[0]), int(k_hi[0]) + 1)
+    k2 = np.arange(int(k_lo[1]), int(k_hi[1]) + 1)
+    g1, g2 = np.meshgrid(k1, k2, indexing="xy")
+    nodes = np.stack([g1.ravel() * h, g2.ravel() * h], axis=1)
+    if domain.kind == "square":
+        inside = np.abs(nodes).max(axis=1) <= domain.size + slack
+    else:
+        inside = np.hypot(nodes[:, 0], nodes[:, 1]) <= domain.size + slack
+    return nodes[inside]
+
+
+# sizes whose boundary nodes lie off the boundary by rounding (0.3 = 3 x 0.1
+# rounds up) or inside the _SNAP slack only (1 - 5e-10), and one just past it
+@pytest.mark.parametrize("h", [0.5, 0.1, 0.02, 0.01, 2 / 39])
+@pytest.mark.parametrize("size", [1.0, 0.3, 1.0 - 5e-10, 1.0 - 2e-9, 2.0 + 1e-9])
+@pytest.mark.parametrize("kind", ["disk", "square"])
+def test_sample_equals_meshgrid_layout(kind, size, h):
+    dom = grid.Domain2D(kind, size)
+    calls = []
+
+    def field(p):
+        calls.append(p.copy())
+        return 3.0 * p[:, 0] - p[:, 1] ** 2
+
+    gf = grid.sample(field, dom, h)
+    want = meshgrid_layout(dom, h)
+    assert gf.nodes.shape == want.shape and gf.nodes.dtype == want.dtype
+    assert np.array_equal(gf.nodes.view(np.int64), want.view(np.int64))
+    assert len(calls) == 1 and np.array_equal(calls[0].view(np.int64), want.view(np.int64))
+    assert np.array_equal(gf.values.view(np.int64), field(want).view(np.int64))
+
+
+def test_sample_slack_decides_boundary_nodes():
+    # the layout test's sizes reach the slack: 1 - 5e-10 keeps the nodes at
+    # distance 1, which 1 - 2e-9 drops
+    for kind in ("disk", "square"):
+        near = grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D(kind, 1.0 - 5e-10), 0.1)
+        past = grid.sample(lambda p: np.zeros(len(p)), grid.Domain2D(kind, 1.0 - 2e-9), 0.1)
+        assert np.any(np.isclose(np.abs(near.nodes).max(axis=1), 1.0, rtol=0, atol=1e-12))
+        assert len(past) < len(near)
 
 
 def test_sample_node_order_lexicographic():
