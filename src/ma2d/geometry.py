@@ -1,10 +1,13 @@
 """Convex polygon primitives and quadrature rules used across the toolkit.
 
 Everything operates on plain float64 arrays: polygons are (k, 2) arrays of
-vertices in counterclockwise order.  Three jobs are each done in one way
+vertices in counterclockwise order.  Four jobs are each done in one way
 throughout the package: whether a point lies inside a convex hull, by the
 edge cross products of ``min_edge_cross``; which way three points turn, by
-``orientation``; a max of planes, by ``max_affine``.
+``orientation``; a max of planes, by ``max_affine``; and every hull of
+points, the subgradient cells and the Legendre rows' lower hulls among
+them, by the one monotone chain ``_lower_hulls``, whose every pop is
+decided by ``_drops``.
 """
 from __future__ import annotations
 
@@ -37,23 +40,23 @@ def polygon_centroid(vertices) -> np.ndarray:
     return np.array([v[0, 0] + cx, v[0, 1] + cy])
 
 
-def convex_hull(points) -> np.ndarray:
+def _convex_hull(points) -> np.ndarray:
     """Counterclockwise convex hull of a 2D point set (monotone chain).
 
     Collinear points interior to hull edges are dropped.  Degenerate inputs
     (all points collinear) return the extreme segment, a 1- or 2-point array.
     The input is first thinned by ``strictly_inside_hull``: those points
-    cannot be chain vertices and are discarded, and the chain runs on the
-    rest, so the result is the chain's on all points.  Qhull's vertices are
-    not returned, since it merges near-collinear vertices (turns of order
-    1e-17) that the chain keeps.
+    cannot be chain vertices and are discarded, and ``convex_hulls`` runs on
+    the rest as one group, so the result is the chain's on all points.
+    Qhull's vertices are not returned, since it merges near-collinear
+    vertices (turns of order 1e-17) that the chain keeps.
     """
     pts = np.asarray(points, dtype=float)
     pts = np.unique(pts[~strictly_inside_hull(pts)], axis=0)
     if len(pts) <= 2:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    return _monotone_chain(pts[order])
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return pts[convex_hulls(pts[:, 0], pts[:, 1], np.array([0, len(pts)]))[0]]
 
 
 def spans_plane(points) -> bool:
@@ -159,27 +162,112 @@ def strictly_inside_hull(points) -> np.ndarray:
     return inside
 
 
-def _monotone_chain(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain on distinct, lexicographically sorted points."""
+def convex_hulls(x: np.ndarray, y: np.ndarray, start: np.ndarray):
+    """Counterclockwise convex hulls of ragged groups of points: group g
+    holds the points (x[i], y[i]) for start[g] <= i < start[g + 1] in
+    lexicographic order, and no group is empty.  Returns (take, counts):
+    the indices of each hull's vertices, back to back from the group's first
+    point, and their number per group.
 
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
+    Each hull is Andrew's monotone chain (IPL 1979): the group's lower chain,
+    then its upper chain without its two ends, which is the lower chain of
+    the group reversed and negated.  One ``_lower_hulls`` call takes every
+    group as a row and then the whole set reversed and negated, whose rows
+    are the groups' upper rows.  A collinear group gives its first and last
+    point, a group of one point that point.
+    """
+    n = len(x)
+    rows = np.concatenate([start[:-1], 2 * n - start[::-1]])
+    keep = _lower_hulls(np.concatenate([x, -x[::-1]]), np.concatenate([y, -y[::-1]]), rows)[0]
+    low, up = keep[:n], keep[:n - 1:-1]  # up[i]: point i on its upper chain
+    up[start[:-1]] = up[start[1:] - 1] = False
+    nl = np.add.reduceat(low, start[:-1], dtype=np.intp)
+    nu = np.add.reduceat(up, start[:-1], dtype=np.intp)
+    counts = nl + nu
+    # each hull: its lower chain ascending, then its upper chain descending
+    first = np.cumsum(counts) - counts
+    take = np.empty(counts.sum(), dtype=np.intp)
+    lows, ups = np.flatnonzero(low), np.flatnonzero(up)
+    take[np.arange(len(lows)) + np.repeat(first - np.cumsum(nl) + nl, nl)] = lows
+    take[np.repeat(first + counts - 1 + np.cumsum(nu) - nu, nu) - np.arange(len(ups))] = ups
+    return take, counts
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:
-        return np.array([pts[0], pts[-1]])
-    return hull
+
+def _drops(dxb, dub, dxc, duc):
+    """The monotone chain's pop test: whether b, between a and c in
+    lexicographic order, lies on or above the chord from a to c, given
+    b - a = (dxb, dub) and c - a = (dxc, duc)."""
+    return dub * dxc >= duc * dxb
+
+
+_TRIPLE_BLOCK = 8192  # triples per block of ``_lower_hulls``' vectorised pass
+
+
+def _lower_hulls(x: np.ndarray, u: np.ndarray, start: np.ndarray):
+    """Lower hulls of ragged rows by the monotone chain: row r holds the
+    points (x[i], u[i]) for start[r] <= i < start[r + 1] in lexicographic
+    order (equal x allowed), and no row is empty.  Returns the mask of the
+    points on their row's chain, and the steps dx[i] = x[i + 1] - x[i] and
+    du[i] = u[i + 1] - u[i] that its pass tests (the last entry is left
+    unset).  On any order of a row's points the mask is that of the
+    sequential chain, whose every test is ``_drops``.
+
+    The chain pops, at step c, each top vertex b that ``_drops`` from the
+    vertex a below it to c.  Each step pushes its point, so unless step
+    c - 1 popped, the two top vertices at step c are c - 2 and c - 1 and its
+    first test is the fixed triple (c - 2, c - 1, c).  The pass tests every
+    triple; a step whose triple drops pops at least once if step c - 1 did
+    not pop.  ``prev``, the vertex below each point, starts out as if no
+    step popped.  Each round of the loop takes every open row's next popping
+    step, pops its known first vertex, pops on while the test holds, and
+    then tests the step after it, whose first triple is known only now.  If
+    that pops too, it is the row's next popping step; else the next is the
+    row's next dropping triple, since every step between them only pushes.
+    """
+    n_pts = len(u)
+    dx, du = np.empty(n_pts), np.empty(n_pts)
+    np.subtract(x[1:], x[:-1], out=dx[:-1])
+    np.subtract(u[1:], u[:-1], out=du[:-1])
+    drop = np.zeros(n_pts, dtype=bool)
+    for s in range(2, n_pts, _TRIPLE_BLOCK):  # blocks keep the temporaries small
+        e = min(s + _TRIPLE_BLOCK, n_pts)
+        drop[s:e] = _drops(dx[s - 2:e - 2], du[s - 2:e - 2], x[s:e] - x[s - 2:e - 2],
+                           u[s:e] - u[s - 2:e - 2])
+    young = np.concatenate([start[:-1], start[:-1] + 1])  # no triple ends there
+    drop[young[young < n_pts]] = False
+    hull = np.ones(n_pts, dtype=bool)
+    prev = np.arange(-1, n_pts - 1)
+    prev[start[:-1]] = -1
+
+    def drops(a, b, c):
+        xa, ua = x[a], u[a]
+        return _drops(x[b] - xa, u[b] - ua, x[c] - xa, u[c] - ua)
+
+    # each open row carries its popping step c, its end and k, the index of
+    # its first event after c; the sentinel n_pts + 1 ends every row
+    events = np.append(np.flatnonzero(drop), n_pts + 1)
+    k = np.searchsorted(events, start[:-1])
+    c, end = events[k], start[1:]
+    lead = c < end
+    c, end, k = c[lead], end[lead], k[lead] + 1  # each row's first popping step
+    while c.size:
+        hull[c - 1] = False
+        b = prev[c - 1]
+        live = np.arange(c.size)
+        while live.size:
+            bl = b[live]
+            a = prev[bl]
+            pop = (a >= 0) & drops(a, bl, c[live])
+            live = live[pop]
+            hull[bl[pop]] = False
+            b[live] = a[pop]
+        prev[c] = b
+        again = (c + 1 < end) & drops(b, c, np.minimum(c + 1, n_pts - 1))
+        e = k + (events[k] == c + 1)  # the first event after c + 1
+        nxt = events[e]
+        more = again | (nxt < end)
+        c, end, k = np.where(again, c + 1, nxt)[more], end[more], np.where(again, e, e + 1)[more]
+    return hull, dx, du
 
 
 def _orbit(a):
@@ -225,11 +313,14 @@ def polygon_quadrature(poly: np.ndarray, fn) -> float:
 
 def cyclic_successor(counts) -> np.ndarray:
     """Index of each vertex's successor within its own polygon, for polygons
-    stored back to back with the given vertex counts."""
+    stored back to back with the given vertex counts: the next vertex, and
+    the polygon's first after its last."""
     counts = np.asarray(counts, dtype=np.intp)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    size = np.repeat(counts, counts)
-    return first + (np.arange(len(first)) - first + 1) % size
+    ends = np.cumsum(counts)
+    nxt = np.arange(1, counts.sum() + 1)
+    full = counts > 0
+    nxt[ends[full] - 1] = (ends - counts)[full]
+    return nxt
 
 
 def polygons_quadrature(vertices, counts, fn) -> np.ndarray:

@@ -50,9 +50,9 @@ class Domain2D:
     def disk(radius: float) -> "Domain2D":
         return Domain2D("disk", size=float(radius))
 
-    def contains(self, points, slack: float = 0.0) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._contains(pts[:, 0], pts[:, 1], slack)
+        return self._contains(pts[:, 0], pts[:, 1], 0.0)
 
     def _contains(self, x1, x2, slack: float) -> np.ndarray:
         """Membership of the points (x1, x2) given as two coordinate arrays:

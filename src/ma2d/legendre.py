@@ -6,13 +6,10 @@ one-dimensional sweeps: first along every primal lattice row for every dual
 slope y1, then along every dual column over the rows' partial maxima.  Each
 stage treats all its rows at once, as ragged rows of one flat array.
 
-``_lower_hulls`` builds every row's lower hull by Andrew's monotone chain.
-Each step pushes its point, so unless step c - 1 popped, the two top
-vertices at step c are c - 2 and c - 1 and its first pop test is the fixed
-triple (c - 2, c - 1, c).  One vectorised pass tests every triple, and a
-step whose triple keeps its middle point, after a step that did not pop,
-only pushes.  The pop loop visits the other steps alone, one per row and
-round, all rows in lockstep.
+Every row's lower hull is ``geometry._lower_hulls``, the package's one
+monotone chain, which also builds every convex hull: one vectorised pass
+tests every fixed triple (c - 2, c - 1, c), and a pop loop visits the other
+steps alone, one per row and round, all rows in lockstep.
 
 ``_row_argmax`` answers each (row, slope) query with the first hull vertex
 where the supporting line stops rising, the answer of the linear-time
@@ -24,12 +21,12 @@ fails, and each edge between one slope's guess and the next slope's rises
 for the next slope.  Then, slope by slope, the pointer passes exactly those
 edges and stops at the guess.  Only a row whose certificate fails is swept.
 
-Both tests are one function each, ``_drops`` and ``_rises``, on every path.
-Every winning node is then re-evaluated with the same floating-point
-expression as the brute-force path.  When the two paths agree on the
-maximiser their values agree bit for bit.  They agree whenever no two nodes
-tie within rounding.  They also agree when every product and sum is exact,
-as on dyadic lattices with dyadic values.
+Both tests are one function each, ``geometry._drops`` and ``_rises``, on
+every path.  Every winning node is then re-evaluated with the same
+floating-point expression as the brute-force path.  When the two paths
+agree on the maximiser their values agree bit for bit.  They agree whenever
+no two nodes tie within rounding.  They also agree when every product and
+sum is exact, as on dyadic lattices with dyadic values.
 """
 from __future__ import annotations
 
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .geometry import orientation, spans_plane
+from .geometry import _lower_hulls, orientation, spans_plane
 from .grid import Domain2D, GridFunction, lattice_coordinates, sample
 
 
@@ -67,81 +64,10 @@ def legendre_transform_brute(u: GridFunction, dual_domain: Domain2D, h_dual: flo
     return ConjugateResult(dual=out, argmax=arg)
 
 
-def _drops(dxb, dub, dxc, duc):
-    """The monotone chain's pop test: whether b, between a and c in x, lies
-    on or above the chord from a to c, given b - a = (dxb, dub) and
-    c - a = (dxc, duc)."""
-    return dub * dxc >= duc * dxb
-
-
 def _rises(s, dx, du):
     """The sweep's test: whether s * x - u rises along an edge that moves by
     (dx, du)."""
     return s * dx > du
-
-
-_TRIPLE_BLOCK = 8192  # triples per block of ``_lower_hulls``' vectorised pass
-
-
-def _lower_hulls(x: np.ndarray, u: np.ndarray, start: np.ndarray):
-    """Lower hulls of ragged rows: row r holds the points (x[i], u[i]) for
-    start[r] <= i < start[r + 1], x strictly increasing along it, and no row
-    is empty.  Returns the mask of the points on their row's hull, and the
-    steps dx[i] = x[i + 1] - x[i] and du[i] = u[i + 1] - u[i] that its pass
-    tests (the last entry is left unset).
-
-    The chain pops, at step c, each top vertex b that ``_drops`` from the
-    vertex a below it to c.  The pass tests every triple (c - 2, c - 1, c);
-    a step whose triple drops pops at least once if step c - 1 did not pop.
-    ``prev``, the vertex below each point, starts out as if no step popped.
-    Each round of the loop takes every open row's next popping step, pops
-    its known first vertex, pops on while the test holds, and then tests the
-    step after it, whose first triple is known only now.  If that pops too,
-    it is the row's next popping step; else the next is the row's next
-    dropping triple, since every step between them only pushes.
-    """
-    n_pts = len(u)
-    dx, du = np.empty(n_pts), np.empty(n_pts)
-    np.subtract(x[1:], x[:-1], out=dx[:-1])
-    np.subtract(u[1:], u[:-1], out=du[:-1])
-    drop = np.zeros(n_pts, dtype=bool)
-    for s in range(2, n_pts, _TRIPLE_BLOCK):  # blocks keep the temporaries small
-        e = min(s + _TRIPLE_BLOCK, n_pts)
-        drop[s:e] = _drops(dx[s - 2:e - 2], du[s - 2:e - 2], x[s:e] - x[s - 2:e - 2],
-                           u[s:e] - u[s - 2:e - 2])
-    young = np.concatenate([start[:-1], start[:-1] + 1])  # no triple ends there
-    drop[young[young < n_pts]] = False
-    events = np.flatnonzero(drop)
-    hull = np.ones(n_pts, dtype=bool)
-    prev = np.arange(-1, n_pts - 1)
-    prev[start[:-1]] = -1
-
-    def drops(a, b, c):
-        xa, ua = x[a], u[a]
-        return _drops(x[b] - xa, u[b] - ua, x[c] - xa, u[c] - ua)
-
-    row_end = start[np.searchsorted(start, events, side="right")]
-    lead = np.ones(events.size, dtype=bool)
-    lead[1:] = row_end[1:] != row_end[:-1]
-    c, end = events[lead], row_end[lead]  # each row's first popping step
-    while c.size:
-        hull[c - 1] = False
-        b = prev[c - 1]
-        live = np.arange(c.size)
-        while live.size:
-            bl = b[live]
-            a = prev[bl]
-            pop = (a >= 0) & drops(a, bl, c[live])
-            live = live[pop]
-            hull[bl[pop]] = False
-            b[live] = a[pop]
-        prev[c] = b
-        again = (c + 1 < end) & drops(b, c, np.minimum(c + 1, n_pts - 1))
-        e = np.searchsorted(events, c + 2)
-        nxt = events[np.minimum(e, events.size - 1)]
-        more = again | ((e < events.size) & (nxt < end))
-        c, end = np.where(again, c + 1, nxt)[more], end[more]
-    return hull, dx, du
 
 
 def _row_argmax(x: np.ndarray, u: np.ndarray, start: np.ndarray, slopes: np.ndarray) -> np.ndarray:

@@ -7,25 +7,20 @@ equals the convex hull of the gradients of the incident envelope faces.
 
 A site is hull-interior when ``geometry.strictly_inside_hull`` says so:
 every edge cross product against Qhull's hull of the sites exceeds
-1e-12 scale**2, the same test that thins ``convex_hull``'s input; no
-monotone chain is run for it.  All cells are built in one array pass over
-the (hull-interior site, incident face) pairs, once per envelope, whose
+1e-12 scale**2.  All cells are built in one array pass over the
+(hull-interior site, incident face) pairs, once per envelope, whose
 ``cells`` keeps them for every later reader.  The pairs are grouped by
 site in lexicographic order of the gradients: the faces are ranked once by
 their gradients, and one integer sort of site * F + rank orders the pairs
 (``_group_order``).  Each site's gradients then lose their bitwise
 duplicates (Qhull's ``Qt`` repeats a gradient across the triangles of a
-cocircular quad) and are ordered by angle around their mean in gradient
-space, by a stable sort of the float key site + (angle + pi) / (4 pi),
-which a tie sends to a lexsort of (site, angle) (``_angle_order``); both
-orders are the lexsorts' bit for bit.  Gradients are gathered as x and y
-columns.  The cells are then certified: at least 3 vertices, the mean
-strictly left of every edge, and every cyclic turn e_k x e_{k+1} above
-1e-12 |e_k| |e_{k+1}|.  A certified cell is the convex hull itself; it
-starts at its lexicographically smallest vertex, as ``geometry.convex_hull``
-returns it, and its shoelace area is summed about that vertex.  Any other
-cell (empty, a point, a segment or a near-degenerate polygon) falls back to
-``convex_hull`` and ``polygon_area`` of the site's face gradients.  Every
+cocircular quad), and each cell is the convex hull of the rest by the
+package's one monotone chain, all cells in one ``geometry.convex_hulls``
+call, with no certificate and no fallback.  A cell runs ccw from its
+lexicographically smallest vertex; collinear gradients give their first and
+last, one gradient that point, and a site on no face an empty cell.  Its
+shoelace area is summed about its first vertex, as
+``geometry.polygon_area`` sums it, and is 0 under 3 vertices.  Every
 reader of the cells, ``weighted_mass`` included, takes these arrays.
 
 The lifted lower hull is the one hull primitive of the package, and lives
@@ -54,8 +49,8 @@ translator on disk(1) at h = 0.02, criterion 05's input, the band is 396 of
 input that is no lattice, takes Qhull's whole hull with its ``Qt`` plane
 equations, bit for bit as before; ``hull_sites`` records which path ran.
 The envelope's cells and their areas share no code with the solve loop:
-their gradient-space order with a certificate is independent of the planar
-face order that ``solver._mass_pass`` sums.
+their gradient-space chain is independent of the planar face order that
+``solver._mass_pass`` sums.
 
 The translator identity integrates each face with a degree-2 rule whose
 node k sits at barycentric weight 2/3 next to the face's vertex k, and
@@ -92,11 +87,10 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import AlphaOutOfRange, DegenerateInput
 from .geometry import (
-    convex_hull,
+    convex_hulls,
     cyclic_successor,
     max_affine,
     orientation,
-    polygon_area,
     polygons_quadrature,
     spans_plane,
     strictly_inside_hull,
@@ -270,8 +264,8 @@ def _lattice_faces(sites: np.ndarray, heights: np.ndarray):
     Algorithmica 1996).  The planes are the vertex cross products, except
     that a square whose heights tie, z0 + z2 == z1 + z3, gives its second
     triangle the first one's, as the solver's start does: separate cross
-    products of coplanar triangles differ by an ulp, and a cell with two
-    gradients an ulp apart fails its certificate and takes the fallback.
+    products of coplanar triangles differ by an ulp, and would give a cell
+    two gradients an ulp apart.
     """
     lattice = _lattice(sites)
     if lattice is None or not np.all(np.isfinite(heights)):
@@ -446,7 +440,7 @@ class _CellArrays:
 
 def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
     """Cells of all hull-interior sites from one pass over the (site, incident
-    face) pairs; the module docstring states the certificate and fallback."""
+    face) pairs, each the monotone chain of its site's face gradients."""
     interior = f.hull_interior
     sites = np.flatnonzero(interior)
     m = len(sites)
@@ -464,57 +458,22 @@ def _cell_arrays(f: PLConvexFunction) -> _CellArrays:
     dup = np.zeros(len(cell), dtype=bool)
     dup[1:] = (cell[1:] == cell[:-1]) & (bx[1:] == bx[:-1]) & (by[1:] == by[:-1])
     cell, gx, gy = cell[~dup], gx[~dup], gy[~dup]
-    counts = np.bincount(cell, minlength=m)
+    start = np.flatnonzero(np.diff(cell, prepend=-1, append=m))  # the cells' groups
+    counts = np.zeros(m, dtype=np.intp)
+    take, counts[cell[start[:-1]]] = convex_hulls(gx, gy, start)
+    gx, gy = gx[take], gy[take]
+
+    # shoelace area about each polygon's first vertex
     starts = np.cumsum(counts) - counts
-    first = starts[cell]  # the cell's lexicographic minimum
-    full = counts > 0
-
-    # order by angle around the mean, starting from the lexicographic minimum
-    n = np.maximum(counts, 1)
-    dx = gx - (np.bincount(cell, gx, m) / n)[cell]
-    dy = gy - (np.bincount(cell, gy, m) / n)[cell]
-    order = _angle_order(cell, np.arctan2(dy, dx))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    shift = np.repeat(rank[starts[full]] - starts[full], counts[full])
-    size = np.repeat(counts, counts)
-    src = order[first + (np.arange(len(cell)) - first + shift) % size]
-    gx, gy, dx, dy = gx[src], gy[src], dx[src], dy[src]
-
-    # certificate: strictly convex and star-shaped about the mean
+    first = np.repeat(starts, counts)
     nxt = cyclic_successor(counts)
-    ex, ey = gx[nxt] - gx, gy[nxt] - gy
-    turn = ex * ey[nxt] - ey * ex[nxt]
-    length = np.hypot(ex, ey)
-    around = dx * dy[nxt] - dy * dx[nxt]
-    bad = ~((turn > 1e-12 * length * length[nxt]) & (around > 0.0))
-    certified = (counts >= 3) & (np.bincount(cell, bad, m) == 0)
-
-    # shoelace area about each cell's first vertex
     qx, qy = gx - gx[first], gy - gy[first]
     cross = qx * qy[nxt] - qy * qx[nxt]
     areas = np.zeros(m)
+    full = counts > 0
     areas[full] = 0.5 * np.add.reduceat(cross, starts[full])
-
-    g = np.column_stack([gx, gy])
-    if not certified.all():
-        # the incident faces of the fallback sites only, ascending per site,
-        # and their polygons spliced between the slices of the other cells
-        bad = np.flatnonzero(~certified)
-        fallback = np.zeros(len(f.sites), dtype=bool)
-        fallback[sites[bad]] = True
-        corner = np.flatnonzero(fallback[flat])
-        corner = corner[np.argsort(flat[corner], kind="stable")]
-        per_site = np.bincount(cell_of_site[flat[corner]], minlength=m)[bad]
-        pieces, at = [], 0
-        for k, faces in zip(bad, np.split(corner // 3, np.cumsum(per_site)[:-1])):
-            poly = convex_hull(f.gradients[faces]) if len(faces) else np.empty((0, 2))
-            pieces += [g[at:starts[k]], poly]
-            at = starts[k] + counts[k]
-            areas[k] = polygon_area(poly)
-            counts[k] = len(poly)
-        g = np.concatenate(pieces + [g[at:]])
-    return _CellArrays(sites=sites, counts=counts, vertices=g, areas=areas)
+    areas[counts < 3] = 0.0
+    return _CellArrays(sites, counts, np.column_stack([gx, gy]), areas)
 
 
 def _group_order(cell, face, gx, gy) -> np.ndarray:
@@ -529,23 +488,6 @@ def _group_order(cell, face, gx, gy) -> np.ndarray:
     rank = np.empty(len(gx), dtype=np.int64)
     rank[np.lexsort((gy, gx))] = np.arange(len(gx))
     return np.argsort(cell * len(gx) + rank[face])
-
-
-def _angle_order(cell, angle) -> np.ndarray:
-    """The permutation ``np.lexsort((angle, cell))`` for angles in [-pi, pi].
-
-    The float key cell + (angle + pi) / (4 pi) puts each cell's angles in
-    [cell, cell + 1/2], and each rounding is monotone, so the key never
-    reorders two pairs; it can only tie two angles of one cell.  When its
-    stable sort has no tie and every key is finite, the order is the
-    lexsort's; else the lexsort is taken.
-    """
-    key = cell + (angle + np.pi) / (4.0 * np.pi)
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    if np.all(np.isfinite(ordered)) and np.all(ordered[1:] != ordered[:-1]):
-        return order
-    return np.lexsort((angle, cell))
 
 
 def subgradient_cells(f: PLConvexFunction) -> _CellArrays:

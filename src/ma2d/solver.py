@@ -184,14 +184,15 @@ def target_masses_on(gf: GridFunction, rhs: RhsField) -> np.ndarray:
 
     Each cell is split 2x2 and f is evaluated at the quarter-point centers
     (offset h/4 from the site), which keeps cells centered on the zero set of
-    the degenerate density strictly positive.
+    the degenerate density strictly positive.  One field call takes them all.
     """
     interior = gf.interior_mask
     pts = gf.nodes[interior]
     q = gf.h / 4.0
+    quarters = np.array([(q, q), (q, -q), (-q, q), (-q, -q)])[:, None, :] + pts
     total = np.zeros(len(pts))
-    for dx, dy in ((q, q), (q, -q), (-q, q), (-q, -q)):
-        total += np.asarray(rhs(pts + np.array([dx, dy])), dtype=float)
+    for values in _evaluate(rhs, quarters.reshape(-1, 2)).reshape(4, len(pts)):
+        total += values
     cellmass = total * (gf.h * gf.h) / 4.0
     out = np.zeros(len(gf))
     out[interior] = cellmass

@@ -11,12 +11,36 @@ from ma2d.errors import DegenerateInput
 from conftest import polygon_edges, polygon_lattice
 
 
+def monotone_chain(pts):
+    """Andrew's monotone chain, one point at a time, on points in
+    lexicographic order: the reference of ``geometry.convex_hulls``."""
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) < 3:
+        return np.array([pts[0], pts[-1]])
+    return hull
+
+
 def plain_chain(points):
     """The monotone chain on every input point, without the Qhull prefilter."""
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) <= 2:
-        return pts
-    return geometry._monotone_chain(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+    return monotone_chain(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
 
 
 def lattice_nodes(domain, h):
@@ -32,7 +56,7 @@ def test_qhull_vertices_miss_near_collinear_ones():
     from scipy.spatial import ConvexHull
 
     assert len(ConvexHull(DISK2).vertices) == 124
-    assert len(geometry.convex_hull(DISK2)) == len(plain_chain(DISK2)) == 132
+    assert len(geometry._convex_hull(DISK2)) == len(plain_chain(DISK2)) == 132
 
 
 def test_prefilter_matches_chain_on_lattices():
@@ -42,16 +66,16 @@ def test_prefilter_matches_chain_on_lattices():
         lattice_nodes(grid.Domain2D.disk(1.0), 0.02),
         polygon_lattice([[-1.0, -0.8], [1.0, -0.8], [0.0, 1.0]], 0.01),
     ]:
-        assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
+        assert np.array_equal(geometry._convex_hull(pts), plain_chain(pts))
 
 
 def test_prefilter_falls_back_on_collinear_input():
     t = np.linspace(-1.0, 1.0, 1001)
     diagonal = np.stack([t, t], axis=1)  # exactly collinear: Qhull rejects it
-    hull = geometry.convex_hull(np.concatenate([diagonal, diagonal[::7]]))
+    hull = geometry._convex_hull(np.concatenate([diagonal, diagonal[::7]]))
     assert np.array_equal(hull, np.array([diagonal[0], diagonal[-1]]))
     rounded = np.stack([t, 0.3 * t + 0.1], axis=1)  # collinear up to rounding
-    assert np.array_equal(geometry.convex_hull(rounded), plain_chain(rounded))
+    assert np.array_equal(geometry._convex_hull(rounded), plain_chain(rounded))
 
 
 @st.composite
@@ -77,7 +101,59 @@ def point_sets(draw):
 @example(pts=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]]))
 @example(pts=DISK2)
 def test_prefilter_equals_chain_property(pts):
-    assert np.array_equal(geometry.convex_hull(pts), plain_chain(pts))
+    assert np.array_equal(geometry._convex_hull(pts), plain_chain(pts))
+
+
+@st.composite
+def ragged_groups(draw):
+    """Groups of points in lexicographic order, for one call of
+    ``convex_hulls``: lattice points at a pitch that rounds, with equal-x
+    ties, runs on a line whose points round off it, duplicates and zeros of
+    either sign."""
+    h = draw(st.sampled_from([1.0, 0.1, 1 / 3, 0.01]))
+    groups = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.sampled_from([1, 2, 3, 4, 7, 30]))
+        ij = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=size, max_size=size))
+        pts = np.array(ij, dtype=float) * h
+        if draw(st.booleans()):  # a run on the line y = a x + b, rounded
+            a = draw(st.sampled_from([0.0, 1.0, -1.0, 0.3, 1 / 3, 2 / 7]))
+            b = draw(st.sampled_from([0.0, 0.1, 1 / 7]))
+            t = np.arange(-6, 6, draw(st.integers(1, 3))) * h
+            pts = np.concatenate([pts, np.stack([t, a * t + b], axis=1)])
+        pts += draw(st.sampled_from([0.0, 0.5, 1e3]))
+        dup = draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))
+        pts = np.concatenate([pts, pts[dup]])
+        negative = np.array(draw(st.lists(st.booleans(), min_size=pts.size,
+                                          max_size=pts.size))).reshape(pts.shape)
+        pts[(pts == 0.0) & negative] = -0.0
+        groups.append(pts[np.lexsort((pts[:, 1], pts[:, 0]))])
+    return groups
+
+
+def _apex_like_group():
+    """The unit vectors p / |p| of the lattice points p of disk(1) at
+    h = 0.02, in lexicographic order: 7,844 points, 5,292 distinct.  The
+    directions of collinear lattice points round to vectors equal or an ulp
+    or so apart, and the chain keeps 4,776, as many as the cone apex's cell."""
+    p = lattice_nodes(grid.Domain2D.disk(1.0), 0.02)
+    p = p[np.any(p != 0.0, axis=1)]
+    u = p / np.hypot(p[:, 0], p[:, 1])[:, None]
+    return u[np.lexsort((u[:, 1], u[:, 0]))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(groups=ragged_groups())
+@example(groups=[_apex_like_group(), np.array([[0.0, 0.0]]), np.array([[-0.0, 1.0], [0.0, 1.0]])])
+def test_one_call_equals_the_chain_group_by_group(groups):
+    pts = np.concatenate(groups)
+    start = np.concatenate([[0], np.cumsum([len(g) for g in groups])])
+    take, counts = geometry.convex_hulls(pts[:, 0], pts[:, 1], start)
+    assert counts.sum() == len(take)
+    for group, hull in zip(groups, np.split(pts[take], np.cumsum(counts)[:-1])):
+        want = monotone_chain(group)
+        assert hull.shape == want.shape and hull.tobytes() == want.tobytes()
 
 
 def chain_hull_interior(points):
@@ -120,7 +196,7 @@ def test_polygon_area_of_a_small_polygon_far_from_the_origin():
     # shoelace about the origin rounds at eps |g|**2 and is off by 7.6e-10
     # relative, about the first vertex it is exact to rounding
     rng = np.random.default_rng(0)
-    poly = geometry.convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
+    poly = geometry._convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
     exact = fraction_area(poly)
     assert len(poly) == 5 and 1.1e-6 < exact < 1.3e-6
     assert abs(Fraction(geometry.polygon_area(poly)) - exact) <= 1e-15 * exact
@@ -145,7 +221,7 @@ def test_polygon_centroid_of_a_small_polygon_far_from_the_origin(monkeypatch):
     # of the centroid itself (half an ulp at 1.2 is 5.8e-14 of the extent)
     # and 1e-15 of the extent
     rng = np.random.default_rng(0)
-    poly = geometry.convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
+    poly = geometry._convex_hull(np.array([1.2, 1.6]) + 8.6e-4 * rng.standard_normal((6, 2)))
     exact = fraction_centroid(poly)
     extent = float(np.ptp(poly, axis=0).max())
     centres = []
@@ -339,7 +415,7 @@ def _random_convex_polygons(seed, m):
     for _ in range(m):
         scale = 10.0 ** rng.uniform(-6, 1)
         centre = rng.uniform(-3, 3, 2)
-        polys.append(geometry.convex_hull(centre + scale * rng.standard_normal(
+        polys.append(geometry._convex_hull(centre + scale * rng.standard_normal(
             (int(rng.integers(3, 30)), 2))))
     return [p for p in polys if len(p) >= 3]
 

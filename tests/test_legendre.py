@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ma2d import grid, legendre, ma_measure
+from ma2d import geometry, grid, legendre, ma_measure
 from ma2d.geometry import max_affine, spans_plane
 from ma2d.errors import DegenerateInput
 
@@ -410,7 +410,7 @@ def fast_row_argmax(x, u, n, slopes):
 
 def assert_hulls_equal_row_hulls(x, u, n):
     fx, fu, start = flat_rows(x, u, n)
-    hull, _, _ = legendre._lower_hulls(fx, fu, start)
+    hull, _, _ = geometry._lower_hulls(fx, fu, start)
     x = np.broadcast_to(x, u.shape)
     for r in range(len(u)):
         ref = ref_lower_hull_indices(x[r, : n[r]], u[r, : n[r]])
@@ -534,11 +534,11 @@ def event_rows(kind, rng, rows=24, width=40):
 
 
 class CallCount:
-    """Wraps a ``legendre`` helper and counts its calls."""
+    """Wraps a helper of ``module`` and counts its calls."""
 
-    def __init__(self, monkeypatch, name):
-        self.calls, self.fn = 0, getattr(legendre, name)
-        monkeypatch.setattr(legendre, name, self)
+    def __init__(self, monkeypatch, name, module=legendre):
+        self.calls, self.fn = 0, getattr(module, name)
+        monkeypatch.setattr(module, name, self)
 
     def __call__(self, *args):
         self.calls += 1
@@ -593,7 +593,7 @@ def test_convex_rows_skip_the_pop_loop_and_the_sweep(monkeypatch):
     # vectorised pass, and the certificate holds on every row, so the rising
     # test runs twice, for its parts (b) and (c)
     x, u, n = event_rows("convex", np.random.default_rng(5))
-    drops = CallCount(monkeypatch, "_drops")
+    drops = CallCount(monkeypatch, "_drops", geometry)
     rises = CallCount(monkeypatch, "_rises")
     slopes = ascending_slopes(np.random.default_rng(6), (1, 21))[:, 2:-1]
     with np.errstate(invalid="ignore"):

@@ -11,8 +11,8 @@ from scipy.spatial import QhullError
 
 from ma2d import grid, ma_measure as mm, solver
 from ma2d.errors import DegenerateInput
+from ma2d.geometry import _convex_hull as convex_hull
 from ma2d.geometry import (
-    convex_hull,
     cyclic_successor,
     polygon_area,
     polygon_quadrature,
@@ -459,24 +459,10 @@ def assert_matches_reference(f):
     for poly, area, (_, want, want_area) in zip(cell_polygons(cells), cells.areas, ref):
         assert poly.shape == want.shape and np.array_equal(poly, want)
         # one area rule: the shoelace about the first vertex, summed by
-        # np.add.reduceat, in the array core's certified cells and in
+        # np.add.reduceat, in the array core's cells and in
         # ``polygon_area``
         assert np.float64(area).view(np.int64) == np.float64(want_area).view(np.int64)
     return cells
-
-
-def count_fallbacks(f, monkeypatch):
-    """Cells of ``f`` that the array core hands to the per-site fallback."""
-    calls = []
-
-    def counted(vertices):
-        calls.append(len(vertices))
-        return polygon_area(vertices)
-
-    with monkeypatch.context() as m:
-        m.setattr(mm, "polygon_area", counted)  # the fallback's area, once per cell
-        mm._cell_arrays(f)  # a fresh build: ``f.cells`` may be cached already
-    return len(calls)
 
 
 def _gauss_weight(y):
@@ -504,7 +490,7 @@ def _primal_translator(primal_profile_8):
 
 @pytest.mark.parametrize("case", ["dual_disk", "primal_translator", "quadratic_lattice",
                                   "random_inactive"])
-def test_array_core_matches_reference(case, request, monkeypatch):
+def test_array_core_matches_reference(case, request):
     if case == "dual_disk":
         f = request.getfixturevalue("solved_dual_disk8")[1].function
     elif case == "primal_translator":
@@ -514,8 +500,6 @@ def test_array_core_matches_reference(case, request, monkeypatch):
     else:
         f = _random_inactive()
     cells = assert_matches_reference(f)
-    if case != "random_inactive":
-        assert count_fallbacks(f, monkeypatch) == 0
     got = mm.weighted_mass(cells, _gauss_weight)
     want = np.array([
         polygon_quadrature(poly, _gauss_weight) if area > 0.0 and len(poly) >= 3 else 0.0
@@ -526,39 +510,17 @@ def test_array_core_matches_reference(case, request, monkeypatch):
     assert np.array_equal(masses[cells.sites], cells.areas)
 
 
-def test_fallback_cells_spliced_into_a_solved_envelope(monkeypatch):
+def test_fallback_cells_spliced_into_a_solved_envelope():
     # the solved envelope of a tilted quadratic on the square: the two
     # triangles of a lattice square carry cross-product gradients an ulp
-    # apart, so some cells take the fallback.  Its polygons go back between
-    # the other cells', which the per-site reference must find unchanged
+    # apart, so a cell can hold two gradients an ulp apart.  The one chain
+    # builds its cells as the per-site reference and the two-lexsort build do
     tilted = lambda p: quadratic(p) + 0.3 - 0.4 * p[:, 0] + 0.25 * p[:, 1]
     prob = solver.build_problem(grid.Domain2D.square(1.0), 0.05, grid.RhsField("constant"),
                                 tilted)
     f = solver.solve(prob, tol=1e-6).function
-    seen = []
-
-    def recorded(vertices):
-        seen.append(vertices)
-        return polygon_area(vertices)
-
-    with monkeypatch.context() as m:
-        m.setattr(mm, "polygon_area", recorded)
-        cells = mm._cell_arrays(f)
-    ref = reference_cells(f)
-    assert len(seen) > 0
-    assert np.array_equal(cells.sites, [i for i, _, _ in ref])
-    assert np.array_equal(cells.counts, [len(poly) for _, poly, _ in ref])
-    assert np.array_equal(cells.vertices, np.concatenate([poly for _, poly, _ in ref]))
-    # the fallback runs over its cells in ascending order: their areas are
-    # the reference's bit for bit, the array core's agree to rounding
-    fallback = []
-    for k, (_, poly, _) in enumerate(ref):
-        if len(fallback) < len(seen) and np.array_equal(seen[len(fallback)], poly):
-            fallback.append(k)
-    assert len(fallback) == len(seen)
-    areas = np.array([area for _, _, area in ref])
-    assert np.array_equal(cells.areas[fallback], areas[fallback])
-    assert np.all(np.abs(cells.areas - areas) <= 1e-10 * areas)
+    assert_matches_reference(f)
+    assert_equals_two_lexsort(f)
 
 
 def two_lexsort_cell_arrays(f):
@@ -632,9 +594,19 @@ def _tied_angles():
                                gradients=grads, offsets=np.zeros(4))
 
 
+def assert_equals_two_lexsort(f):
+    """``f``'s cell arrays equal ``two_lexsort_cell_arrays`` bit for bit."""
+    want = two_lexsort_cell_arrays(f)
+    got = mm._cell_arrays(f)
+    for a, b in zip((got.sites, got.counts, got.vertices, got.areas), want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))  # bit for bit
+    return want
+
+
 @pytest.mark.parametrize("case", ["verify_dual", "translator", "cocircular_lattice",
                                   "tied_angles"])
-def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch):
+def test_cell_build_equals_two_lexsort_reference(case, request):
     if case == "verify_dual":
         f = request.getfixturevalue("solved_dual_disk8")[1].function
     elif case == "translator":
@@ -643,16 +615,8 @@ def test_cell_build_equals_two_lexsort_reference(case, request, monkeypatch):
         f = _lattice_quadratic()
     else:
         f = _tied_angles()
-    want = two_lexsort_cell_arrays(f)
-    lexsort, keys = np.lexsort, []
-    monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k) or lexsort(k))
-    got = mm._cell_arrays(f)
-    monkeypatch.undo()
-    for a, b in zip((got.sites, got.counts, got.vertices, got.areas), want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))  # bit for bit
-    # the tie fallback is the one lexsort keyed last by the (integer) cells
-    assert sum(k[-1].dtype.kind == "i" for k in keys) == (case == "tied_angles")
+        assert_matches_reference(f)
+    want = assert_equals_two_lexsort(f)
     # each cell record carries its site, polygon and area bit for bit
     cells = mm.subgradient_cells(f)
     assert len(cells) == len(want[0])
@@ -683,7 +647,7 @@ def test_cells_are_built_once_per_envelope(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["affine", "ridge", "flat_square"])
-def test_degenerate_cells_take_fallback(case, monkeypatch):
+def test_degenerate_cells_take_fallback(case):
     sites = lattice(1.0, 0.25)
     if case == "affine":
         f = mm.lower_envelope(sites, 0.3 * sites[:, 0] - 0.7 * sites[:, 1] + 0.1)
@@ -692,9 +656,10 @@ def test_degenerate_cells_take_fallback(case, monkeypatch):
     else:
         sites = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0.2, 0.1]])
         f = mm.lower_envelope(sites, np.zeros(5))
+    # point and segment cells: the chain gives its first and last point
     cells = assert_matches_reference(f)
-    assert count_fallbacks(f, monkeypatch) == len(cells.sites) > 0
-    assert np.all(cells.areas == 0.0)
+    assert_equals_two_lexsort(f)
+    assert len(cells.sites) > 0 and np.all(cells.areas == 0.0)
     assert np.array_equal(mm.weighted_mass(cells, _gauss_weight), np.zeros(len(cells.sites)))
 
 
@@ -806,15 +771,15 @@ def test_failed_lattice_start_keeps_qhull_bits(field, domain, h, request):
 
 
 @pytest.mark.parametrize("domain", ["square", "disk"])
-def test_dyadic_quadratic_takes_the_lattice_path(domain, monkeypatch):
+def test_dyadic_quadratic_takes_the_lattice_path(domain):
     # at h = 1/8 every square ties exactly and the lifts are exact, so the
-    # certificate holds; each cell has the four gradients of a lattice square
+    # lattice certificate holds; each cell has the four gradients of a
+    # lattice square
     dom = grid.Domain2D.square(1.0) if domain == "square" else grid.Domain2D.disk(1.0)
     gf = grid.sample(quadratic, dom, 0.125)
     f = mm.lower_envelope(gf.nodes, gf.values)
     assert f.hull_sites < len(gf)
     cells = assert_matches_reference(f)
-    assert count_fallbacks(f, monkeypatch) == 0
     if domain == "square":  # every interior cell is a lattice square's
         assert np.all(cells.areas == 0.125 ** 2)
 

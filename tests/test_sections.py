@@ -17,7 +17,8 @@ from ma2d.errors import (
     SectionNotCompact,
     ToolkitError,
 )
-from ma2d.geometry import convex_hull, disk_rule, min_edge_cross, polygon_area, polygon_centroid
+from ma2d.geometry import _convex_hull as convex_hull
+from ma2d.geometry import disk_rule, min_edge_cross, polygon_area, polygon_centroid
 
 from conftest import polygon_edges, quadratic
 
@@ -302,7 +303,7 @@ def test_john_triangle_steiner():
 def test_john_containment_two_sided():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((12, 2))
-    from ma2d.geometry import convex_hull
+    from ma2d.geometry import _convex_hull as convex_hull
 
     poly = convex_hull(pts)
     fit = john(poly)
